@@ -2,7 +2,9 @@
 
 Units are resampled with replacement within each cross-fit fold and both
 nuisance models are refit per replicate, so the intervals reflect model
-estimation noise, not just the final averaging step.
+estimation noise, not just the final averaging step. A resample only
+changes cell counts, so the refits are count-based and batched: every
+replicate's models are fitted from its counts in one stacked Newton solve.
 """
 
 from medlang import bootstrap_effects, exact_effects, generate, load_fixture
@@ -17,7 +19,8 @@ def main() -> None:
         domains=result.domains,
     )
     print(f"n_units {est.n_units}, replicates {est.n_bootstrap} "
-          f"(dropped {est.n_dropped_replicates})")
+          f"(dropped {est.n_dropped_replicates}, "
+          f"intervals widened to their point {est.n_clamped_intervals})")
     print(f"nde {est.nde:+.4f}  90% ci [{est.nde_ci[0]:+.4f}, {est.nde_ci[1]:+.4f}]  "
           f"(true {truth.nde_true:+.4f})")
     print(f"nie {est.nie:+.4f}  90% ci [{est.nie_ci[0]:+.4f}, {est.nie_ci[1]:+.4f}]  "

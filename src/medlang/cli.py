@@ -21,7 +21,7 @@ from typing import Sequence
 
 from . import glm, mediation, scm
 from .corpus import extract_units, parse_case_metadata, parse_transcript, unit_to_json
-from .errors import ConfigError, DataError, MedlangError
+from .errors import ConfigError, DataError, MedlangError, ParseError
 from .measure import (
     BuildResult,
     MeasurementSpec,
@@ -181,7 +181,7 @@ def write_effects_csv(estimates: Sequence[EffectEstimate], stream) -> None:
         [
             "mediator", "nde", "nde_lo", "nde_hi", "nie", "nie_lo", "nie_hi",
             "nie_reversed", "total_effect", "ci_level", "n_units", "n_bootstrap",
-            "n_dropped_replicates",
+            "n_dropped_replicates", "n_clamped_intervals",
         ]
     )
     for est in estimates:
@@ -192,6 +192,7 @@ def write_effects_csv(estimates: Sequence[EffectEstimate], stream) -> None:
                 repr(est.nie), repr(est.nie_ci[0]), repr(est.nie_ci[1]),
                 repr(est.nie_reversed), repr(est.total_effect), repr(est.ci_level),
                 est.n_units, est.n_bootstrap, est.n_dropped_replicates,
+                est.n_clamped_intervals,
             ]
         )
 
@@ -300,6 +301,7 @@ def run_pipeline(config: RunConfig) -> dict:
         "dropped_bootstrap_replicates": {
             e.mediator_name: e.n_dropped_replicates for e in estimates
         },
+        "clamped_intervals": {e.mediator_name: e.n_clamped_intervals for e in estimates},
     }
     _write_text(out / "warnings.json", json.dumps(warnings, indent=2, sort_keys=True) + "\n")
 
@@ -514,27 +516,19 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    with _open(args.estimates, "r") as fh:
-        estimates = []
-        for line in fh:
+    estimates = []
+    with _open(args.estimates) as fh:
+        for line_number, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            obj = json.loads(line)
-            estimates.append(
-                EffectEstimate(
-                    mediator_name=obj["mediator"],
-                    nde=obj["nde"],
-                    nie=obj["nie"],
-                    nie_reversed=obj["nie_reversed"],
-                    total_effect=obj["total_effect"],
-                    ci_level=obj["ci_level"],
-                    nde_ci=tuple(obj["nde_ci"]),
-                    nie_ci=tuple(obj["nie_ci"]),
-                    n_units=obj["n_units"],
-                    n_bootstrap=obj["n_bootstrap"],
-                    n_dropped_replicates=obj.get("n_dropped_replicates", 0),
-                )
-            )
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:  # includes JSONDecodeError and bad UTF-8
+                raise ParseError(f"not a JSON line: {exc}", line_number) from exc
+            try:
+                estimates.append(EffectEstimate.from_dict(obj))
+            except DataError as exc:
+                raise ParseError(str(exc), line_number) from exc
     text = report(estimates)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -24,7 +24,7 @@ class DataError(MedlangError):
 
 
 class ParseError(DataError):
-    """Malformed transcript record; carries the offending line number."""
+    """Malformed input line (transcript, estimates); carries its line number."""
 
     def __init__(self, message: str, line_number: int):
         super().__init__(f"line {line_number}: {message}")

@@ -11,11 +11,16 @@ Fitting runs on cell-aggregated sufficient statistics (counts are integers,
 so results are bit-identical under any record permutation). Grid cells with
 no training observations are filled with the Laplace pseudo-count default
 (uniform over levels, 0.5 per class) and logged, never silently defaulted.
+
+Every fit goes through one Newton/IRLS loop over a stack of count tables
+that share a design, so the folds of one model and the replicates of a
+bootstrap are solved together.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
 from dataclasses import dataclass
 from typing import IO, Mapping, Sequence
 
@@ -26,9 +31,19 @@ from .errors import ConfigError, DataError, NumericalError
 from .measure import CausalRecord, Domains
 from .seeding import assign_folds
 
+logger = logging.getLogger("medlang")
+
 MAX_ITERATIONS = 100
 CONVERGENCE_TOL = 1e-8
 RIDGE = 1e-6
+
+# Per-member outcome of fit_categorical_glm_batch.
+CONVERGED, FAILED_STEP, NOT_CONVERGED = 0, 1, 2
+
+# fit_categorical_glm_batch fits members in slices whose Newton systems take
+# about this many bytes, so that memory stays bounded when many replicates
+# meet a large design (levels x covariates); small designs run in one slice.
+BATCH_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -123,7 +138,6 @@ class CodedRecords:
     unit_ids: tuple[str, ...]
     t: np.ndarray
     x: np.ndarray  # mixed-radix confounder index
-    x_levels: Mapping[str, np.ndarray]  # per-confounder level positions
     m: Mapping[str, np.ndarray]
     y: np.ndarray
     fold: np.ndarray
@@ -170,7 +184,6 @@ def encode_records(records: Sequence[CausalRecord], domains: Domains) -> CodedRe
     y = np.empty(n, dtype=np.int64)
     fold = np.empty(n, dtype=np.int64)
     x = np.zeros(n, dtype=np.int64)
-    x_levels = {name: np.empty(n, dtype=np.int64) for name, _ in domains.confounders}
     m = {name: np.empty(n, dtype=np.int64) for name, _ in domains.mediators}
     for i, rec in enumerate(records):
         if rec.t not in (0, 1) or rec.y not in (0, 1):
@@ -187,7 +200,6 @@ def encode_records(records: Sequence[CausalRecord], domains: Domains) -> CodedRe
                 raise DataError(
                     f"record {rec.unit_id}: confounder {name!r} level {value!r} not in domain"
                 )
-            x_levels[name][i] = pos
             idx = idx * len(levels) + pos
         x[i] = idx
         for name, size in domains.mediators:
@@ -201,7 +213,6 @@ def encode_records(records: Sequence[CausalRecord], domains: Domains) -> CodedRe
         unit_ids=tuple(rec.unit_id for rec in records),
         t=t,
         x=x,
-        x_levels=x_levels,
         m=m,
         y=y,
         fold=fold,
@@ -214,6 +225,105 @@ def encode_records(records: Sequence[CausalRecord], domains: Domains) -> CodedRe
 # ---------------------------------------------------------------------------
 
 
+def fit_categorical_glm_batch(
+    design: np.ndarray,
+    counts: np.ndarray,
+    ridge: float = RIDGE,
+    max_iterations: int = MAX_ITERATIONS,
+    tol: float = CONVERGENCE_TOL,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Newton/IRLS fits of a stack of multinomial logits sharing one design.
+
+    design: (R, d) covariate rows; counts: (B, R, K) observation counts per
+    member and response level. Level 0 is the reference. Every member takes
+    exactly the Newton steps it would take alone: each iteration solves all
+    active members' (p, p) systems in one stacked solve, and a member stops
+    stepping once its largest step falls below ``tol``. A ridge term keeps
+    the step well defined under separation or collinearity.
+
+    Returns (probs (B, R, K), coefficients (B, K-1, d), iterations (B,),
+    penalized log-likelihoods (B,), status (B,)). A member's status is
+    CONVERGED, FAILED_STEP (singular or non-finite Newton system; its
+    iteration count is the failing iteration) or NOT_CONVERGED; failed
+    members keep their last coefficients and never stop the others.
+    Members are fitted in slices of at most about BATCH_BYTES of Newton
+    systems; a member's result does not depend on the slice it is in.
+    """
+    n_members, n_rows, n_levels = counts.shape
+    if n_levels < 2:
+        raise ConfigError("response needs at least two levels")
+    d = design.shape[1]
+    k = n_levels - 1
+    n_params = k * d
+    size = max(1, BATCH_BYTES // (8 * (3 * n_params * n_params + n_rows * k * k)))
+    if n_members > size:
+        parts = [
+            fit_categorical_glm_batch(design, counts[i : i + size], ridge, max_iterations, tol)
+            for i in range(0, n_members, size)
+        ]
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    totals = counts.sum(axis=2)
+    # Row-wise outer products: one matmul turns per-row weights into blocks.
+    outer = (design[:, :, None] * design[:, None, :]).reshape(n_rows, d * d)
+    ridge_eye = ridge * np.eye(n_params)
+    coef = np.zeros((n_members, k, d))
+    iterations = np.zeros(n_members, dtype=np.int64)
+    status = np.full(n_members, NOT_CONVERGED)
+    active = np.arange(n_members)
+    for _ in range(max_iterations):
+        if active.size == 0:
+            break
+        c = coef[active]
+        probs = _glm_probs(design, c)[:, :, 1:]
+        weighted = totals[active][:, :, None] * probs  # (A, R, k)
+        grad = np.swapaxes(counts[active, :, 1:] - weighted, 1, 2) @ design - ridge * c
+        # w[a, r, i, j] = n_r p_ri (1[i = j] - p_rj), the multinomial information.
+        w = weighted[:, :, :, None] * (np.eye(k) - probs[:, :, None, :])
+        blocks = np.swapaxes(w.reshape(active.size, n_rows, k * k), 1, 2) @ outer
+        hessian = (
+            blocks.reshape(active.size, k, k, d, d)
+            .transpose(0, 1, 3, 2, 4)
+            .reshape(active.size, n_params, n_params)
+            + ridge_eye
+        )
+        step = _stacked_solve(hessian, grad.reshape(active.size, n_params))
+        iterations[active] += 1
+        failed = ~np.isfinite(step).all(axis=1)
+        step[failed] = 0.0
+        coef[active] = c + step.reshape(c.shape)
+        done = ~failed & (np.abs(step).max(axis=1) < tol)
+        status[active[failed]] = FAILED_STEP
+        status[active[done]] = CONVERGED
+        active = active[~(failed | done)]
+    probs = _glm_probs(design, coef)
+    loglik = xlogy(counts, probs).sum(axis=(1, 2)) - 0.5 * ridge * (coef ** 2).sum(axis=(1, 2))
+    return probs, coef, iterations, loglik, status
+
+
+def _glm_probs(design: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Softmax probabilities (B, R, K) for coefficients (B, K-1, d)."""
+    scores = design @ np.swapaxes(coef, 1, 2)
+    return softmax(np.concatenate([np.zeros(scores.shape[:2] + (1,)), scores], axis=2), axis=2)
+
+
+def _stacked_solve(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """Solve each member's Newton system; a singular member's step is NaN.
+
+    A stacked solve raises for the whole stack when one member is singular,
+    so on failure the members are solved one by one to find the bad ones.
+    """
+    try:
+        return np.linalg.solve(hessian, grad[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        step = np.full(grad.shape, np.nan)
+        for i in range(grad.shape[0]):
+            try:
+                step[i] = np.linalg.solve(hessian[i], grad[i])
+            except np.linalg.LinAlgError:
+                pass
+        return step
+
+
 def fit_categorical_glm(
     design: np.ndarray,
     counts: np.ndarray,
@@ -221,50 +331,33 @@ def fit_categorical_glm(
     max_iterations: int = MAX_ITERATIONS,
     tol: float = CONVERGENCE_TOL,
 ) -> tuple[np.ndarray, np.ndarray, int, float]:
-    """Newton/IRLS fit of a multinomial logit on aggregated rows.
+    """Newton/IRLS fit of one multinomial logit on aggregated rows.
 
     design: (R, d) covariate rows; counts: (R, K) observation counts per
-    response level. Level 0 is the reference. Returns (probs (R, K),
-    coefficients (K-1, d), iterations, penalized log-likelihood). A ridge
-    term keeps the step well defined under separation or collinearity.
+    response level. Returns (probs (R, K), coefficients (K-1, d),
+    iterations, penalized log-likelihood); a failed fit raises
+    NumericalError. This is the one-member case of fit_categorical_glm_batch.
     """
-    n_rows, d = design.shape
-    n_levels = counts.shape[1]
-    if n_levels < 2:
-        raise ConfigError("response needs at least two levels")
-    totals = counts.sum(axis=1).astype(float)
-    coef = np.zeros((n_levels - 1, d))
-    n_params = (n_levels - 1) * d
-    identity = np.eye(n_params)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        scores = np.hstack([np.zeros((n_rows, 1)), design @ coef.T])
-        probs = softmax(scores, axis=1)
-        grad = (counts[:, 1:] - totals[:, None] * probs[:, 1:]).T @ design - ridge * coef
-        hessian = np.empty((n_params, n_params))
-        for a in range(n_levels - 1):
-            for b in range(n_levels - 1):
-                w = totals * probs[:, a + 1] * ((1.0 if a == b else 0.0) - probs[:, b + 1])
-                hessian[a * d : (a + 1) * d, b * d : (b + 1) * d] = (design * w[:, None]).T @ design
-        hessian += ridge * identity
-        try:
-            step = np.linalg.solve(hessian, grad.ravel()).reshape(n_levels - 1, d)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"IRLS step failed at iteration {iterations}: {exc}") from exc
-        coef = coef + step
-        if np.max(np.abs(step)) < tol:
-            converged = True
-            break
-    if not converged:
+    probs, coef, iterations, loglik, status = fit_categorical_glm_batch(
+        design, counts[None], ridge, max_iterations, tol
+    )
+    _raise_if_failed(status, iterations)
+    return probs[0], coef[0], int(iterations[0]), float(loglik[0])
+
+
+def _raise_if_failed(status: np.ndarray, iterations: np.ndarray, context: str = "") -> None:
+    """Raise NumericalError for the first member of a batch fit that failed."""
+    failed = np.nonzero(status != CONVERGED)[0]
+    if not failed.size:
+        return
+    i = failed[0]
+    where = f"{context}fold {i}: " if context else ""
+    if status[i] == FAILED_STEP:
         raise NumericalError(
-            f"IRLS did not converge in {max_iterations} iterations "
-            f"(last max step {np.max(np.abs(step)):.3e})"
+            f"{where}IRLS step failed at iteration {iterations[i]}: "
+            "singular or non-finite Newton system"
         )
-    scores = np.hstack([np.zeros((n_rows, 1)), design @ coef.T])
-    probs = softmax(scores, axis=1)
-    loglik = float(xlogy(counts, probs).sum() - 0.5 * ridge * (coef ** 2).sum())
-    return probs, coef, iterations, loglik
+    raise NumericalError(f"{where}IRLS did not converge in {iterations[i]} iterations")
 
 
 def _x_dummy_columns(domains: Domains) -> np.ndarray:
@@ -288,7 +381,7 @@ def _x_dummy_columns(domains: Domains) -> np.ndarray:
     return block
 
 
-def _mediator_design(domains: Domains) -> np.ndarray:
+def mediator_design(domains: Domains) -> np.ndarray:
     """Rows over cells (t, x) in cell order t * n_x + x."""
     n_x = domains.n_x
     xblock = _x_dummy_columns(domains)
@@ -299,7 +392,7 @@ def _mediator_design(domains: Domains) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _outcome_design(domains: Domains, n_levels: int) -> np.ndarray:
+def outcome_design(domains: Domains, n_levels: int) -> np.ndarray:
     """Rows over cells (m, t, x) in cell order (m * 2 + t) * n_x + x.
 
     Includes the treatment-by-mediator interaction columns.
@@ -357,6 +450,95 @@ def _default_mediator(domains: Domains, mediator_name: str | None) -> str:
     return mediator_name
 
 
+def cell_codes(coded: CodedRecords, mediator_name: str, fold: np.ndarray) -> np.ndarray:
+    """Per-record flat index into the (fold, m, t, x, y) cell grid."""
+    n_levels = coded.domains.mediator_sizes[mediator_name]
+    n_x = coded.domains.n_x
+    cell = ((fold * n_levels + coded.m[mediator_name]) * 2 + coded.t) * n_x + coded.x
+    return cell * 2 + coded.y
+
+
+def grid_shape(domains: Domains, mediator_name: str, n_folds: int) -> tuple[int, ...]:
+    """Shape (n_folds, K, 2, n_x, 2) of the (fold, m, t, x, y) cell grid."""
+    return (n_folds, domains.mediator_sizes[mediator_name], 2, domains.n_x, 2)
+
+
+def _training_counts(
+    coded: CodedRecords, mediator_name: str, plan: CrossFitPlan | None, rows: np.ndarray | None
+) -> np.ndarray:
+    """Training cell counts per fold: every fold's grid minus the fold's own."""
+    fold, n_folds = _apply_plan(coded, plan)
+    codes = cell_codes(coded, mediator_name, fold)
+    if rows is not None:
+        codes = codes[rows]
+    shape = grid_shape(coded.domains, mediator_name, n_folds)
+    counts = np.bincount(codes, minlength=int(np.prod(shape))).reshape(shape)
+    train = counts.sum(axis=0) - counts
+    empty = np.nonzero(train.reshape(n_folds, -1).sum(axis=1) == 0)[0]
+    if empty.size:
+        raise DataError(f"fold {empty[0]}: empty training set")
+    return train.astype(float)
+
+
+def mediator_counts(train: np.ndarray) -> np.ndarray:
+    """(..., K, 2, n_x, 2) cell counts -> (..., 2 * n_x, K) mediator-model counts."""
+    n_levels, n_x = train.shape[-4], train.shape[-2]
+    return np.moveaxis(train.sum(axis=-1), -3, -1).reshape(train.shape[:-4] + (2 * n_x, n_levels))
+
+
+def outcome_counts(train: np.ndarray) -> np.ndarray:
+    """(..., K, 2, n_x, 2) cell counts -> (..., K * 2 * n_x, 2) outcome-model counts."""
+    return train.reshape(train.shape[:-4] + (-1, 2))
+
+
+def mediator_tables(probs: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fitted (..., 2 * n_x, K) probabilities -> (..., 2, n_x, K) tables.
+
+    Cells without training counts get the uniform default; returns the
+    tables and the (..., 2 * n_x) mask of those cells.
+    """
+    empty = counts.sum(axis=-1) == 0
+    probs[empty] = 1.0 / probs.shape[-1]
+    return probs.reshape(probs.shape[:-2] + (2, -1, probs.shape[-1])), empty
+
+
+def outcome_tables(
+    probs: np.ndarray, counts: np.ndarray, n_levels: int, n_x: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fitted (..., K * 2 * n_x, 2) probabilities -> (..., K, 2, n_x) tables of E[Y].
+
+    Cells without training counts get 0.5; returns the tables and the
+    (..., K * 2 * n_x) mask of those cells.
+    """
+    expected = probs[..., 1].copy()
+    empty = counts.sum(axis=-1) == 0
+    expected[empty] = 0.5
+    return expected.reshape(expected.shape[:-1] + (n_levels, 2, n_x)), empty
+
+
+def _fold_diagnostics(
+    model: str, name: str, fit: tuple, empty: np.ndarray, cell_of
+) -> tuple[FoldDiagnostics, ...]:
+    """Per-fold diagnostics of a batch fit over folds; raise on a failed fold."""
+    _, coef, iterations, loglik, status = fit
+    _raise_if_failed(status, iterations, f"{model} model for {name!r}: ")
+    diagnostics = []
+    for f in range(len(status)):
+        cells = np.nonzero(empty[f])[0]
+        if cells.size:
+            logger.info("%s model for %r, fold %d: %d empty cells filled with the default",
+                        model, name, f, cells.size)
+        diagnostics.append(
+            FoldDiagnostics(
+                log_likelihood=float(loglik[f]),
+                n_iterations=int(iterations[f]),
+                smoothed_cells=tuple(cell_of(int(c)) for c in cells),
+                coefficients=coef[f],
+            )
+        )
+    return tuple(diagnostics)
+
+
 def fit_mediator_model(
     records: Sequence[CausalRecord] | CodedRecords,
     mediator_name: str | None = None,
@@ -366,51 +548,27 @@ def fit_mediator_model(
 ) -> FittedMediatorModel:
     """Fit P(M | T, X) per fold and materialize the full (t, x) grid.
 
-    ``rows`` restricts fitting to a row subset (bootstrap resamples pass
-    resampled index arrays); by default all records participate.
+    ``rows`` restricts fitting to a row subset, counting repeated rows as
+    often as they occur (a resample's index array); by default all records
+    participate.
     """
     coded = _resolve(records, domains)
     domains = coded.domains
     mediator_name = _default_mediator(domains, mediator_name)
-    sizes = domains.mediator_sizes
-    n_levels = sizes[mediator_name]
-    fold, n_folds = _apply_plan(coded, plan)
-    idx = np.arange(coded.n_records) if rows is None else rows
     n_x = domains.n_x
-    design = _mediator_design(domains)
-    n_cells = 2 * n_x
-
-    table = np.empty((n_folds, 2, n_x, n_levels))
-    diagnostics = []
-    m_all = coded.m[mediator_name]
-    for f in range(n_folds):
-        train = idx[fold[idx] != f]
-        if train.size == 0:
-            raise DataError(f"fold {f}: empty training set")
-        cell = coded.t[train] * n_x + coded.x[train]
-        counts = np.bincount(cell * n_levels + m_all[train], minlength=n_cells * n_levels)
-        counts = counts.reshape(n_cells, n_levels).astype(float)
-        probs, coef, iters, loglik = fit_categorical_glm(design, counts)
-        empty = counts.sum(axis=1) == 0
-        probs[empty] = 1.0 / n_levels
-        table[f] = probs.reshape(2, n_x, n_levels)
-        smoothed = tuple(
-            (int(c // n_x), domains.x_assignment(int(c % n_x))) for c in np.nonzero(empty)[0]
-        )
-        diagnostics.append(
-            FoldDiagnostics(
-                log_likelihood=loglik,
-                n_iterations=iters,
-                smoothed_cells=smoothed,
-                coefficients=coef,
-            )
-        )
+    counts = mediator_counts(_training_counts(coded, mediator_name, plan, rows))
+    fit = fit_categorical_glm_batch(mediator_design(domains), counts)
+    table, empty = mediator_tables(fit[0], counts)
+    diagnostics = _fold_diagnostics(
+        "mediator", mediator_name, fit, empty,
+        lambda c: (c // n_x, domains.x_assignment(c % n_x)),
+    )
     model = FittedMediatorModel(
         mediator_name=mediator_name,
         domains=domains,
-        n_folds=n_folds,
+        n_folds=table.shape[0],
         table=table,
-        diagnostics=tuple(diagnostics),
+        diagnostics=diagnostics,
     )
     model.validate()
     return model
@@ -432,50 +590,24 @@ def fit_outcome_model(
     coded = _resolve(records, domains)
     domains = coded.domains
     mediator_name = _default_mediator(domains, mediator_name)
-    sizes = domains.mediator_sizes
-    n_levels = sizes[mediator_name]
-    fold, n_folds = _apply_plan(coded, plan)
-    idx = np.arange(coded.n_records) if rows is None else rows
+    n_levels = domains.mediator_sizes[mediator_name]
     n_x = domains.n_x
-    design = _outcome_design(domains, n_levels)
+    design = outcome_design(domains, n_levels)
     if not interaction:
         design = design[:, : design.shape[1] - (n_levels - 1)]
-    n_cells = n_levels * 2 * n_x
-
-    table = np.empty((n_folds, n_levels, 2, n_x))
-    diagnostics = []
-    m_all = coded.m[mediator_name]
-    for f in range(n_folds):
-        train = idx[fold[idx] != f]
-        if train.size == 0:
-            raise DataError(f"fold {f}: empty training set")
-        cell = (m_all[train] * 2 + coded.t[train]) * n_x + coded.x[train]
-        n_cell = np.bincount(cell, minlength=n_cells).astype(float)
-        y_cell = np.bincount(cell, weights=coded.y[train].astype(float), minlength=n_cells)
-        counts = np.stack([n_cell - y_cell, y_cell], axis=1)
-        probs, coef, iters, loglik = fit_categorical_glm(design, counts)
-        expected = probs[:, 1].copy()
-        empty = n_cell == 0
-        expected[empty] = 0.5
-        table[f] = expected.reshape(n_levels, 2, n_x)
-        smoothed = tuple(
-            (int(c // (2 * n_x)), int((c // n_x) % 2), domains.x_assignment(int(c % n_x)))
-            for c in np.nonzero(empty)[0]
-        )
-        diagnostics.append(
-            FoldDiagnostics(
-                log_likelihood=loglik,
-                n_iterations=iters,
-                smoothed_cells=smoothed,
-                coefficients=coef,
-            )
-        )
+    counts = outcome_counts(_training_counts(coded, mediator_name, plan, rows))
+    fit = fit_categorical_glm_batch(design, counts)
+    table, empty = outcome_tables(fit[0], counts, n_levels, n_x)
+    diagnostics = _fold_diagnostics(
+        "outcome", mediator_name, fit, empty,
+        lambda c: (c // (2 * n_x), (c // n_x) % 2, domains.x_assignment(c % n_x)),
+    )
     model = FittedOutcomeModel(
         mediator_name=mediator_name,
         domains=domains,
-        n_folds=n_folds,
+        n_folds=table.shape[0],
         table=table,
-        diagnostics=tuple(diagnostics),
+        diagnostics=diagnostics,
     )
     model.validate()
     return model

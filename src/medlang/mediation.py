@@ -25,6 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
+from . import glm
 from .glm import (
     CodedRecords,
     FittedMediatorModel,
@@ -65,6 +66,7 @@ class EffectEstimate:
     n_units: int
     n_bootstrap: int
     n_dropped_replicates: int = 0
+    n_clamped_intervals: int = 0
     caveat: str = INTERPRETATION_CAVEAT
 
     def validate(self) -> None:
@@ -103,11 +105,53 @@ class EffectEstimate:
             "n_units": self.n_units,
             "n_bootstrap": self.n_bootstrap,
             "n_dropped_replicates": self.n_dropped_replicates,
+            "n_clamped_intervals": self.n_clamped_intervals,
             "caveat": self.caveat,
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
+
+    @classmethod
+    def from_dict(cls, obj) -> "EffectEstimate":
+        """Inverse of to_dict; the counters and the caveat may be absent.
+
+        Raises DataError on a missing key or a value of the wrong shape.
+        """
+        if not isinstance(obj, dict):
+            raise DataError(f"an estimate must be a JSON object, got {type(obj).__name__}")
+        missing = [key for key in _REQUIRED_KEYS if key not in obj]
+        if missing:
+            raise DataError(f"estimate lacks keys {missing}")
+        try:
+            return cls(
+                mediator_name=str(obj["mediator"]),
+                nde=float(obj["nde"]),
+                nie=float(obj["nie"]),
+                nie_reversed=float(obj["nie_reversed"]),
+                total_effect=float(obj["total_effect"]),
+                ci_level=float(obj["ci_level"]),
+                nde_ci=_interval(obj["nde_ci"]),
+                nie_ci=_interval(obj["nie_ci"]),
+                n_units=int(obj["n_units"]),
+                n_bootstrap=int(obj["n_bootstrap"]),
+                n_dropped_replicates=int(obj.get("n_dropped_replicates", 0)),
+                n_clamped_intervals=int(obj.get("n_clamped_intervals", 0)),
+                caveat=str(obj.get("caveat", INTERPRETATION_CAVEAT)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"malformed estimate: {exc}") from exc
+
+
+_REQUIRED_KEYS = (
+    "mediator", "nde", "nie", "nie_reversed", "total_effect", "ci_level",
+    "nde_ci", "nie_ci", "n_units", "n_bootstrap",
+)
+
+
+def _interval(value) -> tuple[float, float]:
+    lo, hi = value
+    return float(lo), float(hi)
 
 
 @dataclass(frozen=True)
@@ -144,42 +188,40 @@ def _check_table(name: str, table: np.ndarray, layout: str) -> None:
 def _cell_effects(g_table: np.ndarray, f_table: np.ndarray):
     """Inner mediator sums per (fold, x) cell.
 
-    g_table: (F, 2, n_x, K); f_table: (F, K, 2, n_x). Returns four
-    (F, n_x) arrays: nde, nie, nie_reversed, te.
+    g_table: (..., 2, n_x, K); f_table: (..., K, 2, n_x), with any shared
+    leading axes (folds, replicates). Returns four (..., n_x) arrays: nde,
+    nie, nie_reversed, te.
     """
-    g0 = g_table[:, 0, :, :]
-    g1 = g_table[:, 1, :, :]
-    f0 = np.moveaxis(f_table[:, :, 0, :], 1, 2)
-    f1 = np.moveaxis(f_table[:, :, 1, :], 1, 2)
-    nde = ((f1 - f0) * g0).sum(axis=2)
-    nie = (f0 * (g1 - g0)).sum(axis=2)
-    nie_rev = (f1 * (g1 - g0)).sum(axis=2)
-    te = (f1 * g1 - f0 * g0).sum(axis=2)
+    g0 = g_table[..., 0, :, :]
+    g1 = g_table[..., 1, :, :]
+    f0 = np.swapaxes(f_table[..., 0, :], -1, -2)
+    f1 = np.swapaxes(f_table[..., 1, :], -1, -2)
+    nde = ((f1 - f0) * g0).sum(axis=-1)
+    nie = (f0 * (g1 - g0)).sum(axis=-1)
+    nie_rev = (f1 * (g1 - g0)).sum(axis=-1)
+    te = (f1 * g1 - f0 * g0).sum(axis=-1)
     return nde, nie, nie_rev, te
 
 
-def _weights(
-    coded: CodedRecords, rows: np.ndarray, n_folds: int, x_weighting: str
-) -> tuple[np.ndarray, float]:
-    """(fold, x) evaluation weights summing to the number of scored units."""
-    n_x = coded.domains.n_x
-    fold = coded.fold[rows]
-    if fold.size == 0:
-        raise DataError("no records to score")
-    if int(fold.max()) >= n_folds:
-        raise DataError(
-            f"record fold {int(fold.max())} outside the fitted models' {n_folds} folds"
-        )
-    x = coded.x[rows]
-    n = float(rows.size)
+def _effects(
+    g_table: np.ndarray, f_table: np.ndarray, fold_x: np.ndarray, x_weighting: str
+) -> tuple[np.ndarray, ...]:
+    """Unit averages of the four effects from per-fold tables.
+
+    fold_x: (..., F, n_x) counts of scored units per (fold, x) cell. Under
+    "unit" weighting each cell counts its own units; under "marginal" each
+    fold's units are spread over the pooled empirical distribution of X.
+    Returns nde, nie, nie_reversed and te, each of the leading shape.
+    """
+    n = fold_x.sum(axis=(-2, -1))
     if x_weighting == "unit":
-        w = np.bincount(fold * n_x + x, minlength=n_folds * n_x).astype(float)
-        return w.reshape(n_folds, n_x), n
-    if x_weighting == "marginal":
-        fold_counts = np.bincount(fold, minlength=n_folds).astype(float)
-        x_counts = np.bincount(x, minlength=n_x).astype(float)
-        return np.outer(fold_counts, x_counts / n), n
-    raise ConfigError(f"x_weighting must be one of {X_WEIGHTINGS}")
+        w = fold_x
+    elif x_weighting == "marginal":
+        x_share = fold_x.sum(axis=-2) / n[..., None]
+        w = fold_x.sum(axis=-1)[..., :, None] * x_share[..., None, :]
+    else:
+        raise ConfigError(f"x_weighting must be one of {X_WEIGHTINGS}")
+    return tuple((w * c).sum(axis=(-2, -1)) / n for c in _cell_effects(g_table, f_table))
 
 
 def _models_effects(
@@ -199,14 +241,17 @@ def _models_effects(
         raise DataError("mediator and outcome models carry different fold counts")
     _check_table("mediator", g.table, "(fold, t, x, m)")
     _check_table("outcome", f.table, "(fold, m, t, x)")
-    nde_c, nie_c, nie_rev_c, te_c = _cell_effects(g.table, f.table)
-    w, n = _weights(coded, rows, g.n_folds, x_weighting)
-    return (
-        float((w * nde_c).sum() / n),
-        float((w * nie_c).sum() / n),
-        float((w * nie_rev_c).sum() / n),
-        float((w * te_c).sum() / n),
-    )
+    fold = coded.fold[rows]
+    if fold.size == 0:
+        raise DataError("no records to score")
+    if int(fold.max()) >= g.n_folds:
+        raise DataError(
+            f"record fold {int(fold.max())} outside the fitted models' {g.n_folds} folds"
+        )
+    n_x = coded.domains.n_x
+    fold_x = np.bincount(fold * n_x + coded.x[rows], minlength=g.n_folds * n_x)
+    fold_x = fold_x.reshape(g.n_folds, n_x).astype(float)
+    return tuple(float(v) for v in _effects(g.table, f.table, fold_x, x_weighting))
 
 
 def _as_rows(coded: CodedRecords) -> np.ndarray:
@@ -270,27 +315,97 @@ def _fit_and_estimate(
     return _models_effects(coded, g, f, rows, x_weighting)
 
 
-def _present_levels(values: np.ndarray, size: int) -> np.ndarray:
-    return np.bincount(values, minlength=size) > 0
+def _replicate_counts(
+    coded: CodedRecords, mediator_name: str, n_bootstrap: int, seed: int
+) -> np.ndarray:
+    """Cell counts of every replicate's within-fold resample.
+
+    Replicate r resamples each fold's units with replacement from its own
+    stream ``derive_seed(seed, "replicate:r")``; only the resample's
+    (fold, m, t, x, y) cell counts are kept. Returns (B, F, K, 2, n_x, 2).
+    """
+    n_folds = coded.n_folds
+    codes = glm.cell_codes(coded, mediator_name, coded.fold)
+    fold_codes = [codes[coded.fold == f] for f in range(n_folds)]
+    shape = glm.grid_shape(coded.domains, mediator_name, n_folds)
+    n_cells = int(np.prod(shape))
+    counts = np.empty((n_bootstrap, n_cells), dtype=np.int64)
+    for r in range(n_bootstrap):
+        rng = np.random.default_rng(derive_seed(seed, f"replicate:{r}"))
+        draw = np.concatenate([fc[rng.integers(0, fc.size, size=fc.size)] for fc in fold_codes])
+        counts[r] = np.bincount(draw, minlength=n_cells)
+    return counts.reshape((n_bootstrap,) + shape)
 
 
-def _collapsed(coded: CodedRecords, rows: np.ndarray, mediator_name: str,
-               original: dict[str, np.ndarray]) -> bool:
-    for name, base in original.items():
-        if name == "__t__":
-            now = _present_levels(coded.t[rows], 2)
-        elif name == "__m__":
-            now = _present_levels(
-                coded.m[mediator_name][rows], coded.domains.mediator_sizes[mediator_name]
-            )
-        else:
-            now = _present_levels(
-                coded.x_levels[name][rows],
-                len(dict(coded.domains.confounders)[name]),
-            )
-        if (base & ~now).any():
-            return True
-    return False
+def _levels_present(cells: np.ndarray, domains: Domains) -> np.ndarray:
+    """Which t, m and confounder levels occur in (..., K, 2, n_x) cell counts.
+
+    Returns (..., 2 + K + sum of confounder widths) booleans.
+    """
+    widths = tuple(len(levels) for _, levels in domains.confounders)
+    per_x = cells.sum(axis=(-3, -2)).reshape(cells.shape[:-3] + widths)
+    parts = [cells.sum(axis=(-3, -1)), cells.sum(axis=(-2, -1))]
+    for j in range(len(widths)):
+        others = tuple(i - len(widths) for i in range(len(widths)) if i != j)
+        parts.append(per_x.sum(axis=others))
+    return np.concatenate(parts, axis=-1) > 0
+
+
+def _bootstrap_draws(
+    coded: CodedRecords, mediator_name: str, n_bootstrap: int, seed: int, x_weighting: str
+) -> np.ndarray:
+    """(nde, nie) of every replicate, (B, 2); NaN rows mark dropped replicates.
+
+    Refits are count-based and batched: all replicates' training counts
+    come from one cell grid, and both nuisance models of every replicate
+    and fold are fitted in one stacked Newton loop each. A replicate is
+    dropped if its resample loses a t, m or confounder level present in the
+    data, if any of its fits fails, or if its tables are not valid
+    probabilities.
+    """
+    counts = _replicate_counts(coded, mediator_name, n_bootstrap, seed)
+    domains = coded.domains
+    n_levels, n_x = counts.shape[2], counts.shape[4]
+    cells = counts.sum(axis=(1, 5))
+    lost = _levels_present(cells.sum(axis=0), domains) & ~_levels_present(cells, domains)
+    kept = np.nonzero(~lost.any(axis=1))[0]
+    draws = np.full((n_bootstrap, 2), np.nan)
+    if not kept.size:
+        return draws
+
+    grid = counts[kept]
+    train = (grid.sum(axis=1, keepdims=True) - grid).astype(float)
+    g_counts = glm.mediator_counts(train)
+    f_counts = glm.outcome_counts(train)
+    g_probs, *_, g_status = glm.fit_categorical_glm_batch(
+        glm.mediator_design(domains), g_counts.reshape((-1,) + g_counts.shape[2:])
+    )
+    f_probs, *_, f_status = glm.fit_categorical_glm_batch(
+        glm.outcome_design(domains, n_levels), f_counts.reshape((-1,) + f_counts.shape[2:])
+    )
+    g_table, _ = glm.mediator_tables(g_probs.reshape(g_counts.shape), g_counts)
+    f_table, _ = glm.outcome_tables(f_probs.reshape(f_counts.shape), f_counts, n_levels, n_x)
+
+    converged = ((g_status == glm.CONVERGED) & (f_status == glm.CONVERGED)).reshape(kept.size, -1)
+    # The model validate() checks per replicate; NaN fails every comparison,
+    # so the range checks also reject non-finite tables.
+    g_valid = ((g_table >= 0) & (g_table <= 1)).all(axis=(1, 2, 3, 4)) & np.isclose(
+        g_table.sum(axis=-1), 1.0, atol=1e-9
+    ).all(axis=(1, 2, 3))
+    f_valid = ((f_table >= 0) & (f_table <= 1)).all(axis=(1, 2, 3, 4))
+    ok = converged.all(axis=1) & g_valid & f_valid
+
+    fold_x = grid[ok].sum(axis=(2, 3, 5)).astype(float)
+    nde, nie, _, _ = _effects(g_table[ok], f_table[ok], fold_x, x_weighting)
+    draws[kept[ok]] = np.stack([nde, nie], axis=1)
+    return draws
+
+
+def _percentile_interval(values: np.ndarray, point: float, ci_level: float):
+    """Percentile interval widened to contain ``point``, and whether it was."""
+    lo, hi = (float(v) for v in np.quantile(values, [(1.0 - ci_level) / 2.0,
+                                                      1.0 - (1.0 - ci_level) / 2.0]))
+    return (min(lo, point), max(hi, point)), not lo <= point <= hi
 
 
 def bootstrap_effects(
@@ -307,59 +422,40 @@ def bootstrap_effects(
 
     Every replicate resamples units with replacement within each fold
     (preserving the cross-fit protocol and fold sizes exactly), refits both
-    nuisance models, and recomputes the effects. Replicates whose resample
-    loses a covariate level present in the original data, or whose refit
-    fails, are dropped and counted; more than ``max_dropped_fraction``
-    dropped is an error. Replicate seeds are derived independently, so any
-    execution order produces identical intervals.
+    nuisance models, and recomputes the effects. The refits are count-based
+    and batched: a resample changes only cell counts, so every replicate's
+    models are fitted from its counts in one stacked Newton solve per model
+    (see _bootstrap_draws). Replicates whose resample loses a covariate
+    level present in the original data, or whose refit fails, are dropped
+    and counted; more than ``max_dropped_fraction`` dropped is an error.
+    An interval that does not contain its point estimate is widened to it,
+    and each such interval is counted in ``n_clamped_intervals``. Replicate
+    seeds are derived independently, so any execution order produces
+    identical intervals.
     """
     if n_bootstrap != 0 and n_bootstrap < 100:
         raise ConfigError(f"n_bootstrap must be 0 (disabled) or >= 100, got {n_bootstrap}")
     if not 0.0 < ci_level < 1.0:
         raise ConfigError(f"ci_level must lie in (0, 1), got {ci_level}")
     coded = _resolve(records, domains)
-    rows = _as_rows(coded)
-    nde, nie, nie_rev, te = _fit_and_estimate(coded, mediator_name, rows, x_weighting)
+    nde, nie, nie_rev, te = _fit_and_estimate(coded, mediator_name, _as_rows(coded), x_weighting)
 
     dropped = 0
-    draws: list[tuple[float, float]] = []
+    clamped = 0
+    nde_ci, nie_ci = (nde, nde), (nie, nie)
     if n_bootstrap > 0:
-        original = {"__t__": _present_levels(coded.t, 2),
-                    "__m__": _present_levels(coded.m[mediator_name],
-                                             coded.domains.mediator_sizes[mediator_name])}
-        for name, levels in coded.domains.confounders:
-            original[name] = _present_levels(coded.x_levels[name], len(levels))
-        fold_rows = [np.nonzero(coded.fold == f)[0] for f in range(coded.n_folds)]
-        for r in range(n_bootstrap):
-            rng = np.random.default_rng(derive_seed(seed, f"replicate:{r}"))
-            idx = np.concatenate(
-                [fr[rng.integers(0, fr.size, size=fr.size)] for fr in fold_rows]
-            )
-            if _collapsed(coded, idx, mediator_name, original):
-                dropped += 1
-                continue
-            try:
-                b_nde, b_nie, _, _ = _fit_and_estimate(coded, mediator_name, idx, x_weighting)
-            except NumericalError:
-                dropped += 1
-                continue
-            draws.append((b_nde, b_nie))
+        draws = _bootstrap_draws(coded, mediator_name, n_bootstrap, seed, x_weighting)
+        draws = draws[~np.isnan(draws[:, 0])]
+        dropped = n_bootstrap - len(draws)
         if dropped > max_dropped_fraction * n_bootstrap:
             raise NumericalError(
                 f"{dropped}/{n_bootstrap} bootstrap replicates dropped "
                 f"(> {max_dropped_fraction:.0%}): data too sparse for resampling"
             )
-
-    if draws:
-        arr = np.asarray(draws)
-        lo_q, hi_q = (1.0 - ci_level) / 2.0, 1.0 - (1.0 - ci_level) / 2.0
-        nde_lo, nde_hi = np.quantile(arr[:, 0], [lo_q, hi_q])
-        nie_lo, nie_hi = np.quantile(arr[:, 1], [lo_q, hi_q])
-        nde_ci = (min(float(nde_lo), nde), max(float(nde_hi), nde))
-        nie_ci = (min(float(nie_lo), nie), max(float(nie_hi), nie))
-    else:
-        nde_ci = (nde, nde)
-        nie_ci = (nie, nie)
+        if len(draws):
+            nde_ci, nde_clamped = _percentile_interval(draws[:, 0], nde, ci_level)
+            nie_ci, nie_clamped = _percentile_interval(draws[:, 1], nie, ci_level)
+            clamped = nde_clamped + nie_clamped
 
     estimate = EffectEstimate(
         mediator_name=mediator_name,
@@ -373,6 +469,7 @@ def bootstrap_effects(
         n_units=coded.n_records,
         n_bootstrap=n_bootstrap,
         n_dropped_replicates=dropped,
+        n_clamped_intervals=clamped,
     )
     estimate.validate()
     return estimate

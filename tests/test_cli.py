@@ -6,7 +6,7 @@ import pytest
 from medlang.cli import RunConfig, main, report, run_pipeline
 from medlang.errors import ConfigError
 from medlang.measure import records_from_json
-from medlang.mediation import INTERPRETATION_CAVEAT
+from medlang.mediation import INTERPRETATION_CAVEAT, EffectEstimate
 
 
 def write_config(tmp_path, transcripts, meta=None, **overrides):
@@ -56,6 +56,9 @@ def test_run_pipeline_on_paired_fixture(tmp_path, paired_transcript_path, paired
     assert warnings["n_advocate_utterances"] == 2
     assert warnings["n_records"] == 2
     assert warnings["excluded_units"] == {}
+    assert warnings["clamped_intervals"] == {"hedging": 0, "disfluency": 0}
+    effects_header = (out / "effects.csv").read_text("utf-8").splitlines()[0]
+    assert effects_header.endswith(",n_dropped_replicates,n_clamped_intervals")
     assert (
         warnings["n_records"] + sum(warnings["excluded_units"].values())
         == warnings["n_advocate_utterances"]
@@ -282,3 +285,22 @@ def test_config_validation():
 
 def test_run_requires_config_or_manifest():
     assert main(["run"]) == 2
+
+
+def test_report_rejects_malformed_lines_with_exit_3(tmp_path, capsys):
+    est = EffectEstimate(
+        mediator_name="hedging", nde=0.1, nie=0.05, nie_reversed=0.05, total_effect=0.15,
+        ci_level=0.9, nde_ci=(0.0, 0.2), nie_ci=(0.0, 0.1), n_units=10, n_bootstrap=0,
+    )
+    good = est.to_json()
+    lacking = json.dumps({k: v for k, v in est.to_dict().items() if k != "nie_ci"})
+    for bad_line, reason in (("{not json", "not a JSON line"), (lacking, "nie_ci"),
+                             ("[1, 2]", "JSON object")):
+        estimates = tmp_path / "effects.ndjson"
+        estimates.write_text(good + "\n" + bad_line + "\n", encoding="utf-8")
+        assert main(["report", "--estimates", str(estimates)]) == 3
+        err = capsys.readouterr().err
+        assert "line 2" in err and reason in err
+    estimates.write_text(good + "\n", encoding="utf-8")
+    assert main(["report", "--estimates", str(estimates)]) == 0
+    assert "hedging" in capsys.readouterr().out

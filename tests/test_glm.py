@@ -1,14 +1,20 @@
 import io
+import logging
 
 import numpy as np
 import pytest
 from scipy.special import expit
 
 from conftest import records_from_arrays
-from medlang.errors import ConfigError, DataError
+from medlang import glm
+from medlang.errors import ConfigError, DataError, NumericalError
 from medlang.glm import (
+    CONVERGED,
+    FAILED_STEP,
+    NOT_CONVERGED,
     encode_records,
     fit_categorical_glm,
+    fit_categorical_glm_batch,
     fit_mediator_model,
     fit_outcome_model,
     infer_domains,
@@ -17,6 +23,7 @@ from medlang.glm import (
     write_outcome_table_csv,
 )
 from medlang.measure import Domains
+from medlang.mediation import bootstrap_effects
 
 
 # -- cross-fit plans ----------------------------------------------------------
@@ -333,3 +340,73 @@ def test_infer_domains_consistency_checks():
     coded = encode_records(records, domains)
     assert coded.n_records == 50
     assert coded.n_folds == 2
+
+
+def test_smoothed_cells_log_one_info_event_per_point_fit_fold(caplog):
+    t = np.array([0, 0, 1, 1, 0, 0, 1, 1] * 10)
+    x = np.array([0, 1, 0, 0, 0, 1, 0, 0] * 10)
+    m = np.array([0, 1, 1, 0, 1, 0, 0, 1] * 10)
+    y = np.array([0, 1, 0, 1, 1, 0, 1, 0] * 10)
+    records = records_from_arrays(t, x, m, y, np.arange(80) % 2)
+    with caplog.at_level(logging.INFO, logger="medlang"):
+        g = fit_mediator_model(records)
+        f = fit_outcome_model(records, "hedging")
+    events = [r for r in caplog.records if r.name == "medlang" and r.levelno == logging.INFO]
+    assert len(events) == 4  # two models x two folds, each with empty cells
+    for model, fold, record in zip(("mediator", "mediator", "outcome", "outcome"),
+                                   (0, 1, 0, 1), events):
+        fitted = g if model == "mediator" else f
+        n_cells = len(fitted.diagnostics[fold].smoothed_cells)
+        assert record.getMessage() == (
+            f"{model} model for 'hedging', fold {fold}: "
+            f"{n_cells} empty cells filled with the default"
+        )
+
+    # the bootstrap logs its point fits only, never per replicate
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="medlang"):
+        bootstrap_effects(records, "hedging", 100, seed=0)
+    assert len([r for r in caplog.records if r.name == "medlang"]) == 4
+
+
+def test_batch_fit_members_match_solo_fits_and_fail_alone():
+    design = np.array([[1.0, 0.0], [1.0, 1.0]])
+    good_a = np.array([[30.0, 10.0], [12.0, 25.0]])
+    good_b = np.array([[5.0, 40.0], [22.0, 19.0]])
+    # with no ridge, a member without counts has a zero Hessian
+    counts = np.stack([good_a, np.zeros((2, 2)), good_b])
+    probs, coef, iterations, loglik, status = fit_categorical_glm_batch(design, counts, ridge=0.0)
+    assert list(status) == [CONVERGED, FAILED_STEP, CONVERGED]
+    assert iterations[1] == 1
+    for member, solo_counts in ((0, good_a), (2, good_b)):
+        solo = fit_categorical_glm(design, solo_counts, ridge=0.0)
+        assert np.array_equal(probs[member], solo[0])
+        assert np.array_equal(coef[member], solo[1])
+        assert iterations[member] == solo[2]
+        assert loglik[member] == solo[3]
+    with pytest.raises(NumericalError, match="step failed"):
+        fit_categorical_glm(design, np.zeros((2, 2)), ridge=0.0)
+
+
+def test_batch_fit_marks_only_the_unconverged_member():
+    design = np.array([[1.0, 0.0], [1.0, 1.0]])
+    balanced = np.array([[20.0, 20.0], [15.0, 15.0]])  # the MLE is the start point
+    skewed = np.array([[30.0, 2.0], [3.0, 40.0]])
+    _, _, iterations, _, status = fit_categorical_glm_batch(
+        design, np.stack([balanced, skewed]), max_iterations=2
+    )
+    assert list(status) == [CONVERGED, NOT_CONVERGED]
+    assert list(iterations) == [1, 2]
+    with pytest.raises(NumericalError, match="did not converge"):
+        fit_categorical_glm(design, skewed, max_iterations=2)
+
+
+def test_batch_fit_slices_do_not_change_results(monkeypatch):
+    rng = np.random.default_rng(4)
+    design = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
+    counts = rng.integers(0, 30, size=(7, 4, 3)).astype(float)
+    whole = fit_categorical_glm_batch(design, counts)
+    monkeypatch.setattr(glm, "BATCH_BYTES", 1)  # one member per slice
+    sliced = fit_categorical_glm_batch(design, counts)
+    for a, b in zip(whole, sliced):
+        assert np.array_equal(a, b)

@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import records_from_arrays, simple_domains
-from medlang.errors import ConfigError, NumericalError
+from medlang import glm, mediation
+from medlang.errors import ConfigError, DataError, NumericalError
 from medlang.glm import (
     FittedMediatorModel,
     FittedOutcomeModel,
@@ -16,6 +19,8 @@ from medlang.measure import CausalRecord
 from medlang.mediation import (
     EffectEstimate,
     EstimatorConfig,
+    _bootstrap_draws,
+    _models_effects,
     bootstrap_effects,
     estimate_all,
     sa_nde,
@@ -24,6 +29,7 @@ from medlang.mediation import (
     total_effect,
 )
 from medlang import scm
+from medlang.seeding import derive_seed
 
 
 def hand_models(g_rows, f_rows, domains=None, n_folds=1):
@@ -214,6 +220,21 @@ def test_marginal_weighting_runs_and_stays_close_on_fixture():
     assert abs(unit - marginal) <= 0.02
 
 
+def test_marginal_weighting_hand_arithmetic():
+    # g(m=1 | t, x) = 0 and f(0, 0, x) = 0, so a cell's nde is f(m=0, t=1, x)
+    nde_cells = [[0.1, 0.5], [0.3, 0.4]]  # (fold, x)
+    g_rows = [[[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]] * 2
+    f_rows = [[[[0.0, 0.0], nde_cells[fold]], [[0.5, 0.5], [0.5, 0.5]]] for fold in (0, 1)]
+    g, f = hand_models(g_rows, f_rows, domains=simple_domains(n_x_levels=2), n_folds=2)
+    # fold 0 holds two units with x = 0, fold 1 one unit with x = 1
+    records = records_from_arrays(t=[0, 0, 0], x0=[0, 0, 1], m=[0, 0, 0], y=[0, 0, 0],
+                                  fold=[0, 0, 1])
+    assert sa_nde(records, g, f) == pytest.approx((0.1 + 0.1 + 0.4) / 3, abs=1e-12)
+    # marginal: each fold's units spread over the pooled X shares (2/3, 1/3)
+    marginal = (2 * (2 / 3 * 0.1 + 1 / 3 * 0.5) + (2 / 3 * 0.3 + 1 / 3 * 0.4)) / 3
+    assert sa_nde(records, g, f, x_weighting="marginal") == pytest.approx(marginal, abs=1e-12)
+
+
 # -- bootstrap -------------------------------------------------------------------
 
 
@@ -348,3 +369,145 @@ def test_effect_estimate_range_enforced():
     )
     with pytest.raises(NumericalError, match="outside"):
         est.validate()
+
+
+# -- batched, count-based bootstrap ---------------------------------------------------
+
+
+def _sequential_draws(coded, name, n_bootstrap, seed, x_weighting):
+    """Reference: each replicate's resample refitted on its own, row by row."""
+    widths = [len(levels) for _, levels in coded.domains.confounders]
+    n_levels = coded.domains.mediator_sizes[name]
+
+    def present(rows):
+        parts = [np.bincount(coded.t[rows], minlength=2),
+                 np.bincount(coded.m[name][rows], minlength=n_levels)]
+        for j, pos in enumerate(np.unravel_index(coded.x[rows], widths)):
+            parts.append(np.bincount(pos, minlength=widths[j]))
+        return np.concatenate(parts) > 0
+
+    base = present(np.arange(coded.n_records))
+    fold_rows = [np.nonzero(coded.fold == f)[0] for f in range(coded.n_folds)]
+    draws = np.full((n_bootstrap, 2), np.nan)
+    for r in range(n_bootstrap):
+        rng = np.random.default_rng(derive_seed(seed, f"replicate:{r}"))
+        idx = np.concatenate([fr[rng.integers(0, fr.size, size=fr.size)] for fr in fold_rows])
+        if (base & ~present(idx)).any():
+            continue
+        try:
+            g = fit_mediator_model(coded, name, rows=idx)
+            f = fit_outcome_model(coded, name, rows=idx)
+        except NumericalError:
+            continue
+        draws[r] = _models_effects(coded, g, f, idx, x_weighting)[:2]
+    return draws
+
+
+def _six_level_records(n=1200, seed=31):
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 3, n)
+    t = rng.integers(0, 2, n)
+    m = np.minimum(rng.integers(0, 5, n) + t * rng.integers(0, 2, n), 5)
+    y = (rng.random(n) < 0.3 + 0.08 * m * t / 5 + 0.1 * (x == 2)).astype(int)
+    records = records_from_arrays(t=t, x0=x, m=m, y=y, fold=np.arange(n) % 2)
+    return encode_records(records, simple_domains(3, (("hedging", 6),)))
+
+
+def _sparse_level_records():
+    rng = np.random.default_rng(8)
+    n = 80
+    x = np.zeros(n, dtype=int)
+    x[0] = 1
+    records = records_from_arrays(t=rng.integers(0, 2, n), x0=x, m=rng.integers(0, 2, n),
+                                  y=rng.integers(0, 2, n), fold=rng.integers(0, 2, n))
+    return encode_records(records, simple_domains(2))
+
+
+def _binary_scm_records(n=1500, seed=41):
+    result = scm.generate(scm.load_fixture("binary_scm"), n, seed=seed)
+    return encode_records(result.records, result.domains)
+
+
+@pytest.mark.parametrize(
+    "make_coded, x_weighting",
+    [
+        (_binary_scm_records, "unit"),
+        (_binary_scm_records, "marginal"),
+        (_six_level_records, "unit"),
+        (_six_level_records, "marginal"),
+        (_sparse_level_records, "unit"),
+    ],
+    ids=["binary_scm", "binary_scm-marginal", "six_levels", "six_levels-marginal",
+         "collapsing"],
+)
+def test_batched_bootstrap_matches_sequential_refits(make_coded, x_weighting):
+    coded = make_coded()
+    batched = _bootstrap_draws(coded, "hedging", 100, 17, x_weighting)
+    reference = _sequential_draws(coded, "hedging", 100, 17, x_weighting)
+    assert np.array_equal(np.isnan(batched), np.isnan(reference))
+    kept = ~np.isnan(reference[:, 0])
+    assert kept.any()
+    assert np.abs(batched[kept] - reference[kept]).max() <= 1e-12
+
+
+def test_collapsed_replicates_are_dropped_and_counted():
+    coded = _sparse_level_records()
+    draws = _bootstrap_draws(coded, "hedging", 100, 1, "unit")
+    n_nan = int(np.isnan(draws[:, 0]).sum())
+    assert 0 < n_nan < 100
+    est = bootstrap_effects(coded, "hedging", 100, seed=1, max_dropped_fraction=1.0)
+    assert est.n_dropped_replicates == n_nan
+
+
+def test_replicate_draws_depend_only_on_their_own_seed():
+    coded = _binary_scm_records()
+    long_run = _bootstrap_draws(coded, "hedging", 200, 23, "unit")
+    short_run = _bootstrap_draws(coded, "hedging", 100, 23, "unit")
+    assert np.array_equal(long_run[:100], short_run)
+
+
+def test_one_failed_member_drops_exactly_its_replicate(monkeypatch):
+    coded = _binary_scm_records()
+    clean = _bootstrap_draws(coded, "hedging", 100, 29, "unit")
+    assert not np.isnan(clean).any()
+    real_batch = glm.fit_categorical_glm_batch
+
+    def fail_member_three(design, counts, *args, **kwargs):
+        fit = real_batch(design, counts, *args, **kwargs)
+        if counts.shape[0] > coded.n_folds:  # a bootstrap batch, not a point fit
+            fit[4][3] = glm.NOT_CONVERGED  # replicate 1, fold 1
+        return fit
+
+    monkeypatch.setattr(glm, "fit_categorical_glm_batch", fail_member_three)
+    draws = _bootstrap_draws(coded, "hedging", 100, 29, "unit")
+    assert np.isnan(draws[1]).all()
+    others = np.arange(100) != 1
+    assert np.array_equal(draws[others], clean[others])
+    assert bootstrap_effects(coded, "hedging", 100, seed=29).n_dropped_replicates == 1
+
+
+def test_clamped_intervals_are_counted(monkeypatch):
+    coded = _binary_scm_records()
+    est = bootstrap_effects(coded, "hedging", 100, seed=2)
+    assert est.n_clamped_intervals == 0
+    # every replicate far above both point estimates: both intervals are widened
+    monkeypatch.setattr(
+        mediation, "_bootstrap_draws", lambda coded, name, b, seed, xw: np.full((b, 2), 0.9)
+    )
+    est = bootstrap_effects(coded, "hedging", 100, seed=2)
+    assert est.n_clamped_intervals == 2
+    assert est.nde_ci == (est.nde, 0.9) and est.nie_ci == (est.nie, 0.9)
+    assert est.to_dict()["n_clamped_intervals"] == 2
+    assert EffectEstimate.from_dict(json.loads(est.to_json())) == est
+
+
+def test_from_dict_rejects_missing_keys_and_bad_values():
+    est = bootstrap_effects(_binary_scm_records(), "hedging", 0, seed=0)
+    obj = est.to_dict()
+    del obj["nde"]
+    with pytest.raises(DataError, match="nde"):
+        EffectEstimate.from_dict(obj)
+    with pytest.raises(DataError):
+        EffectEstimate.from_dict({**est.to_dict(), "nie_ci": 0.5})
+    with pytest.raises(DataError):
+        EffectEstimate.from_dict([1, 2])
