@@ -6,8 +6,9 @@ counterfactual Monte Carlo), then checks that the cross-fitted plug-in
 estimators land within a hair of the truth at N = 50,000.
 """
 
-from medlang import exact_effects, generate, load_fixture, monte_carlo_effects, sa_nde, sa_nie, total_effect
-from medlang.glm import encode_records, fit_mediator_model, fit_outcome_model
+from medlang import (exact_effects, fit_models, generate, load_fixture, monte_carlo_effects,
+                     sample_effects)
+from medlang.glm import encode_records
 
 
 def main() -> None:
@@ -22,9 +23,8 @@ def main() -> None:
 
     result = generate(spec, 50000, seed=7)
     coded = encode_records(result.records, result.domains)
-    g = fit_mediator_model(coded)
-    f = fit_outcome_model(coded)
-    nde, nie, te = sa_nde(coded, g, f), sa_nie(coded, g, f), total_effect(coded, g, f)
+    g, f = fit_models(coded, "hedging")
+    nde, nie, _, te = sample_effects(coded, g, f)
     print("cross-fitted sample-average estimates (N = 50,000):")
     print(f"  nde {nde:+.5f}  nie {nie:+.5f}  te {te:+.5f}")
     print(f"  errors: nde {abs(nde - exact.nde_true):.5f}  "

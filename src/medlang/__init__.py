@@ -43,9 +43,8 @@ from .mediation import (
     EstimatorConfig,
     bootstrap_effects,
     estimate_all,
-    sa_nde,
-    sa_nie,
-    total_effect,
+    fit_models,
+    sample_effects,
 )
 from .scm import (
     MediatorLaw,
@@ -96,6 +95,7 @@ __all__ = [
     "exact_effects",
     "extract_units",
     "fit_mediator_model",
+    "fit_models",
     "fit_outcome_model",
     "fit_topic_model",
     "generate",
@@ -111,10 +111,8 @@ __all__ = [
     "monte_carlo_effects",
     "parse_case_metadata",
     "parse_transcript",
-    "sa_nde",
-    "sa_nie",
+    "sample_effects",
     "tokenize",
-    "total_effect",
     "validate_record",
     "violation_study",
     "with_knob",

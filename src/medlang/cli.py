@@ -79,14 +79,15 @@ class RunConfig:
                 raise ConfigError(f"{label} path does not exist: {path}")
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
-        if self.bootstrap != 0 and self.bootstrap < 100:
-            raise ConfigError(f"bootstrap must be 0 (disabled) or >= 100, got {self.bootstrap}")
-        if not 0.0 < self.ci < 1.0:
-            raise ConfigError(f"ci must lie in (0, 1), got {self.ci}")
+        mediation.validate_settings(self.bootstrap, self.ci, self.x_weighting)
         if self.topics is not None and self.topics < 2:
             raise ConfigError(f"topics must be >= 2, got {self.topics}")
         if not self.mediators:
             raise ConfigError("at least one mediator must be requested")
+
+    @property
+    def x_weighting(self) -> str:
+        return "marginal" if self.x_marginal else "unit"
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -159,7 +160,6 @@ def measure_units(units, utterances, config: RunConfig) -> BuildResult:
     spec = MeasurementSpec(
         hedging_lexicon=lexicon,
         topic_model=topic_model,
-        topic_model_ref=f"lda-k{config.topics}-seed{config.seed}" if config.topics else None,
         strict_interruption_marker=config.strict_marker,
     )
     by_case: dict[str, list] = {}
@@ -208,13 +208,21 @@ def write_plot_data_csv(estimates: Sequence[EffectEstimate], stream) -> None:
 
 
 def report(estimates: Sequence[EffectEstimate]) -> str:
-    """Human-readable per-mediator summary, sorted by mediator name."""
+    """Human-readable per-mediator summary, sorted by mediator name.
+
+    The interval columns are headed by the estimates' common level; raises
+    DataError if the estimates carry different levels.
+    """
+    levels = sorted({est.ci_level for est in estimates})
+    if len(levels) > 1:
+        raise DataError(f"estimates mix interval levels {levels}")
+    ci = f"{(levels[0] if levels else EstimatorConfig.ci_level) * 100:g}% ci"
     lines = []
     lines.append("natural direct and indirect effect estimates")
     lines.append("=" * 44)
     header = (
-        f"{'mediator':<14} {'nde':>9} {'nde 90% ci':>22} {'nie':>9} "
-        f"{'nie 90% ci':>22} {'nie_rev':>9} {'total':>9} {'n':>7}"
+        f"{'mediator':<14} {'nde':>9} {'nde ' + ci:>22} {'nie':>9} "
+        f"{'nie ' + ci:>22} {'nie_rev':>9} {'total':>9} {'n':>7}"
     )
     lines.append(header)
     lines.append("-" * len(header))
@@ -229,6 +237,26 @@ def report(estimates: Sequence[EffectEstimate]) -> str:
     lines.append(f"caveat: {INTERPRETATION_CAVEAT}")
     lines.append("")
     return "\n".join(lines)
+
+
+def write_tables(out: Path, models: Sequence[tuple]) -> None:
+    """Write mediator_tables.csv and outcome_tables.csv for fitted (g, f) pairs."""
+    with open(out / "mediator_tables.csv", "w", encoding="utf-8") as fh:
+        glm.write_mediator_table_csv([g for g, _ in models], fh)
+    with open(out / "outcome_tables.csv", "w", encoding="utf-8") as fh:
+        glm.write_outcome_table_csv([f for _, f in models], fh)
+
+
+def write_estimates(out: Path, estimates: Sequence[EffectEstimate]) -> str:
+    """Write effects.ndjson, effects.csv, plot_data.csv and report.txt; return the report."""
+    _write_text(out / "effects.ndjson", "".join(e.to_json() + "\n" for e in estimates))
+    with open(out / "effects.csv", "w", encoding="utf-8") as fh:
+        write_effects_csv(estimates, fh)
+    with open(out / "plot_data.csv", "w", encoding="utf-8") as fh:
+        write_plot_data_csv(estimates, fh)
+    text = report(estimates)
+    _write_text(out / "report.txt", text)
+    return text
 
 
 def run_pipeline(config: RunConfig) -> dict:
@@ -258,29 +286,19 @@ def run_pipeline(config: RunConfig) -> dict:
         )
 
     coded = glm.encode_records(build.records, build.domains)
-    g_models = [glm.fit_mediator_model(coded, name) for name in config.mediators]
-    f_models = [glm.fit_outcome_model(coded, name) for name in config.mediators]
-    with open(out / "mediator_tables.csv", "w", encoding="utf-8") as fh:
-        glm.write_mediator_table_csv(g_models, fh)
-    with open(out / "outcome_tables.csv", "w", encoding="utf-8") as fh:
-        glm.write_outcome_table_csv(f_models, fh)
-
+    models = [mediation.fit_models(coded, name) for name in config.mediators]
+    write_tables(out, models)
     estimates = estimate_all(
         coded,
-        config.mediators,
+        models,
         EstimatorConfig(
             n_bootstrap=config.bootstrap,
             seed=derive_seed(config.seed, "estimate"),
             ci_level=config.ci,
-            x_weighting="marginal" if config.x_marginal else "unit",
+            x_weighting=config.x_weighting,
         ),
     )
-    _write_text(out / "effects.ndjson", "".join(e.to_json() + "\n" for e in estimates))
-    with open(out / "effects.csv", "w", encoding="utf-8") as fh:
-        write_effects_csv(estimates, fh)
-    with open(out / "plot_data.csv", "w", encoding="utf-8") as fh:
-        write_plot_data_csv(estimates, fh)
-    _write_text(out / "report.txt", report(estimates))
+    write_estimates(out, estimates)
 
     n_advocate = sum(1 for u in utterances if u.speaker_role == "advocate")
     warnings = {
@@ -290,12 +308,12 @@ def run_pipeline(config: RunConfig) -> dict:
         "excluded_units": build.exclusion_counts(),
         "smoothed_cells": {
             "mediator_model": {
-                m.mediator_name: sum(len(d.smoothed_cells) for d in m.diagnostics)
-                for m in g_models
+                g.mediator_name: sum(len(d.smoothed_cells) for d in g.diagnostics)
+                for g, _ in models
             },
             "outcome_model": {
-                m.mediator_name: sum(len(d.smoothed_cells) for d in m.diagnostics)
-                for m in f_models
+                f.mediator_name: sum(len(d.smoothed_cells) for d in f.diagnostics)
+                for _, f in models
             },
         },
         "dropped_bootstrap_replicates": {
@@ -328,12 +346,13 @@ def _split_csv_arg(value: str | None) -> tuple[str, ...] | None:
     return items
 
 
-def _load_records_file(path: str):
+def _load_records_file(path: str) -> glm.CodedRecords:
+    """Read a records file and encode it over the domains its records show."""
     with _open(path, "r") as fh:
         records = records_from_json(fh)
     if not records:
         raise DataError(f"no records in {path}")
-    return records
+    return glm.encode_records(records, glm.infer_domains(records))
 
 
 def cmd_ingest(args) -> int:
@@ -381,49 +400,35 @@ def cmd_measure(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    records = _load_records_file(args.records)
-    domains = glm.infer_domains(records)
+    coded = _load_records_file(args.records)
     plan = None
     if args.folds is not None:
-        plan = glm.make_plan([r.unit_id for r in records], args.folds, args.seed)
-    coded = glm.encode_records(records, domains)
-    mediators = _split_csv_arg(args.mediators) or tuple(domains.mediator_sizes)
-    g_models = [glm.fit_mediator_model(coded, m, plan=plan) for m in mediators]
-    f_models = [glm.fit_outcome_model(coded, m, plan=plan) for m in mediators]
+        plan = glm.make_plan(coded.unit_ids, args.folds, args.seed)
+    mediators = _split_csv_arg(args.mediators) or tuple(coded.domains.mediator_sizes)
+    models = [mediation.fit_models(coded, m, plan=plan) for m in mediators]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "mediator_tables.csv", "w", encoding="utf-8") as fh:
-        glm.write_mediator_table_csv(g_models, fh)
-    with open(out / "outcome_tables.csv", "w", encoding="utf-8") as fh:
-        glm.write_outcome_table_csv(f_models, fh)
+    write_tables(out, models)
     print(f"wrote fitted tables for {len(mediators)} mediators to {args.out}")
     return 0
 
 
 def cmd_estimate(args) -> int:
-    records = _load_records_file(args.records)
-    domains = glm.infer_domains(records)
-    mediators = _split_csv_arg(args.mediators) or tuple(domains.mediator_sizes)
+    coded = _load_records_file(args.records)
+    mediators = _split_csv_arg(args.mediators) or tuple(coded.domains.mediator_sizes)
     estimates = estimate_all(
-        records,
-        mediators,
+        coded,
+        [mediation.fit_models(coded, m) for m in mediators],
         EstimatorConfig(
             n_bootstrap=args.bootstrap,
             seed=derive_seed(args.seed, "estimate"),
             ci_level=args.ci,
             x_weighting="marginal" if args.x_marginal else "unit",
-            domains=domains,
         ),
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "effects.ndjson", "".join(e.to_json() + "\n" for e in estimates))
-    with open(out / "effects.csv", "w", encoding="utf-8") as fh:
-        write_effects_csv(estimates, fh)
-    with open(out / "plot_data.csv", "w", encoding="utf-8") as fh:
-        write_plot_data_csv(estimates, fh)
-    _write_text(out / "report.txt", report(estimates))
-    print(report(estimates))
+    print(write_estimates(out, estimates))
     return 0
 
 

@@ -271,14 +271,19 @@ def units_from_json(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ParseError(f"malformed unit record: {exc.msg}", lineno) from exc
-        p1 = Utterance(**obj["p1"])
-        p2 = Utterance(**obj["p2"]) if obj.get("p2") else None
-        units.append(
-            AnalysisUnit(
-                unit_id=obj["unit_id"],
-                p1_utterance=p1,
-                p2_utterance=p2,
-                context_features=obj.get("context", {}),
+        if not isinstance(obj, dict):
+            raise ParseError("unit record is not an object", lineno)
+        try:
+            units.append(
+                AnalysisUnit(
+                    unit_id=obj["unit_id"],
+                    p1_utterance=Utterance(**obj["p1"]),
+                    p2_utterance=Utterance(**obj["p2"]) if obj.get("p2") else None,
+                    context_features=obj.get("context", {}),
+                )
             )
-        )
+        except KeyError as exc:
+            raise ParseError(f"unit record lacks key {exc.args[0]!r}", lineno) from exc
+        except TypeError as exc:
+            raise ParseError(f"malformed unit record: {exc}", lineno) from exc
     return units

@@ -24,7 +24,7 @@ class DataError(MedlangError):
 
 
 class ParseError(DataError):
-    """Malformed input line (transcript, estimates); carries its line number."""
+    """Malformed input line (transcript, units, records, estimates); carries its line number."""
 
     def __init__(self, message: str, line_number: int):
         super().__init__(f"line {line_number}: {message}")

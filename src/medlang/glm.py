@@ -60,9 +60,6 @@ class CrossFitPlan:
     def test_ids(self, fold: int) -> frozenset[str]:
         return frozenset(uid for uid, f in self.fold_of.items() if f == fold)
 
-    def train_ids(self, fold: int) -> frozenset[str]:
-        return frozenset(uid for uid, f in self.fold_of.items() if f != fold)
-
     def validate(self) -> None:
         folds = set(self.fold_of.values())
         if folds != set(range(self.n_folds)):
@@ -446,7 +443,7 @@ def _default_mediator(domains: Domains, mediator_name: str | None) -> str:
             return next(iter(sizes))
         raise DataError(f"records carry mediators {sorted(sizes)}; name the one to fit")
     if mediator_name not in sizes:
-        raise DataError(f"unknown mediator {mediator_name!r}")
+        raise DataError(f"unknown mediators {[mediator_name]}; records carry {sorted(sizes)}")
     return mediator_name
 
 
@@ -622,9 +619,8 @@ def _as_model_list(models) -> list:
     return list(models) if isinstance(models, (list, tuple)) else [models]
 
 
-def write_mediator_table_csv(
-    models: FittedMediatorModel | Sequence[FittedMediatorModel], stream: IO[str]
-) -> None:
+def _write_table_csv(models, stream: IO[str], axes: tuple[int, ...]) -> None:
+    """One row per (fold, m, t, x) cell; ``axes`` transposes a table to that order."""
     models = _as_model_list(models)
     names = list(models[0].domains.confounder_names)
     writer = csv.writer(stream, lineterminator="\n")
@@ -632,37 +628,21 @@ def write_mediator_table_csv(
     for model in models:
         if list(model.domains.confounder_names) != names:
             raise DataError("models in one export must share confounder domains")
-        n_folds, _, n_x, n_levels = model.table.shape
-        for f in range(n_folds):
-            for m in range(n_levels):
-                for t in (0, 1):
-                    for ix in range(n_x):
-                        x = model.domains.x_assignment(ix)
-                        writer.writerow(
-                            [f, model.mediator_name, m, t]
-                            + [x[n] for n in names]
-                            + [repr(float(model.table[f, t, ix, m]))]
-                        )
+        view = model.table.transpose(axes)
+        x_levels = [
+            [x[n] for n in names] for x in map(model.domains.x_assignment, range(view.shape[3]))
+        ]
+        for (f, m, t, ix), value in np.ndenumerate(view):
+            writer.writerow([f, model.mediator_name, m, t] + x_levels[ix] + [repr(float(value))])
+
+
+def write_mediator_table_csv(
+    models: FittedMediatorModel | Sequence[FittedMediatorModel], stream: IO[str]
+) -> None:
+    _write_table_csv(models, stream, (0, 3, 1, 2))
 
 
 def write_outcome_table_csv(
     models: FittedOutcomeModel | Sequence[FittedOutcomeModel], stream: IO[str]
 ) -> None:
-    models = _as_model_list(models)
-    names = list(models[0].domains.confounder_names)
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["fold", "mediator", "m", "t"] + names + ["value"])
-    for model in models:
-        if list(model.domains.confounder_names) != names:
-            raise DataError("models in one export must share confounder domains")
-        n_folds, n_levels, _, n_x = model.table.shape
-        for f in range(n_folds):
-            for m in range(n_levels):
-                for t in (0, 1):
-                    for ix in range(n_x):
-                        x = model.domains.x_assignment(ix)
-                        writer.writerow(
-                            [f, model.mediator_name, m, t]
-                            + [x[n] for n in names]
-                            + [repr(float(model.table[f, m, t, ix]))]
-                        )
+    _write_table_csv(models, stream, (0, 1, 2, 3))

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from importlib import resources
 from typing import IO, Iterable, Mapping, Sequence
 
-from .corpus import AnalysisUnit, Utterance, ends_with_interruption_marker
-from .errors import ConfigError, DataError
+from .corpus import AnalysisUnit, Utterance, _iter_lines, ends_with_interruption_marker
+from .errors import ConfigError, DataError, ParseError
 from .seeding import assign_folds
 from .textutil import DASH_TOKEN, normalize_phrase, tokenize
 from .topics import TopicModel, measure_topic
@@ -60,7 +60,6 @@ class MeasurementSpec:
         default_factory=lambda: {"Ms.": 1, "Mr.": 0}
     )
     topic_model: TopicModel | None = None
-    topic_model_ref: str | None = None
     strict_interruption_marker: bool = False
 
     def __post_init__(self) -> None:
@@ -272,24 +271,33 @@ def record_to_json(record: CausalRecord) -> str:
 
 
 def records_from_json(source) -> list[CausalRecord]:
-    from .corpus import _iter_lines
-
+    """Read NDJSON causal records; a malformed line raises ParseError with its number."""
     records = []
-    for line in _iter_lines(source):
+    for lineno, line in enumerate(_iter_lines(source), start=1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        records.append(
-            CausalRecord(
-                unit_id=obj["unit_id"],
-                t=int(obj["t"]),
-                x={k: str(v) for k, v in obj["x"].items()},
-                m={k: int(v) for k, v in obj["m"].items()},
-                y=int(obj["y"]),
-                fold=int(obj["fold"]),
-                valence=obj.get("valence"),
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed causal record: {exc.msg}", lineno) from exc
+        if not isinstance(obj, dict):
+            raise ParseError("causal record is not an object", lineno)
+        try:
+            records.append(
+                CausalRecord(
+                    unit_id=obj["unit_id"],
+                    t=int(obj["t"]),
+                    x={k: str(v) for k, v in obj["x"].items()},
+                    m={k: int(v) for k, v in obj["m"].items()},
+                    y=int(obj["y"]),
+                    fold=int(obj["fold"]),
+                    valence=obj.get("valence"),
+                )
             )
-        )
+        except KeyError as exc:
+            raise ParseError(f"causal record lacks key {exc.args[0]!r}", lineno) from exc
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ParseError(f"malformed causal record: {exc}", lineno) from exc
     return records
 
 

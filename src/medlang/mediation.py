@@ -28,6 +28,7 @@ from .errors import ConfigError, DataError, NumericalError
 from . import glm
 from .glm import (
     CodedRecords,
+    CrossFitPlan,
     FittedMediatorModel,
     FittedOutcomeModel,
     _resolve,
@@ -160,17 +161,16 @@ class EstimatorConfig:
     seed: int = 0
     ci_level: float = 0.90
     x_weighting: str = "unit"
-    domains: Domains | None = None
 
-    def validate(self) -> None:
-        if self.n_bootstrap != 0 and self.n_bootstrap < 100:
-            raise ConfigError(
-                f"n_bootstrap must be 0 (disabled) or >= 100, got {self.n_bootstrap}"
-            )
-        if not 0.0 < self.ci_level < 1.0:
-            raise ConfigError(f"ci_level must lie in (0, 1), got {self.ci_level}")
-        if self.x_weighting not in X_WEIGHTINGS:
-            raise ConfigError(f"x_weighting must be one of {X_WEIGHTINGS}")
+
+def validate_settings(n_bootstrap: int, ci_level: float, x_weighting: str) -> None:
+    """Raise ConfigError on a bad bootstrap count, interval level or X weighting."""
+    if n_bootstrap != 0 and n_bootstrap < 100:
+        raise ConfigError(f"n_bootstrap must be 0 (disabled) or >= 100, got {n_bootstrap}")
+    if not 0.0 < ci_level < 1.0:
+        raise ConfigError(f"ci_level must lie in (0, 1), got {ci_level}")
+    if x_weighting not in X_WEIGHTINGS:
+        raise ConfigError(f"x_weighting must be one of {X_WEIGHTINGS}, got {x_weighting!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +224,33 @@ def _effects(
     return tuple((w * c).sum(axis=(-2, -1)) / n for c in _cell_effects(g_table, f_table))
 
 
-def _models_effects(
-    coded: CodedRecords,
+def fit_models(
+    records: Sequence[CausalRecord] | CodedRecords,
+    mediator_name: str,
+    plan: CrossFitPlan | None = None,
+) -> tuple[FittedMediatorModel, FittedOutcomeModel]:
+    """Fit one mediator's nuisance pair g(m | t, x) and f(y | m, t, x) per fold.
+
+    Uncoded records are encoded over domains inferred from them.
+    """
+    coded = _resolve(records, None)
+    return (
+        fit_mediator_model(coded, mediator_name, plan=plan),
+        fit_outcome_model(coded, mediator_name, plan=plan),
+    )
+
+
+def sample_effects(
+    records: Sequence[CausalRecord] | CodedRecords,
     g: FittedMediatorModel,
     f: FittedOutcomeModel,
-    rows: np.ndarray,
-    x_weighting: str,
+    x_weighting: str = "unit",
 ) -> tuple[float, float, float, float]:
+    """Cross-fitted sample averages (nde, nie, nie_reversed, te) over the records.
+
+    Each record is scored with its own fold's tables, which were trained on
+    the other folds; te equals nde + nie_reversed up to rounding.
+    """
     if g.mediator_name != f.mediator_name:
         raise DataError(
             f"model mediators differ: {g.mediator_name!r} vs {f.mediator_name!r}"
@@ -241,78 +261,22 @@ def _models_effects(
         raise DataError("mediator and outcome models carry different fold counts")
     _check_table("mediator", g.table, "(fold, t, x, m)")
     _check_table("outcome", f.table, "(fold, m, t, x)")
-    fold = coded.fold[rows]
-    if fold.size == 0:
+    coded = _resolve(records, g.domains)
+    if coded.n_records == 0:
         raise DataError("no records to score")
-    if int(fold.max()) >= g.n_folds:
+    if int(coded.fold.max()) >= g.n_folds:
         raise DataError(
-            f"record fold {int(fold.max())} outside the fitted models' {g.n_folds} folds"
+            f"record fold {int(coded.fold.max())} outside the fitted models' {g.n_folds} folds"
         )
     n_x = coded.domains.n_x
-    fold_x = np.bincount(fold * n_x + coded.x[rows], minlength=g.n_folds * n_x)
+    fold_x = np.bincount(coded.fold * n_x + coded.x, minlength=g.n_folds * n_x)
     fold_x = fold_x.reshape(g.n_folds, n_x).astype(float)
     return tuple(float(v) for v in _effects(g.table, f.table, fold_x, x_weighting))
-
-
-def _as_rows(coded: CodedRecords) -> np.ndarray:
-    return np.arange(coded.n_records)
-
-
-def sa_nde(
-    records: Sequence[CausalRecord] | CodedRecords,
-    g: FittedMediatorModel,
-    f: FittedOutcomeModel,
-    x_weighting: str = "unit",
-) -> float:
-    """Cross-fitted sample-average natural direct effect."""
-    coded = _resolve(records, g.domains)
-    return _models_effects(coded, g, f, _as_rows(coded), x_weighting)[0]
-
-
-def sa_nie(
-    records: Sequence[CausalRecord] | CodedRecords,
-    g: FittedMediatorModel,
-    f: FittedOutcomeModel,
-    x_weighting: str = "unit",
-) -> float:
-    """Cross-fitted sample-average natural indirect effect."""
-    coded = _resolve(records, g.domains)
-    return _models_effects(coded, g, f, _as_rows(coded), x_weighting)[1]
-
-
-def sa_nie_reversed(
-    records: Sequence[CausalRecord] | CodedRecords,
-    g: FittedMediatorModel,
-    f: FittedOutcomeModel,
-    x_weighting: str = "unit",
-) -> float:
-    """Indirect effect evaluated under the treated arm (te - nde)."""
-    coded = _resolve(records, g.domains)
-    return _models_effects(coded, g, f, _as_rows(coded), x_weighting)[2]
-
-
-def total_effect(
-    records: Sequence[CausalRecord] | CodedRecords,
-    g: FittedMediatorModel,
-    f: FittedOutcomeModel,
-    x_weighting: str = "unit",
-) -> float:
-    """Plug-in total effect; equals nde + nie_reversed up to rounding."""
-    coded = _resolve(records, g.domains)
-    return _models_effects(coded, g, f, _as_rows(coded), x_weighting)[3]
 
 
 # ---------------------------------------------------------------------------
 # Bootstrap
 # ---------------------------------------------------------------------------
-
-
-def _fit_and_estimate(
-    coded: CodedRecords, mediator_name: str, rows: np.ndarray, x_weighting: str
-) -> tuple[float, float, float, float]:
-    g = fit_mediator_model(coded, mediator_name, rows=rows)
-    f = fit_outcome_model(coded, mediator_name, rows=rows)
-    return _models_effects(coded, g, f, rows, x_weighting)
 
 
 def _replicate_counts(
@@ -410,35 +374,34 @@ def _percentile_interval(values: np.ndarray, point: float, ci_level: float):
 
 def bootstrap_effects(
     records: Sequence[CausalRecord] | CodedRecords,
-    mediator_name: str,
+    g: FittedMediatorModel,
+    f: FittedOutcomeModel,
     n_bootstrap: int,
     seed: int,
     ci_level: float = 0.90,
     x_weighting: str = "unit",
-    domains: Domains | None = None,
     max_dropped_fraction: float = 0.10,
 ) -> EffectEstimate:
-    """Point estimates plus percentile intervals from unit resampling.
+    """Point estimates of the fitted pair plus percentile intervals from unit resampling.
 
-    Every replicate resamples units with replacement within each fold
-    (preserving the cross-fit protocol and fold sizes exactly), refits both
-    nuisance models, and recomputes the effects. The refits are count-based
-    and batched: a resample changes only cell counts, so every replicate's
-    models are fitted from its counts in one stacked Newton solve per model
-    (see _bootstrap_draws). Replicates whose resample loses a covariate
-    level present in the original data, or whose refit fails, are dropped
-    and counted; more than ``max_dropped_fraction`` dropped is an error.
-    An interval that does not contain its point estimate is widened to it,
-    and each such interval is counted in ``n_clamped_intervals``. Replicate
-    seeds are derived independently, so any execution order produces
-    identical intervals.
+    The point estimate scores the records with ``g`` and ``f`` (see
+    fit_models). Every replicate resamples units with replacement within
+    each fold (preserving the cross-fit protocol and fold sizes exactly),
+    refits both nuisance models, and recomputes the effects. The refits are
+    count-based and batched: a resample changes only cell counts, so every
+    replicate's models are fitted from its counts in one stacked Newton
+    solve per model (see _bootstrap_draws). Replicates whose resample loses
+    a covariate level present in the original data, or whose refit fails,
+    are dropped and counted; more than ``max_dropped_fraction`` dropped is
+    an error. An interval that does not contain its point estimate is
+    widened to it, and each such interval is counted in
+    ``n_clamped_intervals``. Replicate seeds are derived independently, so
+    any execution order produces identical intervals.
     """
-    if n_bootstrap != 0 and n_bootstrap < 100:
-        raise ConfigError(f"n_bootstrap must be 0 (disabled) or >= 100, got {n_bootstrap}")
-    if not 0.0 < ci_level < 1.0:
-        raise ConfigError(f"ci_level must lie in (0, 1), got {ci_level}")
-    coded = _resolve(records, domains)
-    nde, nie, nie_rev, te = _fit_and_estimate(coded, mediator_name, _as_rows(coded), x_weighting)
+    validate_settings(n_bootstrap, ci_level, x_weighting)
+    coded = _resolve(records, g.domains)
+    mediator_name = g.mediator_name
+    nde, nie, nie_rev, te = sample_effects(coded, g, f, x_weighting)
 
     dropped = 0
     clamped = 0
@@ -477,29 +440,24 @@ def bootstrap_effects(
 
 def estimate_all(
     records: Sequence[CausalRecord] | CodedRecords,
-    mediator_names: Sequence[str],
+    models: Sequence[tuple[FittedMediatorModel, FittedOutcomeModel]],
     config: EstimatorConfig = EstimatorConfig(),
 ) -> list[EffectEstimate]:
-    """Run the full pipeline per mediator, each independently.
+    """Bootstrap estimates for each fitted (g, f) pair, each independently.
 
     Per-mediator seeds are derived from the config seed and the mediator
     name, so an estimate is bit-identical whether the mediator runs alone
     or alongside others.
     """
-    config.validate()
-    coded = _resolve(records, config.domains)
-    sizes = coded.domains.mediator_sizes
-    unknown = [m for m in mediator_names if m not in sizes]
-    if unknown:
-        raise DataError(f"unknown mediators {unknown}; records carry {sorted(sizes)}")
     return [
         bootstrap_effects(
-            coded,
-            name,
+            records,
+            g,
+            f,
             n_bootstrap=config.n_bootstrap,
-            seed=derive_seed(config.seed, f"bootstrap:{name}"),
+            seed=derive_seed(config.seed, f"bootstrap:{g.mediator_name}"),
             ci_level=config.ci_level,
             x_weighting=config.x_weighting,
         )
-        for name in mediator_names
+        for g, f in models
     ]

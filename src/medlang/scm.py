@@ -848,7 +848,7 @@ def violation_study(
     from the zero-knob exact oracle.
     """
     from .glm import encode_records
-    from .mediation import _fit_and_estimate
+    from .mediation import fit_models, sample_effects
 
     spec_base.validate()
     if not spec_base.assumption_clean:
@@ -869,9 +869,7 @@ def violation_study(
         )
         coded = encode_records(result.records, result.domains)
         for name in spec_base.mediator_names:
-            nde_est, nie_est, _, _ = _fit_and_estimate(
-                coded, name, np.arange(coded.n_records), x_weighting
-            )
+            nde_est, nie_est, _, _ = sample_effects(coded, *fit_models(coded, name), x_weighting)
             oracle = oracles[name]
             rows.append(
                 ViolationRow(

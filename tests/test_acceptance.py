@@ -23,7 +23,7 @@ from medlang.glm import (
     fit_outcome_model,
 )
 from medlang.measure import MeasurementSpec, build_records
-from medlang.mediation import bootstrap_effects, sa_nde, sa_nie, sa_nie_reversed, total_effect
+from medlang.mediation import bootstrap_effects, fit_models, sample_effects
 from medlang.seeding import derive_seed
 from medlang.topics import fit_topic_model, match_topics
 
@@ -42,8 +42,7 @@ def test_criterion_1_oracle_equivalence():
     coded = encode_records(result.records, result.domains)
     g = fit_mediator_model(coded)
     f = fit_outcome_model(coded)
-    nde = sa_nde(coded, g, f)
-    nie = sa_nie(coded, g, f)
+    nde, nie, _, _ = sample_effects(coded, g, f)
     elapsed = time.time() - started
     nde_err = abs(nde - oracle.nde_true)
     nie_err = abs(nie - oracle.nie_true)
@@ -67,7 +66,7 @@ def test_criterion_2_exact_annihilation_and_identity():
     f_any = FittedOutcomeModel(
         "hedging", domains, 1, np.array([[[[0.4], [0.7]], [[0.5], [0.9]]]]), ()
     )
-    nie_zero = sa_nie(records, g_flat, f_any) == 0.0
+    nie_zero = sample_effects(records, g_flat, f_any)[1] == 0.0
 
     g_any = FittedMediatorModel(
         "hedging", domains, 1, np.array([[[[0.75, 0.25]], [[0.4, 0.6]]]]), ()
@@ -75,7 +74,7 @@ def test_criterion_2_exact_annihilation_and_identity():
     f_flat = FittedOutcomeModel(
         "hedging", domains, 1, np.array([[[[0.41], [0.41]], [[0.77], [0.77]]]]), ()
     )
-    nde_zero = sa_nde(records, g_any, f_flat) == 0.0
+    nde_zero = sample_effects(records, g_any, f_flat)[0] == 0.0
 
     # identity on a full fitted run
     spec = scm.load_fixture("two_mediator_scm")
@@ -85,11 +84,8 @@ def test_criterion_2_exact_annihilation_and_identity():
     for name in spec.mediator_names:
         g = fit_mediator_model(coded, name)
         f = fit_outcome_model(coded, name)
-        gap = abs(
-            total_effect(coded, g, f)
-            - sa_nde(coded, g, f)
-            - sa_nie_reversed(coded, g, f)
-        )
+        nde, _, nie_reversed, te = sample_effects(coded, g, f)
+        gap = abs(te - nde - nie_reversed)
         worst_gap = max(worst_gap, gap)
     ok = nie_zero and nde_zero and worst_gap <= 1e-9
     _criterion(
@@ -135,13 +131,13 @@ def test_criterion_4_bootstrap_coverage():
             seed=derive_seed(1234, f"coverage:{rep}"),
             fold_seed=derive_seed(1234, f"coverage-folds:{rep}"),
         )
+        coded = encode_records(result.records, result.domains)
         est = bootstrap_effects(
-            result.records,
-            "hedging",
+            coded,
+            *fit_models(coded, "hedging"),
             n_bootstrap=200,
             seed=derive_seed(1234, f"coverage-boot:{rep}"),
             ci_level=0.90,
-            domains=result.domains,
         )
         covered += int(est.nde_ci[0] <= truth <= est.nde_ci[1])
     elapsed = time.time() - started

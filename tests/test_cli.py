@@ -1,11 +1,15 @@
 import json
+import logging
+import re
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from medlang.cli import RunConfig, main, report, run_pipeline
 from medlang.errors import ConfigError
-from medlang.measure import records_from_json
+from medlang.measure import CausalRecord, record_to_json, records_from_json
 from medlang.mediation import INTERPRETATION_CAVEAT, EffectEstimate
 
 
@@ -304,3 +308,97 @@ def test_report_rejects_malformed_lines_with_exit_3(tmp_path, capsys):
     estimates.write_text(good + "\n", encoding="utf-8")
     assert main(["report", "--estimates", str(estimates)]) == 0
     assert "hedging" in capsys.readouterr().out
+
+
+def test_report_rejects_mixed_interval_levels(tmp_path, capsys):
+    est = EffectEstimate(
+        mediator_name="hedging", nde=0.1, nie=0.05, nie_reversed=0.05, total_effect=0.15,
+        ci_level=0.9, nde_ci=(0.0, 0.2), nie_ci=(0.0, 0.1), n_units=10, n_bootstrap=0,
+    )
+    other = replace(est, mediator_name="topic", ci_level=0.95)
+    estimates = tmp_path / "effects.ndjson"
+    estimates.write_text(est.to_json() + "\n" + other.to_json() + "\n", encoding="utf-8")
+    assert main(["report", "--estimates", str(estimates)]) == 3
+    assert "mix interval levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["estimate", "fit"])
+@pytest.mark.parametrize(
+    "bad_line",
+    ["{not json", json.dumps({"unit_id": "u1", "t": 1, "m": {"hedging": 0}, "y": 0, "fold": 0})],
+    ids=["non-json", "missing-x"],
+)
+def test_malformed_records_file_is_data_error(tmp_path, capsys, command, bad_line):
+    good = CausalRecord(unit_id="u0", t=0, x={"x0": "0"}, m={"hedging": 1}, y=1, fold=0)
+    records = tmp_path / "records.ndjson"
+    records.write_text(record_to_json(good) + "\n" + bad_line + "\n", encoding="utf-8")
+    assert main([command, "--records", str(records), "--out", str(tmp_path / "out")]) == 3
+    assert "line 2" in capsys.readouterr().err
+
+
+# -- one fit per mediator, one writer per bundle ---------------------------------------
+
+
+def _simulated_run(tmp_path) -> Path:
+    """Run the pipeline with 100 replicates on a rendered 300-unit two-mediator corpus."""
+    sim_dir = tmp_path / "sim"
+    assert main([
+        "simulate", "--fixture", "two_mediator_scm", "--n", "300", "--seed", "6",
+        "--render", "--out", str(sim_dir),
+    ]) == 0
+    config_path, _ = write_config(
+        tmp_path, sim_dir / "transcripts.ndjson", sim_dir / "meta.ndjson",
+        bootstrap=100, confounders=["x0"],
+    )
+    assert main(["run", "--config", str(config_path)]) == 0
+    return tmp_path / "out"
+
+
+def test_run_fits_each_model_once(tmp_path, paired_transcript_path, paired_meta_path, caplog):
+    _, config = write_config(tmp_path, paired_transcript_path, paired_meta_path)
+    with caplog.at_level(logging.INFO, logger="medlang"):
+        run_pipeline(RunConfig.from_dict(config))
+    fills = Counter(
+        re.match(r"(\w+) model for '(\w+)', fold (\d+): ", r.getMessage()).groups()
+        for r in caplog.records
+        if "empty cells filled" in r.getMessage()
+    )
+    # every fold of every model has empty cells on the two-record corpus
+    assert set(fills) == {
+        (model, name, fold)
+        for model in ("mediator", "outcome")
+        for name in ("hedging", "disfluency")
+        for fold in ("0", "1")
+    }
+    assert set(fills.values()) == {1}
+
+
+def test_estimate_and_fit_on_run_records_reproduce_the_run(tmp_path):
+    run_dir = _simulated_run(tmp_path)
+    records = str(run_dir / "records.ndjson")
+    assert main([
+        "estimate", "--records", records, "--mediators", "hedging,disfluency",
+        "--seed", "7", "--bootstrap", "100", "--ci", "0.9", "--out", str(tmp_path / "est"),
+    ]) == 0
+    assert main([
+        "fit", "--records", records, "--mediators", "hedging,disfluency",
+        "--out", str(tmp_path / "fit"),
+    ]) == 0
+    for name in ("effects.csv", "effects.ndjson", "plot_data.csv", "report.txt"):
+        assert (tmp_path / "est" / name).read_bytes() == (run_dir / name).read_bytes(), name
+    for name in ("mediator_tables.csv", "outcome_tables.csv"):
+        assert (tmp_path / "fit" / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("ci, label", [("0.9", "90%"), ("0.95", "95%"), ("0.975", "97.5%")])
+def test_report_header_names_the_interval_level(tmp_path, ci, label):
+    sim_dir = tmp_path / "sim"
+    assert main([
+        "simulate", "--fixture", "binary_scm", "--n", "200", "--seed", "1", "--out", str(sim_dir),
+    ]) == 0
+    assert main([
+        "estimate", "--records", str(sim_dir / "records.ndjson"), "--bootstrap", "0",
+        "--ci", ci, "--out", str(tmp_path / "est"),
+    ]) == 0
+    header = (tmp_path / "est" / "report.txt").read_text("utf-8").splitlines()[2]
+    assert f"nde {label} ci" in header and f"nie {label} ci" in header

@@ -214,6 +214,26 @@ def test_unit_json_round_trip(paired_units):
     assert again[0].p1_utterance == paired_units[0].p1_utterance
 
 
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        (lambda unit: "{not json", "malformed unit record"),
+        (lambda unit: "[1, 2]", "not an object"),
+        (lambda unit: {k: v for k, v in unit.items() if k != "unit_id"}, "lacks key 'unit_id'"),
+        (lambda unit: {**unit, "p1": {}}, "malformed unit record"),
+        (lambda unit: {**unit, "p1": "text"}, "malformed unit record"),
+    ],
+    ids=["non-json", "non-object", "missing-key", "empty-p1", "non-object-p1"],
+)
+def test_units_reader_rejects_malformed_line_with_its_number(paired_units, change, reason):
+    good = unit_to_json(paired_units[0])
+    bad = change(json.loads(good))
+    bad_line = bad if isinstance(bad, str) else json.dumps(bad)
+    with pytest.raises(ParseError, match=reason) as info:
+        units_from_json(good + "\n" + bad_line + "\n")
+    assert info.value.line_number == 2
+
+
 def test_metadata_duplicate_case_errors():
     text = '{"case_id": "a", "issue_area": "x"}\n{"case_id": "a", "issue_area": "y"}'
     with pytest.raises(ParseError, match="duplicate"):

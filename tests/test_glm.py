@@ -23,7 +23,7 @@ from medlang.glm import (
     write_outcome_table_csv,
 )
 from medlang.measure import Domains
-from medlang.mediation import bootstrap_effects
+from medlang.mediation import bootstrap_effects, fit_models
 
 
 # -- cross-fit plans ----------------------------------------------------------
@@ -362,10 +362,10 @@ def test_smoothed_cells_log_one_info_event_per_point_fit_fold(caplog):
             f"{n_cells} empty cells filled with the default"
         )
 
-    # the bootstrap logs its point fits only, never per replicate
+    # only the point fits log; the bootstrap's refits never log per replicate
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="medlang"):
-        bootstrap_effects(records, "hedging", 100, seed=0)
+        bootstrap_effects(records, *fit_models(records, "hedging"), 100, seed=0)
     assert len([r for r in caplog.records if r.name == "medlang"]) == 4
 
 

@@ -1,9 +1,11 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from medlang.corpus import parse_transcript
-from medlang.errors import ConfigError, DataError
+from medlang.errors import ConfigError, DataError, ParseError
 from medlang.measure import (
     CausalRecord,
     MeasurementSpec,
@@ -14,6 +16,8 @@ from medlang.measure import (
     load_lexicon,
     measure_disfluency,
     measure_hedging,
+    record_to_json,
+    records_from_json,
     validate_record,
 )
 from medlang.textutil import tokenize
@@ -361,7 +365,7 @@ def test_build_records_with_topic_mediator():
     train_texts = [u.p1_utterance.text + " statute waiver plan" for u in units[:4]]
     train_texts += ["custody treaty discretion children order return"] * 4
     model = fit_topic_model(train_texts, k=2, seed=1, n_sweeps=20, burn_in=10)
-    spec = MeasurementSpec.default(topic_model=model, topic_model_ref="lda-k2")
+    spec = MeasurementSpec.default(topic_model=model)
     result = build_records(units, spec, 2, case_utterances=cases)
     assert dict(result.domains.mediators)["topic"] == 3  # K topics + reserved level
     for rec in result.records:
@@ -393,3 +397,27 @@ def test_validator_accepts_exactly_what_build_emits(paired_units, paired_case_ut
     )
     with pytest.raises(DataError):
         validate_record(off_domain, result.domains)
+
+
+# -- record reader -----------------------------------------------------------------
+
+GOOD_RECORD = CausalRecord(unit_id="c:0", t=1, x={"x0": "0"}, m={"hedging": 1}, y=0, fold=1)
+
+
+@pytest.mark.parametrize(
+    "bad_line, reason",
+    [
+        ("{not json", "malformed causal record"),
+        ("[1, 2]", "not an object"),
+        (json.dumps({k: v for k, v in json.loads(record_to_json(GOOD_RECORD)).items()
+                     if k != "x"}), "lacks key 'x'"),
+        (record_to_json(GOOD_RECORD).replace('"t": 1', '"t": "one"'), "malformed causal record"),
+    ],
+    ids=["non-json", "non-object", "missing-key", "non-integer-t"],
+)
+def test_records_reader_rejects_malformed_line_with_its_number(bad_line, reason):
+    text = record_to_json(GOOD_RECORD) + "\n\n" + bad_line + "\n"
+    with pytest.raises(ParseError, match=reason) as info:
+        records_from_json(text)
+    assert info.value.line_number == 3
+    assert records_from_json(record_to_json(GOOD_RECORD)) == [GOOD_RECORD]

@@ -20,13 +20,10 @@ from medlang.mediation import (
     EffectEstimate,
     EstimatorConfig,
     _bootstrap_draws,
-    _models_effects,
     bootstrap_effects,
     estimate_all,
-    sa_nde,
-    sa_nie,
-    sa_nie_reversed,
-    total_effect,
+    fit_models,
+    sample_effects,
 )
 from medlang import scm
 from medlang.seeding import derive_seed
@@ -71,7 +68,7 @@ def test_sa_nde_hand_arithmetic():
         g_rows=[[[[0.75, 0.25]], [[0.4, 0.6]]]],
         f_rows=[[[[0.4], [0.7]], [[0.5], [0.9]]]],
     )
-    assert sa_nde(one_unit_record(), g, f) == pytest.approx(0.325, abs=1e-12)
+    assert sample_effects(one_unit_record(), g, f)[0] == pytest.approx(0.325, abs=1e-12)
 
 
 def test_sa_nie_hand_arithmetic():
@@ -80,7 +77,7 @@ def test_sa_nie_hand_arithmetic():
         g_rows=[[[[0.75, 0.25]], [[0.4, 0.6]]]],
         f_rows=[[[[0.4], [0.7]], [[0.5], [0.9]]]],
     )
-    assert sa_nie(one_unit_record(), g, f) == pytest.approx(0.035, abs=1e-12)
+    assert sample_effects(one_unit_record(), g, f)[1] == pytest.approx(0.035, abs=1e-12)
 
 
 def test_total_effect_hand_arithmetic():
@@ -90,10 +87,8 @@ def test_total_effect_hand_arithmetic():
         f_rows=[[[[0.4], [0.7]], [[0.5], [0.9]]]],
     )
     records = one_unit_record()
-    te = total_effect(records, g, f)
+    nde, _, nie_rev, te = sample_effects(records, g, f)
     assert te == pytest.approx(0.395, abs=1e-12)
-    nde = sa_nde(records, g, f)
-    nie_rev = sa_nie_reversed(records, g, f)
     assert abs(te - nde - nie_rev) <= 1e-9
 
 
@@ -105,7 +100,7 @@ def test_nde_zero_when_outcome_tables_treatment_invariant():
         g_rows=[[[[0.7, 0.3]], [[0.2, 0.8]]]],
         f_rows=[[[[0.41], [0.41]], [[0.77], [0.77]]]],
     )
-    assert sa_nde(one_unit_record(), g, f) == 0.0
+    assert sample_effects(one_unit_record(), g, f)[0] == 0.0
 
 
 def test_nie_zero_when_mediator_tables_treatment_invariant():
@@ -113,8 +108,9 @@ def test_nie_zero_when_mediator_tables_treatment_invariant():
         g_rows=[[[[0.7, 0.3]], [[0.7, 0.3]]]],
         f_rows=[[[[0.4], [0.7]], [[0.5], [0.9]]]],
     )
-    assert sa_nie(one_unit_record(), g, f) == 0.0
-    assert sa_nie_reversed(one_unit_record(), g, f) == 0.0
+    _, nie, nie_rev, _ = sample_effects(one_unit_record(), g, f)
+    assert nie == 0.0
+    assert nie_rev == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,15 +125,13 @@ def test_annihilation_and_identity_for_arbitrary_tables(probs):
         f_rows=[[[[f00], [f01]], [[f10], [f11]]]],
     )
     records = one_unit_record()
-    assert sa_nie(records, g, f) == 0.0
+    assert sample_effects(records, g, f)[1] == 0.0
     # identity holds for arbitrary tables
     g, f = hand_models(
         g_rows=[[[[1 - g1, g1]], [[1 - gshare, gshare]]]],
         f_rows=[[[[f00], [f01]], [[f10], [f11]]]],
     )
-    te = total_effect(records, g, f)
-    nde = sa_nde(records, g, f)
-    nie_rev = sa_nie_reversed(records, g, f)
+    nde, _, nie_rev, te = sample_effects(records, g, f)
     assert abs(te - nde - nie_rev) <= 1e-9
 
 
@@ -156,9 +150,9 @@ def test_estimates_invariant_to_record_order():
     )
     g = fit_mediator_model(records)
     f = fit_outcome_model(records)
-    base = (sa_nde(records, g, f), sa_nie(records, g, f), total_effect(records, g, f))
+    base = sample_effects(records, g, f)
     shuffled = [records[i] for i in rng.permutation(n)]
-    other = (sa_nde(shuffled, g, f), sa_nie(shuffled, g, f), total_effect(shuffled, g, f))
+    other = sample_effects(shuffled, g, f)
     assert base == other  # bit-exact
 
 
@@ -172,9 +166,10 @@ def test_estimates_converge_to_oracle_on_clean_fixture():
     coded = encode_records(result.records, result.domains)
     g = fit_mediator_model(coded)
     f = fit_outcome_model(coded)
-    assert abs(sa_nde(coded, g, f) - oracle.nde_true) <= 0.01
-    assert abs(sa_nie(coded, g, f) - oracle.nie_true) <= 0.01
-    assert abs(total_effect(coded, g, f) - oracle.te_true) <= 0.01
+    nde, nie, _, te = sample_effects(coded, g, f)
+    assert abs(nde - oracle.nde_true) <= 0.01
+    assert abs(nie - oracle.nie_true) <= 0.01
+    assert abs(te - oracle.te_true) <= 0.01
 
 
 def test_two_independent_mediators_match_their_oracles():
@@ -185,8 +180,9 @@ def test_two_independent_mediators_match_their_oracles():
         oracle = scm.exact_effects(spec, name)
         g = fit_mediator_model(coded, name)
         f = fit_outcome_model(coded, name)
-        assert abs(sa_nie(coded, g, f) - oracle.nie_true) <= 0.01
-        assert abs(sa_nde(coded, g, f) - oracle.nde_true) <= 0.01
+        nde, nie, _, _ = sample_effects(coded, g, f)
+        assert abs(nie - oracle.nie_true) <= 0.01
+        assert abs(nde - oracle.nde_true) <= 0.01
 
 
 # -- marginal x weighting ---------------------------------------------------------
@@ -204,9 +200,9 @@ def test_marginal_weighting_equals_unit_weighting_with_single_level_x():
     )
     g = fit_mediator_model(records)
     f = fit_outcome_model(records)
-    assert sa_nde(records, g, f, x_weighting="unit") == sa_nde(
+    assert sample_effects(records, g, f, x_weighting="unit")[0] == sample_effects(
         records, g, f, x_weighting="marginal"
-    )
+    )[0]
 
 
 def test_marginal_weighting_runs_and_stays_close_on_fixture():
@@ -215,8 +211,8 @@ def test_marginal_weighting_runs_and_stays_close_on_fixture():
     coded = encode_records(result.records, result.domains)
     g = fit_mediator_model(coded)
     f = fit_outcome_model(coded)
-    unit = sa_nde(coded, g, f, x_weighting="unit")
-    marginal = sa_nde(coded, g, f, x_weighting="marginal")
+    unit = sample_effects(coded, g, f, x_weighting="unit")[0]
+    marginal = sample_effects(coded, g, f, x_weighting="marginal")[0]
     assert abs(unit - marginal) <= 0.02
 
 
@@ -229,10 +225,12 @@ def test_marginal_weighting_hand_arithmetic():
     # fold 0 holds two units with x = 0, fold 1 one unit with x = 1
     records = records_from_arrays(t=[0, 0, 0], x0=[0, 0, 1], m=[0, 0, 0], y=[0, 0, 0],
                                   fold=[0, 0, 1])
-    assert sa_nde(records, g, f) == pytest.approx((0.1 + 0.1 + 0.4) / 3, abs=1e-12)
+    assert sample_effects(records, g, f)[0] == pytest.approx((0.1 + 0.1 + 0.4) / 3, abs=1e-12)
     # marginal: each fold's units spread over the pooled X shares (2/3, 1/3)
     marginal = (2 * (2 / 3 * 0.1 + 1 / 3 * 0.5) + (2 / 3 * 0.3 + 1 / 3 * 0.4)) / 3
-    assert sa_nde(records, g, f, x_weighting="marginal") == pytest.approx(marginal, abs=1e-12)
+    assert sample_effects(records, g, f, x_weighting="marginal")[0] == pytest.approx(
+        marginal, abs=1e-12
+    )
 
 
 # -- bootstrap -------------------------------------------------------------------
@@ -241,10 +239,12 @@ def test_marginal_weighting_hand_arithmetic():
 def test_bootstrap_same_seed_identical_intervals():
     spec = scm.load_fixture("binary_scm")
     result = scm.generate(spec, 2000, seed=41)
-    a = bootstrap_effects(result.records, "hedging", 100, seed=5, domains=result.domains)
-    b = bootstrap_effects(result.records, "hedging", 100, seed=5, domains=result.domains)
+    coded = encode_records(result.records, result.domains)
+    g, f = fit_models(coded, "hedging")
+    a = bootstrap_effects(coded, g, f, 100, seed=5)
+    b = bootstrap_effects(coded, g, f, 100, seed=5)
     assert a == b
-    c = bootstrap_effects(result.records, "hedging", 100, seed=6, domains=result.domains)
+    c = bootstrap_effects(coded, g, f, 100, seed=6)
     assert a.nde_ci != c.nde_ci
 
 
@@ -258,7 +258,7 @@ def test_bootstrap_degenerate_data_zero_width_interval():
         y=np.ones(n, dtype=int),
         fold=np.arange(n) % 2,
     )
-    est = bootstrap_effects(records, "hedging", 100, seed=3)
+    est = bootstrap_effects(records, *fit_models(records, "hedging"), 100, seed=3)
     assert est.nde_ci[0] == est.nde_ci[1] == est.nde
     assert est.nie_ci[0] == est.nie_ci[1] == est.nie
     assert est.n_dropped_replicates == 0
@@ -277,14 +277,16 @@ def test_bootstrap_drops_collapsed_replicates_and_errors_over_threshold():
         y=rng.integers(0, 2, n),
         fold=rng.integers(0, 2, n),
     )
+    g, f = fit_models(records, "hedging")
     with pytest.raises(NumericalError, match="dropped"):
-        bootstrap_effects(records, "hedging", 100, seed=1)
+        bootstrap_effects(records, g, f, 100, seed=1)
 
 
 def test_bootstrap_zero_replicates_disables_intervals():
     spec = scm.load_fixture("binary_scm")
     result = scm.generate(spec, 1000, seed=4)
-    est = bootstrap_effects(result.records, "hedging", 0, seed=0, domains=result.domains)
+    coded = encode_records(result.records, result.domains)
+    est = bootstrap_effects(coded, *fit_models(coded, "hedging"), 0, seed=0)
     assert est.n_bootstrap == 0
     assert est.nde_ci == (est.nde, est.nde)
 
@@ -292,14 +294,17 @@ def test_bootstrap_zero_replicates_disables_intervals():
 def test_bootstrap_rejects_small_positive_b():
     spec = scm.load_fixture("binary_scm")
     result = scm.generate(spec, 500, seed=4)
+    coded = encode_records(result.records, result.domains)
+    g, f = fit_models(coded, "hedging")
     with pytest.raises(ConfigError):
-        bootstrap_effects(result.records, "hedging", 50, seed=0, domains=result.domains)
+        bootstrap_effects(coded, g, f, 50, seed=0)
 
 
 def test_bootstrap_interval_contains_point_estimate():
     spec = scm.load_fixture("binary_scm")
     result = scm.generate(spec, 3000, seed=77)
-    est = bootstrap_effects(result.records, "hedging", 100, seed=2, domains=result.domains)
+    coded = encode_records(result.records, result.domains)
+    est = bootstrap_effects(coded, *fit_models(coded, "hedging"), 100, seed=2)
     assert est.nde_ci[0] <= est.nde <= est.nde_ci[1]
     assert est.nie_ci[0] <= est.nie <= est.nie_ci[1]
     est.validate()
@@ -311,8 +316,9 @@ def test_bootstrap_interval_contains_point_estimate():
 def test_estimate_all_singleton():
     spec = scm.load_fixture("binary_scm")
     result = scm.generate(spec, 1500, seed=12)
-    out = estimate_all(result.records, ["hedging"],
-                       EstimatorConfig(n_bootstrap=100, seed=1, domains=result.domains))
+    coded = encode_records(result.records, result.domains)
+    out = estimate_all(coded, [fit_models(coded, "hedging")],
+                       EstimatorConfig(n_bootstrap=100, seed=1))
     assert len(out) == 1
     assert out[0].mediator_name == "hedging"
 
@@ -320,9 +326,11 @@ def test_estimate_all_singleton():
 def test_estimate_all_per_mediator_is_independent_of_the_set():
     spec = scm.load_fixture("two_mediator_scm")
     result = scm.generate(spec, 2500, seed=13)
-    config = EstimatorConfig(n_bootstrap=100, seed=21, domains=result.domains)
-    both = estimate_all(result.records, ["hedging", "disfluency"], config)
-    alone = estimate_all(result.records, ["hedging"], config)
+    config = EstimatorConfig(n_bootstrap=100, seed=21)
+    coded = encode_records(result.records, result.domains)
+    models = [fit_models(coded, name) for name in ("hedging", "disfluency")]
+    both = estimate_all(coded, models, config)
+    alone = estimate_all(coded, models[:1], config)
     assert both[0] == alone[0]  # bit-identical
     assert {e.mediator_name for e in both} == {"hedging", "disfluency"}
 
@@ -330,8 +338,9 @@ def test_estimate_all_per_mediator_is_independent_of_the_set():
 def test_estimate_all_unknown_mediator_errors():
     spec = scm.load_fixture("binary_scm")
     result = scm.generate(spec, 500, seed=2)
+    coded = encode_records(result.records, result.domains)
     with pytest.raises(Exception, match="unknown mediators"):
-        estimate_all(result.records, ["topic"], EstimatorConfig(domains=result.domains))
+        estimate_all(coded, [fit_models(coded, "topic")], EstimatorConfig())
 
 
 # -- estimate validation -----------------------------------------------------------
@@ -399,8 +408,17 @@ def _sequential_draws(coded, name, n_bootstrap, seed, x_weighting):
             f = fit_outcome_model(coded, name, rows=idx)
         except NumericalError:
             continue
-        draws[r] = _models_effects(coded, g, f, idx, x_weighting)[:2]
+        draws[r] = sample_effects(_take(coded, idx), g, f, x_weighting)[:2]
     return draws
+
+
+def _take(coded, rows):
+    """The coded records at ``rows``, repeated rows included."""
+    return glm.CodedRecords(
+        unit_ids=tuple(coded.unit_ids[i] for i in rows), t=coded.t[rows], x=coded.x[rows],
+        m={name: levels[rows] for name, levels in coded.m.items()}, y=coded.y[rows],
+        fold=coded.fold[rows], domains=coded.domains,
+    )
 
 
 def _six_level_records(n=1200, seed=31):
@@ -455,7 +473,8 @@ def test_collapsed_replicates_are_dropped_and_counted():
     draws = _bootstrap_draws(coded, "hedging", 100, 1, "unit")
     n_nan = int(np.isnan(draws[:, 0]).sum())
     assert 0 < n_nan < 100
-    est = bootstrap_effects(coded, "hedging", 100, seed=1, max_dropped_fraction=1.0)
+    est = bootstrap_effects(coded, *fit_models(coded, "hedging"), 100, seed=1,
+                            max_dropped_fraction=1.0)
     assert est.n_dropped_replicates == n_nan
 
 
@@ -483,18 +502,20 @@ def test_one_failed_member_drops_exactly_its_replicate(monkeypatch):
     assert np.isnan(draws[1]).all()
     others = np.arange(100) != 1
     assert np.array_equal(draws[others], clean[others])
-    assert bootstrap_effects(coded, "hedging", 100, seed=29).n_dropped_replicates == 1
+    g, f = fit_models(coded, "hedging")
+    assert bootstrap_effects(coded, g, f, 100, seed=29).n_dropped_replicates == 1
 
 
 def test_clamped_intervals_are_counted(monkeypatch):
     coded = _binary_scm_records()
-    est = bootstrap_effects(coded, "hedging", 100, seed=2)
+    g, f = fit_models(coded, "hedging")
+    est = bootstrap_effects(coded, g, f, 100, seed=2)
     assert est.n_clamped_intervals == 0
     # every replicate far above both point estimates: both intervals are widened
     monkeypatch.setattr(
         mediation, "_bootstrap_draws", lambda coded, name, b, seed, xw: np.full((b, 2), 0.9)
     )
-    est = bootstrap_effects(coded, "hedging", 100, seed=2)
+    est = bootstrap_effects(coded, g, f, 100, seed=2)
     assert est.n_clamped_intervals == 2
     assert est.nde_ci == (est.nde, 0.9) and est.nie_ci == (est.nie, 0.9)
     assert est.to_dict()["n_clamped_intervals"] == 2
@@ -502,7 +523,8 @@ def test_clamped_intervals_are_counted(monkeypatch):
 
 
 def test_from_dict_rejects_missing_keys_and_bad_values():
-    est = bootstrap_effects(_binary_scm_records(), "hedging", 0, seed=0)
+    coded = _binary_scm_records()
+    est = bootstrap_effects(coded, *fit_models(coded, "hedging"), 0, seed=0)
     obj = est.to_dict()
     del obj["nde"]
     with pytest.raises(DataError, match="nde"):
