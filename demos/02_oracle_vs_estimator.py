@@ -8,7 +8,6 @@ estimators land within a hair of the truth at N = 50,000.
 
 from medlang import (exact_effects, fit_models, generate, load_fixture, monte_carlo_effects,
                      sample_effects)
-from medlang.glm import encode_records
 
 
 def main() -> None:
@@ -22,9 +21,8 @@ def main() -> None:
     print(f"  nde {mc.nde:+.5f}  nie {mc.nie:+.5f}  te {mc.te:+.5f}")
 
     result = generate(spec, 50000, seed=7)
-    coded = encode_records(result.records, result.domains)
-    g, f = fit_models(coded, "hedging")
-    nde, nie, _, te = sample_effects(coded, g, f)
+    g, f = fit_models(result.records, "hedging")
+    nde, nie, _, te = sample_effects(result.records, g, f)
     print("cross-fitted sample-average estimates (N = 50,000):")
     print(f"  nde {nde:+.5f}  nie {nie:+.5f}  te {te:+.5f}")
     print(f"  errors: nde {abs(nde - exact.nde_true):.5f}  "

@@ -8,16 +8,14 @@ replicate's models are fitted from its counts in one stacked Newton solve.
 """
 
 from medlang import bootstrap_effects, exact_effects, fit_models, generate, load_fixture
-from medlang.glm import encode_records
 
 
 def main() -> None:
     spec = load_fixture("binary_scm")
     truth = exact_effects(spec)
     result = generate(spec, 5000, seed=11)
-    coded = encode_records(result.records, result.domains)
-    g, f = fit_models(coded, "hedging")  # the point models, fitted once
-    est = bootstrap_effects(coded, g, f, n_bootstrap=500, seed=3, ci_level=0.90)
+    g, f = fit_models(result.records, "hedging")  # the point models, fitted once
+    est = bootstrap_effects(result.records, g, f, n_bootstrap=500, seed=3, ci_level=0.90)
     print(f"n_units {est.n_units}, replicates {est.n_bootstrap} "
           f"(dropped {est.n_dropped_replicates}, "
           f"intervals widened to their point {est.n_clamped_intervals})")

@@ -27,16 +27,17 @@ from .glm import (
 from .measure import (
     BuildResult,
     CausalRecord,
+    CodedRecords,
     Domains,
     MeasurementSpec,
     build_records,
     default_hedging_lexicon,
+    encode_records,
     label_interruption,
     label_treatment,
     load_lexicon,
     measure_disfluency,
     measure_hedging,
-    validate_record,
 )
 from .mediation import (
     EffectEstimate,
@@ -69,6 +70,7 @@ __all__ = [
     "AnalysisUnit",
     "BuildResult",
     "CausalRecord",
+    "CodedRecords",
     "ConfigError",
     "CrossFitPlan",
     "DataError",
@@ -91,6 +93,7 @@ __all__ = [
     "bootstrap_effects",
     "build_records",
     "default_hedging_lexicon",
+    "encode_records",
     "estimate_all",
     "exact_effects",
     "extract_units",
@@ -113,7 +116,6 @@ __all__ = [
     "parse_transcript",
     "sample_effects",
     "tokenize",
-    "validate_record",
     "violation_study",
     "with_knob",
 ]

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import glm, mediation, scm
-from .corpus import extract_units, parse_case_metadata, parse_transcript, unit_to_json
+from .corpus import _iter_lines, extract_units, parse_case_metadata, parse_transcript, unit_to_json
 from .errors import ConfigError, DataError, MedlangError, ParseError
 from .measure import (
     BuildResult,
@@ -278,18 +278,17 @@ def run_pipeline(config: RunConfig) -> dict:
     _write_text(
         out / "records.ndjson", "".join(record_to_json(r) + "\n" for r in build.records)
     )
-    known = build.domains.mediator_sizes
+    known = build.records.domains.mediator_sizes
     missing = [m for m in config.mediators if m not in known]
     if missing:
         raise ConfigError(
             f"requested mediators {missing} were not measured; available: {sorted(known)}"
         )
 
-    coded = glm.encode_records(build.records, build.domains)
-    models = [mediation.fit_models(coded, name) for name in config.mediators]
+    models = [mediation.fit_models(build.records, name) for name in config.mediators]
     write_tables(out, models)
     estimates = estimate_all(
-        coded,
+        build.records,
         models,
         EstimatorConfig(
             n_bootstrap=config.bootstrap,
@@ -347,12 +346,12 @@ def _split_csv_arg(value: str | None) -> tuple[str, ...] | None:
 
 
 def _load_records_file(path: str) -> glm.CodedRecords:
-    """Read a records file and encode it over the domains its records show."""
-    with _open(path, "r") as fh:
+    """Read a records file over the domains its records show."""
+    with _open(path) as fh:
         records = records_from_json(fh)
-    if not records:
+    if not len(records):
         raise DataError(f"no records in {path}")
-    return glm.encode_records(records, glm.infer_domains(records))
+    return records
 
 
 def cmd_ingest(args) -> int:
@@ -372,7 +371,7 @@ def cmd_ingest(args) -> int:
 def cmd_measure(args) -> int:
     from .corpus import units_from_json
 
-    with _open(args.units, "r") as fh:
+    with _open(args.units) as fh:
         units = units_from_json(fh)
     with _open(args.transcripts) as fh:
         utterances = parse_transcript(fh)
@@ -523,12 +522,10 @@ def cmd_run(args) -> int:
 def cmd_report(args) -> int:
     estimates = []
     with _open(args.estimates) as fh:
-        for line_number, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+        for line_number, line in _iter_lines(fh):
             try:
                 obj = json.loads(line)
-            except ValueError as exc:  # includes JSONDecodeError and bad UTF-8
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ParseError(f"not a JSON line: {exc}", line_number) from exc
             try:
                 estimates.append(EffectEstimate.from_dict(obj))

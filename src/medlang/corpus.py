@@ -8,6 +8,7 @@ following justice turn of the same case, when one exists.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping, Sequence
@@ -61,16 +62,42 @@ def ends_with_interruption_marker(text: str, strict: bool = False) -> bool:
     return any(stripped.endswith(m) for m in markers)
 
 
-def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> Iterator[str]:
+def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> Iterator[tuple[int, str]]:
+    """Yield (line number, text) for each non-blank line; bad UTF-8 raises ParseError."""
     if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    if isinstance(source, str):
-        yield from source.splitlines()
-        return
-    for line in source:
-        if isinstance(line, bytes):
-            line = line.decode("utf-8")
-        yield line.rstrip("\n")
+        try:
+            source = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError("not UTF-8 text", source.count(b"\n", 0, exc.start) + 1) from exc
+    lines = iter(source.splitlines() if isinstance(source, str) else source)
+    for lineno in itertools.count(1):
+        try:  # a text stream decodes while it is iterated
+            line = next(lines, None)
+            if isinstance(line, bytes):
+                line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError("not UTF-8 text", lineno) from exc
+        if line is None:
+            return
+        if line.strip():
+            yield lineno, line.rstrip("\n")
+
+
+def _iter_objects(source, what: str) -> Iterator[tuple[int, dict]]:
+    """Yield (line number, object) for each non-blank JSON line of ``what`` records.
+
+    A line that is not UTF-8, not JSON or not a JSON object raises ParseError.
+    """
+    for lineno, line in _iter_lines(source):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed {what}: {exc.msg}", lineno) from exc
+        except RecursionError as exc:
+            raise ParseError(f"malformed {what}: nested too deeply", lineno) from exc
+        if not isinstance(obj, dict):
+            raise ParseError(f"{what} is not an object", lineno)
+        yield lineno, obj
 
 
 def parse_transcript(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> list[Utterance]:
@@ -83,15 +110,7 @@ def parse_transcript(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) 
     utterances: list[Utterance] = []
     next_index: dict[str, int] = {}
     seen: set[tuple[str, int]] = set()
-    for lineno, line in enumerate(_iter_lines(source), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed record: {exc.msg}", lineno) from exc
-        if not isinstance(obj, dict):
-            raise ParseError("record is not an object", lineno)
+    for lineno, obj in _iter_objects(source, "record"):
         missing = [f for f in _RECORD_FIELDS if f not in obj]
         extra = [k for k in obj if k not in _RECORD_FIELDS]
         if missing:
@@ -152,14 +171,8 @@ def write_transcript(utterances: Iterable[Utterance], stream: IO[str]) -> None:
 def parse_case_metadata(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> dict[str, dict]:
     """Parse the optional per-case metadata sidecar (one object per case_id)."""
     meta: dict[str, dict] = {}
-    for lineno, line in enumerate(_iter_lines(source), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed metadata record: {exc.msg}", lineno) from exc
-        if not isinstance(obj, dict) or "case_id" not in obj:
+    for lineno, obj in _iter_objects(source, "metadata record"):
+        if "case_id" not in obj:
             raise ParseError("metadata record must be an object with a case_id", lineno)
         case_id = str(obj["case_id"])
         if case_id in meta:
@@ -264,15 +277,7 @@ def unit_to_json(unit: AnalysisUnit) -> str:
 
 def units_from_json(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> list[AnalysisUnit]:
     units = []
-    for lineno, line in enumerate(_iter_lines(source), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed unit record: {exc.msg}", lineno) from exc
-        if not isinstance(obj, dict):
-            raise ParseError("unit record is not an object", lineno)
+    for lineno, obj in _iter_objects(source, "unit record"):
         try:
             units.append(
                 AnalysisUnit(

@@ -28,7 +28,8 @@ import numpy as np
 from scipy.special import softmax, xlogy
 
 from .errors import ConfigError, DataError, NumericalError
-from .measure import CausalRecord, Domains
+# The record set and its builders are defined next to Domains and re-exported here.
+from .measure import CodedRecords, Domains, encode_records, infer_domains  # noqa: F401
 from .seeding import assign_folds
 
 logger = logging.getLogger("medlang")
@@ -121,100 +122,6 @@ class FittedOutcomeModel:
             raise NumericalError(f"outcome table for {self.mediator_name!r} has non-finite cells")
         if (self.table < 0).any() or (self.table > 1).any():
             raise NumericalError(f"outcome table for {self.mediator_name!r} outside [0, 1]")
-
-
-# ---------------------------------------------------------------------------
-# Record encoding
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CodedRecords:
-    """Integer-coded view of a record sequence for fast aggregation."""
-
-    unit_ids: tuple[str, ...]
-    t: np.ndarray
-    x: np.ndarray  # mixed-radix confounder index
-    m: Mapping[str, np.ndarray]
-    y: np.ndarray
-    fold: np.ndarray
-    domains: Domains
-
-    @property
-    def n_records(self) -> int:
-        return len(self.unit_ids)
-
-    @property
-    def n_folds(self) -> int:
-        return int(self.fold.max()) + 1 if self.n_records else 0
-
-
-def infer_domains(records: Sequence[CausalRecord]) -> Domains:
-    """Fallback domain inference from observed levels.
-
-    Prefer passing declared domains: inference cannot see levels that never
-    occur, and mediator sizes are taken as max observed level + 1 (at least
-    two).
-    """
-    if not records:
-        raise DataError("cannot infer domains from an empty record sequence")
-    names = tuple(sorted(records[0].x))
-    mediators = tuple(sorted(records[0].m))
-    levels: dict[str, set[str]] = {n: set() for n in names}
-    sizes: dict[str, int] = {m: 2 for m in mediators}
-    for rec in records:
-        if tuple(sorted(rec.x)) != names or tuple(sorted(rec.m)) != mediators:
-            raise DataError(f"record {rec.unit_id}: inconsistent variable names")
-        for n in names:
-            levels[n].add(str(rec.x[n]))
-        for m in mediators:
-            sizes[m] = max(sizes[m], rec.m[m] + 1)
-    return Domains(
-        confounders=tuple((n, tuple(sorted(levels[n]))) for n in names),
-        mediators=tuple((m, sizes[m]) for m in mediators),
-    )
-
-
-def encode_records(records: Sequence[CausalRecord], domains: Domains) -> CodedRecords:
-    n = len(records)
-    t = np.empty(n, dtype=np.int64)
-    y = np.empty(n, dtype=np.int64)
-    fold = np.empty(n, dtype=np.int64)
-    x = np.zeros(n, dtype=np.int64)
-    m = {name: np.empty(n, dtype=np.int64) for name, _ in domains.mediators}
-    for i, rec in enumerate(records):
-        if rec.t not in (0, 1) or rec.y not in (0, 1):
-            raise DataError(f"record {rec.unit_id}: t and y must be binary")
-        t[i] = rec.t
-        y[i] = rec.y
-        fold[i] = rec.fold
-        idx = 0
-        for name, levels in domains.confounders:
-            value = str(rec.x[name])
-            try:
-                pos = levels.index(value)
-            except ValueError:
-                raise DataError(
-                    f"record {rec.unit_id}: confounder {name!r} level {value!r} not in domain"
-                )
-            idx = idx * len(levels) + pos
-        x[i] = idx
-        for name, size in domains.mediators:
-            level = rec.m.get(name)
-            if level is None or not 0 <= level < size:
-                raise DataError(
-                    f"record {rec.unit_id}: mediator {name!r} level {level!r} outside domain"
-                )
-            m[name][i] = level
-    return CodedRecords(
-        unit_ids=tuple(rec.unit_id for rec in records),
-        t=t,
-        x=x,
-        m=m,
-        y=y,
-        fold=fold,
-        domains=domains,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -411,18 +318,9 @@ def outcome_design(domains: Domains, n_levels: int) -> np.ndarray:
     return np.asarray(rows)
 
 
-def _resolve(records_or_coded, domains: Domains | None) -> CodedRecords:
-    if isinstance(records_or_coded, CodedRecords):
-        return records_or_coded
-    records = list(records_or_coded)
-    if domains is None:
-        domains = infer_domains(records)
-    return encode_records(records, domains)
-
-
 def _apply_plan(coded: CodedRecords, plan: CrossFitPlan | None) -> tuple[np.ndarray, int]:
     if plan is None:
-        if coded.n_records == 0:
+        if not len(coded):
             raise DataError("no records to fit")
         n_folds = coded.n_folds
         if n_folds < 2:
@@ -537,10 +435,9 @@ def _fold_diagnostics(
 
 
 def fit_mediator_model(
-    records: Sequence[CausalRecord] | CodedRecords,
+    records: CodedRecords,
     mediator_name: str | None = None,
     plan: CrossFitPlan | None = None,
-    domains: Domains | None = None,
     rows: np.ndarray | None = None,
 ) -> FittedMediatorModel:
     """Fit P(M | T, X) per fold and materialize the full (t, x) grid.
@@ -549,11 +446,10 @@ def fit_mediator_model(
     often as they occur (a resample's index array); by default all records
     participate.
     """
-    coded = _resolve(records, domains)
-    domains = coded.domains
+    domains = records.domains
     mediator_name = _default_mediator(domains, mediator_name)
     n_x = domains.n_x
-    counts = mediator_counts(_training_counts(coded, mediator_name, plan, rows))
+    counts = mediator_counts(_training_counts(records, mediator_name, plan, rows))
     fit = fit_categorical_glm_batch(mediator_design(domains), counts)
     table, empty = mediator_tables(fit[0], counts)
     diagnostics = _fold_diagnostics(
@@ -572,10 +468,9 @@ def fit_mediator_model(
 
 
 def fit_outcome_model(
-    records: Sequence[CausalRecord] | CodedRecords,
+    records: CodedRecords,
     mediator_name: str | None = None,
     plan: CrossFitPlan | None = None,
-    domains: Domains | None = None,
     rows: np.ndarray | None = None,
     interaction: bool = True,
 ) -> FittedOutcomeModel:
@@ -584,15 +479,14 @@ def fit_outcome_model(
     The treatment-by-mediator interaction is included by default because
     the direct/indirect decomposition is only additive without it.
     """
-    coded = _resolve(records, domains)
-    domains = coded.domains
+    domains = records.domains
     mediator_name = _default_mediator(domains, mediator_name)
     n_levels = domains.mediator_sizes[mediator_name]
     n_x = domains.n_x
     design = outcome_design(domains, n_levels)
     if not interaction:
         design = design[:, : design.shape[1] - (n_levels - 1)]
-    counts = outcome_counts(_training_counts(coded, mediator_name, plan, rows))
+    counts = outcome_counts(_training_counts(records, mediator_name, plan, rows))
     fit = fit_categorical_glm_batch(design, counts)
     table, empty = outcome_tables(fit[0], counts, n_levels, n_x)
     diagnostics = _fold_diagnostics(

@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, Sequence
 
-from .corpus import AnalysisUnit, Utterance, _iter_lines, ends_with_interruption_marker
+import numpy as np
+
+from .corpus import AnalysisUnit, Utterance, _iter_objects, ends_with_interruption_marker
 from .errors import ConfigError, DataError, ParseError
 from .seeding import assign_folds
 from .textutil import DASH_TOKEN, normalize_phrase, tokenize
@@ -194,17 +196,6 @@ class Domains:
             n *= len(levels)
         return n
 
-    def x_index(self, x: Mapping[str, object]) -> int:
-        idx = 0
-        for name, levels in self.confounders:
-            value = str(x[name])
-            try:
-                pos = levels.index(value)
-            except ValueError:
-                raise DataError(f"confounder {name!r}: level {value!r} not in domain {levels}")
-            idx = idx * len(levels) + pos
-        return idx
-
     def x_assignment(self, index: int) -> dict[str, str]:
         out: dict[str, str] = {}
         for name, levels in reversed(self.confounders):
@@ -217,8 +208,10 @@ class Domains:
 class CausalRecord:
     """One unit's measured (T, X, M, Y) tuple plus its cross-fit fold id.
 
-    The valence field is reserved for an interruption-valence outcome
-    refinement and is never populated by this toolkit.
+    This is the row of one records-file line; record sets are held as
+    CodedRecords, which yield these rows when iterated. The valence field
+    is reserved for an interruption-valence outcome refinement and is never
+    populated by this toolkit.
     """
 
     unit_id: str
@@ -230,28 +223,124 @@ class CausalRecord:
     valence: str | None = None
 
 
-def validate_record(record: CausalRecord, domains: Domains) -> None:
-    if record.t not in (0, 1):
-        raise DataError(f"record {record.unit_id}: t must be binary, got {record.t}")
-    if record.y not in (0, 1):
-        raise DataError(f"record {record.unit_id}: y must be binary, got {record.y}")
-    if record.fold < 0:
-        raise DataError(f"record {record.unit_id}: negative fold id")
-    names = set(record.x)
-    expected = set(domains.confounder_names)
-    if names != expected:
-        raise DataError(
-            f"record {record.unit_id}: confounders {sorted(names)} != declared {sorted(expected)}"
-        )
-    domains.x_index(record.x)
-    for name, size in domains.mediators:
-        if name not in record.m:
-            raise DataError(f"record {record.unit_id}: missing mediator {name!r}")
-        level = record.m[name]
-        if not isinstance(level, int) or not 0 <= level < size:
+@dataclass(frozen=True)
+class CodedRecords:
+    """A record set: one integer column per variable plus the declared domains.
+
+    ``x`` holds each unit's mixed-radix confounder index (Domains.x_assignment
+    inverts it). Iterating yields each unit's CausalRecord row in column
+    order.
+    """
+
+    unit_ids: tuple[str, ...]
+    t: np.ndarray
+    x: np.ndarray
+    m: Mapping[str, np.ndarray]
+    y: np.ndarray
+    fold: np.ndarray
+    domains: Domains
+
+    def __len__(self) -> int:
+        return len(self.unit_ids)
+
+    def __iter__(self) -> Iterator[CausalRecord]:
+        m = {name: levels.tolist() for name, levels in self.m.items()}
+        columns = zip(self.unit_ids, self.t.tolist(), self.x.tolist(), self.y.tolist(),
+                      self.fold.tolist())
+        for i, (unit_id, t, x, y, fold) in enumerate(columns):
+            yield CausalRecord(unit_id, t, self.domains.x_assignment(x),
+                               {name: levels[i] for name, levels in m.items()}, y, fold)
+
+    @property
+    def n_folds(self) -> int:
+        return int(self.fold.max()) + 1 if len(self) else 0
+
+
+def _code(unit_ids, t, x, m, y, fold, domains: Domains, lines=None) -> CodedRecords:
+    """Check raw record columns against the domains and code them.
+
+    ``x`` maps each declared confounder to its units' level strings and
+    ``m`` each declared mediator to its units' levels. t and y must be 0 or
+    1, folds non-negative, mediator levels in 0..size-1, each of them an
+    integer (a bool is not one), and every confounder level declared. The
+    first bad record raises DataError naming its unit, or ParseError naming
+    its source line when ``lines`` holds each record's line number.
+    """
+
+    def fail(i: int, message: str):
+        if lines is None:
+            raise DataError(f"record {unit_ids[i]}: {message}")
+        raise ParseError(f"malformed causal record: {message}", lines[i])
+
+    def integers(values: list, what: str, size: int | None = None) -> np.ndarray:
+        limit = min(size, 2**63) if size else 2**63  # the columns are int64
+        for i, v in enumerate(values):
+            if type(v) is not int or not 0 <= v < limit:  # a bool is not an int here
+                bound = f"an integer in 0..{limit - 1}" if size else "a non-negative integer"
+                fail(i, f"{what} must be {bound}, got {v!r}")
+        return np.asarray(values, dtype=np.int64)
+
+    index = np.zeros(len(unit_ids), dtype=np.int64)
+    for name, levels in domains.confounders:
+        position = {level: pos for pos, level in enumerate(levels)}
+        codes = [position.get(level, -1) for level in x[name]]
+        if -1 in codes:
+            i = codes.index(-1)
+            fail(i, f"confounder {name!r} level {x[name][i]!r} not in domain {levels}")
+        index = index * len(levels) + np.asarray(codes, dtype=np.int64)
+    return CodedRecords(
+        unit_ids=tuple(unit_ids),
+        t=integers(t, "t", 2),
+        x=index,
+        m={name: integers(m[name], f"mediator {name!r} level", size)
+           for name, size in domains.mediators},
+        y=integers(y, "y", 2),
+        fold=integers(fold, "fold"),
+        domains=domains,
+    )
+
+
+def encode_records(rows: Iterable[CausalRecord], domains: Domains) -> CodedRecords:
+    """Code record rows over declared domains; rows become columns only here.
+
+    Raises DataError naming the first record whose confounders are not the
+    declared ones, that lacks a declared mediator, or whose values fall
+    outside the domains (see _code).
+    """
+    rows = list(rows)
+    names = domains.confounder_names
+    for rec in rows:
+        if set(rec.x) != set(names):
             raise DataError(
-                f"record {record.unit_id}: mediator {name!r} level {level!r} outside 0..{size - 1}"
+                f"record {rec.unit_id}: confounders {sorted(rec.x)} != declared {sorted(names)}"
             )
+        for name, _ in domains.mediators:
+            if name not in rec.m:
+                raise DataError(f"record {rec.unit_id}: missing mediator {name!r}")
+    return _code(
+        [rec.unit_id for rec in rows],
+        [rec.t for rec in rows],
+        {name: [str(rec.x[name]) for rec in rows] for name in names},
+        {name: [rec.m[name] for rec in rows] for name, _ in domains.mediators},
+        [rec.y for rec in rows],
+        [rec.fold for rec in rows],
+        domains,
+    )
+
+
+def infer_domains(x: Mapping[str, Sequence[str]], m: Mapping[str, Sequence[int]]) -> Domains:
+    """Domains observed in record columns (see _code for their layout).
+
+    Names and confounder levels are sorted; a mediator's size is its
+    largest integer level + 1, at least two. Prefer declared domains:
+    inference cannot see levels that never occur.
+    """
+    return Domains(
+        confounders=tuple((name, tuple(sorted(set(x[name])))) for name in sorted(x)),
+        mediators=tuple(
+            (name, max([1] + [v for v in m[name] if type(v) is int]) + 1) for name in sorted(m)
+        ),
+    )
 
 
 def record_to_json(record: CausalRecord) -> str:
@@ -270,35 +359,37 @@ def record_to_json(record: CausalRecord) -> str:
     )
 
 
-def records_from_json(source) -> list[CausalRecord]:
-    """Read NDJSON causal records; a malformed line raises ParseError with its number."""
-    records = []
-    for lineno, line in enumerate(_iter_lines(source), start=1):
-        if not line.strip():
-            continue
+def records_from_json(source) -> CodedRecords:
+    """Read NDJSON causal records into CodedRecords over the domains they show.
+
+    The domains are inferred from the lines (see infer_domains). A line
+    that is not a JSON object, lacks a key, names other variables than the
+    first line, or holds a value that is not an integer in its domain
+    raises ParseError with its line number.
+    """
+    lines, unit_ids, t, y, fold = [], [], [], [], []
+    x: dict[str, list[str]] = {}
+    m: dict[str, list] = {}
+    for lineno, obj in _iter_objects(source, "causal record"):
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed causal record: {exc.msg}", lineno) from exc
-        if not isinstance(obj, dict):
-            raise ParseError("causal record is not an object", lineno)
-        try:
-            records.append(
-                CausalRecord(
-                    unit_id=obj["unit_id"],
-                    t=int(obj["t"]),
-                    x={k: str(v) for k, v in obj["x"].items()},
-                    m={k: int(v) for k, v in obj["m"].items()},
-                    y=int(obj["y"]),
-                    fold=int(obj["fold"]),
-                    valence=obj.get("valence"),
-                )
-            )
+            rx, rm = obj["x"], obj["m"]
+            if not isinstance(rx, dict) or not isinstance(rm, dict):
+                raise ParseError("malformed causal record: x and m must be objects", lineno)
+            if not lines:
+                x, m = {name: [] for name in sorted(rx)}, {name: [] for name in sorted(rm)}
+            if rx.keys() != x.keys() or rm.keys() != m.keys():
+                raise ParseError("causal record names other variables than line "
+                                 f"{lines[0]}", lineno)
+            for column, key in ((unit_ids, "unit_id"), (t, "t"), (y, "y"), (fold, "fold")):
+                column.append(obj[key])
         except KeyError as exc:
             raise ParseError(f"causal record lacks key {exc.args[0]!r}", lineno) from exc
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ParseError(f"malformed causal record: {exc}", lineno) from exc
-    return records
+        for name, levels in x.items():
+            levels.append(str(rx[name]))
+        for name, levels in m.items():
+            levels.append(rm[name])
+        lines.append(lineno)
+    return _code(unit_ids, t, x, m, y, fold, infer_domains(x, m), lines)
 
 
 @dataclass(frozen=True)
@@ -309,8 +400,7 @@ class Exclusion:
 
 @dataclass(frozen=True)
 class BuildResult:
-    records: tuple[CausalRecord, ...]
-    domains: Domains
+    records: CodedRecords
     exclusions: tuple[Exclusion, ...]
 
     def exclusion_counts(self) -> dict[str, int]:
@@ -331,7 +421,7 @@ def build_records(
     seed: int = 0,
     confounders: Sequence[str] | None = None,
 ) -> BuildResult:
-    """Measure every unit with a defined treatment and outcome.
+    """Measure every unit with a defined treatment and outcome into CodedRecords.
 
     Units without a responding turn or without an honorific introduction
     are excluded and counted, never silently dropped. Fold ids come from a
@@ -340,7 +430,8 @@ def build_records(
     ``case_utterances`` maps case_id to the full turn sequence of the case;
     the honorific scan needs turns that are not part of any unit.
     ``confounders`` selects which context features become X (default: the
-    prior-interruption bucket plus issue_area where available).
+    prior-interruption bucket plus issue_area where available). Their
+    names and observed levels are sorted, as infer_domains sorts them.
     """
     if n_folds < 2:
         raise ConfigError(f"n_folds must be >= 2, got {n_folds}")
@@ -353,9 +444,17 @@ def build_records(
         if not confounders:
             confounders = ("prior_interruption_bucket",)
 
+    mediator_domains: list[tuple[str, int]] = [("hedging", 2), ("disfluency", 2)]
+    if spec.topic_model is not None:
+        mediator_domains.append((TOPIC_MEDIATOR, spec.topic_model.n_topics + 1))
+
     treatment_cache: dict[tuple[str, str], int | None] = {}
     exclusions: list[Exclusion] = []
-    measured: list[tuple[AnalysisUnit, int, int]] = []
+    unit_ids: list[str] = []
+    t_column: list[int] = []
+    y_column: list[int] = []
+    x: dict[str, list[str]] = {name: [] for name in confounders}
+    m: dict[str, list[int]] = {name: [] for name, _ in mediator_domains}
     for unit in units:
         if unit.p2_utterance is None:
             exclusions.append(Exclusion(unit.unit_id, "no_responder"))
@@ -372,43 +471,22 @@ def build_records(
         if t is None:
             exclusions.append(Exclusion(unit.unit_id, "no_honorific_introduction"))
             continue
-        y = label_interruption(unit, strict=spec.strict_interruption_marker)
-        measured.append((unit, t, y))
-
-    mediator_domains: list[tuple[str, int]] = [("hedging", 2), ("disfluency", 2)]
-    if spec.topic_model is not None:
-        mediator_domains.append((TOPIC_MEDIATOR, spec.topic_model.n_topics + 1))
-
-    level_sets: dict[str, set[str]] = {name: set() for name in confounders}
-    rows: list[tuple[AnalysisUnit, int, int, dict[str, str], dict[str, int]]] = []
-    for unit, t, y in measured:
-        x: dict[str, str] = {}
+        y_column.append(label_interruption(unit, strict=spec.strict_interruption_marker))
+        t_column.append(t)
+        unit_ids.append(unit.unit_id)
         for name in confounders:
             if name not in unit.context_features:
                 raise DataError(f"unit {unit.unit_id}: missing context feature {name!r}")
-            value = str(unit.context_features[name])
-            x[name] = value
-            level_sets[name].add(value)
+            x[name].append(str(unit.context_features[name]))
         text = unit.p1_utterance.text
-        m: dict[str, int] = {
-            "hedging": measure_hedging(text, spec.hedging_lexicon),
-            "disfluency": measure_disfluency(text),
-        }
+        m["hedging"].append(measure_hedging(text, spec.hedging_lexicon))
+        m["disfluency"].append(measure_disfluency(text))
         if spec.topic_model is not None:
-            m[TOPIC_MEDIATOR] = measure_topic(spec.topic_model, text)
-        rows.append((unit, t, y, x, m))
+            m[TOPIC_MEDIATOR].append(measure_topic(spec.topic_model, text))
 
-    domains = Domains(
-        confounders=tuple((name, tuple(sorted(level_sets[name]))) for name in confounders),
-        mediators=tuple(mediator_domains),
-    )
-
-    unit_ids = [unit.unit_id for unit, *_ in rows]
+    # Confounders follow the reader's rule, so a records file read back
+    # carries the same domains.
+    domains = replace(infer_domains(x, {}), mediators=tuple(mediator_domains))
     folds = assign_folds(unit_ids, n_folds, seed) if unit_ids else {}
-    records = tuple(
-        CausalRecord(unit_id=unit.unit_id, t=t, x=x, m=m, y=y, fold=folds[unit.unit_id])
-        for unit, t, y, x, m in rows
-    )
-    for record in records:
-        validate_record(record, domains)
-    return BuildResult(records=records, domains=domains, exclusions=tuple(exclusions))
+    records = _code(unit_ids, t_column, x, m, y_column, [folds[u] for u in unit_ids], domains)
+    return BuildResult(records=records, exclusions=tuple(exclusions))

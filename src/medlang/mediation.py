@@ -31,11 +31,10 @@ from .glm import (
     CrossFitPlan,
     FittedMediatorModel,
     FittedOutcomeModel,
-    _resolve,
     fit_mediator_model,
     fit_outcome_model,
 )
-from .measure import CausalRecord, Domains
+from .measure import Domains
 from .seeding import derive_seed
 
 X_WEIGHTINGS = ("unit", "marginal")
@@ -225,23 +224,17 @@ def _effects(
 
 
 def fit_models(
-    records: Sequence[CausalRecord] | CodedRecords,
-    mediator_name: str,
-    plan: CrossFitPlan | None = None,
+    records: CodedRecords, mediator_name: str, plan: CrossFitPlan | None = None
 ) -> tuple[FittedMediatorModel, FittedOutcomeModel]:
-    """Fit one mediator's nuisance pair g(m | t, x) and f(y | m, t, x) per fold.
-
-    Uncoded records are encoded over domains inferred from them.
-    """
-    coded = _resolve(records, None)
+    """Fit one mediator's nuisance pair g(m | t, x) and f(y | m, t, x) per fold."""
     return (
-        fit_mediator_model(coded, mediator_name, plan=plan),
-        fit_outcome_model(coded, mediator_name, plan=plan),
+        fit_mediator_model(records, mediator_name, plan=plan),
+        fit_outcome_model(records, mediator_name, plan=plan),
     )
 
 
 def sample_effects(
-    records: Sequence[CausalRecord] | CodedRecords,
+    records: CodedRecords,
     g: FittedMediatorModel,
     f: FittedOutcomeModel,
     x_weighting: str = "unit",
@@ -249,7 +242,8 @@ def sample_effects(
     """Cross-fitted sample averages (nde, nie, nie_reversed, te) over the records.
 
     Each record is scored with its own fold's tables, which were trained on
-    the other folds; te equals nde + nie_reversed up to rounding.
+    the other folds; te equals nde + nie_reversed up to rounding. The
+    records must carry the domains the models were fitted over.
     """
     if g.mediator_name != f.mediator_name:
         raise DataError(
@@ -257,19 +251,20 @@ def sample_effects(
         )
     if g.domains != f.domains:
         raise DataError("mediator and outcome models were fitted over different domains")
+    if records.domains != g.domains:
+        raise DataError("records and models carry different domains")
     if g.n_folds != f.n_folds:
         raise DataError("mediator and outcome models carry different fold counts")
     _check_table("mediator", g.table, "(fold, t, x, m)")
     _check_table("outcome", f.table, "(fold, m, t, x)")
-    coded = _resolve(records, g.domains)
-    if coded.n_records == 0:
+    if not len(records):
         raise DataError("no records to score")
-    if int(coded.fold.max()) >= g.n_folds:
+    if int(records.fold.max()) >= g.n_folds:
         raise DataError(
-            f"record fold {int(coded.fold.max())} outside the fitted models' {g.n_folds} folds"
+            f"record fold {int(records.fold.max())} outside the fitted models' {g.n_folds} folds"
         )
-    n_x = coded.domains.n_x
-    fold_x = np.bincount(coded.fold * n_x + coded.x, minlength=g.n_folds * n_x)
+    n_x = records.domains.n_x
+    fold_x = np.bincount(records.fold * n_x + records.x, minlength=g.n_folds * n_x)
     fold_x = fold_x.reshape(g.n_folds, n_x).astype(float)
     return tuple(float(v) for v in _effects(g.table, f.table, fold_x, x_weighting))
 
@@ -373,7 +368,7 @@ def _percentile_interval(values: np.ndarray, point: float, ci_level: float):
 
 
 def bootstrap_effects(
-    records: Sequence[CausalRecord] | CodedRecords,
+    records: CodedRecords,
     g: FittedMediatorModel,
     f: FittedOutcomeModel,
     n_bootstrap: int,
@@ -399,15 +394,14 @@ def bootstrap_effects(
     any execution order produces identical intervals.
     """
     validate_settings(n_bootstrap, ci_level, x_weighting)
-    coded = _resolve(records, g.domains)
     mediator_name = g.mediator_name
-    nde, nie, nie_rev, te = sample_effects(coded, g, f, x_weighting)
+    nde, nie, nie_rev, te = sample_effects(records, g, f, x_weighting)
 
     dropped = 0
     clamped = 0
     nde_ci, nie_ci = (nde, nde), (nie, nie)
     if n_bootstrap > 0:
-        draws = _bootstrap_draws(coded, mediator_name, n_bootstrap, seed, x_weighting)
+        draws = _bootstrap_draws(records, mediator_name, n_bootstrap, seed, x_weighting)
         draws = draws[~np.isnan(draws[:, 0])]
         dropped = n_bootstrap - len(draws)
         if dropped > max_dropped_fraction * n_bootstrap:
@@ -429,7 +423,7 @@ def bootstrap_effects(
         ci_level=ci_level,
         nde_ci=nde_ci,
         nie_ci=nie_ci,
-        n_units=coded.n_records,
+        n_units=len(records),
         n_bootstrap=n_bootstrap,
         n_dropped_replicates=dropped,
         n_clamped_intervals=clamped,
@@ -439,7 +433,7 @@ def bootstrap_effects(
 
 
 def estimate_all(
-    records: Sequence[CausalRecord] | CodedRecords,
+    records: CodedRecords,
     models: Sequence[tuple[FittedMediatorModel, FittedOutcomeModel]],
     config: EstimatorConfig = EstimatorConfig(),
 ) -> list[EffectEstimate]:

@@ -31,7 +31,7 @@ from scipy.special import expit
 
 from .corpus import Utterance
 from .errors import ConfigError, DataError
-from .measure import CausalRecord, Domains
+from .measure import CodedRecords, Domains
 from .seeding import assign_folds, derive_seed
 
 VIOLATION_KNOBS = ("unmeasured_confounder", "mediator_coupling", "temporal_carryover")
@@ -395,8 +395,7 @@ def load_fixture(name: str) -> ScmSpec:
 
 @dataclass(frozen=True)
 class GenerateResult:
-    records: tuple[CausalRecord, ...]
-    domains: Domains
+    records: CodedRecords
     utterances: tuple[Utterance, ...] | None = None
     case_metadata: dict[str, dict] | None = None
 
@@ -481,7 +480,7 @@ def generate(
     fold_seed: int | None = None,
     render: bool = False,
 ) -> GenerateResult:
-    """Sample n units; identical (spec, n, seed) reproduce records exactly.
+    """Sample n units as CodedRecords; identical (spec, n, seed) reproduce them exactly.
 
     All uniform draws are generated up front in a fixed order, so the
     vectorized path (no carryover) and the sequential path (carryover on)
@@ -493,6 +492,8 @@ def generate(
     identical to the sampled ones when the spec models both renderable
     mediators; a single-mediator spec round-trips to a strict superset
     (the measurement layer always measures hedging and disfluency).
+
+    The records carry ``spec.domains()``.
     """
     spec.validate()
     if n < 0:
@@ -502,11 +503,6 @@ def generate(
             f"transcript rendering supports mediators {RENDERABLE_MEDIATORS}, "
             f"got {spec.mediator_names}"
         )
-    domains = spec.domains()
-    if n == 0:
-        return GenerateResult(records=(), domains=domains,
-                              utterances=() if render else None,
-                              case_metadata={} if render else None)
 
     rng = np.random.default_rng(spec.seed if seed is None else seed)
     eps_x = {name: rng.random(n) for name in spec.confounders}
@@ -565,34 +561,33 @@ def generate(
         unit_ids = [f"u{i:07d}" for i in range(n)]
     if fold_seed is None:
         fold_seed = derive_seed(spec.seed if seed is None else seed, "folds")
-    folds = assign_folds(unit_ids, n_folds, fold_seed)
+    folds = assign_folds(unit_ids, n_folds, fold_seed) if n else {}
 
-    records = []
+    # spec.domains() lists each confounder's levels in index order, so a
+    # level's position is its sampled index.
+    x = np.zeros(n, dtype=np.int64)
+    for name, probs in spec.confounders.items():
+        x = x * len(probs) + xpos[name]
+    records = CodedRecords(
+        unit_ids=tuple(unit_ids),
+        t=t,
+        x=x,
+        m=m,
+        y=y,
+        fold=np.asarray([folds[uid] for uid in unit_ids], dtype=np.int64),
+        domains=spec.domains(),
+    )
+    if not render:
+        return GenerateResult(records=records)
+
     utterances: list[Utterance] = []
     case_metadata: dict[str, dict] = {}
-    for i in range(n):
-        x_map = {name: str(int(xpos[name][i])) for name in spec.confounders}
-        m_map = {ml.name: int(m[ml.name][i]) for ml in spec.mediators}
-        records.append(
-            CausalRecord(
-                unit_id=unit_ids[i],
-                t=int(t[i]),
-                x=x_map,
-                m=m_map,
-                y=int(y[i]),
-                fold=folds[unit_ids[i]],
-            )
-        )
-        if render:
-            case_id, turns = _render_unit(i, int(t[i]), m_map, int(y[i]))
-            utterances.extend(turns)
-            case_metadata[case_id] = dict(x_map)
-
+    for i, rec in enumerate(records):
+        case_id, turns = _render_unit(i, rec.t, rec.m, rec.y)
+        utterances.extend(turns)
+        case_metadata[case_id] = rec.x
     return GenerateResult(
-        records=tuple(records),
-        domains=domains,
-        utterances=tuple(utterances) if render else None,
-        case_metadata=case_metadata if render else None,
+        records=records, utterances=tuple(utterances), case_metadata=case_metadata
     )
 
 
@@ -847,7 +842,6 @@ def violation_study(
     cross-fitted estimators for every mediator, and reports the deviation
     from the zero-knob exact oracle.
     """
-    from .glm import encode_records
     from .mediation import fit_models, sample_effects
 
     spec_base.validate()
@@ -867,9 +861,10 @@ def violation_study(
             n_folds=n_folds,
             fold_seed=derive_seed(seed, f"{knob}:{magnitude!r}:folds"),
         )
-        coded = encode_records(result.records, result.domains)
+        records = result.records
         for name in spec_base.mediator_names:
-            nde_est, nie_est, _, _ = sample_effects(coded, *fit_models(coded, name), x_weighting)
+            nde_est, nie_est, _, _ = sample_effects(records, *fit_models(records, name),
+                                                    x_weighting)
             oracle = oracles[name]
             rows.append(
                 ViolationRow(

@@ -1,9 +1,10 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from medlang.corpus import extract_units, parse_case_metadata, parse_transcript
-from medlang.measure import CausalRecord, Domains
+from medlang.measure import CausalRecord, CodedRecords, Domains, encode_records, infer_domains
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -43,6 +44,16 @@ def paired_case_utterances(paired_utterances):
     return by_case
 
 
+def near_lines(line: bytes):
+    """Byte strings near ``line``: itself, with one byte replaced, or arbitrary bytes."""
+    return st.one_of(
+        st.just(line),
+        st.builds(lambda i, b: line[:i] + bytes([b]) + line[i + 1:],
+                  st.integers(0, len(line) - 1), st.integers(0, 255)),
+        st.binary(max_size=40),
+    )
+
+
 def simple_domains(n_x_levels: int = 2, mediators=(("hedging", 2),)) -> Domains:
     return Domains(
         confounders=(("x0", tuple(str(i) for i in range(n_x_levels))),),
@@ -50,9 +61,12 @@ def simple_domains(n_x_levels: int = 2, mediators=(("hedging", 2),)) -> Domains:
     )
 
 
-def records_from_arrays(t, x0, m, y, fold, mediator="hedging") -> list[CausalRecord]:
-    """Build records from parallel level sequences; x levels are strings."""
-    return [
+def records_from_arrays(t, x0, m, y, fold, mediator="hedging", domains=None) -> CodedRecords:
+    """Code records from parallel level sequences; x levels are strings.
+
+    The domains are inferred from the levels unless given.
+    """
+    rows = [
         CausalRecord(
             unit_id=f"u{i:06d}",
             t=int(ti),
@@ -63,3 +77,7 @@ def records_from_arrays(t, x0, m, y, fold, mediator="hedging") -> list[CausalRec
         )
         for i, (ti, xi, mi, yi, fi) in enumerate(zip(t, x0, m, y, fold))
     ]
+    if domains is None:
+        domains = infer_domains({"x0": [r.x["x0"] for r in rows]},
+                                {mediator: [r.m[mediator] for r in rows]})
+    return encode_records(rows, domains)

@@ -39,7 +39,7 @@ def test_criterion_1_oracle_equivalence():
     oracle = scm.exact_effects(spec)
     started = time.time()
     result = scm.generate(spec, 50000, seed=20240811)
-    coded = encode_records(result.records, result.domains)
+    coded = result.records
     g = fit_mediator_model(coded)
     f = fit_outcome_model(coded)
     nde, nie, _, _ = sample_effects(coded, g, f)
@@ -59,7 +59,7 @@ def test_criterion_2_exact_annihilation_and_identity():
     domains = simple_domains(n_x_levels=1)
     from medlang.measure import CausalRecord
 
-    records = [CausalRecord("u0", 0, {"x0": "0"}, {"hedging": 0}, 0, 0)]
+    records = encode_records([CausalRecord("u0", 0, {"x0": "0"}, {"hedging": 0}, 0, 0)], domains)
     g_flat = FittedMediatorModel(
         "hedging", domains, 1, np.array([[[[0.7, 0.3]], [[0.7, 0.3]]]]), ()
     )
@@ -79,7 +79,7 @@ def test_criterion_2_exact_annihilation_and_identity():
     # identity on a full fitted run
     spec = scm.load_fixture("two_mediator_scm")
     result = scm.generate(spec, 8000, seed=5)
-    coded = encode_records(result.records, result.domains)
+    coded = result.records
     worst_gap = 0.0
     for name in spec.mediator_names:
         g = fit_mediator_model(coded, name)
@@ -131,7 +131,7 @@ def test_criterion_4_bootstrap_coverage():
             seed=derive_seed(1234, f"coverage:{rep}"),
             fold_seed=derive_seed(1234, f"coverage-folds:{rep}"),
         )
-        coded = encode_records(result.records, result.domains)
+        coded = result.records
         est = bootstrap_effects(
             coded,
             *fit_models(coded, "hedging"),

@@ -1,0 +1,60 @@
+"""Every benchmark workload's generate -> op -> check runs once on this tree.
+
+A benchmark op that raises, or whose output fails its check, counts against
+the benchmark's ok_ops; running each workload once here turns that into a
+test failure. Each op runs a second time under the benchmark's tracer,
+whose spans read the results of the functions they wrap. The bench modules
+are compiled from their source text, so no file under ``bench/`` is written.
+"""
+
+import json
+import shutil
+import sys
+import types
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
+SEED = 1
+
+
+def _load(name: str) -> types.ModuleType:
+    path = BENCH / f"{name}.py"
+    module = types.ModuleType(name)
+    module.__file__ = str(path)
+    exec(compile(path.read_text("utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.modules["longcases"] = _load("longcases")  # workloads.py imports it by name
+    try:
+        yield _load("workloads"), _load("tracer")
+    finally:
+        del sys.modules["longcases"]
+
+
+@pytest.mark.parametrize(
+    "name", [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+)
+def test_workload_op_passes_its_check(bench, tmp_path, name):
+    workloads, tracer_module = bench
+    generate, op, check = workloads.WORKLOADS[name]
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    inputs.mkdir()
+    generate(SEED, inputs)
+    op(inputs, out, SEED)
+    check(inputs, out)
+
+    shutil.rmtree(out)
+    tracer = tracer_module.Tracer()
+    restore = tracer.install()
+    try:
+        root = tracer.op(op, inputs, out, SEED)
+    finally:
+        restore()
+    check(inputs, out)
+    assert tracer_module.op_metrics(tracer, root, 0.0, 0)["cli.span_s"] >= 0.0

@@ -336,10 +336,18 @@ def test_malformed_records_file_is_data_error(tmp_path, capsys, command, bad_lin
     assert "line 2" in capsys.readouterr().err
 
 
+def test_non_utf8_records_file_is_parse_error(tmp_path, capsys):
+    good = CausalRecord(unit_id="u0", t=0, x={"x0": "0"}, m={"hedging": 1}, y=1, fold=0)
+    records = tmp_path / "records.ndjson"
+    records.write_bytes(record_to_json(good).encode("utf-8") + b"\n\xff\xfe\n")
+    assert main(["estimate", "--records", str(records), "--out", str(tmp_path / "out")]) == 3
+    assert "line 2: not UTF-8 text" in capsys.readouterr().err
+
+
 # -- one fit per mediator, one writer per bundle ---------------------------------------
 
 
-def _simulated_run(tmp_path) -> Path:
+def _simulated_run(tmp_path, confounders=("x0",)) -> Path:
     """Run the pipeline with 100 replicates on a rendered 300-unit two-mediator corpus."""
     sim_dir = tmp_path / "sim"
     assert main([
@@ -348,7 +356,7 @@ def _simulated_run(tmp_path) -> Path:
     ]) == 0
     config_path, _ = write_config(
         tmp_path, sim_dir / "transcripts.ndjson", sim_dir / "meta.ndjson",
-        bootstrap=100, confounders=["x0"],
+        bootstrap=100, confounders=list(confounders),
     )
     assert main(["run", "--config", str(config_path)]) == 0
     return tmp_path / "out"
@@ -373,8 +381,12 @@ def test_run_fits_each_model_once(tmp_path, paired_transcript_path, paired_meta_
     assert set(fills.values()) == {1}
 
 
-def test_estimate_and_fit_on_run_records_reproduce_the_run(tmp_path):
-    run_dir = _simulated_run(tmp_path)
+@pytest.mark.parametrize(
+    "confounders", [("x0",), ("x0", "prior_interruption_bucket")],
+    ids=["x0", "x0-prior_interruption_bucket"],
+)
+def test_estimate_and_fit_on_run_records_reproduce_the_run(tmp_path, confounders):
+    run_dir = _simulated_run(tmp_path, confounders)
     records = str(run_dir / "records.ndjson")
     assert main([
         "estimate", "--records", records, "--mediators", "hedging,disfluency",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import near_lines
 from medlang.corpus import (
     AnalysisUnit,
     Utterance,
@@ -16,7 +17,7 @@ from medlang.corpus import (
     utterance_to_json,
     write_transcript,
 )
-from medlang.errors import DataError, ParseError
+from medlang.errors import DataError, MedlangError, ParseError
 
 
 def line(case_id, index, speaker, role, text):
@@ -222,8 +223,9 @@ def test_unit_json_round_trip(paired_units):
         (lambda unit: {k: v for k, v in unit.items() if k != "unit_id"}, "lacks key 'unit_id'"),
         (lambda unit: {**unit, "p1": {}}, "malformed unit record"),
         (lambda unit: {**unit, "p1": "text"}, "malformed unit record"),
+        (lambda unit: "[" * 100_000, "malformed unit record"),
     ],
-    ids=["non-json", "non-object", "missing-key", "empty-p1", "non-object-p1"],
+    ids=["non-json", "non-object", "missing-key", "empty-p1", "non-object-p1", "deeply-nested"],
 )
 def test_units_reader_rejects_malformed_line_with_its_number(paired_units, change, reason):
     good = unit_to_json(paired_units[0])
@@ -257,3 +259,25 @@ def test_unit_count_equals_advocate_count(roles):
         u.index for u in utts if u.speaker_role == "advocate"
     ]
     assert len({u.unit_id for u in units}) == len(units)
+
+
+GOOD_UNIT_LINE = unit_to_json(
+    AnalysisUnit(
+        unit_id="c:1",
+        p1_utterance=Utterance("c", 1, "Alex Smith", "advocate", "I think so - -"),
+        p2_utterance=Utterance("c", 2, "Justice J", "justice", "Go on."),
+        context_features={"issue_area": "x"},
+    )
+).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(near_lines(GOOD_UNIT_LINE), max_size=4))
+def test_units_reader_parses_or_raises_a_medlang_error(lines):
+    data = b"\n".join(lines)
+    for source in (data, io.BytesIO(data)):
+        try:
+            units = units_from_json(source)
+        except MedlangError:
+            continue
+        assert len(units) <= len(lines)

@@ -117,9 +117,9 @@ def test_single_class_mediator_degenerates_to_one():
         m=np.ones(n, dtype=int),
         y=np.zeros(n, dtype=int),
         fold=(np.arange(n) // 2) % 2,  # both t arms in every training fold
+        domains=Domains((("x0", ("0",)),), (("hedging", 2),)),
     )
-    model = fit_mediator_model(records, "hedging",
-                               domains=Domains((("x0", ("0",)),), (("hedging", 2),)))
+    model = fit_mediator_model(records, "hedging")
     assert model.table[:, :, :, 1].min() >= 0.99
     assert model.table[:, :, :, 1].max() <= 1.0
 
@@ -134,12 +134,14 @@ def test_mediator_table_rows_normalized():
 def test_permutation_invariance_is_exact():
     records = gen_mediator_independent_of_t(2000, seed=13)
     rng = np.random.default_rng(99)
-    shuffled = [records[i] for i in rng.permutation(len(records))]
+    rows = list(records)
+    shuffled = encode_records([rows[i] for i in rng.permutation(len(rows))], records.domains)
     a = fit_mediator_model(records)
     b = fit_mediator_model(shuffled)
     assert np.array_equal(a.table, b.table)
     ra, _ = gen_logistic_outcome(2000, seed=14)
-    rb = [ra[i] for i in rng.permutation(len(ra))]
+    rows = list(ra)
+    rb = encode_records([rows[i] for i in rng.permutation(len(rows))], ra.domains)
     fa = fit_outcome_model(ra, "hedging")
     fb = fit_outcome_model(rb, "hedging")
     assert np.array_equal(fa.table, fb.table)
@@ -234,12 +236,10 @@ def test_categorical_glm_multinomial_three_levels():
     p /= p.sum(axis=1, keepdims=True)
     u = rng.random(n)
     m = (u[:, None] >= p.cumsum(axis=1)).sum(axis=1)
-    records = [
-        rec
-        for rec in records_from_arrays(t, x, m, np.zeros(n, dtype=int), np.arange(n) % 2)
-    ]
     domains = Domains((("x0", ("0", "1")),), (("hedging", 3),))
-    model = fit_mediator_model(records, "hedging", domains=domains)
+    records = records_from_arrays(t, x, m, np.zeros(n, dtype=int), np.arange(n) % 2,
+                                  domains=domains)
+    model = fit_mediator_model(records, "hedging")
     avg = model.table.mean(axis=0)
     for tt in (0, 1):
         for ix in (0, 1):
@@ -333,12 +333,13 @@ def test_multi_confounder_grid_round_trip():
 
 
 def test_infer_domains_consistency_checks():
-    records = gen_mediator_independent_of_t(50, seed=1)
-    domains = infer_domains(records)
+    records = list(gen_mediator_independent_of_t(50, seed=1))
+    domains = infer_domains({"x0": [r.x["x0"] for r in records]},
+                            {"hedging": [r.m["hedging"] for r in records]})
     assert domains.confounder_names == ("x0",)
     assert domains.mediator_sizes == {"hedging": 2}
     coded = encode_records(records, domains)
-    assert coded.n_records == 50
+    assert len(coded) == 50
     assert coded.n_folds == 2
 
 

@@ -1,11 +1,13 @@
+import io
 import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import near_lines
 from medlang.corpus import parse_transcript
-from medlang.errors import ConfigError, DataError, ParseError
+from medlang.errors import ConfigError, DataError, MedlangError, ParseError
 from medlang.measure import (
     CausalRecord,
     MeasurementSpec,
@@ -16,9 +18,9 @@ from medlang.measure import (
     load_lexicon,
     measure_disfluency,
     measure_hedging,
+    encode_records,
     record_to_json,
     records_from_json,
-    validate_record,
 )
 from medlang.textutil import tokenize
 
@@ -287,7 +289,7 @@ def test_build_records_fold_balance_and_determinism():
     again = build_records(units, spec, 2, case_utterances=by_case, seed=11)
     folds = sorted(r.fold for r in first.records)
     assert folds.count(0) == 5 and folds.count(1) == 5
-    assert first.records == again.records
+    assert list(first.records) == list(again.records)
     other = build_records(units, spec, 2, case_utterances=by_case, seed=12)
     assert {r.unit_id: r.fold for r in other.records} != {
         r.unit_id: r.fold for r in first.records
@@ -307,7 +309,7 @@ def test_build_records_all_units_excluded(paired_units, paired_case_utterances):
     cases = dict(paired_case_utterances)
     cases["2013-12-820"] = [u for u in cases["2013-12-820"] if u.speaker_role != "chief_justice"]
     result = build_records(units, MeasurementSpec.default(), 2, case_utterances=cases)
-    assert result.records == ()
+    assert len(result.records) == 0
     assert result.exclusion_counts() == {
         "no_responder": 1,
         "no_honorific_introduction": 1,
@@ -367,36 +369,38 @@ def test_build_records_with_topic_mediator():
     model = fit_topic_model(train_texts, k=2, seed=1, n_sweeps=20, burn_in=10)
     spec = MeasurementSpec.default(topic_model=model)
     result = build_records(units, spec, 2, case_utterances=cases)
-    assert dict(result.domains.mediators)["topic"] == 3  # K topics + reserved level
+    assert dict(result.records.domains.mediators)["topic"] == 3  # K topics + reserved level
     for rec in result.records:
         assert 0 <= rec.m["topic"] <= 2
-        validate_record(rec, result.domains)
+        encode_records([rec], result.records.domains)
 
 
 def test_validator_accepts_exactly_what_build_emits(paired_units, paired_case_utterances):
     result = build_paired(paired_units, paired_case_utterances)
+    domains = result.records.domains
     for record in result.records:
-        validate_record(record, result.domains)
+        encode_records([record], domains)
+    first = list(result.records)[0]
     bad = CausalRecord(
         unit_id="zz",
         t=2,
-        x=dict(result.records[0].x),
-        m=dict(result.records[0].m),
+        x=dict(first.x),
+        m=dict(first.m),
         y=0,
         fold=0,
     )
     with pytest.raises(DataError):
-        validate_record(bad, result.domains)
+        encode_records([bad], domains)
     off_domain = CausalRecord(
         unit_id="zz",
         t=1,
-        x={**result.records[0].x, "issue_area": "maritime"},
-        m=dict(result.records[0].m),
+        x={**first.x, "issue_area": "maritime"},
+        m=dict(first.m),
         y=0,
         fold=0,
     )
     with pytest.raises(DataError):
-        validate_record(off_domain, result.domains)
+        encode_records([off_domain], domains)
 
 
 # -- record reader -----------------------------------------------------------------
@@ -412,12 +416,40 @@ GOOD_RECORD = CausalRecord(unit_id="c:0", t=1, x={"x0": "0"}, m={"hedging": 1}, 
         (json.dumps({k: v for k, v in json.loads(record_to_json(GOOD_RECORD)).items()
                      if k != "x"}), "lacks key 'x'"),
         (record_to_json(GOOD_RECORD).replace('"t": 1', '"t": "one"'), "malformed causal record"),
+        (record_to_json(GOOD_RECORD).replace('"t": 1', '"t": 0.7'), "malformed causal record"),
+        (record_to_json(GOOD_RECORD).replace('"y": 0', '"y": true'), "malformed causal record"),
+        (record_to_json(GOOD_RECORD).replace('"fold": 1', '"fold": false'),
+         "malformed causal record"),
+        (record_to_json(GOOD_RECORD).replace('"fold": 1', '"fold": -1'),
+         "malformed causal record"),
+        (record_to_json(GOOD_RECORD).replace('"hedging": 1', '"hedging": 1.9'),
+         "malformed causal record"),
+        (record_to_json(GOOD_RECORD).replace('"x0"', '"x1"'), "other variables than line 1"),
+        (b"\xff\xfe", "not UTF-8"),
+        ("[" * 100_000, "malformed causal record"),
     ],
-    ids=["non-json", "non-object", "missing-key", "non-integer-t"],
+    ids=["non-json", "non-object", "missing-key", "non-integer-t", "float-t", "bool-y",
+         "bool-fold", "negative-fold", "float-mediator-level", "other-variables", "non-utf8",
+         "deeply-nested"],
 )
 def test_records_reader_rejects_malformed_line_with_its_number(bad_line, reason):
-    text = record_to_json(GOOD_RECORD) + "\n\n" + bad_line + "\n"
-    with pytest.raises(ParseError, match=reason) as info:
-        records_from_json(text)
-    assert info.value.line_number == 3
-    assert records_from_json(record_to_json(GOOD_RECORD)) == [GOOD_RECORD]
+    if isinstance(bad_line, str):
+        bad_line = bad_line.encode("utf-8")
+    data = record_to_json(GOOD_RECORD).encode("utf-8") + b"\n\n" + bad_line + b"\n"
+    for source in (data, io.BytesIO(data)):
+        with pytest.raises(ParseError, match=reason) as info:
+            records_from_json(source)
+        assert info.value.line_number == 3
+    assert list(records_from_json(record_to_json(GOOD_RECORD))) == [GOOD_RECORD]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(near_lines(record_to_json(GOOD_RECORD).encode("utf-8")), max_size=4))
+def test_records_reader_parses_or_raises_a_medlang_error(lines):
+    data = b"\n".join(lines)
+    for source in (data, io.BytesIO(data)):
+        try:
+            records = records_from_json(source)
+        except MedlangError:
+            continue
+        assert len(records) <= len(lines)

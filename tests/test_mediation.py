@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,9 +54,10 @@ def hand_models(g_rows, f_rows, domains=None, n_folds=1):
 
 
 def one_unit_record():
-    return [
-        CausalRecord(unit_id="u0", t=0, x={"x0": "0"}, m={"hedging": 0}, y=0, fold=0)
-    ]
+    return encode_records(
+        [CausalRecord(unit_id="u0", t=0, x={"x0": "0"}, m={"hedging": 0}, y=0, fold=0)],
+        simple_domains(n_x_levels=1),
+    )
 
 
 # -- hand-arithmetic oracles ---------------------------------------------------
@@ -151,7 +153,8 @@ def test_estimates_invariant_to_record_order():
     g = fit_mediator_model(records)
     f = fit_outcome_model(records)
     base = sample_effects(records, g, f)
-    shuffled = [records[i] for i in rng.permutation(n)]
+    rows = list(records)
+    shuffled = encode_records([rows[i] for i in rng.permutation(n)], records.domains)
     other = sample_effects(shuffled, g, f)
     assert base == other  # bit-exact
 
@@ -163,7 +166,7 @@ def test_estimates_converge_to_oracle_on_clean_fixture():
     spec = scm.load_fixture("binary_scm")
     oracle = scm.exact_effects(spec)
     result = scm.generate(spec, 50000, seed=301)
-    coded = encode_records(result.records, result.domains)
+    coded = result.records
     g = fit_mediator_model(coded)
     f = fit_outcome_model(coded)
     nde, nie, _, te = sample_effects(coded, g, f)
@@ -175,7 +178,7 @@ def test_estimates_converge_to_oracle_on_clean_fixture():
 def test_two_independent_mediators_match_their_oracles():
     spec = scm.load_fixture("two_mediator_scm")
     result = scm.generate(spec, 50000, seed=302)
-    coded = encode_records(result.records, result.domains)
+    coded = result.records
     for name in spec.mediator_names:
         oracle = scm.exact_effects(spec, name)
         g = fit_mediator_model(coded, name)
@@ -183,6 +186,19 @@ def test_two_independent_mediators_match_their_oracles():
         nde, nie, _, _ = sample_effects(coded, g, f)
         assert abs(nie - oracle.nie_true) <= 0.01
         assert abs(nde - oracle.nde_true) <= 0.01
+
+
+def test_records_over_other_domains_are_rejected():
+    result = scm.generate(scm.load_fixture("two_mediator_scm"), 500, seed=3)
+    g, f = fit_models(result.records, "hedging")
+    (name, levels), *others = result.records.domains.confounders
+    wider = replace(result.records.domains,
+                    confounders=((name, levels + (str(len(levels)),)), *others))
+    records = encode_records(result.records, wider)
+    with pytest.raises(DataError, match="different domains"):
+        sample_effects(records, g, f)
+    with pytest.raises(DataError, match="different domains"):
+        bootstrap_effects(records, g, f, 100, seed=0)
 
 
 # -- marginal x weighting ---------------------------------------------------------
@@ -208,7 +224,7 @@ def test_marginal_weighting_equals_unit_weighting_with_single_level_x():
 def test_marginal_weighting_runs_and_stays_close_on_fixture():
     spec = scm.load_fixture("binary_scm")
     result = scm.generate(spec, 20000, seed=9)
-    coded = encode_records(result.records, result.domains)
+    coded = result.records
     g = fit_mediator_model(coded)
     f = fit_outcome_model(coded)
     unit = sample_effects(coded, g, f, x_weighting="unit")[0]
@@ -239,7 +255,7 @@ def test_marginal_weighting_hand_arithmetic():
 def test_bootstrap_same_seed_identical_intervals():
     spec = scm.load_fixture("binary_scm")
     result = scm.generate(spec, 2000, seed=41)
-    coded = encode_records(result.records, result.domains)
+    coded = result.records
     g, f = fit_models(coded, "hedging")
     a = bootstrap_effects(coded, g, f, 100, seed=5)
     b = bootstrap_effects(coded, g, f, 100, seed=5)
@@ -285,7 +301,7 @@ def test_bootstrap_drops_collapsed_replicates_and_errors_over_threshold():
 def test_bootstrap_zero_replicates_disables_intervals():
     spec = scm.load_fixture("binary_scm")
     result = scm.generate(spec, 1000, seed=4)
-    coded = encode_records(result.records, result.domains)
+    coded = result.records
     est = bootstrap_effects(coded, *fit_models(coded, "hedging"), 0, seed=0)
     assert est.n_bootstrap == 0
     assert est.nde_ci == (est.nde, est.nde)
@@ -294,7 +310,7 @@ def test_bootstrap_zero_replicates_disables_intervals():
 def test_bootstrap_rejects_small_positive_b():
     spec = scm.load_fixture("binary_scm")
     result = scm.generate(spec, 500, seed=4)
-    coded = encode_records(result.records, result.domains)
+    coded = result.records
     g, f = fit_models(coded, "hedging")
     with pytest.raises(ConfigError):
         bootstrap_effects(coded, g, f, 50, seed=0)
@@ -303,7 +319,7 @@ def test_bootstrap_rejects_small_positive_b():
 def test_bootstrap_interval_contains_point_estimate():
     spec = scm.load_fixture("binary_scm")
     result = scm.generate(spec, 3000, seed=77)
-    coded = encode_records(result.records, result.domains)
+    coded = result.records
     est = bootstrap_effects(coded, *fit_models(coded, "hedging"), 100, seed=2)
     assert est.nde_ci[0] <= est.nde <= est.nde_ci[1]
     assert est.nie_ci[0] <= est.nie <= est.nie_ci[1]
@@ -316,7 +332,7 @@ def test_bootstrap_interval_contains_point_estimate():
 def test_estimate_all_singleton():
     spec = scm.load_fixture("binary_scm")
     result = scm.generate(spec, 1500, seed=12)
-    coded = encode_records(result.records, result.domains)
+    coded = result.records
     out = estimate_all(coded, [fit_models(coded, "hedging")],
                        EstimatorConfig(n_bootstrap=100, seed=1))
     assert len(out) == 1
@@ -327,7 +343,7 @@ def test_estimate_all_per_mediator_is_independent_of_the_set():
     spec = scm.load_fixture("two_mediator_scm")
     result = scm.generate(spec, 2500, seed=13)
     config = EstimatorConfig(n_bootstrap=100, seed=21)
-    coded = encode_records(result.records, result.domains)
+    coded = result.records
     models = [fit_models(coded, name) for name in ("hedging", "disfluency")]
     both = estimate_all(coded, models, config)
     alone = estimate_all(coded, models[:1], config)
@@ -338,7 +354,7 @@ def test_estimate_all_per_mediator_is_independent_of_the_set():
 def test_estimate_all_unknown_mediator_errors():
     spec = scm.load_fixture("binary_scm")
     result = scm.generate(spec, 500, seed=2)
-    coded = encode_records(result.records, result.domains)
+    coded = result.records
     with pytest.raises(Exception, match="unknown mediators"):
         estimate_all(coded, [fit_models(coded, "topic")], EstimatorConfig())
 
@@ -395,7 +411,7 @@ def _sequential_draws(coded, name, n_bootstrap, seed, x_weighting):
             parts.append(np.bincount(pos, minlength=widths[j]))
         return np.concatenate(parts) > 0
 
-    base = present(np.arange(coded.n_records))
+    base = present(np.arange(len(coded)))
     fold_rows = [np.nonzero(coded.fold == f)[0] for f in range(coded.n_folds)]
     draws = np.full((n_bootstrap, 2), np.nan)
     for r in range(n_bootstrap):
@@ -427,8 +443,8 @@ def _six_level_records(n=1200, seed=31):
     t = rng.integers(0, 2, n)
     m = np.minimum(rng.integers(0, 5, n) + t * rng.integers(0, 2, n), 5)
     y = (rng.random(n) < 0.3 + 0.08 * m * t / 5 + 0.1 * (x == 2)).astype(int)
-    records = records_from_arrays(t=t, x0=x, m=m, y=y, fold=np.arange(n) % 2)
-    return encode_records(records, simple_domains(3, (("hedging", 6),)))
+    return records_from_arrays(t=t, x0=x, m=m, y=y, fold=np.arange(n) % 2,
+                               domains=simple_domains(3, (("hedging", 6),)))
 
 
 def _sparse_level_records():
@@ -436,14 +452,13 @@ def _sparse_level_records():
     n = 80
     x = np.zeros(n, dtype=int)
     x[0] = 1
-    records = records_from_arrays(t=rng.integers(0, 2, n), x0=x, m=rng.integers(0, 2, n),
-                                  y=rng.integers(0, 2, n), fold=rng.integers(0, 2, n))
-    return encode_records(records, simple_domains(2))
+    return records_from_arrays(t=rng.integers(0, 2, n), x0=x, m=rng.integers(0, 2, n),
+                               y=rng.integers(0, 2, n), fold=rng.integers(0, 2, n),
+                               domains=simple_domains(2))
 
 
 def _binary_scm_records(n=1500, seed=41):
-    result = scm.generate(scm.load_fixture("binary_scm"), n, seed=seed)
-    return encode_records(result.records, result.domains)
+    return scm.generate(scm.load_fixture("binary_scm"), n, seed=seed).records
 
 
 @pytest.mark.parametrize(
