@@ -498,18 +498,30 @@ def cmd_study(args) -> int:
     return 0
 
 
+def _load_json_object(path: str, what: str) -> dict:
+    """Read a whole-file JSON object; anything else is a ConfigError naming the file."""
+    with _open(path, "r") as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"malformed {what} file {path}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"malformed {what} file {path}: not UTF-8 text") from exc
+        except RecursionError as exc:
+            raise ConfigError(f"malformed {what} file {path}: nested too deeply") from exc
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} file {path} is not a JSON object")
+    return obj
+
+
 def cmd_run(args) -> int:
     if args.manifest:
-        with _open(args.manifest, "r") as fh:
-            manifest = json.load(fh)
+        manifest = _load_json_object(args.manifest, "manifest")
+        if not isinstance(manifest.get("config"), dict):
+            raise ConfigError(f"manifest file {args.manifest} has no config object")
         config = RunConfig.from_dict(manifest["config"])
     elif args.config:
-        with _open(args.config, "r") as fh:
-            try:
-                obj = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"malformed config file: {exc.msg}") from exc
-        config = RunConfig.from_dict(obj)
+        config = RunConfig.from_dict(_load_json_object(args.config, "config"))
     else:
         raise ConfigError("provide --config PATH or --manifest PATH")
     if args.out:

@@ -211,11 +211,21 @@ def extract_units(
     by_case: dict[str, list[Utterance]] = {}
     for utt in utterances:
         by_case.setdefault(utt.case_id, []).append(utt)
+    # prior[case][i]: earlier advocate turns of the case ending with the marker
+    prior: dict[str, list[int]] = {}
     for case_id, turns in by_case.items():
         ordered = sorted(t.index for t in turns)
         if ordered != list(range(len(turns))):
             raise DataError(f"case {case_id!r}: indices not contiguous from 0")
         turns.sort(key=lambda t: t.index)
+        running, counts = 0, []
+        for turn in turns:
+            counts.append(running)
+            if turn.speaker_role == "advocate" and ends_with_interruption_marker(
+                turn.text, strict=strict_marker
+            ):
+                running += 1
+        prior[case_id] = counts
 
     units: list[AnalysisUnit] = []
     seen_ids: set[str] = set()
@@ -225,14 +235,8 @@ def extract_units(
         turns = by_case[utt.case_id]
         nxt = turns[utt.index + 1] if utt.index + 1 < len(turns) else None
         p2 = nxt if nxt is not None and nxt.speaker_role in RESPONDER_ROLES else None
-        prior = sum(
-            1
-            for other in turns[: utt.index]
-            if other.speaker_role == "advocate"
-            and ends_with_interruption_marker(other.text, strict=strict_marker)
-        )
         context: dict[str, object] = {
-            "prior_interruption_bucket": _interruption_bucket(prior),
+            "prior_interruption_bucket": _interruption_bucket(prior[utt.case_id][utt.index]),
             "responder_role": p2.speaker_role if p2 is not None else "none",
         }
         for key, value in case_metadata.get(utt.case_id, {}).items():

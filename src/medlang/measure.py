@@ -13,6 +13,7 @@ applied; see topics.fit_topic_model.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field, replace
@@ -79,18 +80,28 @@ class MeasurementSpec:
         return cls(hedging_lexicon=default_hedging_lexicon(), **overrides)
 
 
+@functools.lru_cache(maxsize=32)
+def _phrase_grams(lexicon: tuple[str, ...]) -> tuple[tuple[int, frozenset[tuple[str, ...]]], ...]:
+    """(length, phrases as token tuples) pairs of the lexicon; empty phrases dropped."""
+    grams: dict[int, set[tuple[str, ...]]] = {}
+    for phrase in lexicon:
+        ptoks = tuple(phrase.split())
+        if ptoks:
+            grams.setdefault(len(ptoks), set()).add(ptoks)
+    return tuple((span, frozenset(group)) for span, group in grams.items())
+
+
 def measure_hedging(text: str, lexicon: Sequence[str]) -> int:
-    """1 iff any lexicon phrase occurs on token boundaries, case-insensitively."""
+    """1 iff any lexicon phrase occurs on token boundaries, case-insensitively.
+
+    Each window length is one set lookup per token position.
+    """
     if not lexicon:
         raise ConfigError("hedging lexicon is empty")
     tokens = tokenize(text)
-    for phrase in lexicon:
-        ptoks = phrase.split()
-        span = len(ptoks)
-        if span == 0 or span > len(tokens):
-            continue
+    for span, phrases in _phrase_grams(tuple(lexicon)):
         for i in range(len(tokens) - span + 1):
-            if tokens[i : i + span] == ptoks:
+            if tuple(tokens[i : i + span]) in phrases:
                 return 1
     return 0
 
@@ -131,6 +142,20 @@ def _surname(speaker_id: str) -> str:
     return parts[-1]
 
 
+_SPACE = re.compile(r"\s+")
+_WORD = re.compile(r"\w")
+
+
+@functools.lru_cache(maxsize=32)
+def _honorific_starts(honorifics: tuple[str, ...]) -> re.Pattern:
+    """Zero-width matches at every position where an honorific and a space begin.
+
+    Zero-width, so overlapping honorifics are all seen.
+    """
+    alternatives = "|".join(re.escape(hon) for hon in honorifics)
+    return re.compile(r"(?<!\w)(?=(?:" + alternatives + r")\s)")
+
+
 def label_treatment(
     case_utterances: Sequence[Utterance],
     advocate_id: str,
@@ -140,25 +165,29 @@ def label_treatment(
 
     Scans chief-justice turns in case order for the first honorific applied
     to the advocate's surname (the last whitespace token of the speaker id)
-    and returns its mapped value. Returns None when no introduction is
-    found; callers exclude such units with a counted warning.
+    and returns its mapped value: the earliest position in the first such
+    turn, ties going to the first honorific of the map. The surname must
+    not run on into a word character ("Mr. Smith's" counts for Smith,
+    "Mr. Smithson" does not). Returns None when no introduction is found;
+    callers exclude such units with a counted warning.
     """
     honorific_map = honorific_map or {"Ms.": 1, "Mr.": 0}
     surname = _surname(advocate_id)
-    patterns = {
-        hon: re.compile(r"(?<!\w)" + re.escape(hon) + r"\s+" + re.escape(surname) + r"(?!\w)")
-        for hon in honorific_map
-    }
+    starts = _honorific_starts(tuple(honorific_map))
     for utt in sorted(case_utterances, key=lambda u: u.index):
         if utt.speaker_role != "chief_justice":
             continue
-        best: tuple[int, str] | None = None
-        for hon, pattern in patterns.items():
-            match = pattern.search(utt.text)
-            if match and (best is None or match.start() < best[0]):
-                best = (match.start(), hon)
-        if best is not None:
-            return honorific_map[best[1]]
+        text = utt.text
+        for start in starts.finditer(text):
+            pos = start.start()
+            for hon, value in honorific_map.items():
+                if not text.startswith(hon, pos):
+                    continue
+                # The surname holds no whitespace, so it starts where the run ends.
+                space = _SPACE.match(text, pos + len(hon))
+                if (space and text.startswith(surname, space.end())
+                        and not _WORD.match(text, space.end() + len(surname))):
+                    return value
     return None
 
 
@@ -364,8 +393,8 @@ def records_from_json(source) -> CodedRecords:
 
     The domains are inferred from the lines (see infer_domains). A line
     that is not a JSON object, lacks a key, names other variables than the
-    first line, or holds a value that is not an integer in its domain
-    raises ParseError with its line number.
+    first line, repeats an earlier line's unit id, or holds a value that
+    is not an integer in its domain raises ParseError with its line number.
     """
     lines, unit_ids, t, y, fold = [], [], [], [], []
     x: dict[str, list[str]] = {}
@@ -384,12 +413,22 @@ def records_from_json(source) -> CodedRecords:
                 column.append(obj[key])
         except KeyError as exc:
             raise ParseError(f"causal record lacks key {exc.args[0]!r}", lineno) from exc
+        if type(unit_ids[-1]) is not str:
+            raise ParseError("malformed causal record: unit_id must be a string, "
+                             f"got {unit_ids[-1]!r}", lineno)
         for name, levels in x.items():
             levels.append(str(rx[name]))
         for name, levels in m.items():
             levels.append(rm[name])
         lines.append(lineno)
-    return _code(unit_ids, t, x, m, y, fold, infer_domains(x, m), lines)
+    records = _code(unit_ids, t, x, m, y, fold, infer_domains(x, m), lines)
+    first_line: dict[str, int] = {}
+    for unit_id, lineno in zip(unit_ids, lines):
+        if unit_id in first_line:
+            raise ParseError(f"duplicate unit_id {unit_id!r}, first on line "
+                             f"{first_line[unit_id]}", lineno)
+        first_line[unit_id] = lineno
+    return records
 
 
 @dataclass(frozen=True)

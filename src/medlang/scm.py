@@ -374,6 +374,8 @@ def load_scm_spec(source: IO[str] | str) -> ScmSpec:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed structural model file: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise DataError("malformed structural model file: nested too deeply") from exc
     return ScmSpec.from_dict(obj)
 
 

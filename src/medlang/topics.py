@@ -8,6 +8,7 @@ in-vocabulary token map to the reserved "no-content" level K.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -58,6 +59,11 @@ class TopicModel:
     alpha: float
     beta: float
     seed: int
+
+    @functools.cached_property
+    def vocab_index(self) -> dict[str, int]:
+        """Token -> vocabulary position, built once per model for fold-in."""
+        return {tok: i for i, tok in enumerate(self.vocab)}
 
     @property
     def no_content_level(self) -> int:
@@ -177,7 +183,7 @@ def fit_topic_model(
 def infer_proportions(model: TopicModel, text: str,
                       stop_words: frozenset[str] = DEFAULT_STOP_WORDS) -> np.ndarray | None:
     """Deterministic EM fold-in; None when no token is in vocabulary."""
-    vocab_index = {tok: i for i, tok in enumerate(model.vocab)}
+    vocab_index = model.vocab_index
     ids = [vocab_index[tok] for tok in preprocess(text, stop_words) if tok in vocab_index]
     if not ids:
         return None

@@ -291,6 +291,43 @@ def test_run_requires_config_or_manifest():
     assert main(["run"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flag, text, reason",
+    [
+        ("--manifest", "{not json", "malformed manifest file"),
+        ("--manifest", "[1, 2]", "is not a JSON object"),
+        ("--manifest", '{"config": 5}', "has no config object"),
+        ("--manifest", "{}", "has no config object"),
+        ("--manifest", "[" * 100_000, "nested too deeply"),
+        ("--config", "{not json", "malformed config file"),
+        ("--config", "5", "is not a JSON object"),
+        ("--config", "[" * 100_000, "nested too deeply"),
+        ("--config", b'{"out": "\xff"}', "not UTF-8 text"),
+    ],
+    ids=["manifest-non-json", "manifest-non-object", "manifest-config-not-object",
+         "manifest-without-config", "manifest-deeply-nested", "config-non-json",
+         "config-non-object", "config-deeply-nested", "config-non-utf8"],
+)
+def test_malformed_run_input_file_is_config_error(tmp_path, capsys, flag, text, reason):
+    path = tmp_path / "input.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
+    assert main(["run", flag, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert reason in err and str(path) in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--n", "10"], ["study", "--knob", "unmeasured_confounder", "--grid", "0"]],
+    ids=["simulate", "study"],
+)
+def test_deeply_nested_spec_is_data_error(tmp_path, capsys, command):
+    spec = tmp_path / "spec.json"
+    spec.write_text("[" * 100_000, encoding="utf-8")
+    assert main([*command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 3
+    assert "nested too deeply" in capsys.readouterr().err
+
+
 def test_report_rejects_malformed_lines_with_exit_3(tmp_path, capsys):
     est = EffectEstimate(
         mediator_name="hedging", nde=0.1, nie=0.05, nie_reversed=0.05, total_effect=0.15,
@@ -325,8 +362,10 @@ def test_report_rejects_mixed_interval_levels(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["estimate", "fit"])
 @pytest.mark.parametrize(
     "bad_line",
-    ["{not json", json.dumps({"unit_id": "u1", "t": 1, "m": {"hedging": 0}, "y": 0, "fold": 0})],
-    ids=["non-json", "missing-x"],
+    ["{not json", json.dumps({"unit_id": "u1", "t": 1, "m": {"hedging": 0}, "y": 0, "fold": 0}),
+     record_to_json(CausalRecord(unit_id="u0", t=1, x={"x0": "0"}, m={"hedging": 0}, y=0,
+                                 fold=1))],
+    ids=["non-json", "missing-x", "duplicate-unit-id"],
 )
 def test_malformed_records_file_is_data_error(tmp_path, capsys, command, bad_line):
     good = CausalRecord(unit_id="u0", t=0, x={"x0": "0"}, m={"hedging": 1}, y=1, fold=0)

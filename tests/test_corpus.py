@@ -9,6 +9,7 @@ from conftest import near_lines
 from medlang.corpus import (
     AnalysisUnit,
     Utterance,
+    ends_with_interruption_marker,
     extract_units,
     parse_case_metadata,
     parse_transcript,
@@ -281,3 +282,94 @@ def test_units_reader_parses_or_raises_a_medlang_error(lines):
         except MedlangError:
             continue
         assert len(units) <= len(lines)
+
+
+def _prior_counts_reference(utterances, strict):
+    """The rescan extract_units replaced: count earlier marked advocate turns per unit."""
+    by_case = {}
+    for utt in utterances:
+        by_case.setdefault(utt.case_id, []).append(utt)
+    for turns in by_case.values():
+        turns.sort(key=lambda t: t.index)
+    out = {}
+    for utt in utterances:
+        if utt.speaker_role == "advocate":
+            out[f"{utt.case_id}:{utt.index}"] = sum(
+                1 for other in by_case[utt.case_id][: utt.index]
+                if other.speaker_role == "advocate"
+                and ends_with_interruption_marker(other.text, strict=strict)
+            )
+    return out
+
+
+TURN_TEXTS = ("Go on.", "I was saying - -", "As I said --", "Well -", "So - -  ", "- - x")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    turns=st.lists(
+        st.tuples(st.sampled_from("abc"),
+                  st.sampled_from(["advocate", "advocate", "justice", "chief_justice"]),
+                  st.sampled_from(TURN_TEXTS)),
+        max_size=20,
+    ),
+    strict=st.booleans(),
+)
+def test_prior_interruption_bucket_matches_the_rescan_reference(turns, strict):
+    next_index = {}
+    utts = []
+    for case_id, role, text in turns:  # cases interleaved in file order
+        index = next_index.get(case_id, 0)
+        next_index[case_id] = index + 1
+        utts.append(Utterance(case_id, index, f"{role} {case_id}", role, text))
+    expected = {uid: ("2+" if n >= 2 else str(n))
+                for uid, n in _prior_counts_reference(utts, strict).items()}
+    units = extract_units(utts, strict_marker=strict)
+    assert {u.unit_id: u.context_features["prior_interruption_bucket"] for u in units} == expected
+
+
+def test_extract_checks_each_turn_for_the_marker_at_most_once(monkeypatch):
+    import medlang.corpus as corpus
+
+    calls = []
+
+    def counting(text, strict=False):
+        calls.append(text)
+        return ends_with_interruption_marker(text, strict)
+
+    monkeypatch.setattr(corpus, "ends_with_interruption_marker", counting)
+    roles = ("advocate", "justice")
+    texts = ("Counsel - -", "Stop.", "Counsel.", "Go on.")
+    utts = [Utterance("long", i, roles[i % 2], roles[i % 2], texts[i % 4]) for i in range(2000)]
+    units = extract_units(utts)
+    assert len(units) == 1000
+    assert units[-1].context_features["prior_interruption_bucket"] == "2+"
+    assert len(calls) <= len(utts)  # the rescan made ~500,000 calls
+
+
+GOOD_TRANSCRIPT_LINE = line("c", 0, "Alex Smith", "advocate", "I think so - -").encode("utf-8")
+GOOD_METADATA_LINE = b'{"case_id": "c", "issue_area": "x"}'
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(near_lines(GOOD_TRANSCRIPT_LINE), max_size=4))
+def test_transcript_reader_parses_or_raises_a_medlang_error(lines):
+    data = b"\n".join(lines)
+    for source in (data, io.BytesIO(data)):
+        try:
+            utts = parse_transcript(source)
+        except MedlangError:
+            continue
+        assert len(utts) <= len(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(near_lines(GOOD_METADATA_LINE), max_size=4))
+def test_metadata_reader_parses_or_raises_a_medlang_error(lines):
+    data = b"\n".join(lines)
+    for source in (data, io.BytesIO(data)):
+        try:
+            meta = parse_case_metadata(source)
+        except MedlangError:
+            continue
+        assert len(meta) <= len(lines)

@@ -1,12 +1,13 @@
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import near_lines
-from medlang.corpus import parse_transcript
+from medlang.corpus import Utterance, parse_transcript
 from medlang.errors import ConfigError, DataError, MedlangError, ParseError
 from medlang.measure import (
     CausalRecord,
@@ -81,6 +82,41 @@ def test_hedging_invariance_under_whitespace_and_case(lead, trail, upper):
     base = "I mean the point stands"
     text = lead + (base.upper() if upper else base) + trail
     assert measure_hedging(text, LEXICON) == 1
+
+
+def _measure_hedging_reference(text, lexicon):
+    """The phrase-by-phrase scan measure_hedging replaced: every phrase at every offset."""
+    if not lexicon:
+        raise ConfigError("hedging lexicon is empty")
+    tokens = tokenize(text)
+    for phrase in lexicon:
+        ptoks = phrase.split()
+        span = len(ptoks)
+        if span == 0 or span > len(tokens):
+            continue
+        for i in range(len(tokens) - span + 1):
+            if tokens[i : i + span] == ptoks:
+                return 1
+    return 0
+
+
+HEDGE_WORDS = ("i", "think", "maybe", "sort", "of", "kind", "the", "court", "-", "Think")
+HEDGE_PHRASES = st.lists(st.sampled_from(HEDGE_WORDS), max_size=3).map(" ".join) | st.sampled_from(
+    ["", "   ", "I THINK", "  sort   of ", "kind of the", "maybe,"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    words=st.lists(st.sampled_from(HEDGE_WORDS + ("Maybe,", "(think)", "--", "of.")), max_size=12),
+    seps=st.lists(st.sampled_from([" ", "  ", "\t", "\n"]), min_size=12, max_size=12),
+    lexicon=st.lists(HEDGE_PHRASES, min_size=1, max_size=5),
+)
+def test_hedging_matches_the_phrase_scan_reference(words, seps, lexicon):
+    text = "".join(sep + word for sep, word in zip(seps, words))
+    expected = _measure_hedging_reference(text, lexicon)
+    assert measure_hedging(text, lexicon) == expected  # a list lexicon
+    assert measure_hedging(text, tuple(lexicon)) == expected
 
 
 # -- disfluency ----------------------------------------------------------------
@@ -218,6 +254,106 @@ def test_treatment_does_not_match_mrs():
         '{"case_id": "c", "index": 0, "speaker_id": "Chief", "speaker_role": "chief_justice", "text": "Mrs. Levy, proceed."}'
     )
     assert label_treatment(utts, "Mark Levy") is None
+
+
+def _label_treatment_reference(case_utterances, advocate_id, honorific_map=None):
+    """The per-surname regex search label_treatment replaced."""
+    honorific_map = honorific_map or {"Ms.": 1, "Mr.": 0}
+    surname = advocate_id.split()[-1]
+    patterns = {
+        hon: re.compile(r"(?<!\w)" + re.escape(hon) + r"\s+" + re.escape(surname) + r"(?!\w)")
+        for hon in honorific_map
+    }
+    for utt in sorted(case_utterances, key=lambda u: u.index):
+        if utt.speaker_role != "chief_justice":
+            continue
+        best = None
+        for hon, pattern in patterns.items():
+            match = pattern.search(utt.text)
+            if match and (best is None or match.start() < best[0]):
+                best = (match.start(), hon)
+        if best is not None:
+            return honorific_map[best[1]]
+    return None
+
+
+SURNAMES = ("Smith", "Sm", "O'Connell")
+HONORIFIC_MAPS = st.sampled_from(
+    [{"Ms.": 1, "Mr.": 0}, {"Mr.": 0, "Ms.": 1}, {"Mrs.": 1, "Mr.": 0}]
+)
+
+
+@st.composite
+def chief_turns(draw, surname):
+    """Turns mixing honorifics, whitespace runs and the surname with and without suffixes."""
+    honorific = st.sampled_from(["Ms.", "Mr.", "Mrs.", "MMs.", "xMr."])
+    space = st.sampled_from(["", " ", "  ", "\t", "\n", "\u00a0"])
+    name = st.sampled_from([surname + suffix for suffix in ("", "'s", "-Jones", ",", "son", ".")]
+                           + list(SURNAMES))
+    introduced = st.tuples(honorific, space, name).map("".join)
+    introduction = st.tuples(honorific, space, introduced | name | honorific).map("".join)
+    chunk = st.one_of(introduction, honorific | space | name)
+    text = st.lists(st.tuples(chunk, st.sampled_from([" ", ", ", ""])).map("".join),
+                    min_size=1, max_size=6).map("".join)
+    role = st.sampled_from(["chief_justice", "chief_justice", "justice", "advocate"])
+    return draw(st.lists(st.tuples(role, text), max_size=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), surname=st.sampled_from(SURNAMES), honorific_map=HONORIFIC_MAPS,
+       reverse=st.booleans())
+def test_treatment_matches_the_per_surname_regex_reference(data, surname, honorific_map, reverse):
+    turns = data.draw(chief_turns(surname))
+    utts = [Utterance("c", i, "Chief" if role == "chief_justice" else f"S{i}", role, text)
+            for i, (role, text) in enumerate(turns)]
+    if reverse:
+        utts.reverse()
+    advocate = "Alex " + surname
+    expected = _label_treatment_reference(utts, advocate, honorific_map)
+    assert label_treatment(utts, advocate, honorific_map) == expected
+
+
+def test_treatment_match_semantics():
+    def label(*texts, honorific_map=None):
+        utts = [Utterance("c", i, "Chief", "chief_justice", text) for i, text in enumerate(texts)]
+        return label_treatment(utts, "Mark Smith", honorific_map)
+
+    assert label("Mr. Smith's turn.") == 0
+    assert label("Mr. Smith-Jones, proceed.") == 0
+    assert label("Mr. Smithson, proceed.") is None
+    assert label("Mrs. Smith, proceed.") is None
+    assert label("Ms.\t\n Smith") == 1
+    assert label("We begin.", "Ms. Smith, then Mr. Smith.") == 1  # first qualifying turn
+    assert label("Mr. Smith, then Ms. Smith.", "Ms. Smith") == 0  # earliest position
+    assert label("Mr. Ms. Smith") == 1  # overlapping candidates are all seen
+    assert label("Mr.  Smith", honorific_map={"Mr.": 0, "Mr. ": 1}) == 0  # a tie: map order
+    assert label("Mr.  Smith", honorific_map={"Mr. ": 1, "Mr.": 0}) == 1
+    assert label("Mrs. Smith", honorific_map={"Mrs.": 1, "Mr.": 0}) == 1
+    # an honorific that is a prefix of another starts at the same position
+    assert label("Mr. Smith", honorific_map={"Mr": 1, "Mr.": 0}) == 0
+    assert label("Mr Smith", honorific_map={"Mr": 1, "Mr.": 0}) == 1
+
+
+def test_treatment_compiles_no_pattern_per_surname(monkeypatch):
+    compiles = []
+    compile_ = re._compile  # every re entry point compiles through re._compile
+
+    def counting(*args, **kwargs):
+        compiles.append(args[0])
+        return compile_(*args, **kwargs)
+
+    def label_all(n):
+        surnames = [f"Surname{i}" for i in range(n)]
+        utts = [Utterance("c", i, "Chief", "chief_justice", f"Ms. {name}, proceed.")
+                for i, name in enumerate(surnames)]
+        compiles.clear()
+        labels = [label_treatment(utts[i:i + 1], "Alex " + name) for i, name in enumerate(surnames)]
+        assert labels == [1] * n
+        return len(compiles)
+
+    monkeypatch.setattr(re, "_compile", counting)
+    few, many = label_all(2), label_all(2000)
+    assert many <= few <= 1
 
 
 # -- lexicon loading -----------------------------------------------------------
@@ -427,10 +563,12 @@ GOOD_RECORD = CausalRecord(unit_id="c:0", t=1, x={"x0": "0"}, m={"hedging": 1}, 
         (record_to_json(GOOD_RECORD).replace('"x0"', '"x1"'), "other variables than line 1"),
         (b"\xff\xfe", "not UTF-8"),
         ("[" * 100_000, "malformed causal record"),
+        (record_to_json(GOOD_RECORD), "duplicate unit_id 'c:0', first on line 1"),
+        (record_to_json(GOOD_RECORD).replace('"c:0"', '["c:0"]'), "unit_id must be a string"),
     ],
     ids=["non-json", "non-object", "missing-key", "non-integer-t", "float-t", "bool-y",
          "bool-fold", "negative-fold", "float-mediator-level", "other-variables", "non-utf8",
-         "deeply-nested"],
+         "deeply-nested", "duplicate-unit-id", "non-string-unit-id"],
 )
 def test_records_reader_rejects_malformed_line_with_its_number(bad_line, reason):
     if isinstance(bad_line, str):

@@ -117,3 +117,9 @@ def test_exact_tie_breaks_to_topic_zero():
 def test_proportions_sum_to_one(small_planted_model):
     theta = infer_proportions(small_planted_model, " ".join(TOPIC_A_WORDS))
     assert abs(theta.sum() - 1.0) < 1e-9
+
+
+def test_vocabulary_index_is_built_once_per_model(small_planted_model):
+    index = small_planted_model.vocab_index
+    assert index == {tok: i for i, tok in enumerate(small_planted_model.vocab)}
+    assert small_planted_model.vocab_index is index
