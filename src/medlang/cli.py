@@ -50,6 +50,17 @@ ARTIFACTS = (
 )
 
 
+#: JSON value types accepted for each RunConfig field annotation; a bool is
+#: accepted only where the field is a bool.
+_CONFIG_JSON_TYPES = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": (bool, "true or false"),
+    "tuple[str, ...]": (list, "a list of strings"),
+}
+
+
 @dataclass
 class RunConfig:
     """Configuration of a full pipeline run."""
@@ -103,11 +114,19 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {unknown}")
         if "transcripts" not in obj or "out" not in obj:
             raise ConfigError("config must set transcripts and out")
-        data = dict(obj)
-        if data.get("mediators"):
-            data["mediators"] = tuple(data["mediators"])
-        if data.get("confounders"):
-            data["confounders"] = tuple(data["confounders"])
+        data = {}
+        for key, value in obj.items():
+            # Field annotations are strings here; "| None" also admits null.
+            hint = cls.__dataclass_fields__[key].type
+            kind, nullable = hint.removesuffix(" | None"), hint.endswith(" | None")
+            types, expected = _CONFIG_JSON_TYPES[kind]
+            if value is not None or not nullable:
+                if (not isinstance(value, types) or isinstance(value, bool) != (kind == "bool")
+                        or isinstance(value, list) and not all(isinstance(v, str) for v in value)):
+                    expected += " or null" if nullable else ""
+                    raise ConfigError(f"config key {key!r} must be {expected}, "
+                                      f"got {type(value).__name__}")
+            data[key] = tuple(value) if isinstance(value, list) else value
         return cls(**data)
 
 

@@ -12,17 +12,22 @@ structural edges:
 - temporal_carryover (tau): every mediator of unit i depends on unit i-1's
   outcome.
 
-With all knobs off, sequential ignorability and mediator independence hold
-by construction, and true effects are computed exactly by enumeration over
-the finite (X, U, M) grid. A counterfactual Monte Carlo estimator provides
-an independent second oracle for cross-checking.
+Every law has finite parents, so each is evaluated exactly once, as a table
+over its parent grid (``_tabulate``): P(X = x) and P(T = 1 | x) by the
+mixed-radix confounder code x that CodedRecords carries; each mediator's
+distribution over (t, x, u, previous unit's outcome, first mediator); and
+P(Y = 1 | t, x, u, m_1..m_J). Validation checks those tables, sampling
+draws from their cumulative forms by inverse CDF, and the exact oracle is
+the mediation formula: a weighted sum over the same tables. With all knobs
+off, sequential ignorability and mediator independence hold by
+construction, so that sum gives the true effects. A counterfactual Monte
+Carlo estimator cross-checks the sum by simulation.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from typing import IO, Mapping, Sequence
 
@@ -140,6 +145,10 @@ class ScmSpec:
         )
 
     def validate(self) -> None:
+        """Raise ConfigError unless the spec is well formed and its laws are valid."""
+        _tabulate(self)
+
+    def _check_structure(self) -> None:
         if not self.confounders:
             raise ConfigError("spec needs at least one confounder")
         if not self.mediators:
@@ -193,12 +202,11 @@ class ScmSpec:
         check_conf_coeffs("outcome law", self.outcome.confounders)
         if set(self.outcome.mediators) != set(self.mediator_names):
             raise ConfigError("outcome law: mediator coefficient keys mismatch")
+        sizes = {ml.name: ml.levels for ml in self.mediators}
         for mname, vec in self.outcome.mediators.items():
-            sizes = {ml.name: ml.levels for ml in self.mediators}
             if len(vec) != sizes[mname]:
                 raise ConfigError(f"outcome law: coefficients for {mname!r} must cover every level")
         for mname, vec in self.outcome.tm_interactions.items():
-            sizes = {ml.name: ml.levels for ml in self.mediators}
             if mname not in sizes or len(vec) != sizes[mname]:
                 raise ConfigError(f"outcome law: bad interaction coefficients for {mname!r}")
         if (self.outcome.u_coeffs is None) != (self.u_law is None):
@@ -207,171 +215,111 @@ class ScmSpec:
             raise ConfigError("outcome law: u_coeffs length must equal n_u")
         if self.mediator_coupling != 0.0 and len(self.mediators) < 2:
             raise ConfigError("mediator coupling needs at least two mediators")
-        # Exhaustive evaluation over the finite parent grid: every law must
-        # produce finite, valid probabilities.
-        for t, xpos, u in self._parent_grid():
-            p = self.treatment_prob(xpos, u)
-            if not 0.0 <= p <= 1.0:
-                raise ConfigError("treatment law produced an invalid probability")
-            for j in range(len(self.mediators)):
-                probs = self.mediator_probs(j, t, xpos, u)
-                if not np.isfinite(probs).all():
-                    raise ConfigError(f"mediator {self.mediators[j].name!r} law is non-finite")
-            for mvec in itertools.product(*(range(ml.levels) for ml in self.mediators)):
-                if not np.isfinite(self.outcome_prob(mvec, t, xpos, u)):
-                    raise ConfigError("outcome law is non-finite")
-
-    # -- pointwise laws -----------------------------------------------------
-
-    def _parent_grid(self):
-        ranges = [range(len(p)) for p in self.confounders.values()]
-        for t in (0, 1):
-            for xpos in itertools.product(*ranges):
-                for u in range(self.n_u):
-                    yield t, xpos, u
-
-    def treatment_prob(self, xpos: Sequence[int], u: int = 0) -> float:
-        score = self.treatment.intercept
-        for value, (name, coefs) in zip(xpos, self.treatment.confounders.items()):
-            score += coefs[value]
-        return float(expit(score))
-
-    def mediator_probs(
-        self,
-        j: int,
-        t: int,
-        xpos: Sequence[int],
-        u: int = 0,
-        first_mediator: int = 0,
-        prev_outcome: int = 0,
-    ) -> np.ndarray:
-        ml = self.mediators[j]
-        scores = np.zeros(ml.levels)
-        for k in range(1, ml.levels):
-            s = ml.intercepts[k - 1] + ml.treatment[k - 1] * t
-            for value, name in zip(xpos, self.confounders):
-                s += ml.confounders[name][k - 1][value]
-            if ml.u_coeffs is not None:
-                s += ml.u_coeffs[k - 1][u]
-            if self.mediator_coupling != 0.0 and j == 1:
-                s += self.mediator_coupling * first_mediator
-            if self.temporal_carryover != 0.0:
-                s += self.temporal_carryover * prev_outcome
-            scores[k] = s
-        e = np.exp(scores - scores.max())
-        return e / e.sum()
-
-    def outcome_prob(self, mvec: Sequence[int], t: int, xpos: Sequence[int], u: int = 0) -> float:
-        law = self.outcome
-        score = law.intercept + law.treatment * t
-        for level, ml in zip(mvec, self.mediators):
-            score += law.mediators[ml.name][level]
-            inter = law.tm_interactions.get(ml.name)
-            if inter is not None:
-                score += inter[level] * t
-        for value, name in zip(xpos, self.confounders):
-            score += law.confounders[name][value]
-        if law.u_coeffs is not None:
-            score += law.u_coeffs[u]
-        return float(expit(score))
 
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "confounders": {k: list(v) for k, v in self.confounders.items()},
-            "treatment": {
-                "intercept": self.treatment.intercept,
-                "confounders": {k: list(v) for k, v in self.treatment.confounders.items()},
-            },
-            "mediators": [
-                {
-                    "name": ml.name,
-                    "levels": ml.levels,
-                    "intercepts": list(ml.intercepts),
-                    "treatment": list(ml.treatment),
-                    "confounders": {k: [list(r) for r in v] for k, v in ml.confounders.items()},
-                    "u_coeffs": [list(r) for r in ml.u_coeffs] if ml.u_coeffs else None,
-                }
-                for ml in self.mediators
-            ],
-            "outcome": {
-                "intercept": self.outcome.intercept,
-                "treatment": self.outcome.treatment,
-                "mediators": {k: list(v) for k, v in self.outcome.mediators.items()},
-                "tm_interactions": {
-                    k: list(v) for k, v in self.outcome.tm_interactions.items()
-                },
-                "confounders": {k: list(v) for k, v in self.outcome.confounders.items()},
-                "u_coeffs": list(self.outcome.u_coeffs) if self.outcome.u_coeffs else None,
-            },
-            "u_law": list(self.u_law) if self.u_law else None,
-            "mediator_coupling": self.mediator_coupling,
-            "temporal_carryover": self.temporal_carryover,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "ScmSpec":
-        def rows(value):
-            return tuple(tuple(float(c) for c in row) for row in value) if value else None
+    def from_dict(cls, obj) -> "ScmSpec":
+        """Build and validate a spec from parsed JSON.
 
+        A wrong shape, a missing key or a wrong value type is a DataError that
+        names the key; a well-typed spec with an invalid law is a ConfigError.
+        """
+        root = _SpecNode(obj)
+        treatment, outcome = root["treatment"], root["outcome"]
         spec = cls(
-            confounders={k: tuple(float(p) for p in v) for k, v in obj["confounders"].items()},
+            confounders=root["confounders"].by_name(1),
             treatment=TreatmentLaw(
-                intercept=float(obj["treatment"]["intercept"]),
-                confounders={
-                    k: tuple(float(c) for c in v)
-                    for k, v in obj["treatment"]["confounders"].items()
-                },
+                intercept=treatment["intercept"].floats(0),
+                confounders=treatment["confounders"].by_name(1),
             ),
             mediators=tuple(
                 MediatorLaw(
-                    name=m["name"],
-                    levels=int(m["levels"]),
-                    intercepts=tuple(float(c) for c in m["intercepts"]),
-                    treatment=tuple(float(c) for c in m["treatment"]),
-                    confounders={k: rows(v) for k, v in m["confounders"].items()},
-                    u_coeffs=rows(m.get("u_coeffs")),
+                    name=m["name"].of(str, "a string"),
+                    levels=m["levels"].of(int, "an integer"),
+                    intercepts=m["intercepts"].floats(1),
+                    treatment=m["treatment"].floats(1),
+                    confounders=m["confounders"].by_name(2),
+                    u_coeffs=m.get("u_coeffs", 2),
                 )
-                for m in obj["mediators"]
+                for m in root["mediators"].elements()
             ),
             outcome=OutcomeLaw(
-                intercept=float(obj["outcome"]["intercept"]),
-                treatment=float(obj["outcome"]["treatment"]),
-                mediators={
-                    k: tuple(float(c) for c in v) for k, v in obj["outcome"]["mediators"].items()
-                },
-                tm_interactions={
-                    k: tuple(float(c) for c in v)
-                    for k, v in (obj["outcome"].get("tm_interactions") or {}).items()
-                },
-                confounders={
-                    k: tuple(float(c) for c in v)
-                    for k, v in obj["outcome"]["confounders"].items()
-                },
-                u_coeffs=(
-                    tuple(float(c) for c in obj["outcome"]["u_coeffs"])
-                    if obj["outcome"].get("u_coeffs")
-                    else None
-                ),
+                intercept=outcome["intercept"].floats(0),
+                treatment=outcome["treatment"].floats(0),
+                mediators=outcome["mediators"].by_name(1),
+                tm_interactions=(outcome["tm_interactions"].by_name(1)
+                                 if outcome.is_set("tm_interactions") else {}),
+                confounders=outcome["confounders"].by_name(1),
+                u_coeffs=outcome.get("u_coeffs", 1),
             ),
-            u_law=tuple(float(p) for p in obj["u_law"]) if obj.get("u_law") else None,
-            mediator_coupling=float(obj.get("mediator_coupling", 0.0)),
-            temporal_carryover=float(obj.get("temporal_carryover", 0.0)),
-            seed=int(obj.get("seed", 0)),
+            u_law=root.get("u_law", 1),
+            mediator_coupling=root.get("mediator_coupling", 0, 0.0),
+            temporal_carryover=root.get("temporal_carryover", 0, 0.0),
+            seed=root["seed"].of(int, "an integer") if root.is_set("seed") else 0,
         )
         spec.validate()
         return spec
 
 
+class _SpecNode:
+    """One value of a parsed spec file with its key path, read with type checks.
+
+    A wrong shape, a missing key or a wrong value type is a DataError that
+    names the path, e.g. ``spec.mediators[1].intercepts[0]``.
+    """
+
+    def __init__(self, value, path: str = "spec"):
+        self.value = value
+        self.path = path
+
+    def of(self, kind, expected: str):
+        """The value, if it is an instance of kind; a bool is never a number."""
+        if not isinstance(self.value, kind) or isinstance(self.value, bool):
+            raise DataError(f"structural model: {self.path} must be {expected}, "
+                            f"got {type(self.value).__name__}")
+        return self.value
+
+    def __getitem__(self, key: str) -> "_SpecNode":
+        if key not in self.of(dict, "an object"):
+            raise DataError(f"structural model: {self.path} has no key {key!r}")
+        return _SpecNode(self.value[key], f"{self.path}.{key}")
+
+    def is_set(self, key: str) -> bool:
+        """Whether key holds a value other than null or an empty list or object."""
+        return self.of(dict, "an object").get(key) not in (None, [], {})
+
+    def get(self, key: str, depth: int, default=None):
+        """floats(depth) of the value at key, or default if it is not set."""
+        return self[key].floats(depth) if self.is_set(key) else default
+
+    def elements(self) -> list["_SpecNode"]:
+        return [_SpecNode(v, f"{self.path}[{i}]") for i, v in enumerate(self.of(list, "a list"))]
+
+    def by_name(self, depth: int) -> dict[str, tuple]:
+        return {key: self[key].floats(depth) for key in self.of(dict, "an object")}
+
+    def floats(self, depth: int):
+        """A number (depth 0), or a list of depth - 1 values, as floats."""
+        if depth:
+            return tuple(node.floats(depth - 1) for node in self.elements())
+        try:
+            return float(self.of((int, float), "a number"))
+        except OverflowError:
+            raise DataError(f"structural model: {self.path} is out of range") from None
+
+
 def load_scm_spec(source: IO[str] | str) -> ScmSpec:
-    text = source if isinstance(source, str) else source.read()
     try:
-        obj = json.loads(text)
+        obj = json.loads(source if isinstance(source, str) else source.read())
+    except UnicodeDecodeError as exc:
+        raise DataError("malformed structural model file: not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed structural model file: {exc.msg}") from exc
     except RecursionError as exc:
@@ -402,51 +350,112 @@ class GenerateResult:
     case_metadata: dict[str, dict] | None = None
 
 
-def _sample_categorical(probs: Sequence[float], eps: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(np.asarray(probs, dtype=float))
-    cum[-1] = 1.0
-    return (eps[:, None] >= cum[None, :]).sum(axis=1)
+@dataclass(frozen=True)
+class _LawTables:
+    """Every law of a spec, evaluated once over its finite parent grid.
+
+    x is the mixed-radix code of the confounder levels in spec order (the
+    code CodedRecords carries); u is the latent level, always 0 without a
+    u_law. Mediator tables carry two knob axes: the previous unit's outcome
+    (temporal carryover) and the first mediator's level (coupling, which
+    enters only the second mediator's law).
+    """
+
+    x: np.ndarray  # P(X = x), shape (n_x,)
+    u: np.ndarray  # P(U = u), shape (n_u,)
+    treatment: np.ndarray  # P(T = 1 | x), shape (n_x,)
+    # P(M_j = k | t, x, u, prev_y, m_1), shape (2, n_x, n_u, 2, K_1, K_j) per mediator
+    mediators: tuple[np.ndarray, ...]
+    outcome: np.ndarray  # P(Y = 1 | t, x, u, m_1..m_J), shape (2, n_x, n_u, K_1, ..., K_J)
 
 
-def _mediator_base_scores(spec: ScmSpec, j: int, t: np.ndarray,
-                          xpos: dict[str, np.ndarray], u: np.ndarray) -> np.ndarray:
-    """(n, K) score matrix before coupling/carryover terms."""
-    ml = spec.mediators[j]
-    n = t.shape[0]
-    scores = np.zeros((n, ml.levels))
-    for k in range(1, ml.levels):
-        s = ml.intercepts[k - 1] + ml.treatment[k - 1] * t
-        for name in spec.confounders:
-            s = s + np.asarray(ml.confounders[name][k - 1])[xpos[name]]
-        if ml.u_coeffs is not None:
-            s = s + np.asarray(ml.u_coeffs[k - 1])[u]
-        scores[:, k] = s
-    return scores
+def _tabulate(spec: ScmSpec) -> _LawTables:
+    """Check the spec's structure, tabulate every law and check its values.
 
+    Each score adds its terms in one fixed order (intercept, treatment,
+    mediators, confounders in spec order, u, carryover, coupling), so
+    generation and both oracles read the same floats.
+    """
+    spec._check_structure()
+    names = spec.confounder_names
+    x_levels = np.indices([len(spec.confounders[name]) for name in names]).reshape(len(names), -1)
+    n_x, n_u = x_levels.shape[1], spec.n_u
 
-def _softmax_sample(scores: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
-    cum = np.cumsum(probs, axis=1)
-    cum[:, -1] = 1.0
-    return (eps[:, None] >= cum).sum(axis=1)
+    def add_confounders(score, coeffs, x):
+        for vec, levels in zip(coeffs, x_levels):
+            score = score + np.asarray(vec)[levels[x]]
+        return score
 
+    p_x = 1.0
+    for name, levels in zip(names, x_levels):
+        p_x = p_x * np.asarray(spec.confounders[name])[levels]
+    law_t = spec.treatment
+    treatment = expit(add_confounders(np.full(n_x, law_t.intercept),
+                                      [law_t.confounders[name] for name in names], np.arange(n_x)))
 
-def _outcome_logit(spec: ScmSpec, m: dict[str, np.ndarray], t: np.ndarray,
-                   xpos: dict[str, np.ndarray], u: np.ndarray) -> np.ndarray:
-    law = spec.outcome
-    score = law.intercept + law.treatment * t.astype(float)
-    for ml in spec.mediators:
-        score = score + np.asarray(law.mediators[ml.name])[m[ml.name]]
-        inter = law.tm_interactions.get(ml.name)
+    parents = (2, n_x, n_u, 2, spec.mediators[0].levels)
+    t, x, u, prev_y, first = np.ix_(*(np.arange(size) for size in parents))
+    mediators = []
+    for j, ml in enumerate(spec.mediators):
+        coupling = spec.mediator_coupling if j == 1 else 0.0
+        scores = np.zeros(parents + (ml.levels,))
+        for k in range(1, ml.levels):
+            s = add_confounders(ml.intercepts[k - 1] + ml.treatment[k - 1] * t,
+                                [ml.confounders[name][k - 1] for name in names], x)
+            if ml.u_coeffs is not None:
+                s = s + np.asarray(ml.u_coeffs[k - 1])[u]
+            scores[..., k] = s + spec.temporal_carryover * prev_y + coupling * first
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        mediators.append(e / e.sum(axis=-1, keepdims=True))
+
+    law_y = spec.outcome
+    t, x, u, *m = np.ix_(np.arange(2), np.arange(n_x), np.arange(n_u),
+                         *(np.arange(ml.levels) for ml in spec.mediators))
+    score = law_y.intercept + law_y.treatment * t
+    for ml, levels in zip(spec.mediators, m):
+        score = score + np.asarray(law_y.mediators[ml.name])[levels]
+        inter = law_y.tm_interactions.get(ml.name)
         if inter is not None:
-            score = score + np.asarray(inter)[m[ml.name]] * t
-    for name in spec.confounders:
-        score = score + np.asarray(law.confounders[name])[xpos[name]]
-    if law.u_coeffs is not None:
-        score = score + np.asarray(law.u_coeffs)[u]
-    return score
+            score = score + np.asarray(inter)[levels] * t
+    score = add_confounders(score, [law_y.confounders[name] for name in names], x)
+    if law_y.u_coeffs is not None:
+        score = score + np.asarray(law_y.u_coeffs)[u]
+    outcome = expit(score)
+
+    if not ((treatment >= 0.0) & (treatment <= 1.0)).all():
+        raise ConfigError("treatment law produced an invalid probability")
+    for ml, table in zip(spec.mediators, mediators):
+        if not np.isfinite(table).all():
+            raise ConfigError(f"mediator {ml.name!r} law is non-finite")
+    if not np.isfinite(outcome).all():
+        raise ConfigError("outcome law is non-finite")
+    u_law = spec.u_law if spec.u_law is not None else (1.0,)
+    return _LawTables(x=p_x, u=np.asarray(u_law, dtype=float), treatment=treatment,
+                      mediators=tuple(mediators), outcome=outcome)
+
+
+def _cdf(pmf) -> np.ndarray:
+    """Cumulative distribution over the last axis, its top pinned to exactly 1."""
+    cdf = np.cumsum(np.asarray(pmf, dtype=float), axis=-1)
+    cdf[..., -1] = 1.0
+    return cdf
+
+
+def _inverse_cdf(cdf: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """The level each uniform in eps draws from its row of cdf (or from one shared row)."""
+    return (eps[:, None] >= cdf).sum(axis=1)
+
+
+def _draw_confounders(spec: ScmSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Mixed-radix x codes of size draws, one uniform vector per confounder in spec order.
+
+    spec.domains() lists each confounder's levels in index order, so a
+    level's position in the domain is its drawn index.
+    """
+    x = np.zeros(size, dtype=np.int64)
+    for probs in spec.confounders.values():
+        x = x * len(probs) + _inverse_cdf(_cdf(probs), rng.random(size))
+    return x
 
 
 RENDERABLE_MEDIATORS = ("hedging", "disfluency")
@@ -484,9 +493,13 @@ def generate(
 ) -> GenerateResult:
     """Sample n units as CodedRecords; identical (spec, n, seed) reproduce them exactly.
 
-    All uniform draws are generated up front in a fixed order, so the
-    vectorized path (no carryover) and the sequential path (carryover on)
-    agree whenever both apply. When ``render`` is set, each unit becomes a
+    All uniform draws are generated up front in a fixed order, and each
+    becomes a level by inverse CDF on the law tables. Under temporal
+    carryover a unit's mediators and outcome also depend on the previous
+    unit's outcome; that outcome is binary, so every unit's draws are made
+    under both values at once and one pass over the units follows the chain.
+
+    When ``render`` is set, each unit becomes a
     three-turn case (introduction, advocate turn, justice response) whose
     measured hedging/disfluency/interruption markers reproduce the sampled
     mediators and outcome exactly; confounder levels travel in the case
@@ -497,7 +510,7 @@ def generate(
 
     The records carry ``spec.domains()``.
     """
-    spec.validate()
+    laws = _tabulate(spec)
     if n < 0:
         raise ConfigError(f"n must be non-negative, got {n}")
     if render and any(name not in RENDERABLE_MEDIATORS for name in spec.mediator_names):
@@ -507,55 +520,31 @@ def generate(
         )
 
     rng = np.random.default_rng(spec.seed if seed is None else seed)
-    eps_x = {name: rng.random(n) for name in spec.confounders}
+    x = _draw_confounders(spec, rng, n)
     eps_u = rng.random(n)
     eps_t = rng.random(n)
-    eps_m = {ml.name: rng.random(n) for ml in spec.mediators}
+    eps_m = [rng.random(n) for _ in spec.mediators]
     eps_y = rng.random(n)
+    u = _inverse_cdf(_cdf(laws.u), eps_u)
+    t = (eps_t < laws.treatment[x]).astype(np.int64)
+    cdfs = [_cdf(table) for table in laws.mediators]
 
-    xpos = {name: _sample_categorical(probs, eps_x[name])
-            for name, probs in spec.confounders.items()}
-    u = (_sample_categorical(spec.u_law, eps_u) if spec.u_law is not None
-         else np.zeros(n, dtype=np.int64))
+    def draw(prev_y):
+        """Every unit's mediator levels and outcome, given its previous unit's outcome."""
+        levels: list[np.ndarray] = []
+        for cdf, eps in zip(cdfs, eps_m):
+            levels.append(_inverse_cdf(cdf[t, x, u, prev_y, levels[0] if levels else 0], eps))
+        return levels, (eps_y < laws.outcome[(t, x, u, *levels)]).astype(np.int64)
 
-    t_score = np.full(n, spec.treatment.intercept)
-    for name in spec.confounders:
-        t_score = t_score + np.asarray(spec.treatment.confounders[name])[xpos[name]]
-    t = (eps_t < expit(t_score)).astype(np.int64)
-
-    m: dict[str, np.ndarray] = {}
-    if spec.temporal_carryover == 0.0:
-        for j, ml in enumerate(spec.mediators):
-            scores = _mediator_base_scores(spec, j, t, xpos, u)
-            if spec.mediator_coupling != 0.0 and j == 1:
-                first = m[spec.mediators[0].name]
-                scores[:, 1:] += spec.mediator_coupling * first[:, None]
-            m[ml.name] = _softmax_sample(scores, eps_m[ml.name])
-        y = (eps_y < expit(_outcome_logit(spec, m, t, xpos, u))).astype(np.int64)
-    else:
-        base = [_mediator_base_scores(spec, j, t, xpos, u) for j in range(len(spec.mediators))]
-        m = {ml.name: np.zeros(n, dtype=np.int64) for ml in spec.mediators}
-        y = np.zeros(n, dtype=np.int64)
-        prev_y = 0
-        for i in range(n):
-            first_value = 0
-            for j, ml in enumerate(spec.mediators):
-                scores = base[j][i].copy()
-                scores[1:] += spec.temporal_carryover * prev_y
-                if spec.mediator_coupling != 0.0 and j == 1:
-                    scores[1:] += spec.mediator_coupling * first_value
-                shifted = np.exp(scores - scores.max())
-                cum = np.cumsum(shifted / shifted.sum())
-                cum[-1] = 1.0
-                level = int((eps_m[ml.name][i] >= cum).sum())
-                m[ml.name][i] = level
-                if j == 0:
-                    first_value = level
-            xp = tuple(int(xpos[name][i]) for name in spec.confounders)
-            mvec = tuple(int(m[ml.name][i]) for ml in spec.mediators)
-            p_y = spec.outcome_prob(mvec, int(t[i]), xp, int(u[i]))
-            y[i] = int(eps_y[i] < p_y)
-            prev_y = int(y[i])
+    prev_y = 0
+    if spec.temporal_carryover != 0.0:
+        chain, y_last = [], 0
+        for y_if_0, y_if_1 in zip(*(draw(value)[1].tolist() for value in (0, 1))):
+            chain.append(y_last)
+            y_last = y_if_1 if y_last else y_if_0
+        prev_y = np.asarray(chain, dtype=np.int64)
+    levels, y = draw(prev_y)
+    m = dict(zip(spec.mediator_names, levels))
 
     if render:
         unit_ids = [f"case{i:07d}:1" for i in range(n)]
@@ -565,11 +554,6 @@ def generate(
         fold_seed = derive_seed(spec.seed if seed is None else seed, "folds")
     folds = assign_folds(unit_ids, n_folds, fold_seed) if n else {}
 
-    # spec.domains() lists each confounder's levels in index order, so a
-    # level's position is its sampled index.
-    x = np.zeros(n, dtype=np.int64)
-    for name, probs in spec.confounders.items():
-        x = x * len(probs) + xpos[name]
     records = CodedRecords(
         unit_ids=tuple(unit_ids),
         t=t,
@@ -594,7 +578,7 @@ def generate(
 
 
 # ---------------------------------------------------------------------------
-# Exact oracle by enumeration
+# Exact oracle: the mediation formula over the law tables
 # ---------------------------------------------------------------------------
 
 
@@ -632,51 +616,41 @@ def _resolve_mediator(spec: ScmSpec, mediator_name: str | None) -> int:
         raise ConfigError(f"unknown mediator {mediator_name!r}; spec has {names}")
 
 
-def exact_effects(spec: ScmSpec, mediator_name: str | None = None) -> OracleResult:
-    """Exact NDE/NIE/TE for one mediator by summation over the finite grid.
+def _ordered_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the last axis in index order (np.sum adds pairwise, which rounds differently)."""
+    return np.cumsum(a, axis=-1)[..., -1]
 
+
+def exact_effects(spec: ScmSpec, mediator_name: str | None = None) -> OracleResult:
+    """Exact NDE/NIE/TE for one mediator: the mediation formula over the law tables.
+
+    Each contrast is built from E[Y(t, M_j(a), M_rest(b))], the sum over
+    (x, u, m) of P(x) P(u) P(m_j | a, x, u) prod_{k != j} P(m_k | b, x, u)
+    P(Y = 1 | t, x, u, m) (Pearl, "Direct and Indirect Effects", UAI 2001).
     Other mediators follow treatment naturally (they are part of the
     pathway the per-mediator analysis leaves aside); an unmeasured
     confounder, when present, is marginalized as part of the true law.
+    Cells are summed in index order: m innermost, then u, then x.
     """
-    spec.validate()
+    laws = _tabulate(spec)
     _require_oracle_clean(spec)
     j = _resolve_mediator(spec, mediator_name)
+    w = (laws.x[:, None] * laws.u[None, :]).reshape(-1)
+    # P(m_k | t, x, u) with both knob axes at 0, shaped to broadcast over the m grid.
+    m_axes = range(3, 3 + len(spec.mediators))
+    pmfs = [np.expand_dims(table[:, :, :, 0, 0], [a for a in m_axes if a != 3 + k])
+            for k, table in enumerate(laws.mediators)]
 
-    u_probs = spec.u_law if spec.u_law is not None else (1.0,)
-    level_ranges = [range(ml.levels) for ml in spec.mediators]
-    x_items = list(spec.confounders.items())
+    def mean_outcome(t: int, a: int, b: int) -> float:
+        """E[Y(t, M_j(a), M_rest(b))]."""
+        weight = 1.0
+        for k, pmf in enumerate(pmfs):
+            weight = weight * pmf[a if k == j else b]
+        cells = (weight * laws.outcome[t]).reshape(w.size, -1)
+        return float(_ordered_sum(w * _ordered_sum(cells)))
 
-    y11 = y00 = y_nde_treated = y_nie = 0.0
-    for xpos in itertools.product(*(range(len(p)) for _, p in x_items)):
-        p_x = 1.0
-        for (name, probs), value in zip(x_items, xpos):
-            p_x *= probs[value]
-        for u, p_u in enumerate(u_probs):
-            w = p_x * p_u
-            if w == 0.0:
-                continue
-            probs0 = [spec.mediator_probs(jj, 0, xpos, u) for jj in range(len(spec.mediators))]
-            probs1 = [spec.mediator_probs(jj, 1, xpos, u) for jj in range(len(spec.mediators))]
-
-            def expected_y(t_out: int, probs_by_mediator: list[np.ndarray]) -> float:
-                total = 0.0
-                for mvec in itertools.product(*level_ranges):
-                    weight = 1.0
-                    for jj, level in enumerate(mvec):
-                        weight *= float(probs_by_mediator[jj][level])
-                    if weight == 0.0:
-                        continue
-                    total += weight * spec.outcome_prob(mvec, t_out, xpos, u)
-                return total
-
-            mixed_nde = [probs0[jj] if jj == j else probs1[jj] for jj in range(len(spec.mediators))]
-            mixed_nie = [probs1[jj] if jj == j else probs0[jj] for jj in range(len(spec.mediators))]
-            y11 += w * expected_y(1, probs1)
-            y00 += w * expected_y(0, probs0)
-            y_nde_treated += w * expected_y(1, mixed_nde)
-            y_nie += w * expected_y(0, mixed_nie)
-
+    y00, y11 = mean_outcome(0, 0, 0), mean_outcome(1, 1, 1)
+    y_nde_treated, y_nie = mean_outcome(1, 0, 1), mean_outcome(0, 1, 0)
     result = OracleResult(
         mediator_name=spec.mediators[j].name,
         nde_true=y_nde_treated - y00,
@@ -693,7 +667,7 @@ def exact_effects_all(spec: ScmSpec) -> dict[str, OracleResult]:
 
 
 # ---------------------------------------------------------------------------
-# Counterfactual Monte Carlo (independent second oracle)
+# Counterfactual Monte Carlo (second oracle, simulating from the same tables)
 # ---------------------------------------------------------------------------
 
 
@@ -709,12 +683,15 @@ class MonteCarloEffects:
     n_draws: int
 
 
+#: Draws per Monte Carlo batch; the batch size fixes the random stream.
+_MC_BATCH = 1_000_000
+
+
 def monte_carlo_effects(
     spec: ScmSpec,
     mediator_name: str | None = None,
     n_draws: int = 10_000_000,
     seed: int = 0,
-    chunk_size: int = 1_000_000,
 ) -> MonteCarloEffects:
     """Counterfactual simulation of the potential-outcome contrasts.
 
@@ -723,51 +700,37 @@ def monte_carlo_effects(
     coherent counterfactuals; averages estimate the same estimands as
     exact_effects.
     """
-    spec.validate()
+    if n_draws < 1:
+        raise ConfigError(f"n_draws must be at least 1, got {n_draws}")
+    laws = _tabulate(spec)
     _require_oracle_clean(spec)
     j = _resolve_mediator(spec, mediator_name)
-    names = list(spec.confounders)
+    cdfs = [_cdf(table[:, :, :, 0, 0]) for table in laws.mediators]
     rng = np.random.default_rng(seed)
 
     sums = np.zeros(3)
     sq_sums = np.zeros(3)
-    done = 0
-    while done < n_draws:
-        size = min(chunk_size, n_draws - done)
-        xpos = {
-            name: _sample_categorical(spec.confounders[name], rng.random(size))
-            for name in names
-        }
-        u = (_sample_categorical(spec.u_law, rng.random(size)) if spec.u_law is not None
+    for start in range(0, n_draws, _MC_BATCH):
+        size = min(_MC_BATCH, n_draws - start)
+        x = _draw_confounders(spec, rng, size)
+        u = (_inverse_cdf(_cdf(laws.u), rng.random(size)) if spec.u_law is not None
              else np.zeros(size, dtype=np.int64))
-        m_arm: dict[int, dict[str, np.ndarray]] = {0: {}, 1: {}}
-        for jj, ml in enumerate(spec.mediators):
+        arms: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
+        for cdf in cdfs:
             eps = rng.random(size)
             for t_arm in (0, 1):
-                scores = _mediator_base_scores(
-                    spec, jj, np.full(size, t_arm, dtype=np.int64), xpos, u
-                )
-                m_arm[t_arm][ml.name] = _softmax_sample(scores, eps)
+                arms[t_arm].append(_inverse_cdf(cdf[t_arm, x, u], eps))
         eps_y = rng.random(size)
 
-        def y_of(t_out: int, m_map: dict[str, np.ndarray]) -> np.ndarray:
-            t_vec = np.full(size, t_out, dtype=np.int64)
-            return (eps_y < expit(_outcome_logit(spec, m_map, t_vec, xpos, u))).astype(np.int64)
+        def y_of(t: int, a: int, b: int) -> np.ndarray:
+            """Y(t, M_j(a), M_rest(b)) of every draw."""
+            levels = [arms[a if k == j else b][k] for k in range(len(cdfs))]
+            return (eps_y < laws.outcome[(t, x, u, *levels)]).astype(np.int64)
 
-        name_j = spec.mediators[j].name
-        m_nde = {n_: (m_arm[0][n_] if n_ == name_j else m_arm[1][n_]) for n_ in m_arm[0]}
-        m_nie = {n_: (m_arm[1][n_] if n_ == name_j else m_arm[0][n_]) for n_ in m_arm[0]}
-        y_base = y_of(0, m_arm[0])
-        diffs = np.stack(
-            [
-                y_of(1, m_nde) - y_base,
-                y_of(0, m_nie) - y_base,
-                y_of(1, m_arm[1]) - y_base,
-            ]
-        )
+        y_base = y_of(0, 0, 0)
+        diffs = np.stack([y_of(1, 0, 1) - y_base, y_of(0, 1, 0) - y_base, y_of(1, 1, 1) - y_base])
         sums += diffs.sum(axis=1)
         sq_sums += (diffs * diffs).sum(axis=1)
-        done += size
 
     means = sums / n_draws
     variances = np.maximum(sq_sums / n_draws - means**2, 0.0)

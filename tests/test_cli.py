@@ -287,6 +287,39 @@ def test_config_validation():
         RunConfig.from_dict({"out": "y"})
 
 
+@pytest.mark.parametrize(
+    "key, value, reason",
+    [
+        ("folds", "2", "'folds' must be an integer, got str"),
+        ("folds", True, "'folds' must be an integer, got bool"),
+        ("ci", False, "'ci' must be a number, got bool"),
+        ("mediators", "hedging", "'mediators' must be a list of strings, got str"),
+        ("mediators", ["hedging", 1], "'mediators' must be a list of strings"),
+        ("confounders", "x0", "'confounders' must be a list of strings or null"),
+        ("strict_marker", 1, "'strict_marker' must be true or false, got int"),
+        ("meta", 5, "'meta' must be a string or null, got int"),
+    ],
+)
+def test_config_value_types(key, value, reason):
+    with pytest.raises(ConfigError, match=reason):
+        RunConfig.from_dict({"transcripts": "x", "out": "y", key: value})
+
+
+def test_config_accepts_nulls_and_lists():
+    config = RunConfig.from_dict({"transcripts": "x", "out": "y", "meta": None, "topics": None,
+                                  "mediators": ["hedging"], "confounders": ["x0"], "ci": 1})
+    assert config.mediators == ("hedging",) and config.confounders == ("x0",)
+    assert config.meta is None and config.topics is None
+
+
+def test_config_value_type_error_exits_2(tmp_path, capsys, paired_transcript_path,
+                                         paired_meta_path):
+    config_path, _ = write_config(tmp_path, paired_transcript_path, paired_meta_path,
+                                  mediators="hedging")
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert "'mediators' must be a list of strings" in capsys.readouterr().err
+
+
 def test_run_requires_config_or_manifest():
     assert main(["run"]) == 2
 
@@ -326,6 +359,36 @@ def test_deeply_nested_spec_is_data_error(tmp_path, capsys, command):
     spec.write_text("[" * 100_000, encoding="utf-8")
     assert main([*command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 3
     assert "nested too deeply" in capsys.readouterr().err
+
+
+def _fixture_spec_with_string_intercept() -> bytes:
+    from medlang.scm import load_fixture
+
+    obj = json.loads(load_fixture("binary_scm").to_json())
+    obj["treatment"]["intercept"] = "a"
+    return json.dumps(obj).encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["simulate", "--n", "10"], ["study", "--knob", "unmeasured_confounder", "--grid", "0"]],
+    ids=["simulate", "study"],
+)
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (b"[]", "spec must be an object, got list"),
+        (b'{"confounders": {}}', "spec has no key 'treatment'"),
+        (_fixture_spec_with_string_intercept(), "spec.treatment.intercept must be a number"),
+        (b'{"seed": "\xff"}', "not UTF-8 text"),
+    ],
+    ids=["not-an-object", "missing-key", "string-number", "non-utf8"],
+)
+def test_malformed_spec_is_data_error(tmp_path, capsys, command, text, reason):
+    spec = tmp_path / "spec.json"
+    spec.write_bytes(text)
+    assert main([*command, "--spec", str(spec), "--out", str(tmp_path / "out")]) == 3
+    assert reason in capsys.readouterr().err
 
 
 def test_report_rejects_malformed_lines_with_exit_3(tmp_path, capsys):
