@@ -20,7 +20,14 @@ from pathlib import Path
 from typing import Sequence
 
 from . import glm, mediation, scm
-from .corpus import _iter_lines, extract_units, parse_case_metadata, parse_transcript, unit_to_json
+from .corpus import (
+    _iter_lines,
+    extract_units,
+    parse_case_metadata,
+    parse_transcript,
+    unit_to_json,
+    write_transcript,
+)
 from .errors import ConfigError, DataError, MedlangError, ParseError
 from .measure import (
     BuildResult,
@@ -145,6 +152,11 @@ def _sha256_file(path: Path) -> str:
 
 def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
+
+
+def _write_records(path: Path, records: glm.CodedRecords) -> None:
+    """Write a records file: one record_to_json line per record."""
+    _write_text(path, "".join(record_to_json(r) + "\n" for r in records))
 
 
 def _fit_topic_model_for_units(units, config: RunConfig):
@@ -294,9 +306,7 @@ def run_pipeline(config: RunConfig) -> dict:
     _write_text(out / "units.ndjson", "".join(unit_to_json(u) + "\n" for u in units))
 
     build = measure_units(units, utterances, config)
-    _write_text(
-        out / "records.ndjson", "".join(record_to_json(r) + "\n" for r in build.records)
-    )
+    _write_records(out / "records.ndjson", build.records)
     known = build.records.domains.mediator_sizes
     missing = [m for m in config.mediators if m not in known]
     if missing:
@@ -410,7 +420,7 @@ def cmd_measure(args) -> int:
     )
     build = measure_units(units, utterances, config)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    _write_text(Path(args.out), "".join(record_to_json(r) + "\n" for r in build.records))
+    _write_records(Path(args.out), build.records)
     for reason, count in sorted(build.exclusion_counts().items()):
         print(f"excluded {count} units: {reason}", file=sys.stderr)
     print(f"wrote {len(build.records)} records to {args.out}")
@@ -471,14 +481,10 @@ def cmd_simulate(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "records.ndjson", "".join(record_to_json(r) + "\n" for r in result.records))
+    _write_records(out / "records.ndjson", result.records)
     if args.render:
-        from .corpus import utterance_to_json
-
-        _write_text(
-            out / "transcripts.ndjson",
-            "".join(utterance_to_json(u) + "\n" for u in result.utterances),
-        )
+        with open(out / "transcripts.ndjson", "w", encoding="utf-8") as fh:
+            write_transcript(result.utterances, fh)
         meta_lines = [
             json.dumps({"case_id": cid, **attrs}, sort_keys=True)
             for cid, attrs in sorted(result.case_metadata.items())

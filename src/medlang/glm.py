@@ -12,9 +12,12 @@ so results are bit-identical under any record permutation). Grid cells with
 no training observations are filled with the Laplace pseudo-count default
 (uniform over levels, 0.5 per class) and logged, never silently defaulted.
 
-Every fit goes through one Newton/IRLS loop over a stack of count tables
-that share a design, so the folds of one model and the replicates of a
-bootstrap are solved together.
+Every fit goes through one step, fit_mediator_tables/fit_outcome_tables:
+a stack of training cell counts (folds, or bootstrap replicates x folds)
+is solved in one Newton/IRLS loop over a shared design, empty cells get
+the default, and valid_mediator_tables/valid_outcome_tables decide which
+members are probability tables. The point fit and every bootstrap
+replicate take the same path.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from typing import IO, Mapping, Sequence
+from typing import IO, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import softmax, xlogy
@@ -58,9 +61,6 @@ class CrossFitPlan:
     n_folds: int
     fold_of: Mapping[str, int]
 
-    def test_ids(self, fold: int) -> frozenset[str]:
-        return frozenset(uid for uid, f in self.fold_of.items() if f == fold)
-
     def validate(self) -> None:
         folds = set(self.fold_of.values())
         if folds != set(range(self.n_folds)):
@@ -81,52 +81,70 @@ class FoldDiagnostics:
     coefficients: np.ndarray
 
 
+def valid_mediator_tables(table: np.ndarray) -> np.ndarray:
+    """Which members of a (..., 2, n_x, K) stack are probability tables.
+
+    A member is valid if every cell lies in [0, 1] and every (t, x) row sums
+    to 1; NaN fails every comparison, so non-finite cells are invalid too.
+    Returns (...) booleans.
+    """
+    in_range = ((table >= 0) & (table <= 1)).all(axis=(-3, -2, -1))
+    return in_range & np.isclose(table.sum(axis=-1), 1.0, atol=1e-9).all(axis=(-2, -1))
+
+
+def valid_outcome_tables(table: np.ndarray) -> np.ndarray:
+    """Which members of a (..., K, 2, n_x) stack have every cell in [0, 1] (NaN is not)."""
+    return ((table >= 0) & (table <= 1)).all(axis=(-3, -2, -1))
+
+
 @dataclass(frozen=True)
-class FittedMediatorModel:
-    """Per-fold tables P(M = m | T = t, X = x) over the full finite grid."""
+class _FittedModel:
+    """One nuisance model's per-fold tables; a subclass names its kind and validity rule."""
 
     mediator_name: str
     domains: Domains
     n_folds: int
-    table: np.ndarray  # (n_folds, 2, n_x, K)
+    table: np.ndarray
     diagnostics: tuple[FoldDiagnostics, ...]
 
-    @property
-    def n_levels(self) -> int:
-        return self.table.shape[3]
-
     def validate(self) -> None:
-        if not np.isfinite(self.table).all():
-            raise NumericalError(f"mediator table for {self.mediator_name!r} has non-finite cells")
-        if (self.table < 0).any() or (self.table > 1).any():
-            raise NumericalError(f"mediator table for {self.mediator_name!r} outside [0, 1]")
-        sums = self.table.sum(axis=3)
-        if not np.allclose(sums, 1.0, atol=1e-9):
+        bad = np.nonzero(~self.valid_tables(self.table))[0]
+        if bad.size:
             raise NumericalError(
-                f"mediator table for {self.mediator_name!r} rows do not sum to 1"
+                f"{self.kind} table for {self.mediator_name!r}, fold {bad[0]}: "
+                "cells are not valid probabilities"
             )
 
 
 @dataclass(frozen=True)
-class FittedOutcomeModel:
-    """Per-fold tables E[Y | M = m, T = t, X = x] over the full finite grid."""
+class FittedMediatorModel(_FittedModel):
+    """Per-fold tables P(M = m | T = t, X = x) over the full grid: (n_folds, 2, n_x, K)."""
 
-    mediator_name: str
-    domains: Domains
-    n_folds: int
-    table: np.ndarray  # (n_folds, K, 2, n_x)
-    diagnostics: tuple[FoldDiagnostics, ...]
+    kind = "mediator"
+    valid_tables = staticmethod(valid_mediator_tables)
 
-    def validate(self) -> None:
-        if not np.isfinite(self.table).all():
-            raise NumericalError(f"outcome table for {self.mediator_name!r} has non-finite cells")
-        if (self.table < 0).any() or (self.table > 1).any():
-            raise NumericalError(f"outcome table for {self.mediator_name!r} outside [0, 1]")
+
+@dataclass(frozen=True)
+class FittedOutcomeModel(_FittedModel):
+    """Per-fold tables E[Y | M = m, T = t, X = x] over the full grid: (n_folds, K, 2, n_x)."""
+
+    kind = "outcome"
+    valid_tables = staticmethod(valid_outcome_tables)
 
 
 # ---------------------------------------------------------------------------
 # Weighted categorical GLM on aggregated cells
 # ---------------------------------------------------------------------------
+
+
+class BatchFit(NamedTuple):
+    """Per-member results of fit_categorical_glm_batch; see its docstring."""
+
+    probs: np.ndarray
+    coef: np.ndarray
+    iterations: np.ndarray
+    loglik: np.ndarray
+    status: np.ndarray
 
 
 def fit_categorical_glm_batch(
@@ -135,7 +153,7 @@ def fit_categorical_glm_batch(
     ridge: float = RIDGE,
     max_iterations: int = MAX_ITERATIONS,
     tol: float = CONVERGENCE_TOL,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> BatchFit:
     """Newton/IRLS fits of a stack of multinomial logits sharing one design.
 
     design: (R, d) covariate rows; counts: (B, R, K) observation counts per
@@ -165,7 +183,7 @@ def fit_categorical_glm_batch(
             fit_categorical_glm_batch(design, counts[i : i + size], ridge, max_iterations, tol)
             for i in range(0, n_members, size)
         ]
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+        return BatchFit(*(np.concatenate(arrays) for arrays in zip(*parts)))
     totals = counts.sum(axis=2)
     # Row-wise outer products: one matmul turns per-row weights into blocks.
     outer = (design[:, :, None] * design[:, None, :]).reshape(n_rows, d * d)
@@ -201,7 +219,7 @@ def fit_categorical_glm_batch(
         active = active[~(failed | done)]
     probs = _glm_probs(design, coef)
     loglik = xlogy(counts, probs).sum(axis=(1, 2)) - 0.5 * ridge * (coef ** 2).sum(axis=(1, 2))
-    return probs, coef, iterations, loglik, status
+    return BatchFit(probs, coef, iterations, loglik, status)
 
 
 def _glm_probs(design: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -266,56 +284,32 @@ def _raise_if_failed(status: np.ndarray, iterations: np.ndarray, context: str = 
 
 def _x_dummy_columns(domains: Domains) -> np.ndarray:
     """Dummy block for the enumerated confounder grid, reference level 0."""
-    n_x = domains.n_x
     widths = [len(levels) for _, levels in domains.confounders]
-    n_cols = sum(w - 1 for w in widths)
-    block = np.zeros((n_x, n_cols))
-    for idx in range(n_x):
-        rest = idx
-        positions = []
-        for width in reversed(widths):
-            rest, pos = divmod(rest, width)
-            positions.append(pos)
-        positions.reverse()
-        col = 0
-        for width, pos in zip(widths, positions):
-            if pos > 0:
-                block[idx, col + pos - 1] = 1.0
-            col += width - 1
-    return block
+    positions = np.unravel_index(np.arange(domains.n_x), widths) if widths else ()
+    return np.hstack([np.zeros((domains.n_x, 0))] + [
+        (pos[:, None] == np.arange(1, width)).astype(float)
+        for pos, width in zip(positions, widths)
+    ])
 
 
-def mediator_design(domains: Domains) -> np.ndarray:
-    """Rows over cells (t, x) in cell order t * n_x + x."""
-    n_x = domains.n_x
-    xblock = _x_dummy_columns(domains)
-    rows = []
-    for t in (0, 1):
-        for ix in range(n_x):
-            rows.append(np.concatenate([[1.0, float(t)], xblock[ix]]))
-    return np.asarray(rows)
+def _mediator_design(domains: Domains) -> np.ndarray:
+    """Rows over cells (t, x) in cell order t * n_x + x: intercept, t, x dummies."""
+    t = np.repeat([0.0, 1.0], domains.n_x)[:, None]
+    return np.hstack([np.ones_like(t), t, np.tile(_x_dummy_columns(domains), (2, 1))])
 
 
-def outcome_design(domains: Domains, n_levels: int) -> np.ndarray:
+def _outcome_design(domains: Domains, n_levels: int) -> np.ndarray:
     """Rows over cells (m, t, x) in cell order (m * 2 + t) * n_x + x.
 
-    Includes the treatment-by-mediator interaction columns.
+    Columns: intercept, m dummies, t, x dummies and the treatment-by-mediator
+    interaction (without it the direct/indirect decomposition is only additive).
     """
-    n_x = domains.n_x
-    xblock = _x_dummy_columns(domains)
-    rows = []
-    for m in range(n_levels):
-        m_dummies = np.zeros(n_levels - 1)
-        if m > 0:
-            m_dummies[m - 1] = 1.0
-        for t in (0, 1):
-            for ix in range(n_x):
-                rows.append(
-                    np.concatenate(
-                        [[1.0], m_dummies, [float(t)], xblock[ix], float(t) * m_dummies]
-                    )
-                )
-    return np.asarray(rows)
+    m, t, x = np.unravel_index(np.arange(n_levels * 2 * domains.n_x), (n_levels, 2, domains.n_x))
+    m_dummies = (m[:, None] == np.arange(1, n_levels)).astype(float)
+    t = t[:, None].astype(float)
+    return np.hstack(
+        [np.ones_like(t), m_dummies, t, _x_dummy_columns(domains)[x], t * m_dummies]
+    )
 
 
 def _apply_plan(coded: CodedRecords, plan: CrossFitPlan | None) -> tuple[np.ndarray, int]:
@@ -359,13 +353,11 @@ def grid_shape(domains: Domains, mediator_name: str, n_folds: int) -> tuple[int,
 
 
 def _training_counts(
-    coded: CodedRecords, mediator_name: str, plan: CrossFitPlan | None, rows: np.ndarray | None
+    coded: CodedRecords, mediator_name: str, plan: CrossFitPlan | None
 ) -> np.ndarray:
     """Training cell counts per fold: every fold's grid minus the fold's own."""
     fold, n_folds = _apply_plan(coded, plan)
     codes = cell_codes(coded, mediator_name, fold)
-    if rows is not None:
-        codes = codes[rows]
     shape = grid_shape(coded.domains, mediator_name, n_folds)
     counts = np.bincount(codes, minlength=int(np.prod(shape))).reshape(shape)
     train = counts.sum(axis=0) - counts
@@ -375,133 +367,91 @@ def _training_counts(
     return train.astype(float)
 
 
-def mediator_counts(train: np.ndarray) -> np.ndarray:
-    """(..., K, 2, n_x, 2) cell counts -> (..., 2 * n_x, K) mediator-model counts."""
-    n_levels, n_x = train.shape[-4], train.shape[-2]
-    return np.moveaxis(train.sum(axis=-1), -3, -1).reshape(train.shape[:-4] + (2 * n_x, n_levels))
+def _fit_stack(
+    design: np.ndarray, counts: np.ndarray, cells: tuple[int, ...], lead: tuple[int, ...]
+) -> tuple[BatchFit, np.ndarray]:
+    """Batch-fit (members, rows, levels) counts; shape the results by ``lead``.
 
-
-def outcome_counts(train: np.ndarray) -> np.ndarray:
-    """(..., K, 2, n_x, 2) cell counts -> (..., K * 2 * n_x, 2) outcome-model counts."""
-    return train.reshape(train.shape[:-4] + (-1, 2))
-
-
-def mediator_tables(probs: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Fitted (..., 2 * n_x, K) probabilities -> (..., 2, n_x, K) tables.
-
-    Cells without training counts get the uniform default; returns the
-    tables and the (..., 2 * n_x) mask of those cells.
+    Returns the fit and the mask of rows without counts, shaped lead + cells.
     """
+    fit = fit_categorical_glm_batch(design, counts)
     empty = counts.sum(axis=-1) == 0
-    probs[empty] = 1.0 / probs.shape[-1]
-    return probs.reshape(probs.shape[:-2] + (2, -1, probs.shape[-1])), empty
+    return BatchFit(*(a.reshape(lead + a.shape[1:]) for a in fit)), empty.reshape(lead + cells)
 
 
-def outcome_tables(
-    probs: np.ndarray, counts: np.ndarray, n_levels: int, n_x: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fitted (..., K * 2 * n_x, 2) probabilities -> (..., K, 2, n_x) tables of E[Y].
+def fit_mediator_tables(
+    domains: Domains, train: np.ndarray
+) -> tuple[np.ndarray, BatchFit, np.ndarray]:
+    """Fit P(M | T, X) to every member of a stack of training cell counts.
 
-    Cells without training counts get 0.5; returns the tables and the
-    (..., K * 2 * n_x) mask of those cells.
+    train: (..., K, 2, n_x, 2) counts over (m, t, x, y), with any leading
+    axes (folds; replicates x folds). Returns the (..., 2, n_x, K) tables,
+    the BatchFit with arrays shaped by the leading axes, and the (..., 2, n_x)
+    mask of cells without training counts, which get the uniform default.
     """
-    expected = probs[..., 1].copy()
-    empty = counts.sum(axis=-1) == 0
-    expected[empty] = 0.5
-    return expected.reshape(expected.shape[:-1] + (n_levels, 2, n_x)), empty
+    lead, n_levels, n_x = train.shape[:-4], train.shape[-4], train.shape[-2]
+    counts = np.moveaxis(train.sum(axis=-1), -3, -1).reshape((-1, 2 * n_x, n_levels))
+    fit, empty = _fit_stack(_mediator_design(domains), counts, (2, n_x), lead)
+    table = fit.probs.reshape(lead + (2, n_x, n_levels))
+    return np.where(empty[..., None], 1.0 / n_levels, table), fit, empty
 
 
-def _fold_diagnostics(
-    model: str, name: str, fit: tuple, empty: np.ndarray, cell_of
-) -> tuple[FoldDiagnostics, ...]:
-    """Per-fold diagnostics of a batch fit over folds; raise on a failed fold."""
-    _, coef, iterations, loglik, status = fit
-    _raise_if_failed(status, iterations, f"{model} model for {name!r}: ")
+def fit_outcome_tables(
+    domains: Domains, train: np.ndarray
+) -> tuple[np.ndarray, BatchFit, np.ndarray]:
+    """Fit E[Y | M, T, X] to every member of a stack of training cell counts.
+
+    train as for fit_mediator_tables. Returns the (..., K, 2, n_x) tables,
+    the BatchFit shaped by the leading axes, and the (..., K, 2, n_x) mask of
+    cells without training counts, which get 0.5.
+    """
+    lead, n_levels, n_x = train.shape[:-4], train.shape[-4], train.shape[-2]
+    counts = train.reshape((-1, n_levels * 2 * n_x, 2))
+    fit, empty = _fit_stack(_outcome_design(domains, n_levels), counts, (n_levels, 2, n_x), lead)
+    table = fit.probs[..., 1].reshape(lead + (n_levels, 2, n_x))
+    return np.where(empty, 0.5, table), fit, empty
+
+
+def _fit_model(cls, fit_tables, records: CodedRecords, mediator_name, plan):
+    """Fit one nuisance model per fold, log its defaulted cells and validate it."""
+    domains = records.domains
+    mediator_name = _default_mediator(domains, mediator_name)
+    table, fit, empty = fit_tables(domains, _training_counts(records, mediator_name, plan))
+    _raise_if_failed(fit.status, fit.iterations, f"{cls.kind} model for {mediator_name!r}: ")
     diagnostics = []
-    for f in range(len(status)):
-        cells = np.nonzero(empty[f])[0]
-        if cells.size:
+    for f in range(len(fit.status)):
+        cells = np.argwhere(empty[f])
+        if len(cells):
             logger.info("%s model for %r, fold %d: %d empty cells filled with the default",
-                        model, name, f, cells.size)
+                        cls.kind, mediator_name, f, len(cells))
         diagnostics.append(
             FoldDiagnostics(
-                log_likelihood=float(loglik[f]),
-                n_iterations=int(iterations[f]),
-                smoothed_cells=tuple(cell_of(int(c)) for c in cells),
-                coefficients=coef[f],
+                log_likelihood=float(fit.loglik[f]),
+                n_iterations=int(fit.iterations[f]),
+                smoothed_cells=tuple(
+                    (*map(int, c[:-1]), domains.x_assignment(int(c[-1]))) for c in cells
+                ),
+                coefficients=fit.coef[f],
             )
         )
-    return tuple(diagnostics)
+    model = cls(mediator_name=mediator_name, domains=domains, n_folds=table.shape[0],
+                table=table, diagnostics=tuple(diagnostics))
+    model.validate()
+    return model
 
 
 def fit_mediator_model(
-    records: CodedRecords,
-    mediator_name: str | None = None,
-    plan: CrossFitPlan | None = None,
-    rows: np.ndarray | None = None,
+    records: CodedRecords, mediator_name: str | None = None, plan: CrossFitPlan | None = None
 ) -> FittedMediatorModel:
-    """Fit P(M | T, X) per fold and materialize the full (t, x) grid.
-
-    ``rows`` restricts fitting to a row subset, counting repeated rows as
-    often as they occur (a resample's index array); by default all records
-    participate.
-    """
-    domains = records.domains
-    mediator_name = _default_mediator(domains, mediator_name)
-    n_x = domains.n_x
-    counts = mediator_counts(_training_counts(records, mediator_name, plan, rows))
-    fit = fit_categorical_glm_batch(mediator_design(domains), counts)
-    table, empty = mediator_tables(fit[0], counts)
-    diagnostics = _fold_diagnostics(
-        "mediator", mediator_name, fit, empty,
-        lambda c: (c // n_x, domains.x_assignment(c % n_x)),
-    )
-    model = FittedMediatorModel(
-        mediator_name=mediator_name,
-        domains=domains,
-        n_folds=table.shape[0],
-        table=table,
-        diagnostics=diagnostics,
-    )
-    model.validate()
-    return model
+    """Fit P(M | T, X) per fold and materialize the full (t, x) grid."""
+    return _fit_model(FittedMediatorModel, fit_mediator_tables, records, mediator_name, plan)
 
 
 def fit_outcome_model(
-    records: CodedRecords,
-    mediator_name: str | None = None,
-    plan: CrossFitPlan | None = None,
-    rows: np.ndarray | None = None,
-    interaction: bool = True,
+    records: CodedRecords, mediator_name: str | None = None, plan: CrossFitPlan | None = None
 ) -> FittedOutcomeModel:
-    """Fit E[Y | M, T, X] per fold and materialize the full (m, t, x) grid.
-
-    The treatment-by-mediator interaction is included by default because
-    the direct/indirect decomposition is only additive without it.
-    """
-    domains = records.domains
-    mediator_name = _default_mediator(domains, mediator_name)
-    n_levels = domains.mediator_sizes[mediator_name]
-    n_x = domains.n_x
-    design = outcome_design(domains, n_levels)
-    if not interaction:
-        design = design[:, : design.shape[1] - (n_levels - 1)]
-    counts = outcome_counts(_training_counts(records, mediator_name, plan, rows))
-    fit = fit_categorical_glm_batch(design, counts)
-    table, empty = outcome_tables(fit[0], counts, n_levels, n_x)
-    diagnostics = _fold_diagnostics(
-        "outcome", mediator_name, fit, empty,
-        lambda c: (c // (2 * n_x), (c // n_x) % 2, domains.x_assignment(c % n_x)),
-    )
-    model = FittedOutcomeModel(
-        mediator_name=mediator_name,
-        domains=domains,
-        n_folds=table.shape[0],
-        table=table,
-        diagnostics=diagnostics,
-    )
-    model.validate()
-    return model
+    """Fit E[Y | M, T, X] per fold and materialize the full (m, t, x) grid."""
+    return _fit_model(FittedOutcomeModel, fit_outcome_tables, records, mediator_name, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -509,13 +459,8 @@ def fit_outcome_model(
 # ---------------------------------------------------------------------------
 
 
-def _as_model_list(models) -> list:
-    return list(models) if isinstance(models, (list, tuple)) else [models]
-
-
-def _write_table_csv(models, stream: IO[str], axes: tuple[int, ...]) -> None:
+def _write_table_csv(models: Sequence, stream: IO[str], axes: tuple[int, ...]) -> None:
     """One row per (fold, m, t, x) cell; ``axes`` transposes a table to that order."""
-    models = _as_model_list(models)
     names = list(models[0].domains.confounder_names)
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["fold", "mediator", "m", "t"] + names + ["value"])
@@ -530,13 +475,9 @@ def _write_table_csv(models, stream: IO[str], axes: tuple[int, ...]) -> None:
             writer.writerow([f, model.mediator_name, m, t] + x_levels[ix] + [repr(float(value))])
 
 
-def write_mediator_table_csv(
-    models: FittedMediatorModel | Sequence[FittedMediatorModel], stream: IO[str]
-) -> None:
+def write_mediator_table_csv(models: Sequence[FittedMediatorModel], stream: IO[str]) -> None:
     _write_table_csv(models, stream, (0, 3, 1, 2))
 
 
-def write_outcome_table_csv(
-    models: FittedOutcomeModel | Sequence[FittedOutcomeModel], stream: IO[str]
-) -> None:
+def write_outcome_table_csv(models: Sequence[FittedOutcomeModel], stream: IO[str]) -> None:
     _write_table_csv(models, stream, (0, 1, 2, 3))

@@ -238,9 +238,7 @@ class CausalRecord:
     """One unit's measured (T, X, M, Y) tuple plus its cross-fit fold id.
 
     This is the row of one records-file line; record sets are held as
-    CodedRecords, which yield these rows when iterated. The valence field
-    is reserved for an interruption-valence outcome refinement and is never
-    populated by this toolkit.
+    CodedRecords, which yield these rows when iterated.
     """
 
     unit_id: str
@@ -249,7 +247,6 @@ class CausalRecord:
     m: Mapping[str, int]
     y: int
     fold: int
-    valence: str | None = None
 
 
 @dataclass(frozen=True)
@@ -381,7 +378,6 @@ def record_to_json(record: CausalRecord) -> str:
             "m": dict(record.m),
             "y": record.y,
             "fold": record.fold,
-            "valence": record.valence,
         },
         ensure_ascii=False,
         sort_keys=True,

@@ -317,14 +317,14 @@ def _bootstrap_draws(
 
     Refits are count-based and batched: all replicates' training counts
     come from one cell grid, and both nuisance models of every replicate
-    and fold are fitted in one stacked Newton loop each. A replicate is
-    dropped if its resample loses a t, m or confounder level present in the
-    data, if any of its fits fails, or if its tables are not valid
-    probabilities.
+    and fold are fitted in one stacked Newton loop each, through the same
+    glm.fit_mediator_tables/fit_outcome_tables step as the point fit. A
+    replicate is dropped if its resample loses a t, m or confounder level
+    present in the data, if any of its fits fails, or if any of its tables
+    fails the validity rule that the point fit's validate() applies.
     """
     counts = _replicate_counts(coded, mediator_name, n_bootstrap, seed)
     domains = coded.domains
-    n_levels, n_x = counts.shape[2], counts.shape[4]
     cells = counts.sum(axis=(1, 5))
     lost = _levels_present(cells.sum(axis=0), domains) & ~_levels_present(cells, domains)
     kept = np.nonzero(~lost.any(axis=1))[0]
@@ -334,25 +334,12 @@ def _bootstrap_draws(
 
     grid = counts[kept]
     train = (grid.sum(axis=1, keepdims=True) - grid).astype(float)
-    g_counts = glm.mediator_counts(train)
-    f_counts = glm.outcome_counts(train)
-    g_probs, *_, g_status = glm.fit_categorical_glm_batch(
-        glm.mediator_design(domains), g_counts.reshape((-1,) + g_counts.shape[2:])
-    )
-    f_probs, *_, f_status = glm.fit_categorical_glm_batch(
-        glm.outcome_design(domains, n_levels), f_counts.reshape((-1,) + f_counts.shape[2:])
-    )
-    g_table, _ = glm.mediator_tables(g_probs.reshape(g_counts.shape), g_counts)
-    f_table, _ = glm.outcome_tables(f_probs.reshape(f_counts.shape), f_counts, n_levels, n_x)
-
-    converged = ((g_status == glm.CONVERGED) & (f_status == glm.CONVERGED)).reshape(kept.size, -1)
-    # The model validate() checks per replicate; NaN fails every comparison,
-    # so the range checks also reject non-finite tables.
-    g_valid = ((g_table >= 0) & (g_table <= 1)).all(axis=(1, 2, 3, 4)) & np.isclose(
-        g_table.sum(axis=-1), 1.0, atol=1e-9
-    ).all(axis=(1, 2, 3))
-    f_valid = ((f_table >= 0) & (f_table <= 1)).all(axis=(1, 2, 3, 4))
-    ok = converged.all(axis=1) & g_valid & f_valid
+    g_table, g_fit, _ = glm.fit_mediator_tables(domains, train)
+    f_table, f_fit, _ = glm.fit_outcome_tables(domains, train)
+    ok = (
+        (g_fit.status == glm.CONVERGED) & (f_fit.status == glm.CONVERGED)
+        & glm.valid_mediator_tables(g_table) & glm.valid_outcome_tables(f_table)
+    ).all(axis=1)
 
     fold_x = grid[ok].sum(axis=(2, 3, 5)).astype(float)
     nde, nie, _, _ = _effects(g_table[ok], f_table[ok], fold_x, x_weighting)

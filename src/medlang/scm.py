@@ -503,10 +503,11 @@ def generate(
     three-turn case (introduction, advocate turn, justice response) whose
     measured hedging/disfluency/interruption markers reproduce the sampled
     mediators and outcome exactly; confounder levels travel in the case
-    metadata sidecar. Re-measuring a rendered corpus yields records
-    identical to the sampled ones when the spec models both renderable
-    mediators; a single-mediator spec round-trips to a strict superset
-    (the measurement layer always measures hedging and disfluency).
+    metadata sidecar. A marker is present or absent, so rendering needs
+    binary hedging/disfluency mediators. Re-measuring a rendered corpus
+    yields records identical to the sampled ones when the spec models both
+    renderable mediators; a single-mediator spec round-trips to a strict
+    superset (the measurement layer always measures hedging and disfluency).
 
     The records carry ``spec.domains()``.
     """
@@ -517,6 +518,12 @@ def generate(
         raise ConfigError(
             f"transcript rendering supports mediators {RENDERABLE_MEDIATORS}, "
             f"got {spec.mediator_names}"
+        )
+    not_binary = {ml.name: ml.levels for ml in spec.mediators if ml.levels != 2}
+    if render and not_binary:
+        raise ConfigError(
+            "transcript rendering marks a mediator present or absent, so each needs "
+            f"2 levels; got levels {not_binary}"
         )
 
     rng = np.random.default_rng(spec.seed if seed is None else seed)

@@ -57,4 +57,15 @@ def test_workload_op_passes_its_check(bench, tmp_path, name):
     finally:
         restore()
     check(inputs, out)
-    assert tracer_module.op_metrics(tracer, root, 0.0, 0)["cli.span_s"] >= 0.0
+    metrics = tracer_module.op_metrics(tracer, root, 0.0, 0)
+    assert metrics["cli.span_s"] >= 0.0
+    # The traced fit names stay on the call path: one mediator and one
+    # outcome fit per mediator, and every bootstrap replicate attempted.
+    mediators, n_bootstrap = {
+        "run_text": (workloads.MEDIATORS, workloads.RUN_TEXT_BOOTSTRAP),
+        "run_long_topics": (workloads.LONG_MEDIATORS, workloads.LONG_BOOTSTRAP),
+        "estimate_records": (workloads.MEDIATORS, workloads.ESTIMATE_BOOTSTRAP),
+        "simulate_oracle": ((), 0),
+    }[name]
+    assert metrics["glm.fit_calls"] == 2 * len(mediators)
+    assert metrics["mediation.replicates_attempted"] == n_bootstrap * len(mediators)

@@ -391,6 +391,24 @@ def test_malformed_spec_is_data_error(tmp_path, capsys, command, text, reason):
     assert reason in capsys.readouterr().err
 
 
+def test_simulate_render_rejects_a_three_level_mediator_with_exit_2(tmp_path, capsys):
+    from medlang.scm import load_fixture
+
+    obj = json.loads(load_fixture("binary_scm").to_json())
+    hedging = obj["mediators"][0]
+    hedging.update(levels=3, intercepts=[-0.4, 0.2], treatment=[0.9, -0.4],
+                   confounders={"x0": [[0.0, 0.6], [0.0, -0.3]]})
+    obj["outcome"].update(mediators={"hedging": [0.0, 0.9, 0.5]},
+                          tm_interactions={"hedging": [0.0, -0.5, 0.2]})
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(obj), encoding="utf-8")
+    command = ["simulate", "--spec", str(spec), "--n", "50", "--out", str(tmp_path / "out")]
+    assert main([*command, "--render"]) == 2
+    assert "2 levels" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "transcripts.ndjson").exists()
+    assert main(command) == 0
+
+
 def test_report_rejects_malformed_lines_with_exit_3(tmp_path, capsys):
     est = EffectEstimate(
         mediator_name="hedging", nde=0.1, nie=0.05, nie_reversed=0.05, total_effect=0.15,

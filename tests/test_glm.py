@@ -1,5 +1,7 @@
 import io
 import logging
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,13 +33,13 @@ from medlang.mediation import bootstrap_effects, fit_models
 
 def test_make_plan_balance_four_ids():
     plan = make_plan(["a", "b", "c", "d"], 2, seed=0)
-    sizes = sorted(len(plan.test_ids(f)) for f in range(2))
+    sizes = sorted(Counter(plan.fold_of.values()).values())
     assert sizes == [2, 2]
 
 
 def test_make_plan_balance_five_ids():
     plan = make_plan(["a", "b", "c", "d", "e"], 2, seed=0)
-    sizes = sorted(len(plan.test_ids(f)) for f in range(2))
+    sizes = sorted(Counter(plan.fold_of.values()).values())
     assert sizes == [2, 3]
 
 
@@ -46,10 +48,8 @@ def test_make_plan_determinism_and_partition():
     a = make_plan(ids, 4, seed=9)
     b = make_plan(list(reversed(ids)), 4, seed=9)
     assert a.fold_of == b.fold_of
-    covered = set()
-    for f in range(4):
-        covered |= a.test_ids(f)
-    assert covered == set(ids)
+    assert set(a.fold_of) == set(ids)
+    assert set(a.fold_of.values()) == set(range(4))
 
 
 def test_make_plan_too_few_units():
@@ -269,13 +269,6 @@ def test_plan_overrides_record_folds():
 # -- diagnostics and export -------------------------------------------------------
 
 
-def test_outcome_model_without_interaction_runs():
-    records, _ = gen_logistic_outcome(2000, seed=6)
-    model = fit_outcome_model(records, "hedging", interaction=False)
-    model.validate()
-    assert model.table.shape == (2, 2, 2, 2)
-
-
 def test_diagnostics_carry_loglik_and_iterations():
     records = gen_mediator_independent_of_t(500, seed=4)
     model = fit_mediator_model(records)
@@ -289,7 +282,7 @@ def test_csv_export_shape_and_values():
     g = fit_mediator_model(records)
     f = fit_outcome_model(records, "hedging")
     buf = io.StringIO()
-    write_mediator_table_csv(g, buf)
+    write_mediator_table_csv([g], buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "fold,mediator,m,t,x0,value"
     assert len(lines) == 1 + 2 * 2 * 2 * 2  # folds * levels * t * x
@@ -297,7 +290,7 @@ def test_csv_export_shape_and_values():
     assert mediator == "hedging"
     assert abs(float(value) - g.table[int(fold), int(t), int(x0), int(m)]) < 1e-15
     buf = io.StringIO()
-    write_outcome_table_csv(f, buf)
+    write_outcome_table_csv([f], buf)
     lines = buf.getvalue().splitlines()
     assert len(lines) == 1 + 2 * 2 * 2 * 2
 
@@ -411,3 +404,73 @@ def test_batch_fit_slices_do_not_change_results(monkeypatch):
     sliced = fit_categorical_glm_batch(design, counts)
     for a, b in zip(whole, sliced):
         assert np.array_equal(a, b)
+
+
+# -- one stacked fit and one validity rule ---------------------------------------------
+
+
+def test_stacked_table_fits_equal_the_point_fits_bit_for_bit():
+    a, _ = gen_logistic_outcome(3000, seed=71)
+    b, _ = gen_logistic_outcome(3000, seed=72)
+    assert a.domains == b.domains
+    train_a = glm._training_counts(a, "hedging", None)
+    train_b = glm._training_counts(b, "hedging", None)
+    stack = np.stack([train_a, train_b, train_a])  # (replicate, fold, m, t, x, y)
+    for fit_tables, fit_model in ((glm.fit_mediator_tables, fit_mediator_model),
+                                  (glm.fit_outcome_tables, fit_outcome_model)):
+        tables, fit, empty = fit_tables(a.domains, stack)
+        assert fit.status.shape == empty.shape[:2] == (3, 2)
+        for member, records in enumerate((a, b, a)):
+            point = fit_model(records, "hedging")
+            assert np.array_equal(tables[member], point.table)
+            assert np.array_equal(fit.coef[member], [d.coefficients for d in point.diagnostics])
+
+
+def test_designs_match_the_cell_by_cell_layout():
+    domains = Domains(confounders=(("x0", ("0", "1")), ("x1", ("a", "b", "c"))),
+                      mediators=(("hedging", 3),))
+
+    def x_dummies(ix):
+        x0, x1 = divmod(ix, 3)
+        return [float(x0 == 1), float(x1 == 1), float(x1 == 2)]
+
+    def m_dummies(m):
+        return [float(m == 1), float(m == 2)]
+
+    mediator_rows = [[1.0, t] + x_dummies(ix) for t in (0.0, 1.0) for ix in range(6)]
+    outcome_rows = [
+        [1.0] + m_dummies(m) + [t] + x_dummies(ix) + [t * v for v in m_dummies(m)]
+        for m in range(3) for t in (0.0, 1.0) for ix in range(6)
+    ]
+    assert np.array_equal(glm._mediator_design(domains), mediator_rows)
+    assert np.array_equal(glm._outcome_design(domains, 3), outcome_rows)
+    # a run with "confounders": [] fits over a one-cell x grid
+    no_x = Domains(confounders=(), mediators=(("hedging", 2),))
+    assert np.array_equal(glm._mediator_design(no_x), [[1.0, 0.0], [1.0, 1.0]])
+    assert np.array_equal(glm._outcome_design(no_x, 2),
+                          [[1, 0, 0, 0], [1, 0, 1, 0], [1, 1, 0, 0], [1, 1, 1, 1]])
+
+
+def test_validity_masks_flag_exactly_the_broken_members():
+    records, _ = gen_logistic_outcome(2000, seed=73)
+    g = fit_mediator_model(records, "hedging")  # (fold, t, x, m)
+    f = fit_outcome_model(records, "hedging")  # (fold, m, t, x)
+    g_stack = np.stack([g.table] * 4)
+    g_stack[1, 1, 0, 0, 0] = np.nan
+    g_stack[2, 1, 0, 0] = [-0.1, 1.1]  # sums to 1 but leaves [0, 1]
+    g_stack[3, 1, 0, 0] *= 0.9  # in range but sums to 0.9
+    f_stack = np.stack([f.table] * 4)
+    f_stack[1, 1, 0, 0, 0] = np.nan
+    f_stack[2, 1, 0, 0, 0] = 1.5
+    f_stack[3, 1, 0, 0, 0] = -0.5
+    want = np.ones((4, 2), dtype=bool)
+    want[1:, 1] = False
+    assert np.array_equal(glm.valid_mediator_tables(g_stack), want)
+    assert np.array_equal(glm.valid_outcome_tables(f_stack), want)
+    for member in (1, 2, 3):
+        with pytest.raises(NumericalError, match="mediator table for 'hedging', fold 1"):
+            replace(g, table=g_stack[member]).validate()
+        with pytest.raises(NumericalError, match="outcome table for 'hedging', fold 1"):
+            replace(f, table=f_stack[member]).validate()
+    replace(g, table=g_stack[0]).validate()
+    replace(f, table=f_stack[0]).validate()

@@ -394,7 +394,6 @@ def test_build_records_fixture_labels(paired_units, paired_case_utterances):
     assert result.exclusions == ()
     assert levy.x["issue_area"] == "economic_activity"
     assert adams.x["issue_area"] == "civil_rights"
-    assert levy.valence is None
 
 
 def test_build_records_fold_balance_and_determinism():
@@ -579,6 +578,14 @@ def test_records_reader_rejects_malformed_line_with_its_number(bad_line, reason)
             records_from_json(source)
         assert info.value.line_number == 3
     assert list(records_from_json(record_to_json(GOOD_RECORD))) == [GOOD_RECORD]
+
+
+def test_records_with_the_old_valence_key_still_read():
+    line = record_to_json(GOOD_RECORD)
+    assert "valence" not in json.loads(line)
+    old = line.replace('"unit_id": "c:0", ', '"unit_id": "c:0", "valence": null, ')
+    assert old != line
+    assert list(records_from_json(old)) == [GOOD_RECORD]
 
 
 @settings(max_examples=300, deadline=None)

@@ -420,11 +420,12 @@ def _sequential_draws(coded, name, n_bootstrap, seed, x_weighting):
         if (base & ~present(idx)).any():
             continue
         try:
-            g = fit_mediator_model(coded, name, rows=idx)
-            f = fit_outcome_model(coded, name, rows=idx)
+            resample = _take(coded, idx)
+            g = fit_mediator_model(resample, name)
+            f = fit_outcome_model(resample, name)
         except NumericalError:
             continue
-        draws[r] = sample_effects(_take(coded, idx), g, f, x_weighting)[:2]
+        draws[r] = sample_effects(resample, g, f, x_weighting)[:2]
     return draws
 
 
@@ -519,6 +520,23 @@ def test_one_failed_member_drops_exactly_its_replicate(monkeypatch):
     assert np.array_equal(draws[others], clean[others])
     g, f = fit_models(coded, "hedging")
     assert bootstrap_effects(coded, g, f, 100, seed=29).n_dropped_replicates == 1
+
+
+def test_invalid_table_drops_exactly_its_replicate(monkeypatch):
+    coded = _binary_scm_records()
+    clean = _bootstrap_draws(coded, "hedging", 100, 29, "unit")
+    real_rule = glm.valid_outcome_tables
+
+    def reject_replicate_one(table):
+        valid = real_rule(table)
+        valid[1, 1] = False  # replicate 1, fold 1
+        return valid
+
+    monkeypatch.setattr(glm, "valid_outcome_tables", reject_replicate_one)
+    draws = _bootstrap_draws(coded, "hedging", 100, 29, "unit")
+    assert np.isnan(draws[1]).all()
+    others = np.arange(100) != 1
+    assert np.array_equal(draws[others], clean[others])
 
 
 def test_clamped_intervals_are_counted(monkeypatch):

@@ -383,6 +383,28 @@ def test_render_requires_renderable_mediators():
         generate(renamed, 10, render=True)
 
 
+def three_level_hedging_spec() -> ScmSpec:
+    """binary_scm with a 3-level hedging mediator, which no marker can render."""
+    spec = load_fixture("binary_scm")
+    law = spec.mediators[0]
+    hedging = replace(
+        law, levels=3, intercepts=law.intercepts + (0.2,), treatment=law.treatment + (-0.4,),
+        confounders={name: rows + ((0.0, -0.3),) for name, rows in law.confounders.items()},
+    )
+    outcome = replace(spec.outcome, mediators={"hedging": (0.0, 0.9, 0.5)},
+                      tm_interactions={"hedging": (0.0, -0.5, 0.2)})
+    return replace(spec, mediators=(hedging,), outcome=outcome)
+
+
+def test_render_rejects_mediators_with_more_than_two_levels():
+    spec = three_level_hedging_spec()
+    with pytest.raises(ConfigError, match="2 levels"):
+        generate(spec, 200, seed=3, render=True)
+    records = generate(spec, 200, seed=3).records
+    assert records.domains.mediator_sizes == {"hedging": 3}
+    assert (records.m["hedging"] == 2).any()
+
+
 # -- violation studies ----------------------------------------------------------------------
 
 
