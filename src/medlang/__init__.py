@@ -62,7 +62,7 @@ from .scm import (
     with_knob,
 )
 from .textutil import tokenize
-from .topics import TopicModel, fit_topic_model, measure_topic
+from .topics import TopicModel, fit_topic_model, measure_topic, measure_topics
 
 __version__ = "0.1.0"
 
@@ -111,6 +111,7 @@ __all__ = [
     "measure_disfluency",
     "measure_hedging",
     "measure_topic",
+    "measure_topics",
     "monte_carlo_effects",
     "parse_case_metadata",
     "parse_transcript",

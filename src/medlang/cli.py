@@ -40,7 +40,7 @@ from .measure import (
 )
 from .mediation import EffectEstimate, EstimatorConfig, INTERPRETATION_CAVEAT, estimate_all
 from .seeding import assign_folds, derive_seed
-from .topics import fit_topic_model
+from .topics import check_priors, fit_topic_model
 
 logger = logging.getLogger("medlang")
 
@@ -100,6 +100,7 @@ class RunConfig:
         mediation.validate_settings(self.bootstrap, self.ci, self.x_weighting)
         if self.topics is not None and self.topics < 2:
             raise ConfigError(f"topics must be >= 2, got {self.topics}")
+        check_priors(self.topic_alpha, self.topic_beta)
         if not self.mediators:
             raise ConfigError("at least one mediator must be requested")
 
@@ -400,10 +401,6 @@ def cmd_ingest(args) -> int:
 def cmd_measure(args) -> int:
     from .corpus import units_from_json
 
-    with _open(args.units) as fh:
-        units = units_from_json(fh)
-    with _open(args.transcripts) as fh:
-        utterances = parse_transcript(fh)
     config = RunConfig(
         transcripts=args.transcripts,
         out=os.path.dirname(args.out) or ".",
@@ -418,6 +415,11 @@ def cmd_measure(args) -> int:
         strict_marker=args.strict_marker,
         confounders=_split_csv_arg(args.confounders),
     )
+    config.validate()
+    with _open(args.units) as fh:
+        units = units_from_json(fh)
+    with _open(args.transcripts) as fh:
+        utterances = parse_transcript(fh)
     build = measure_units(units, utterances, config)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     _write_records(Path(args.out), build.records)

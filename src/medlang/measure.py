@@ -26,7 +26,8 @@ from .corpus import AnalysisUnit, Utterance, _iter_objects, ends_with_interrupti
 from .errors import ConfigError, DataError, ParseError
 from .seeding import assign_folds
 from .textutil import DASH_TOKEN, normalize_phrase, tokenize
-from .topics import TopicModel, measure_topic
+# measure_topic stays importable from here: bench/tracer.py wraps this name.
+from .topics import TopicModel, measure_topic, measure_topics  # noqa: F401
 
 
 def load_lexicon(source: IO[str] | Iterable[str] | str) -> tuple[str, ...]:
@@ -479,17 +480,13 @@ def build_records(
         if not confounders:
             confounders = ("prior_interruption_bucket",)
 
-    mediator_domains: list[tuple[str, int]] = [("hedging", 2), ("disfluency", 2)]
-    if spec.topic_model is not None:
-        mediator_domains.append((TOPIC_MEDIATOR, spec.topic_model.n_topics + 1))
-
     treatment_cache: dict[tuple[str, str], int | None] = {}
     exclusions: list[Exclusion] = []
     unit_ids: list[str] = []
     t_column: list[int] = []
     y_column: list[int] = []
     x: dict[str, list[str]] = {name: [] for name in confounders}
-    m: dict[str, list[int]] = {name: [] for name, _ in mediator_domains}
+    texts: list[str] = []
     for unit in units:
         if unit.p2_utterance is None:
             exclusions.append(Exclusion(unit.unit_id, "no_responder"))
@@ -513,11 +510,13 @@ def build_records(
             if name not in unit.context_features:
                 raise DataError(f"unit {unit.unit_id}: missing context feature {name!r}")
             x[name].append(str(unit.context_features[name]))
-        text = unit.p1_utterance.text
-        m["hedging"].append(measure_hedging(text, spec.hedging_lexicon))
-        m["disfluency"].append(measure_disfluency(text))
-        if spec.topic_model is not None:
-            m[TOPIC_MEDIATOR].append(measure_topic(spec.topic_model, text))
+        texts.append(unit.p1_utterance.text)
+    m = {"hedging": [measure_hedging(text, spec.hedging_lexicon) for text in texts],
+         "disfluency": [measure_disfluency(text) for text in texts]}
+    mediator_domains: list[tuple[str, int]] = [("hedging", 2), ("disfluency", 2)]
+    if spec.topic_model is not None:
+        mediator_domains.append((TOPIC_MEDIATOR, spec.topic_model.n_topics + 1))
+        m[TOPIC_MEDIATOR] = measure_topics(spec.topic_model, texts).tolist()
 
     # Confounders follow the reader's rule, so a records file read back
     # carries the same domains.

@@ -1,14 +1,17 @@
 """Latent topic mediator: collapsed Gibbs LDA plus dominant-topic readout.
 
-The model is fit on training text only and frozen; held-out text is scored
-by a deterministic EM fold-in against the fitted topic-word distributions,
-so measurement needs no randomness at inference time. Documents with no
-in-vocabulary token map to the reserved "no-content" level K.
+The Gibbs sweep is synchronous (AD-LDA: Newman et al., "Distributed
+Algorithms for Topic Models", JMLR 2009). The model is fit on training text
+only and frozen; held-out text is scored by a deterministic EM fold-in
+against the fitted topic-word distributions, so measurement needs no
+randomness at inference time. Documents with no in-vocabulary token map to
+the reserved "no-content" level K.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -70,10 +73,18 @@ class TopicModel:
         return self.n_topics
 
     def validate(self) -> None:
-        if not np.allclose(self.topic_word.sum(axis=1), 1.0, atol=1e-9):
-            raise DataError("topic-word rows do not sum to 1")
-        if self.doc_topic.size and not np.allclose(self.doc_topic.sum(axis=1), 1.0, atol=1e-9):
-            raise DataError("document-topic rows do not sum to 1")
+        for name, table in (("topic-word", self.topic_word), ("document-topic", self.doc_topic)):
+            if not np.isfinite(table).all() or (table < 0).any():
+                raise DataError(f"{name} table has a negative or non-finite cell")
+            if table.size and not np.allclose(table.sum(axis=1), 1.0, atol=1e-9):
+                raise DataError(f"{name} rows do not sum to 1")
+
+
+def check_priors(alpha: float, beta: float) -> None:
+    """Raise ConfigError unless both Dirichlet priors are finite and > 0."""
+    for name, value in (("alpha", alpha), ("beta", beta)):
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"topic {name} must be finite and > 0, got {value}")
 
 
 def fit_topic_model(
@@ -86,91 +97,60 @@ def fit_topic_model(
     burn_in: int = DEFAULT_BURN_IN,
     stop_words: frozenset[str] = DEFAULT_STOP_WORDS,
 ) -> TopicModel:
-    """Fit by collapsed Gibbs sampling, single chain, fixed seed.
+    """Fit by synchronous collapsed Gibbs sampling, single chain, fixed seed.
 
-    Topic-word and document-topic distributions are averages of the
-    per-sweep posterior point estimates after burn-in.
+    Each sweep resamples every token from the previous sweep's counts less
+    its own assignment (AD-LDA, Newman et al. 2009, one token per processor),
+    drawing one uniform per token. Topic-word and document-topic
+    distributions average the per-sweep posterior estimates after burn-in.
     """
     if k < 2:
         raise ConfigError(f"topic count must be at least 2, got {k}")
     if not 0 <= burn_in < n_sweeps:
         raise ConfigError(f"burn_in must lie in [0, n_sweeps), got {burn_in}/{n_sweeps}")
+    check_priors(alpha, beta)
     docs = [preprocess(text, stop_words) for text in corpus]
     vocab = tuple(sorted({tok for doc in docs for tok in doc}))
     if not vocab:
         raise DataError("vocabulary empty after preprocessing")
     vocab_index = {tok: i for i, tok in enumerate(vocab)}
     n_docs, n_words = len(docs), len(vocab)
-
-    doc_of: list[int] = []
-    word_of: list[int] = []
-    for d, doc in enumerate(docs):
-        for tok in doc:
-            doc_of.append(d)
-            word_of.append(vocab_index[tok])
-    n_tokens = len(doc_of)
+    doc_len = np.array([len(doc) for doc in docs])
+    doc_of = np.repeat(np.arange(n_docs), doc_len)
+    word_of = np.array([vocab_index[tok] for doc in docs for tok in doc])
 
     rng = np.random.default_rng(seed)
-    z = rng.integers(0, k, size=n_tokens)
+    z = rng.integers(0, k, size=word_of.size)
 
-    # Count bookkeeping in plain lists: the sampler touches scalars only.
-    nkw = [[0] * n_words for _ in range(k)]
-    nk = [0] * k
-    nkd = [[0] * n_docs for _ in range(k)]
-    for i in range(n_tokens):
-        topic = int(z[i])
-        nkw[topic][word_of[i]] += 1
-        nk[topic] += 1
-        nkd[topic][doc_of[i]] += 1
+    def counts(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        nkw = np.bincount(z * n_words + word_of, minlength=k * n_words).reshape(k, n_words)
+        ndk = np.bincount(doc_of * k + z, minlength=n_docs * k).reshape(n_docs, k)
+        return nkw, nkw.sum(axis=1), ndk
 
-    doc_len = [len(doc) for doc in docs]
+    nkw, nk, ndk = counts(z)
     beta_sum = beta * n_words
     phi_acc = np.zeros((k, n_words))
     theta_acc = np.zeros((n_docs, k))
-    n_acc = 0
-    z_list = [int(v) for v in z]
-    topics_range = range(k)
 
     for sweep in range(n_sweeps):
-        uniforms = rng.random(n_tokens)
-        for i in range(n_tokens):
-            w = word_of[i]
-            d = doc_of[i]
-            old = z_list[i]
-            nkw[old][w] -= 1
-            nk[old] -= 1
-            nkd[old][d] -= 1
-            total = 0.0
-            weights = []
-            for kk in topics_range:
-                p = (nkw[kk][w] + beta) / (nk[kk] + beta_sum) * (nkd[kk][d] + alpha)
-                total += p
-                weights.append(total)
-            threshold = uniforms[i] * total
-            new = 0
-            while weights[new] < threshold:
-                new += 1
-            z_list[i] = new
-            nkw[new][w] += 1
-            nk[new] += 1
-            nkd[new][d] += 1
+        own = z[:, None] == np.arange(k)
+        weights = nkw[:, word_of].T - own + beta
+        weights /= nk - own + beta_sum
+        weights *= ndk[doc_of] - own + alpha
+        cumulative = np.cumsum(weights, axis=1, out=weights)
+        threshold = rng.random(word_of.size) * cumulative[:, -1]
+        # First topic whose cumulative weight reaches the threshold.
+        z = (cumulative < threshold[:, None]).sum(axis=1)
+        nkw, nk, ndk = counts(z)
         if sweep >= burn_in:
-            nkw_arr = np.asarray(nkw, dtype=float)
-            phi_acc += (nkw_arr + beta) / (np.asarray(nk, dtype=float)[:, None] + beta_sum)
-            nkd_arr = np.asarray(nkd, dtype=float).T
-            theta_acc += (nkd_arr + alpha) / (np.asarray(doc_len, dtype=float)[:, None] + k * alpha)
-            n_acc += 1
-
-    phi = phi_acc / n_acc
-    phi /= phi.sum(axis=1, keepdims=True)
-    theta = theta_acc / n_acc
-    theta /= theta.sum(axis=1, keepdims=True)
+            phi_acc += (nkw + beta) / (nk[:, None] + beta_sum)
+            theta_acc += (ndk + alpha) / (doc_len[:, None] + k * alpha)
 
     model = TopicModel(
         vocab=vocab,
-        topic_word=phi,
-        doc_topic=theta,
-        assignments=np.asarray(z_list, dtype=np.int64),
+        topic_word=phi_acc / phi_acc.sum(axis=1, keepdims=True),
+        doc_topic=theta_acc / theta_acc.sum(axis=1, keepdims=True),
+        assignments=z.astype(np.int64),
         n_topics=k,
         alpha=alpha,
         beta=beta,
@@ -180,33 +160,50 @@ def fit_topic_model(
     return model
 
 
+def fold_in(model: TopicModel, texts: Sequence[str],
+            stop_words: frozenset[str] = DEFAULT_STOP_WORDS) -> np.ndarray:
+    """Deterministic EM fold-in: topic proportions of each text, one row each.
+
+    Rows of text with no in-vocabulary token are NaN. Texts of one
+    in-vocabulary length share a (texts, tokens, topics) array, summed over
+    tokens in token order, so no row depends on the batch it came in.
+    """
+    index = model.vocab_index
+    ids = [[index[tok] for tok in preprocess(text, stop_words) if tok in index] for text in texts]
+    lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
+    k = model.n_topics
+    out = np.full((len(texts), k), np.nan)
+    for length in np.unique(lengths[lengths > 0]):
+        rows = np.flatnonzero(lengths == length)
+        cols = model.topic_word.T[np.array([ids[row] for row in rows])]
+        theta = np.full((rows.size, 1, k), 1.0 / k)
+        for _ in range(_FOLD_IN_ITERATIONS):
+            q = theta * cols
+            q /= q.sum(axis=2, keepdims=True)
+            theta = model.alpha + q.sum(axis=1, keepdims=True)
+            theta /= theta.sum(axis=2, keepdims=True)
+        out[rows] = theta[:, 0]
+    return out
+
+
+def measure_topics(model: TopicModel, texts: Sequence[str],
+                   stop_words: frozenset[str] = DEFAULT_STOP_WORDS) -> np.ndarray:
+    """Dominant topic of each text, ties to the lowest index; level K if none is in vocabulary."""
+    theta = fold_in(model, texts, stop_words)
+    return np.where(np.isnan(theta[:, 0]), model.no_content_level, np.argmax(theta, axis=1))
+
+
 def infer_proportions(model: TopicModel, text: str,
                       stop_words: frozenset[str] = DEFAULT_STOP_WORDS) -> np.ndarray | None:
-    """Deterministic EM fold-in; None when no token is in vocabulary."""
-    vocab_index = model.vocab_index
-    ids = [vocab_index[tok] for tok in preprocess(text, stop_words) if tok in vocab_index]
-    if not ids:
-        return None
-    cols = model.topic_word[:, ids]
-    theta = np.full(model.n_topics, 1.0 / model.n_topics)
-    for _ in range(_FOLD_IN_ITERATIONS):
-        q = theta[:, None] * cols
-        q /= q.sum(axis=0, keepdims=True)
-        theta = model.alpha + q.sum(axis=1)
-        theta /= theta.sum()
-    return theta
+    """Fold-in of one text; None when no token is in vocabulary."""
+    theta = fold_in(model, [text], stop_words)[0]
+    return None if np.isnan(theta[0]) else theta
 
 
 def measure_topic(model: TopicModel, text: str,
                   stop_words: frozenset[str] = DEFAULT_STOP_WORDS) -> int:
-    """Dominant topic of the text; ties break to the lowest topic index.
-
-    Returns the reserved level K for text with no in-vocabulary token.
-    """
-    theta = infer_proportions(model, text, stop_words)
-    if theta is None:
-        return model.no_content_level
-    return int(np.argmax(theta))
+    """Dominant topic of one text, as measure_topics."""
+    return int(measure_topics(model, [text], stop_words)[0])
 
 
 def match_topics(model: TopicModel, reference_rows: Iterable[Sequence[float]]) -> list[tuple[int, float]]:

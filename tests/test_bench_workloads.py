@@ -3,8 +3,10 @@
 A benchmark op that raises, or whose output fails its check, counts against
 the benchmark's ok_ops; running each workload once here turns that into a
 test failure. Each op runs a second time under the benchmark's tracer,
-whose spans read the results of the functions they wrap. The bench modules
-are compiled from their source text, so no file under ``bench/`` is written.
+whose spans read the results of the functions they wrap. On the topic
+workload's corpora, each planted topic must come out as one measured level.
+The bench modules are compiled from their source text, so no file under
+``bench/`` is written.
 """
 
 import json
@@ -69,3 +71,26 @@ def test_workload_op_passes_its_check(bench, tmp_path, name):
     }[name]
     assert metrics["glm.fit_calls"] == 2 * len(mediators)
     assert metrics["mediation.replicates_attempted"] == n_bootstrap * len(mediators)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_each_planted_topic_maps_to_one_measured_level(bench, tmp_path, seed):
+    workloads, _ = bench
+    inputs, out = tmp_path / "inputs", tmp_path / "out"
+    workloads.generate_run_long_topics(seed, inputs)
+    workloads.op_run_long_topics(inputs, out, seed)
+    owner = {word: topic for topic, words in enumerate(workloads.longcases.topic_vocabulary())
+             for word in words}
+    texts = {}
+    for line in (inputs / "transcripts.ndjson").read_text("utf-8").splitlines():
+        turn = json.loads(line)
+        texts[f"{turn['case_id']}:{turn['index']}"] = turn["text"]
+    levels: dict[int, set[int]] = {}
+    for line in (out / "records.ndjson").read_text("utf-8").splitlines():
+        record = json.loads(line)
+        planted = {owner[w] for w in texts[record["unit_id"]].split() if w in owner}
+        assert len(planted) == 1
+        levels.setdefault(planted.pop(), set()).add(record["m"]["topic"])
+    assert sorted(levels) == list(range(workloads.longcases.N_TOPICS))
+    assert all(len(measured) == 1 for measured in levels.values())
+    assert len(set.union(*levels.values())) == len(levels)

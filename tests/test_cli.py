@@ -320,6 +320,51 @@ def test_config_value_type_error_exits_2(tmp_path, capsys, paired_transcript_pat
     assert "'mediators' must be a list of strings" in capsys.readouterr().err
 
 
+BAD_TOPIC_PRIORS = [("topic_beta", -1), ("topic_alpha", -0.5), ("topic_beta", 0),
+                    ("topic_alpha", float("nan")), ("topic_beta", float("inf"))]
+
+
+@pytest.mark.parametrize("key, value", BAD_TOPIC_PRIORS)
+def test_bad_topic_prior_in_config_exits_2(tmp_path, capsys, paired_transcript_path,
+                                           paired_meta_path, key, value):
+    config_path, _ = write_config(tmp_path, paired_transcript_path, paired_meta_path,
+                                  topics=2, **{key: value})
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert f"{key.replace('_', ' ')} must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", BAD_TOPIC_PRIORS)
+def test_bad_topic_prior_on_measure_exits_2(tmp_path, capsys, paired_transcript_path,
+                                            paired_meta_path, key, value):
+    units_path = tmp_path / "units.ndjson"
+    assert main(["ingest", "--transcripts", str(paired_transcript_path),
+                 "--meta", str(paired_meta_path), "--out", str(units_path)]) == 0
+    assert main(["measure", "--units", str(units_path),
+                 "--transcripts", str(paired_transcript_path), "--topics", "2",
+                 "--" + key.replace("_", "-"), str(value),
+                 "--out", str(tmp_path / "records.ndjson")]) == 2
+    assert f"{key.replace('_', ' ')} must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "records.ndjson").exists()
+
+
+def test_topic_run_twice_writes_identical_checksums(tmp_path):
+    sim_dir = tmp_path / "sim"
+    assert main([
+        "simulate", "--fixture", "two_mediator_scm", "--n", "160", "--seed", "8",
+        "--render", "--out", str(sim_dir),
+    ]) == 0
+    config = RunConfig(transcripts=str(sim_dir / "transcripts.ndjson"),
+                       meta=str(sim_dir / "meta.ndjson"), out=str(tmp_path / "a"), seed=8,
+                       bootstrap=100, mediators=("hedging", "disfluency", "topic"),
+                       confounders=("x0",), topics=2, topic_sweeps=20, topic_burn_in=10)
+    first = run_pipeline(config)
+    second = run_pipeline(replace(config, out=str(tmp_path / "b")))
+    assert "records.ndjson" in first["artifacts"]
+    assert first["artifacts"] == second["artifacts"]
+    records = records_from_json((tmp_path / "a" / "records.ndjson").read_text("utf-8"))
+    assert {r.m["topic"] for r in records} <= {0, 1, 2}
+
+
 def test_run_requires_config_or_manifest():
     assert main(["run"]) == 2
 

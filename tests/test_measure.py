@@ -356,6 +356,41 @@ def test_treatment_compiles_no_pattern_per_surname(monkeypatch):
     assert many <= few <= 1
 
 
+def test_build_records_folds_in_every_topic_text_in_one_batch(monkeypatch):
+    import medlang.measure as measure
+    import medlang.topics as topics
+    from medlang.corpus import extract_units
+
+    words = ("statute waiver provision", "custody children treaty", "zebra quokka")
+    utts = [Utterance("c", 0, "Chief", "chief_justice", "Ms. Smith, you may proceed.")]
+    for i in range(1, 121):
+        if i % 2:
+            utts.append(Utterance("c", i, "Alex Smith", "advocate", words[i % 3] + " - -"))
+        else:
+            utts.append(Utterance("c", i, "Justice", "justice", "Go on."))
+    model = topics.fit_topic_model(words[:2] * 10, k=2, seed=0, n_sweeps=4, burn_in=2)
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((measure, "measure_topics"), (measure, "measure_topic"),
+                         (topics, "fold_in"), (topics, "measure_topic"),
+                         (topics, "infer_proportions")):
+        counting(module, name)
+    build = build_records(extract_units(utts), MeasurementSpec.default(topic_model=model), 2,
+                          case_utterances={"c": utts})
+    assert len(build.records) == 60
+    assert calls == {"measure_topics": 1, "fold_in": 1}
+    assert set(build.records.m["topic"]) >= {model.no_content_level}
+
+
 # -- lexicon loading -----------------------------------------------------------
 
 
