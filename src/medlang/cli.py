@@ -185,7 +185,12 @@ def _fit_topic_model_for_units(units, config: RunConfig):
 def measure_units(units, utterances, config: RunConfig) -> BuildResult:
     if config.lexicon:
         with _open(config.lexicon, "r") as fh:
-            lexicon = load_lexicon(fh.read())
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(
+                    f"malformed lexicon file {config.lexicon}: not UTF-8 text") from exc
+        lexicon = load_lexicon(text)
     else:
         lexicon = default_hedging_lexicon()
     topic_model = _fit_topic_model_for_units(units, config) if config.topics else None

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import IO, Mapping, NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import softmax, xlogy
 
 from .errors import ConfigError, DataError, NumericalError
 # The record set and its builders are defined next to Domains and re-exported here.
@@ -218,14 +217,18 @@ def fit_categorical_glm_batch(
         status[active[done]] = CONVERGED
         active = active[~(failed | done)]
     probs = _glm_probs(design, coef)
-    loglik = xlogy(counts, probs).sum(axis=(1, 2)) - 0.5 * ridge * (coef ** 2).sum(axis=(1, 2))
+    # counts * log(probs), with 0 where a cell's count is 0 (so 0 * log(0) adds 0).
+    log_probs = np.log(probs, out=np.zeros_like(probs), where=counts > 0)
+    loglik = (counts * log_probs).sum(axis=(1, 2)) - 0.5 * ridge * (coef ** 2).sum(axis=(1, 2))
     return BatchFit(probs, coef, iterations, loglik, status)
 
 
 def _glm_probs(design: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Softmax probabilities (B, R, K) for coefficients (B, K-1, d)."""
+    """Softmax probabilities (B, R, K) for coefficients (B, K-1, d), level 0 scoring 0."""
     scores = design @ np.swapaxes(coef, 1, 2)
-    return softmax(np.concatenate([np.zeros(scores.shape[:2] + (1,)), scores], axis=2), axis=2)
+    scores = np.concatenate([np.zeros(scores.shape[:2] + (1,)), scores], axis=2)
+    e = np.exp(scores - scores.max(axis=2, keepdims=True))
+    return e / e.sum(axis=2, keepdims=True)
 
 
 def _stacked_solve(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:

@@ -27,12 +27,12 @@ Carlo estimator cross-checks the sum by simulation.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from typing import IO, Mapping, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .corpus import Utterance
 from .errors import ConfigError, DataError
@@ -55,9 +55,16 @@ def _check_probs(name: str, probs: Sequence[float]) -> tuple[float, ...]:
     return vec
 
 
+def _check_seed(seed: int) -> int:
+    """A seed for np.random.default_rng, which takes only non-negative integers."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class TreatmentLaw:
-    """P(T = 1 | X) = expit(intercept + sum_c confounders[c][x_c])."""
+    """P(T = 1 | X) = logistic(intercept + sum_c confounders[c][x_c])."""
 
     intercept: float
     confounders: Mapping[str, tuple[float, ...]]
@@ -84,7 +91,7 @@ class MediatorLaw:
 
 @dataclass(frozen=True)
 class OutcomeLaw:
-    """P(Y = 1 | M, T, X) = expit of a linear score in the parents.
+    """P(Y = 1 | M, T, X) = logistic of a linear score in the parents.
 
     tm_interactions maps mediator name to per-level coefficients multiplied
     by t; mediators absent from it contribute no interaction.
@@ -369,6 +376,24 @@ class _LawTables:
     outcome: np.ndarray  # P(Y = 1 | t, x, u, m_1..m_J), shape (2, n_x, n_u, K_1, ..., K_J)
 
 
+def _expit(v: float) -> float:
+    """1 / (1 + exp(-v)), bit for bit scipy.special.expit.
+
+    This is math.exp (libm), not np.exp: numpy's SIMD exp can differ from
+    libm in the last bit, which would change the sampled records and
+    oracle.json.
+    """
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:  # exp(-v) exceeds the largest double for v < -709.78
+        return 0.0
+
+
+def _logistic(score: np.ndarray) -> np.ndarray:
+    """_expit of every cell; a law table has one cell per parent combination."""
+    return np.array([_expit(v) for v in score.ravel().tolist()], dtype=float).reshape(score.shape)
+
+
 def _tabulate(spec: ScmSpec) -> _LawTables:
     """Check the spec's structure, tabulate every law and check its values.
 
@@ -390,8 +415,9 @@ def _tabulate(spec: ScmSpec) -> _LawTables:
     for name, levels in zip(names, x_levels):
         p_x = p_x * np.asarray(spec.confounders[name])[levels]
     law_t = spec.treatment
-    treatment = expit(add_confounders(np.full(n_x, law_t.intercept),
-                                      [law_t.confounders[name] for name in names], np.arange(n_x)))
+    treatment = _logistic(add_confounders(np.full(n_x, law_t.intercept),
+                                          [law_t.confounders[name] for name in names],
+                                          np.arange(n_x)))
 
     parents = (2, n_x, n_u, 2, spec.mediators[0].levels)
     t, x, u, prev_y, first = np.ix_(*(np.arange(size) for size in parents))
@@ -420,7 +446,7 @@ def _tabulate(spec: ScmSpec) -> _LawTables:
     score = add_confounders(score, [law_y.confounders[name] for name in names], x)
     if law_y.u_coeffs is not None:
         score = score + np.asarray(law_y.u_coeffs)[u]
-    outcome = expit(score)
+    outcome = _logistic(score)
 
     if not ((treatment >= 0.0) & (treatment <= 1.0)).all():
         raise ConfigError("treatment law produced an invalid probability")
@@ -526,7 +552,7 @@ def generate(
             f"2 levels; got levels {not_binary}"
         )
 
-    rng = np.random.default_rng(spec.seed if seed is None else seed)
+    rng = np.random.default_rng(_check_seed(spec.seed if seed is None else seed))
     x = _draw_confounders(spec, rng, n)
     eps_u = rng.random(n)
     eps_t = rng.random(n)
@@ -713,7 +739,7 @@ def monte_carlo_effects(
     _require_oracle_clean(spec)
     j = _resolve_mediator(spec, mediator_name)
     cdfs = [_cdf(table[:, :, :, 0, 0]) for table in laws.mediators]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
 
     sums = np.zeros(3)
     sq_sums = np.zeros(3)

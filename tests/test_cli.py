@@ -223,6 +223,45 @@ def test_custom_lexicon_changes_hedging_labels(
     assert all(r.m["hedging"] == 0 for r in records)
 
 
+def _latin1_lexicon(tmp_path) -> Path:
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_bytes("peut-être\n".encode("latin-1"))
+    return lexicon
+
+
+def test_non_utf8_lexicon_in_run_config_exits_2(
+    tmp_path, capsys, paired_transcript_path, paired_meta_path
+):
+    lexicon = _latin1_lexicon(tmp_path)
+    config_path, _ = write_config(
+        tmp_path, paired_transcript_path, paired_meta_path, lexicon=str(lexicon)
+    )
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert f"malformed lexicon file {lexicon}: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_non_utf8_lexicon_on_measure_exits_2(
+    tmp_path, capsys, paired_transcript_path, paired_meta_path
+):
+    lexicon = _latin1_lexicon(tmp_path)
+    units_path = tmp_path / "units.ndjson"
+    assert main(["ingest", "--transcripts", str(paired_transcript_path),
+                 "--meta", str(paired_meta_path), "--out", str(units_path)]) == 0
+    assert main(["measure", "--units", str(units_path),
+                 "--transcripts", str(paired_transcript_path), "--lexicon", str(lexicon),
+                 "--out", str(tmp_path / "records.ndjson")]) == 2
+    assert f"malformed lexicon file {lexicon}: not UTF-8 text" in capsys.readouterr().err
+    assert not (tmp_path / "records.ndjson").exists()
+
+
+def test_simulate_negative_seed_exits_2(tmp_path, capsys):
+    out = tmp_path / "sim"
+    assert main(["simulate", "--fixture", "binary_scm", "--n", "10", "--seed", "-3",
+                 "--out", str(out)]) == 2
+    assert "seed must be non-negative, got -3" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_study_command_writes_csv(tmp_path):
     out = tmp_path / "study.csv"
     assert main([

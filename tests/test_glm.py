@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy.special import expit, softmax, xlogy
 
 from conftest import records_from_arrays
 from medlang import glm
@@ -404,6 +404,29 @@ def test_batch_fit_slices_do_not_change_results(monkeypatch):
     sliced = fit_categorical_glm_batch(design, counts)
     for a, b in zip(whole, sliced):
         assert np.array_equal(a, b)
+
+
+def test_glm_probs_equal_scipy_softmax_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for members, rows, k, d, scale in ((1, 4, 2, 3, 1.0), (6, 12, 3, 4, 5.0),
+                                       (3, 8, 5, 2, 400.0)):
+        design = rng.integers(0, 2, size=(rows, d)).astype(float)
+        design[:, 0] = 1.0
+        coef = rng.normal(0.0, scale, size=(members, k - 1, d))
+        scores = design @ np.swapaxes(coef, 1, 2)
+        reference = softmax(np.concatenate([np.zeros((members, rows, 1)), scores], axis=2), axis=2)
+        assert np.array_equal(glm._glm_probs(design, coef), reference)
+
+
+def test_loglik_is_finite_where_a_zero_count_meets_a_zero_probability(monkeypatch):
+    design = np.array([[1.0, 0.0], [1.0, 1.0]])
+    counts = np.array([[[3.0, 0.0], [2.0, 5.0]], [[0.0, 4.0], [0.0, 0.0]]])
+    probs = np.array([[[1.0, 0.0], [0.25, 0.75]], [[0.0, 1.0], [0.5, 0.5]]])
+    # with no iterations the coefficients stay 0 and the loglik reads these probabilities
+    monkeypatch.setattr(glm, "_glm_probs", lambda design, coef: probs)
+    loglik = fit_categorical_glm_batch(design, counts, max_iterations=0).loglik
+    assert np.isfinite(loglik).all()
+    assert np.array_equal(loglik, xlogy(counts, probs).sum(axis=(1, 2)))
 
 
 # -- one stacked fit and one validity rule ---------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
+from medlang import scm
 from medlang.corpus import extract_units, parse_transcript, utterance_to_json
 from medlang.errors import ConfigError, DataError, MedlangError
 from medlang.measure import MeasurementSpec, build_records
@@ -310,6 +311,33 @@ def test_monte_carlo_deterministic():
 def test_monte_carlo_rejects_non_positive_draws(n_draws):
     with pytest.raises(ConfigError, match="n_draws"):
         monte_carlo_effects(load_fixture("binary_scm"), n_draws=n_draws)
+
+
+def test_negative_seed_is_config_error():
+    spec = load_fixture("binary_scm")
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -3"):
+        generate(spec, 10, seed=-3)
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        generate(replace(spec, seed=-1), 10)
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -2"):
+        monte_carlo_effects(spec, n_draws=10, seed=-2)
+
+
+def test_logistic_equals_scipy_expit_bit_for_bit():
+    rng = np.random.default_rng(20)
+    grid = np.concatenate([
+        rng.normal(0.0, 5.0, 50_000),
+        rng.uniform(-800.0, 800.0, 50_000),
+        [0.0, -0.0, 709.0, -709.0, 710.0, -710.0, 709.78, -709.78, 709.79, -709.79,
+         1000.0, -1000.0, 1e308, -1e308, np.inf, -np.inf, np.nan],
+    ])
+    for shape in (grid.shape, (-1, 3)):
+        score = grid.reshape(shape)
+        got = scm._logistic(score)
+        assert got.shape == score.shape
+        assert np.array_equal(got, expit(score), equal_nan=True)
+    assert scm._logistic(np.array([-710.0, -np.inf])).tolist() == [0.0, 0.0]
+    assert scm._logistic(np.empty((2, 0))).shape == (2, 0)
 
 
 # -- carryover path consistency ---------------------------------------------------------
