@@ -13,13 +13,12 @@ The command-line equivalent:
     medlang run --manifest out/manifest.json --out again/
 """
 
-import json
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 from medlang.cli import RunConfig, run_pipeline
-from medlang.corpus import utterance_to_json
+from medlang.corpus import write_case_metadata, write_transcript
 from medlang.scm import generate, load_fixture
 from medlang.seeding import derive_seed
 
@@ -30,17 +29,11 @@ def main() -> None:
         tmp = Path(tmp)
         result = generate(spec, 400, seed=6, fold_seed=derive_seed(6, "folds"), render=True)
         transcripts = tmp / "transcripts.ndjson"
-        transcripts.write_text(
-            "".join(utterance_to_json(u) + "\n" for u in result.utterances), "utf-8"
-        )
+        with open(transcripts, "w", encoding="utf-8") as fh:
+            write_transcript(result.utterances, fh)
         meta = tmp / "meta.ndjson"
-        meta.write_text(
-            "".join(
-                json.dumps({"case_id": cid, **attrs}, sort_keys=True) + "\n"
-                for cid, attrs in sorted(result.case_metadata.items())
-            ),
-            "utf-8",
-        )
+        with open(meta, "w", encoding="utf-8") as fh:
+            write_case_metadata(result.case_metadata, fh)
 
         config = RunConfig(
             transcripts=str(transcripts),

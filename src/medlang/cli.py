@@ -20,16 +20,20 @@ from pathlib import Path
 from typing import Sequence
 
 from . import glm, mediation, scm
-from .corpus import (
+# record_to_json and unit_to_json stay importable from here: bench/tracer.py
+# wraps these names.
+from .corpus import (  # noqa: F401
     _iter_lines,
     extract_units,
     parse_case_metadata,
     parse_transcript,
     unit_to_json,
+    write_case_metadata,
     write_transcript,
+    write_units,
 )
 from .errors import ConfigError, DataError, MedlangError, ParseError
-from .measure import (
+from .measure import (  # noqa: F401
     BuildResult,
     MeasurementSpec,
     build_records,
@@ -37,6 +41,7 @@ from .measure import (
     load_lexicon,
     record_to_json,
     records_from_json,
+    write_records,
 )
 from .mediation import EffectEstimate, EstimatorConfig, INTERPRETATION_CAVEAT, estimate_all
 from .seeding import assign_folds, derive_seed
@@ -155,9 +160,10 @@ def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _write_records(path: Path, records: glm.CodedRecords) -> None:
-    """Write a records file: one record_to_json line per record."""
-    _write_text(path, "".join(record_to_json(r) + "\n" for r in records))
+def _write_with(path: Path, writer, items) -> None:
+    """Write ``items`` to the UTF-8 file at ``path`` with a stream writer such as write_units."""
+    with open(path, "w", encoding="utf-8") as fh:
+        writer(items, fh)
 
 
 def _fit_topic_model_for_units(units, config: RunConfig):
@@ -309,10 +315,10 @@ def run_pipeline(config: RunConfig) -> dict:
         with _open(config.meta) as fh:
             meta = parse_case_metadata(fh)
     units = extract_units(utterances, meta, strict_marker=config.strict_marker)
-    _write_text(out / "units.ndjson", "".join(unit_to_json(u) + "\n" for u in units))
+    _write_with(out / "units.ndjson", write_units, units)
 
     build = measure_units(units, utterances, config)
-    _write_records(out / "records.ndjson", build.records)
+    _write_with(out / "records.ndjson", write_records, build.records)
     known = build.records.domains.mediator_sizes
     missing = [m for m in config.mediators if m not in known]
     if missing:
@@ -398,7 +404,7 @@ def cmd_ingest(args) -> int:
             meta = parse_case_metadata(fh)
     units = extract_units(utterances, meta, strict_marker=args.strict_marker)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    _write_text(Path(args.out), "".join(unit_to_json(u) + "\n" for u in units))
+    _write_with(Path(args.out), write_units, units)
     print(f"wrote {len(units)} units to {args.out}")
     return 0
 
@@ -427,7 +433,7 @@ def cmd_measure(args) -> int:
         utterances = parse_transcript(fh)
     build = measure_units(units, utterances, config)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    _write_records(Path(args.out), build.records)
+    _write_with(Path(args.out), write_records, build.records)
     for reason, count in sorted(build.exclusion_counts().items()):
         print(f"excluded {count} units: {reason}", file=sys.stderr)
     print(f"wrote {len(build.records)} records to {args.out}")
@@ -488,15 +494,10 @@ def cmd_simulate(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_records(out / "records.ndjson", result.records)
+    _write_with(out / "records.ndjson", write_records, result.records)
     if args.render:
-        with open(out / "transcripts.ndjson", "w", encoding="utf-8") as fh:
-            write_transcript(result.utterances, fh)
-        meta_lines = [
-            json.dumps({"case_id": cid, **attrs}, sort_keys=True)
-            for cid, attrs in sorted(result.case_metadata.items())
-        ]
-        _write_text(out / "meta.ndjson", "".join(line + "\n" for line in meta_lines))
+        _write_with(out / "transcripts.ndjson", write_transcript, result.utterances)
+        _write_with(out / "meta.ndjson", write_case_metadata, result.case_metadata)
     oracle = {
         name: asdict(scm.exact_effects(spec, name)) for name in spec.mediator_names
     } if spec.assumption_clean else None
@@ -507,7 +508,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_study(args) -> int:
     spec = _load_spec_arg(args)
-    grid = [float(v) for v in args.grid.split(",") if v.strip()]
+    try:
+        grid = [float(v) for v in args.grid.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"magnitude grid {args.grid!r} is not a comma-separated list of "
+                          "numbers") from exc
     if not grid:
         raise ConfigError(f"empty magnitude grid: {args.grid!r}")
     rows = scm.violation_study(spec, args.knob, grid, args.n, args.seed, n_folds=args.folds)

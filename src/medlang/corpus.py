@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DataError, ParseError
@@ -86,44 +87,67 @@ def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> It
 def _iter_objects(source, what: str) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each non-blank JSON line of ``what`` records.
 
-    A line that is not UTF-8, not JSON or not a JSON object raises ParseError.
+    A line that is not UTF-8, not JSON or not a JSON object, or whose
+    strings hold a lone surrogate escape such as "\\ud800", raises ParseError.
     """
     for lineno, line in _iter_lines(source):
         try:
             obj = json.loads(line)
+            # Only a \u escape can put a lone surrogate into a decoded string;
+            # such a string could never be written back as UTF-8.
+            if "\\u" in line:
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
         except json.JSONDecodeError as exc:
             raise ParseError(f"malformed {what}: {exc.msg}", lineno) from exc
         except RecursionError as exc:
             raise ParseError(f"malformed {what}: nested too deeply", lineno) from exc
+        except UnicodeEncodeError as exc:
+            surrogate = f"\\u{ord(exc.object[exc.start]):04x}"
+            raise ParseError(f"malformed {what}: lone surrogate {surrogate}", lineno) from exc
         if not isinstance(obj, dict):
             raise ParseError(f"{what} is not an object", lineno)
         yield lineno, obj
 
 
+def _parse_turn(obj, lineno: int, label: str = "") -> Utterance:
+    """One turn object checked against the per-turn rules of the transcript format.
+
+    Exactly the expected fields, a known speaker role, a non-negative
+    integer index (a bool is not one) and non-empty text; ``label`` prefixes
+    each error message.
+    """
+    if not isinstance(obj, dict):
+        raise ParseError(f"{label}is not an object", lineno)
+    missing = [f for f in _RECORD_FIELDS if f not in obj]
+    extra = [k for k in obj if k not in _RECORD_FIELDS]
+    if missing:
+        raise ParseError(f"{label}missing fields {missing}", lineno)
+    if extra:
+        raise ParseError(f"{label}unexpected fields {extra}", lineno)
+    role = obj["speaker_role"]
+    if role not in SPEAKER_ROLES:
+        raise ParseError(f"{label}unknown speaker_role {role!r}", lineno)
+    index = obj["index"]
+    if type(index) is not int or index < 0:
+        raise ParseError(f"{label}index must be a non-negative integer, got {index!r}", lineno)
+    text = obj["text"]
+    if not isinstance(text, str) or not text.strip():
+        raise ParseError(f"{label}text is empty after whitespace trimming", lineno)
+    return Utterance(str(obj["case_id"]), index, str(obj["speaker_id"]), role, text)
+
+
 def parse_transcript(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> list[Utterance]:
     """Parse newline-delimited turn records into utterances, in file order.
 
-    Validates the invariants of the format: exactly the expected fields per
-    record, known speaker roles, non-empty text, and per-case indices that
-    are unique and contiguous from 0 in file order.
+    Validates the invariants of the format: each turn passes _parse_turn,
+    and per-case indices are unique and contiguous from 0 in file order.
     """
     utterances: list[Utterance] = []
     next_index: dict[str, int] = {}
     seen: set[tuple[str, int]] = set()
     for lineno, obj in _iter_objects(source, "record"):
-        missing = [f for f in _RECORD_FIELDS if f not in obj]
-        extra = [k for k in obj if k not in _RECORD_FIELDS]
-        if missing:
-            raise ParseError(f"missing fields {missing}", lineno)
-        if extra:
-            raise ParseError(f"unexpected fields {extra}", lineno)
-        role = obj["speaker_role"]
-        if role not in SPEAKER_ROLES:
-            raise ParseError(f"unknown speaker_role {role!r}", lineno)
-        case_id = str(obj["case_id"])
-        index = obj["index"]
-        if not isinstance(index, int) or index < 0:
-            raise ParseError(f"index must be a non-negative integer, got {index!r}", lineno)
+        utt = _parse_turn(obj, lineno)
+        case_id, index = utt.case_id, utt.index
         if (case_id, index) in seen:
             raise ParseError(f"duplicate (case_id, index) = ({case_id!r}, {index})", lineno)
         expected = next_index.get(case_id, 0)
@@ -132,40 +156,57 @@ def parse_transcript(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) 
                 f"non-contiguous index for case {case_id!r}: expected {expected}, got {index}",
                 lineno,
             )
-        text = obj["text"]
-        if not isinstance(text, str) or not text.strip():
-            raise ParseError("text is empty after whitespace trimming", lineno)
         seen.add((case_id, index))
         next_index[case_id] = expected + 1
-        utterances.append(
-            Utterance(
-                case_id=case_id,
-                index=index,
-                speaker_id=str(obj["speaker_id"]),
-                speaker_role=role,
-                text=text,
-            )
-        )
+        utterances.append(utt)
     return utterances
 
 
+# ---------------------------------------------------------------------------
+# NDJSON lines, written from string fragments
+# ---------------------------------------------------------------------------
+# Every NDJSON artifact line is the text json.dumps(obj, sort_keys=True)
+# gives: keys in sorted order, ", " and ": " separators, strings escaped by
+# the escaper json.dumps itself uses (encode_basestring writes non-ASCII raw,
+# encode_basestring_ascii escapes it). Building lines from fragments skips
+# json.dumps's per-object set-up, which dominates on short lines.
+
+
+def _json_object(fields: Mapping[str, str], escape=encode_basestring) -> str:
+    """A JSON object from its keys and each value's JSON text, keys sorted and escaped."""
+    return "{" + ", ".join(f"{escape(key)}: {fields[key]}" for key in sorted(fields)) + "}"
+
+
 def utterance_to_json(utt: Utterance) -> str:
-    return json.dumps(
-        {
-            "case_id": utt.case_id,
-            "index": utt.index,
-            "speaker_id": utt.speaker_id,
-            "speaker_role": utt.speaker_role,
-            "text": utt.text,
-        },
-        ensure_ascii=False,
-        sort_keys=True,
-    )
+    """One transcript line, without its newline."""
+    return (f'{{"case_id": {encode_basestring(utt.case_id)}, "index": {utt.index:d}, '
+            f'"speaker_id": {encode_basestring(utt.speaker_id)}, '
+            f'"speaker_role": {encode_basestring(utt.speaker_role)}, '
+            f'"text": {encode_basestring(utt.text)}}}')
 
 
 def write_transcript(utterances: Iterable[Utterance], stream: IO[str]) -> None:
-    for utt in utterances:
-        stream.write(utterance_to_json(utt) + "\n")
+    stream.write("".join([utterance_to_json(utt) + "\n" for utt in utterances]))
+
+
+def write_case_metadata(case_metadata: Mapping[str, Mapping[str, str]], stream: IO[str]) -> None:
+    """Write a metadata sidecar of string attributes: one line per case, in case_id order.
+
+    Lines are ASCII-escaped, case_id sorted in among the attribute names.
+    Each distinct attribute set is encoded once, as the text around its
+    case_id value: the NUL placeholder cannot occur in escaped JSON. An
+    attribute named case_id replaces the case id, as a dict merge would,
+    and leaves no placeholder.
+    """
+    around: dict[tuple, list[str]] = {}
+    lines = []
+    for case_id, attrs in sorted(case_metadata.items()):
+        key = tuple(attrs.items())
+        if key not in around:
+            fields = {"case_id": "\0", **{name: encode_basestring_ascii(v) for name, v in key}}
+            around[key] = (_json_object(fields, encode_basestring_ascii) + "\n").split("\0")
+        lines.append(encode_basestring_ascii(case_id).join(around[key]))
+    stream.write("".join(lines))
 
 
 def parse_case_metadata(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> dict[str, dict]:
@@ -256,43 +297,46 @@ def extract_units(
     return units
 
 
-def _utterance_dict(utt: Utterance) -> dict:
-    return {
-        "case_id": utt.case_id,
-        "index": utt.index,
-        "speaker_id": utt.speaker_id,
-        "speaker_role": utt.speaker_role,
-        "text": utt.text,
-    }
-
-
 def unit_to_json(unit: AnalysisUnit) -> str:
-    return json.dumps(
-        {
-            "unit_id": unit.unit_id,
-            "p1": _utterance_dict(unit.p1_utterance),
-            "p2": _utterance_dict(unit.p2_utterance) if unit.p2_utterance else None,
-            "context": dict(unit.context_features),
-        },
-        ensure_ascii=False,
-        sort_keys=True,
-    )
+    """One units-file line, without its newline.
+
+    Context values may be any JSON value, so the context keeps one json.dumps.
+    """
+    context = json.dumps(dict(unit.context_features), ensure_ascii=False, sort_keys=True)
+    p2 = "null" if unit.p2_utterance is None else utterance_to_json(unit.p2_utterance)
+    return (f'{{"context": {context}, "p1": {utterance_to_json(unit.p1_utterance)}, '
+            f'"p2": {p2}, "unit_id": {encode_basestring(unit.unit_id)}}}')
+
+
+def write_units(units: Iterable[AnalysisUnit], stream: IO[str]) -> None:
+    stream.write("".join([unit_to_json(unit) + "\n" for unit in units]))
 
 
 def units_from_json(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> list[AnalysisUnit]:
+    """Read a units file; p1 and p2 follow the transcript's per-turn rules.
+
+    A line that lacks a key, whose unit_id is not a string, whose context
+    is not an object or whose turns break a per-turn rule raises
+    ParseError with its line number. A null p2 is a unit with no responder.
+    """
     units = []
     for lineno, obj in _iter_objects(source, "unit record"):
         try:
-            units.append(
-                AnalysisUnit(
-                    unit_id=obj["unit_id"],
-                    p1_utterance=Utterance(**obj["p1"]),
-                    p2_utterance=Utterance(**obj["p2"]) if obj.get("p2") else None,
-                    context_features=obj.get("context", {}),
-                )
-            )
+            unit_id, p1, p2, context = obj["unit_id"], obj["p1"], obj["p2"], obj["context"]
         except KeyError as exc:
             raise ParseError(f"unit record lacks key {exc.args[0]!r}", lineno) from exc
-        except TypeError as exc:
-            raise ParseError(f"malformed unit record: {exc}", lineno) from exc
+        if type(unit_id) is not str:
+            raise ParseError(f"malformed unit record: unit_id must be a string, got {unit_id!r}",
+                             lineno)
+        if not isinstance(context, dict):
+            raise ParseError("malformed unit record: context must be an object", lineno)
+        units.append(
+            AnalysisUnit(
+                unit_id=unit_id,
+                p1_utterance=_parse_turn(p1, lineno, "malformed unit record: p1 "),
+                p2_utterance=None if p2 is None else _parse_turn(
+                    p2, lineno, "malformed unit record: p2 "),
+                context_features=context,
+            )
+        )
     return units

@@ -14,15 +14,21 @@ applied; see topics.fit_topic_model.
 from __future__ import annotations
 
 import functools
-import json
 import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
+from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import AnalysisUnit, Utterance, _iter_objects, ends_with_interruption_marker
+from .corpus import (
+    AnalysisUnit,
+    Utterance,
+    _iter_objects,
+    _json_object,
+    ends_with_interruption_marker,
+)
 from .errors import ConfigError, DataError, ParseError
 from .seeding import assign_folds
 from .textutil import DASH_TOKEN, normalize_phrase, tokenize
@@ -370,19 +376,42 @@ def infer_domains(x: Mapping[str, Sequence[str]], m: Mapping[str, Sequence[int]]
     )
 
 
+def _record_lines(unit_ids, t, x, m: Mapping[str, Iterable[int]], y, fold) -> str:
+    """Records-file lines, newline-terminated, from columns: the one records line format.
+
+    ``x`` holds each row's confounder object as JSON text and ``m`` each
+    mediator's integer levels; every other column holds one value per row.
+    The lines are those json.dumps(row, ensure_ascii=False, sort_keys=True)
+    gives.
+    """
+    names = sorted(m)
+    mediators = ", ".join(encode_basestring(name).replace("%", "%%") + ": %d" for name in names)
+    line = '{"fold": %d, "m": {' + mediators + '}, "t": %d, "unit_id": %s, "x": %s, "y": %d}\n'
+    rows = zip(fold, *(m[name] for name in names), t, map(encode_basestring, unit_ids), x, y)
+    return "".join(map(line.__mod__, rows))
+
+
+def _x_json(x: Mapping[str, str]) -> str:
+    return _json_object({name: encode_basestring(level) for name, level in x.items()})
+
+
 def record_to_json(record: CausalRecord) -> str:
-    return json.dumps(
-        {
-            "unit_id": record.unit_id,
-            "t": record.t,
-            "x": dict(record.x),
-            "m": dict(record.m),
-            "y": record.y,
-            "fold": record.fold,
-        },
-        ensure_ascii=False,
-        sort_keys=True,
-    )
+    """One records-file line, without its newline."""
+    return _record_lines([record.unit_id], [record.t], [_x_json(record.x)],
+                         {name: [level] for name, level in record.m.items()},
+                         [record.y], [record.fold])[:-1]
+
+
+def write_records(records: CodedRecords, stream: IO[str]) -> None:
+    """Write a records file from the columns, one line per record.
+
+    The confounder object is encoded once per distinct confounder code.
+    """
+    codes = records.x.tolist()
+    x_json = {code: _x_json(records.domains.x_assignment(code)) for code in set(codes)}
+    stream.write(_record_lines(records.unit_ids, records.t.tolist(), map(x_json.__getitem__, codes),
+                               {name: levels.tolist() for name, levels in records.m.items()},
+                               records.y.tolist(), records.fold.tolist()))
 
 
 def records_from_json(source) -> CodedRecords:

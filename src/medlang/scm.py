@@ -487,14 +487,15 @@ def _draw_confounders(spec: ScmSpec, rng: np.random.Generator, size: int) -> np.
 RENDERABLE_MEDIATORS = ("hedging", "disfluency")
 
 
-def _render_unit(i: int, t: int, m: Mapping[str, int], y: int) -> tuple[str, list[Utterance]]:
+def _render_unit(i: int, t: int, hedging: int, disfluency: int,
+                 y: int) -> tuple[str, list[Utterance]]:
     case_id = f"case{i:07d}"
     surname = f"Smith{i:07d}"
     honorific = "Ms." if t == 1 else "Mr."
     core = "the record shows the statute controls here"
-    if m.get("disfluency", 0) == 1:
+    if disfluency == 1:
         core = "the record - - record shows the statute controls here"
-    if m.get("hedging", 0) == 1:
+    if hedging == 1:
         body = "I think " + core
     else:
         body = core[0].upper() + core[1:]
@@ -599,12 +600,19 @@ def generate(
     if not render:
         return GenerateResult(records=records)
 
+    # A mediator the spec lacks renders as absent.
+    absent = [0] * n
+    hedging, disfluency = (m[name].tolist() if name in m else absent
+                           for name in RENDERABLE_MEDIATORS)
+    codes = x.tolist()
+    x_levels = {code: records.domains.x_assignment(code) for code in set(codes)}
     utterances: list[Utterance] = []
     case_metadata: dict[str, dict] = {}
-    for i, rec in enumerate(records):
-        case_id, turns = _render_unit(i, rec.t, rec.m, rec.y)
+    rows = zip(t.tolist(), hedging, disfluency, y.tolist(), codes)
+    for i, (t_i, hedging_i, disfluency_i, y_i, code) in enumerate(rows):
+        case_id, turns = _render_unit(i, t_i, hedging_i, disfluency_i, y_i)
         utterances.extend(turns)
-        case_metadata[case_id] = rec.x
+        case_metadata[case_id] = dict(x_levels[code])
     return GenerateResult(
         records=records, utterances=tuple(utterances), case_metadata=case_metadata
     )

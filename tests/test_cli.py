@@ -540,6 +540,40 @@ def test_malformed_records_file_is_data_error(tmp_path, capsys, command, bad_lin
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, line",
+    [
+        ("--transcripts", '{"case_id": "c", "index": 0, "speaker_id": "s", '
+                          '"speaker_role": "advocate", "text": "I think so \\ud800"}'),
+        ("--meta", '{"case_id": "c", "issue_area": "\\udc00"}'),
+        ("--records", '{"fold": 0, "m": {"hedging": 1}, "t": 0, "unit_id": "u0", '
+                      '"x": {"x0": "\\udc00"}, "y": 1}'),
+    ],
+    ids=["ingest", "ingest-meta", "fit"],
+)
+def test_lone_surrogate_input_exits_3(tmp_path, capsys, paired_transcript_path, flag, line):
+    bad = tmp_path / "bad.ndjson"
+    bad.write_text(line + "\n", encoding="utf-8")
+    units = str(tmp_path / "out" / "units.ndjson")
+    args = {
+        "--transcripts": ["ingest", "--transcripts", str(bad), "--out", units],
+        "--meta": ["ingest", "--transcripts", str(paired_transcript_path), "--meta", str(bad),
+                   "--out", units],
+        "--records": ["fit", "--records", str(bad), "--out", str(tmp_path / "out")],
+    }[flag]
+    assert main(args) == 3
+    assert "line 1: malformed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_study_non_numeric_grid_exits_2(tmp_path, capsys):
+    out = tmp_path / "study.csv"
+    assert main(["study", "--fixture", "binary_scm", "--knob", "mediator_coupling",
+                 "--grid", "abc", "--out", str(out)]) == 2
+    assert "magnitude grid 'abc'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_utf8_records_file_is_parse_error(tmp_path, capsys):
     good = CausalRecord(unit_id="u0", t=0, x={"x0": "0"}, m={"hedging": 1}, y=1, fold=0)
     records = tmp_path / "records.ndjson"

@@ -225,8 +225,17 @@ def test_unit_json_round_trip(paired_units):
         (lambda unit: {**unit, "p1": {}}, "malformed unit record"),
         (lambda unit: {**unit, "p1": "text"}, "malformed unit record"),
         (lambda unit: "[" * 100_000, "malformed unit record"),
+        (lambda unit: {**unit, "context": 7}, "context must be an object"),
+        (lambda unit: {**unit, "unit_id": 5}, "unit_id must be a string"),
+        (lambda unit: {**unit, "p1": {**unit["p1"], "index": "0"}}, "p1 index must be"),
+        (lambda unit: {**unit, "p1": {**unit["p1"], "speaker_role": "clerk"}},
+         "p1 unknown speaker_role 'clerk'"),
+        (lambda unit: {**unit, "p2": {**unit["p2"], "text": " "}}, "p2 text is empty"),
+        (lambda unit: {**unit, "p2": {}}, "p2 missing fields"),
     ],
-    ids=["non-json", "non-object", "missing-key", "empty-p1", "non-object-p1", "deeply-nested"],
+    ids=["non-json", "non-object", "missing-key", "empty-p1", "non-object-p1", "deeply-nested",
+         "non-object-context", "non-string-unit-id", "string-index", "unknown-role",
+         "empty-text", "empty-p2"],
 )
 def test_units_reader_rejects_malformed_line_with_its_number(paired_units, change, reason):
     good = unit_to_json(paired_units[0])
@@ -234,6 +243,34 @@ def test_units_reader_rejects_malformed_line_with_its_number(paired_units, chang
     bad_line = bad if isinstance(bad, str) else json.dumps(bad)
     with pytest.raises(ParseError, match=reason) as info:
         units_from_json(good + "\n" + bad_line + "\n")
+    assert info.value.line_number == 2
+
+
+def test_units_reader_rejects_a_lone_surrogate(paired_units):
+    good = unit_to_json(paired_units[0])
+    obj = json.loads(good)
+    obj["p1"]["text"] = "I think so \udc00"
+    bad = json.dumps(obj)  # ASCII-escaped, so the surrogate is a \u escape
+    with pytest.raises(ParseError, match=r"lone surrogate \\udc00") as info:
+        units_from_json(good + "\n" + bad + "\n")
+    assert info.value.line_number == 2
+
+
+def test_transcript_reader_rejects_a_lone_surrogate():
+    good = line("c", 0, "s", "advocate", "I think so \U0001f600")  # an escaped surrogate pair
+    assert "\\ud83d\\ude00" in good
+    assert parse_transcript(good)[0].text == "I think so \U0001f600"
+    bad = line("c", 1, "s", "justice", "I think so \ud800")
+    for source in (good + "\n" + bad, (good + "\n" + bad).encode("utf-8")):
+        with pytest.raises(ParseError, match=r"lone surrogate \\ud800") as info:
+            parse_transcript(source)
+        assert info.value.line_number == 2
+
+
+def test_metadata_reader_rejects_a_lone_surrogate():
+    text = '{"case_id": "a", "issue_area": "x"}\n{"case_id": "c", "issue_area": "\\udc00"}'
+    with pytest.raises(ParseError, match=r"lone surrogate \\udc00") as info:
+        parse_case_metadata(text)
     assert info.value.line_number == 2
 
 
@@ -373,3 +410,9 @@ def test_metadata_reader_parses_or_raises_a_medlang_error(lines):
         except MedlangError:
             continue
         assert len(meta) <= len(lines)
+
+
+def test_parse_bool_index_errors():
+    # json.dumps would write the index back as false, which no reader accepts
+    with pytest.raises(ParseError, match="index must be a non-negative integer, got False"):
+        parse_transcript(line("a", False, "s", "advocate", "x"))

@@ -615,6 +615,13 @@ def test_records_reader_rejects_malformed_line_with_its_number(bad_line, reason)
     assert list(records_from_json(record_to_json(GOOD_RECORD))) == [GOOD_RECORD]
 
 
+def test_records_reader_rejects_a_lone_surrogate():
+    bad = record_to_json(GOOD_RECORD).replace('"c:0"', '"c:1"').replace('"0"', '"\\udc00"')
+    with pytest.raises(ParseError, match=r"lone surrogate \\udc00") as info:
+        records_from_json(record_to_json(GOOD_RECORD) + "\n" + bad)
+    assert info.value.line_number == 2
+
+
 def test_records_with_the_old_valence_key_still_read():
     line = record_to_json(GOOD_RECORD)
     assert "valence" not in json.loads(line)
