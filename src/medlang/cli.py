@@ -23,11 +23,12 @@ from . import glm, mediation, scm
 # record_to_json and unit_to_json stay importable from here: bench/tracer.py
 # wraps these names.
 from .corpus import (  # noqa: F401
-    _iter_lines,
+    _iter_objects,
     extract_units,
     parse_case_metadata,
     parse_transcript,
     unit_to_json,
+    units_from_json,
     write_case_metadata,
     write_transcript,
     write_units,
@@ -410,8 +411,6 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    from .corpus import units_from_json
-
     config = RunConfig(
         transcripts=args.transcripts,
         out=os.path.dirname(args.out) or ".",
@@ -571,11 +570,7 @@ def cmd_run(args) -> int:
 def cmd_report(args) -> int:
     estimates = []
     with _open(args.estimates) as fh:
-        for line_number, line in _iter_lines(fh):
-            try:
-                obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ParseError(f"not a JSON line: {exc}", line_number) from exc
+        for line_number, obj in _iter_objects(fh, "estimate"):
             try:
                 estimates.append(EffectEstimate.from_dict(obj))
             except DataError as exc:

@@ -12,7 +12,7 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring, encode_basestring_ascii
-from typing import IO, Iterable, Iterator, Mapping, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DataError, ParseError
 
@@ -30,10 +30,10 @@ STRICT_INTERRUPTION_MARKERS = ("- -",)
 UNIT_LEVELS = ("adjacent_pair", "thread", "conversation")
 
 _RECORD_FIELDS = ("case_id", "index", "speaker_id", "speaker_role", "text")
+_RECORD_FIELD_SET = frozenset(_RECORD_FIELDS)
 
 
-@dataclass(frozen=True)
-class Utterance:
+class Utterance(NamedTuple):
     """One speaking turn. Indices are contiguous per case starting at 0."""
 
     case_id: str
@@ -58,9 +58,7 @@ class AnalysisUnit:
 
 
 def ends_with_interruption_marker(text: str, strict: bool = False) -> bool:
-    markers = STRICT_INTERRUPTION_MARKERS if strict else INTERRUPTION_MARKERS
-    stripped = text.rstrip()
-    return any(stripped.endswith(m) for m in markers)
+    return text.rstrip().endswith(STRICT_INTERRUPTION_MARKERS if strict else INTERRUPTION_MARKERS)
 
 
 def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> Iterator[tuple[int, str]]:
@@ -84,15 +82,34 @@ def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> It
             yield lineno, line.rstrip("\n")
 
 
+_scan_once = json.JSONDecoder().scan_once
+_JSON_SPACE = " \t\n\r"
+
+
+def _decode_line(line: str):
+    """The value json.loads(line) gives, decoded in one call of its C scanner.
+
+    Unless only JSON whitespace surrounds it, json.loads raises its error.
+    """
+    try:
+        obj, end = _scan_once(line, len(line) - len(line.lstrip(_JSON_SPACE)))
+        if not line[end:].strip(_JSON_SPACE):
+            return obj
+    except StopIteration:
+        pass
+    return json.loads(line)
+
+
 def _iter_objects(source, what: str) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each non-blank JSON line of ``what`` records.
 
-    A line that is not UTF-8, not JSON or not a JSON object, or whose
-    strings hold a lone surrogate escape such as "\\ud800", raises ParseError.
+    Each line holds one JSON value with only JSON whitespace around it. A
+    line that is not UTF-8, not JSON or not a JSON object, or whose strings
+    hold a lone surrogate escape such as "\\ud800", raises ParseError.
     """
     for lineno, line in _iter_lines(source):
         try:
-            obj = json.loads(line)
+            obj = _decode_line(line)
             # Only a \u escape can put a lone surrogate into a decoded string;
             # such a string could never be written back as UTF-8.
             if "\\u" in line:
@@ -144,21 +161,22 @@ def parse_transcript(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) 
     """
     utterances: list[Utterance] = []
     next_index: dict[str, int] = {}
-    seen: set[tuple[str, int]] = set()
     for lineno, obj in _iter_objects(source, "record"):
-        utt = _parse_turn(obj, lineno)
-        case_id, index = utt.case_id, utt.index
-        if (case_id, index) in seen:
-            raise ParseError(f"duplicate (case_id, index) = ({case_id!r}, {index})", lineno)
+        role, index, text = obj.get("speaker_role"), obj.get("index"), obj.get("text")
+        # _parse_turn's rules in one test; _parse_turn runs only to raise.
+        if not (obj.keys() == _RECORD_FIELD_SET and role in SPEAKER_ROLES
+                and type(index) is int and index >= 0 and type(text) is str and text.strip()):
+            _parse_turn(obj, lineno)
+        case_id = str(obj["case_id"])
         expected = next_index.get(case_id, 0)
         if index != expected:
-            raise ParseError(
-                f"non-contiguous index for case {case_id!r}: expected {expected}, got {index}",
-                lineno,
-            )
-        seen.add((case_id, index))
+            # Indices so far are 0..expected-1, so a smaller one is a repeat.
+            if index < expected:
+                raise ParseError(f"duplicate (case_id, index) = ({case_id!r}, {index})", lineno)
+            raise ParseError(f"non-contiguous index for case {case_id!r}: expected {expected}, "
+                             f"got {index}", lineno)
         next_index[case_id] = expected + 1
-        utterances.append(utt)
+        utterances.append(Utterance(case_id, index, str(obj["speaker_id"]), role, text))
     return utterances
 
 
@@ -255,10 +273,9 @@ def extract_units(
     # prior[case][i]: earlier advocate turns of the case ending with the marker
     prior: dict[str, list[int]] = {}
     for case_id, turns in by_case.items():
-        ordered = sorted(t.index for t in turns)
-        if ordered != list(range(len(turns))):
-            raise DataError(f"case {case_id!r}: indices not contiguous from 0")
         turns.sort(key=lambda t: t.index)
+        if [t.index for t in turns] != list(range(len(turns))):
+            raise DataError(f"case {case_id!r}: indices not contiguous from 0")
         running, counts = 0, []
         for turn in turns:
             counts.append(running)
@@ -269,7 +286,6 @@ def extract_units(
         prior[case_id] = counts
 
     units: list[AnalysisUnit] = []
-    seen_ids: set[str] = set()
     for utt in utterances:
         if utt.speaker_role != "advocate":
             continue
@@ -280,46 +296,49 @@ def extract_units(
             "prior_interruption_bucket": _interruption_bucket(prior[utt.case_id][utt.index]),
             "responder_role": p2.speaker_role if p2 is not None else "none",
         }
-        for key, value in case_metadata.get(utt.case_id, {}).items():
-            context[key] = value
-        unit_id = f"{utt.case_id}:{utt.index}"
-        if unit_id in seen_ids:
-            raise DataError(f"duplicate unit id {unit_id!r}")
-        seen_ids.add(unit_id)
-        units.append(
-            AnalysisUnit(
-                unit_id=unit_id,
-                p1_utterance=utt,
-                p2_utterance=p2,
-                context_features=context,
-            )
-        )
+        context.update(case_metadata.get(utt.case_id, ()))
+        # The id is unique: (case_id, index) is, and the index holds no ":".
+        units.append(AnalysisUnit(f"{utt.case_id}:{utt.index}", utt, p2, context))
     return units
 
 
-def unit_to_json(unit: AnalysisUnit) -> str:
-    """One units-file line, without its newline.
+def _unit_line(unit: AnalysisUnit, contexts: dict[tuple, str]) -> str:
+    """One units-file line, without its newline; ``contexts`` caches context texts.
 
-    Context values may be any JSON value, so the context keeps one json.dumps.
+    Only contexts of string keys and values are cached: 1, 1.0 and true, or
+    0.0 and -0.0, compare equal but encode differently.
     """
-    context = json.dumps(dict(unit.context_features), ensure_ascii=False, sort_keys=True)
+    items = tuple(unit.context_features.items())
+    shared = all(type(key) is str and type(value) is str for key, value in items)
+    context = contexts.get(items) if shared else None
+    if context is None:
+        context = json.dumps(dict(items), ensure_ascii=False, sort_keys=True)
+        if shared:
+            contexts[items] = context
     p2 = "null" if unit.p2_utterance is None else utterance_to_json(unit.p2_utterance)
     return (f'{{"context": {context}, "p1": {utterance_to_json(unit.p1_utterance)}, '
             f'"p2": {p2}, "unit_id": {encode_basestring(unit.unit_id)}}}')
 
 
+def unit_to_json(unit: AnalysisUnit) -> str:
+    """One units-file line, without its newline."""
+    return _unit_line(unit, {})
+
+
 def write_units(units: Iterable[AnalysisUnit], stream: IO[str]) -> None:
-    stream.write("".join([unit_to_json(unit) + "\n" for unit in units]))
+    contexts: dict[tuple, str] = {}
+    stream.write("".join([_unit_line(unit, contexts) + "\n" for unit in units]))
 
 
 def units_from_json(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> list[AnalysisUnit]:
     """Read a units file; p1 and p2 follow the transcript's per-turn rules.
 
-    A line that lacks a key, whose unit_id is not a string, whose context
-    is not an object or whose turns break a per-turn rule raises
-    ParseError with its line number. A null p2 is a unit with no responder.
+    A line that lacks a key, whose unit_id is not a string or repeats an
+    earlier one, whose context is not an object or whose turns break a
+    per-turn rule raises ParseError with its line number; a null p2 is a
+    unit with no responder.
     """
-    units = []
+    units, first_line = [], {}
     for lineno, obj in _iter_objects(source, "unit record"):
         try:
             unit_id, p1, p2, context = obj["unit_id"], obj["p1"], obj["p2"], obj["context"]
@@ -339,4 +358,7 @@ def units_from_json(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -
                 context_features=context,
             )
         )
+        if first_line.setdefault(unit_id, lineno) != lineno:
+            raise ParseError(f"duplicate unit_id {unit_id!r}, first on line "
+                             f"{first_line[unit_id]}", lineno)
     return units

@@ -88,48 +88,41 @@ class MeasurementSpec:
 
 
 @functools.lru_cache(maxsize=32)
-def _phrase_grams(lexicon: tuple[str, ...]) -> tuple[tuple[int, frozenset[tuple[str, ...]]], ...]:
-    """(length, phrases as token tuples) pairs of the lexicon; empty phrases dropped."""
-    grams: dict[int, set[tuple[str, ...]]] = {}
-    for phrase in lexicon:
-        ptoks = tuple(phrase.split())
-        if ptoks:
-            grams.setdefault(len(ptoks), set()).add(ptoks)
-    return tuple((span, frozenset(group)) for span, group in grams.items())
+def _phrase_pattern(lexicon: tuple[str, ...]) -> re.Pattern:
+    """Matches any non-empty lexicon phrase between spaces; with none, matches nothing."""
+    phrases = dict.fromkeys(" ".join(phrase.split()) for phrase in lexicon if phrase.split())
+    return re.compile("|".join(re.escape(f" {phrase} ") for phrase in phrases) or "(?!)")
 
 
-def measure_hedging(text: str, lexicon: Sequence[str]) -> int:
+def measure_hedging(text: str | list[str], lexicon: Sequence[str]) -> int:
     """1 iff any lexicon phrase occurs on token boundaries, case-insensitively.
 
-    Each window length is one set lookup per token position.
+    ``text`` may be given as its tokenize() list. Tokens hold no whitespace, so
+    a phrase in the tokens joined by single spaces is a run of whole tokens.
     """
     if not lexicon:
         raise ConfigError("hedging lexicon is empty")
-    tokens = tokenize(text)
-    for span, phrases in _phrase_grams(tuple(lexicon)):
-        for i in range(len(tokens) - span + 1):
-            if tuple(tokens[i : i + span]) in phrases:
-                return 1
-    return 0
+    tokens = tokenize(text) if isinstance(text, str) else text
+    return 1 if _phrase_pattern(tuple(lexicon)).search(f" {' '.join(tokens)} ") else 0
 
 
-def measure_disfluency(text: str) -> int:
+def measure_disfluency(text: str | list[str]) -> int:
     """1 iff the token stream contains w, "-", "-", w for some unigram w.
 
     The repeated word must be identical on both sides of the double dash;
-    restarts with a different word do not count.
+    restarts with a different word do not count. ``text`` may be given as
+    its tokenize() list.
     """
-    tokens = tokenize(text)
-    for i in range(len(tokens) - 3):
-        w = tokens[i]
-        if (
-            w != DASH_TOKEN
-            and tokens[i + 1] == DASH_TOKEN
-            and tokens[i + 2] == DASH_TOKEN
-            and tokens[i + 3] == w
-        ):
+    tokens = tokenize(text) if isinstance(text, str) else text
+    start = 1
+    while True:
+        try:
+            i = tokens.index(DASH_TOKEN, start, len(tokens) - 2)
+        except ValueError:
+            return 0
+        if tokens[i + 1] == DASH_TOKEN and tokens[i - 1] == tokens[i + 2] != DASH_TOKEN:
             return 1
-    return 0
+        start = i + 1
 
 
 def label_interruption(unit: AnalysisUnit, strict: bool = False) -> int:
@@ -450,10 +443,9 @@ def records_from_json(source) -> CodedRecords:
     records = _code(unit_ids, t, x, m, y, fold, infer_domains(x, m), lines)
     first_line: dict[str, int] = {}
     for unit_id, lineno in zip(unit_ids, lines):
-        if unit_id in first_line:
+        if first_line.setdefault(unit_id, lineno) != lineno:
             raise ParseError(f"duplicate unit_id {unit_id!r}, first on line "
                              f"{first_line[unit_id]}", lineno)
-        first_line[unit_id] = lineno
     return records
 
 
@@ -515,7 +507,8 @@ def build_records(
     t_column: list[int] = []
     y_column: list[int] = []
     x: dict[str, list[str]] = {name: [] for name in confounders}
-    texts: list[str] = []
+    m: dict[str, list[int]] = {"hedging": [], "disfluency": []}
+    docs: list[list[str]] = []  # the topic fold-in's input
     for unit in units:
         if unit.p2_utterance is None:
             exclusions.append(Exclusion(unit.unit_id, "no_responder"))
@@ -539,13 +532,15 @@ def build_records(
             if name not in unit.context_features:
                 raise DataError(f"unit {unit.unit_id}: missing context feature {name!r}")
             x[name].append(str(unit.context_features[name]))
-        texts.append(unit.p1_utterance.text)
-    m = {"hedging": [measure_hedging(text, spec.hedging_lexicon) for text in texts],
-         "disfluency": [measure_disfluency(text) for text in texts]}
+        tokens = tokenize(unit.p1_utterance.text)  # once, for every mediator
+        m["hedging"].append(measure_hedging(tokens, spec.hedging_lexicon))
+        m["disfluency"].append(measure_disfluency(tokens))
+        if spec.topic_model is not None:
+            docs.append(tokens)
     mediator_domains: list[tuple[str, int]] = [("hedging", 2), ("disfluency", 2)]
     if spec.topic_model is not None:
         mediator_domains.append((TOPIC_MEDIATOR, spec.topic_model.n_topics + 1))
-        m[TOPIC_MEDIATOR] = measure_topics(spec.topic_model, texts).tolist()
+        m[TOPIC_MEDIATOR] = measure_topics(spec.topic_model, docs).tolist()
 
     # Confounders follow the reader's rule, so a records file read back
     # carries the same domains.

@@ -8,7 +8,7 @@ perturbs the streams of the others.
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -39,15 +39,3 @@ def assign_folds(unit_ids: Sequence[str], n_folds: int, seed: int) -> dict[str, 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(ids))
     return {ids[j]: int(pos % n_folds) for pos, j in enumerate(order)}
-
-
-def spawn_rng(root_seed: int, label: str) -> np.random.Generator:
-    return np.random.default_rng(derive_seed(root_seed, label))
-
-
-def checksum_lines(lines: Iterable[str]) -> str:
-    """Stable sha256 over an iterable of text lines (used by run manifests)."""
-    h = hashlib.sha256()
-    for line in lines:
-        h.update(line.encode("utf-8"))
-    return h.hexdigest()

@@ -18,12 +18,11 @@ _EDGE_PUNCT = string.punctuation
 def tokenize(text: str) -> list[str]:
     tokens: list[str] = []
     for raw in text.lower().split():
-        if raw and set(raw) == {"-"}:
-            tokens.extend(DASH_TOKEN * len(raw))
-            continue
         word = raw.strip(_EDGE_PUNCT)
         if word:
             tokens.append(word)
+        elif not raw.strip("-"):  # only dashes, each of which is edge punctuation
+            tokens.extend(DASH_TOKEN * len(raw))
     return tokens
 
 

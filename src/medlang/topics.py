@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .textutil import DASH_TOKEN, tokenize
+from .textutil import tokenize
 
 DEFAULT_ALPHA = 0.1
 DEFAULT_BETA = 0.01
@@ -36,13 +36,10 @@ DEFAULT_STOP_WORDS = frozenset(
 _FOLD_IN_ITERATIONS = 50
 
 
-def preprocess(text: str, stop_words: frozenset[str] = DEFAULT_STOP_WORDS) -> list[str]:
-    """Tokens kept for topic modeling: alphabetic content words only."""
-    return [
-        tok
-        for tok in tokenize(text)
-        if tok != DASH_TOKEN and any(c.isalpha() for c in tok) and tok not in stop_words
-    ]
+def preprocess(text: str | list[str], stop_words: frozenset[str] = DEFAULT_STOP_WORDS) -> list[str]:
+    """Tokens kept for topic modeling: alphabetic content words only; ``text`` may be tokens."""
+    return [tok for tok in (tokenize(text) if isinstance(text, str) else text)
+            if tok not in stop_words and (tok.isalpha() or any(c.isalpha() for c in tok))]
 
 
 @dataclass(frozen=True)
@@ -160,13 +157,14 @@ def fit_topic_model(
     return model
 
 
-def fold_in(model: TopicModel, texts: Sequence[str],
+def fold_in(model: TopicModel, texts: Sequence[str | list[str]],
             stop_words: frozenset[str] = DEFAULT_STOP_WORDS) -> np.ndarray:
     """Deterministic EM fold-in: topic proportions of each text, one row each.
 
-    Rows of text with no in-vocabulary token are NaN. Texts of one
-    in-vocabulary length share a (texts, tokens, topics) array, summed over
-    tokens in token order, so no row depends on the batch it came in.
+    A text may be given as its tokenize() list. Rows of text with no
+    in-vocabulary token are NaN. Texts of one in-vocabulary length share a
+    (texts, tokens, topics) array, summed over tokens in token order, so no
+    row depends on the batch it came in.
     """
     index = model.vocab_index
     ids = [[index[tok] for tok in preprocess(text, stop_words) if tok in index] for text in texts]
@@ -186,7 +184,7 @@ def fold_in(model: TopicModel, texts: Sequence[str],
     return out
 
 
-def measure_topics(model: TopicModel, texts: Sequence[str],
+def measure_topics(model: TopicModel, texts: Sequence[str | list[str]],
                    stop_words: frozenset[str] = DEFAULT_STOP_WORDS) -> np.ndarray:
     """Dominant topic of each text, ties to the lowest index; level K if none is in vocabulary."""
     theta = fold_in(model, texts, stop_words)

@@ -500,8 +500,8 @@ def test_report_rejects_malformed_lines_with_exit_3(tmp_path, capsys):
     )
     good = est.to_json()
     lacking = json.dumps({k: v for k, v in est.to_dict().items() if k != "nie_ci"})
-    for bad_line, reason in (("{not json", "not a JSON line"), (lacking, "nie_ci"),
-                             ("[1, 2]", "JSON object")):
+    for bad_line, reason in (("{not json", "malformed estimate"), (lacking, "nie_ci"),
+                             ("[1, 2]", "estimate is not an object")):
         estimates = tmp_path / "effects.ndjson"
         estimates.write_text(good + "\n" + bad_line + "\n", encoding="utf-8")
         assert main(["report", "--estimates", str(estimates)]) == 3
@@ -548,8 +548,12 @@ def test_malformed_records_file_is_data_error(tmp_path, capsys, command, bad_lin
         ("--meta", '{"case_id": "c", "issue_area": "\\udc00"}'),
         ("--records", '{"fold": 0, "m": {"hedging": 1}, "t": 0, "unit_id": "u0", '
                       '"x": {"x0": "\\udc00"}, "y": 1}'),
+        ("--estimates", EffectEstimate(
+            mediator_name="hedg\ud800", nde=0.1, nie=0.05, nie_reversed=0.05, total_effect=0.15,
+            ci_level=0.9, nde_ci=(0.0, 0.2), nie_ci=(0.0, 0.1), n_units=10, n_bootstrap=0,
+        ).to_json()),
     ],
-    ids=["ingest", "ingest-meta", "fit"],
+    ids=["ingest", "ingest-meta", "fit", "report"],
 )
 def test_lone_surrogate_input_exits_3(tmp_path, capsys, paired_transcript_path, flag, line):
     bad = tmp_path / "bad.ndjson"
@@ -560,10 +564,25 @@ def test_lone_surrogate_input_exits_3(tmp_path, capsys, paired_transcript_path, 
         "--meta": ["ingest", "--transcripts", str(paired_transcript_path), "--meta", str(bad),
                    "--out", units],
         "--records": ["fit", "--records", str(bad), "--out", str(tmp_path / "out")],
+        "--estimates": ["report", "--estimates", str(bad), "--out", str(tmp_path / "out" / "r")],
     }[flag]
     assert main(args) == 3
     assert "line 1: malformed" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_measure_rejects_a_repeated_unit_id_with_exit_3(tmp_path, capsys, paired_transcript_path):
+    units_path = tmp_path / "units.ndjson"
+    assert main(["ingest", "--transcripts", str(paired_transcript_path),
+                 "--out", str(units_path)]) == 0
+    lines = units_path.read_text("utf-8").splitlines()
+    unit_id = json.loads(lines[0])["unit_id"]
+    units_path.write_text("\n".join(lines + lines[:1]) + "\n", encoding="utf-8")
+    assert main(["measure", "--units", str(units_path), "--transcripts",
+                 str(paired_transcript_path), "--out", str(tmp_path / "r.ndjson")]) == 3
+    err = capsys.readouterr().err
+    assert f"line {len(lines) + 1}: duplicate unit_id {unit_id!r}, first on line 1" in err
+    assert not (tmp_path / "r.ndjson").exists()
 
 
 def test_study_non_numeric_grid_exits_2(tmp_path, capsys):

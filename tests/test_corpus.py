@@ -7,8 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import near_lines
 from medlang.corpus import (
+    SPEAKER_ROLES,
     AnalysisUnit,
     Utterance,
+    _decode_line,
+    _iter_lines,
+    _iter_objects,
+    _parse_turn,
     ends_with_interruption_marker,
     extract_units,
     parse_case_metadata,
@@ -416,3 +421,178 @@ def test_parse_bool_index_errors():
     # json.dumps would write the index back as false, which no reader accepts
     with pytest.raises(ParseError, match="index must be a non-negative integer, got False"):
         parse_transcript(line("a", False, "s", "advocate", "x"))
+
+
+# -- the line decoder against json.loads ----------------------------------------
+
+
+def _reference_objects(source, what="record"):
+    """The reader as it was, decoding each line with json.loads."""
+    out = []
+    for lineno, text in _iter_lines(source):
+        try:
+            obj = json.loads(text)
+            if "\\u" in text:
+                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"malformed {what}: {exc.msg}", lineno) from exc
+        except RecursionError as exc:
+            raise ParseError(f"malformed {what}: nested too deeply", lineno) from exc
+        except UnicodeEncodeError as exc:
+            surrogate = f"\\u{ord(exc.object[exc.start]):04x}"
+            raise ParseError(f"malformed {what}: lone surrogate {surrogate}", lineno) from exc
+        if not isinstance(obj, dict):
+            raise ParseError(f"{what} is not an object", lineno)
+        out.append((lineno, obj))
+    return out
+
+
+def _outcome(fn, *args):
+    """repr of a call's result (so NaN equals itself), or its error's type and message."""
+    try:
+        return repr(fn(*args))
+    except (json.JSONDecodeError, ParseError, RecursionError) as exc:
+        return type(exc).__name__, getattr(exc, "msg", str(exc))
+
+
+#: JSON whitespace, other Unicode whitespace, and a byte order mark.
+PADDING = st.text(alphabet=" \t\r\n\x0b\x0c\x1c\x85\u00a0\u2028\ufeff", max_size=3)
+#: Characters, lone surrogates among them.
+DECODER_CHARACTERS = st.characters() | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF,
+                                                     exclude_categories=())
+DECODER_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(DECODER_CHARACTERS, max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def decoder_lines(draw):
+    """A JSON value's text, padded, ASCII-escaped or not, maybe with one character changed."""
+    value = draw(st.dictionaries(st.text(max_size=3), DECODER_VALUES, max_size=3)
+                 | DECODER_VALUES)
+    text = json.dumps(value, ensure_ascii=draw(st.booleans()))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(text)))
+        text = text[:i] + draw(st.sampled_from('{}[]",: \\0e.-nNu\x0b')) + text[i + 1:]
+    return draw(PADDING) + text + draw(PADDING)
+
+
+@settings(max_examples=500, deadline=None)
+@given(line=decoder_lines() | st.text(max_size=12))
+def test_line_decoder_accepts_exactly_what_json_loads_accepts(line):
+    assert _outcome(_decode_line, line) == _outcome(json.loads, line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(decoder_lines(), max_size=4))
+def test_reader_gives_the_json_loads_objects_and_errors(lines):
+    text = "\n".join(lines)
+    assert _outcome(lambda t: list(_iter_objects(t, "record")), text) == _outcome(
+        _reference_objects, text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [' \t{"a": [1, 2.5]} \r', '{"a": NaN}', '{"a": "\\ud83d\\ude00"}'],
+    ids=["json-whitespace-and-trailing-cr", "nan", "escaped-surrogate-pair"],
+)
+def test_line_decoder_accepts(text):
+    ((lineno, obj),) = _iter_objects(text, "record")
+    assert (lineno, repr(obj)) == (1, repr(json.loads(text)))  # repr: NaN equals itself
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("\x0b{}", "Expecting value"),  # whitespace to str.strip, not to JSON
+        ("{}\x0b", "Extra data"),
+        ("\u00a0{}", "Expecting value"),
+        ("{}\u00a0", "Extra data"),
+        ("{} {}", "Extra data"),
+        ("{}, {}", "Extra data"),
+        ("\ufeff{}", "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        ("[" * 100_000, "nested too deeply"),
+        ('{"a": "\\ud800"}', "lone surrogate \\ud800"),
+        ('{"a": ["\\udfff"]}', "lone surrogate \\udfff"),
+    ],
+    ids=["vt-before", "vt-after", "nbsp-before", "nbsp-after", "two-values",
+         "two-values-comma", "bom", "deep-nesting", "lone-high-surrogate", "lone-low-surrogate"],
+)
+def test_line_decoder_rejects_with_the_json_loads_message(text, message):
+    # A binary stream, as the command line reads, splits lines at "\n" only.
+    source = io.BytesIO((line("a", 0, "s", "advocate", "x") + "\n" + text).encode("utf-8"))
+    with pytest.raises(ParseError) as info:
+        list(_iter_objects(source, "record"))
+    assert str(info.value) == f"line 2: malformed record: {message}"
+    assert info.value.line_number == 2
+    if not message.startswith(("nested", "lone")):
+        with pytest.raises(json.JSONDecodeError) as error:
+            json.loads(text)
+        assert error.value.msg == message
+
+
+#: Three lines that, joined into one JSON array, decode to three valid turns.
+SPLIT_VALUE_LINES = (
+    '{"index": 0, "speaker_id": "s", "speaker_role": "advocate", "text": "t", "case_id": [{}',
+    "{}]}",
+    '{"case_id": "d", "index": 0, "speaker_id": "s", "speaker_role": "justice", "text": "t"}, '
+    '{"case_id": "d", "index": 1, "speaker_id": "s", "speaker_role": "justice", "text": "t"}',
+)
+
+
+def test_transcript_is_not_decoded_as_one_array():
+    # Decoding the file in one call, as one array of its lines, would read a
+    # value spread over two lines and two values on one line as three turns.
+    turns = json.loads("[" + ",".join(SPLIT_VALUE_LINES) + "]")
+    assert [_parse_turn(obj, 1) for obj in turns] == [
+        Utterance("[{}, {}]", 0, "s", "advocate", "t"),
+        Utterance("d", 0, "s", "justice", "t"),
+        Utterance("d", 1, "s", "justice", "t"),
+    ]
+    with pytest.raises(ParseError, match="^line 1: malformed record: "):
+        parse_transcript("\n".join(SPLIT_VALUE_LINES))
+
+
+def _reference_transcript(source):
+    """parse_transcript as it was: _parse_turn on every line, repeats found with a set."""
+    utterances, next_index, seen = [], {}, set()
+    for lineno, obj in _iter_objects(source, "record"):
+        utt = _parse_turn(obj, lineno)
+        case_id, index = utt.case_id, utt.index
+        if (case_id, index) in seen:
+            raise ParseError(f"duplicate (case_id, index) = ({case_id!r}, {index})", lineno)
+        expected = next_index.get(case_id, 0)
+        if index != expected:
+            raise ParseError(
+                f"non-contiguous index for case {case_id!r}: expected {expected}, got {index}",
+                lineno)
+        seen.add((case_id, index))
+        next_index[case_id] = expected + 1
+        utterances.append(utt)
+    return utterances
+
+
+@st.composite
+def near_turns(draw):
+    """A valid turn, or one with a field dropped, added or set to an odd value."""
+    turn = {"case_id": draw(st.sampled_from(["a", "b"])), "index": draw(st.integers(0, 3)),
+            "speaker_id": "s", "speaker_role": draw(st.sampled_from(SPEAKER_ROLES)), "text": "x"}
+    key = draw(st.sampled_from(sorted(turn) + ["mood"]))
+    change = draw(st.sampled_from(["keep", "drop", "set"]))
+    if change == "drop":
+        turn.pop(key, None)
+    elif change == "set":
+        turn[key] = draw(st.sampled_from(
+            [-1, True, False, 1.0, "0", None, 7, "", " ", " y ", "clerk", [], {}]))
+    return turn
+
+
+@settings(max_examples=500, deadline=None)
+@given(turns=st.lists(near_turns(), max_size=6))
+def test_transcript_reader_matches_the_per_turn_reference(turns):
+    text = "\n".join(json.dumps(turn) for turn in turns)
+    assert _outcome(parse_transcript, text) == _outcome(_reference_transcript, text)

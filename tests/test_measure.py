@@ -1,13 +1,14 @@
 import io
 import json
 import re
+import string
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import near_lines
-from medlang.corpus import Utterance, parse_transcript
+from medlang.corpus import AnalysisUnit, Utterance, extract_units, parse_transcript
 from medlang.errors import ConfigError, DataError, MedlangError, ParseError
 from medlang.measure import (
     CausalRecord,
@@ -24,6 +25,7 @@ from medlang.measure import (
     records_from_json,
 )
 from medlang.textutil import tokenize
+from medlang.topics import fit_topic_model, measure_topics
 
 LEXICON = default_hedging_lexicon()
 
@@ -39,6 +41,33 @@ def test_tokenize_preserves_dash_tokens():
 def test_tokenize_strips_edge_punctuation_keeps_inner():
     assert tokenize("don't, (you) say!") == ["don't", "you", "say"]
     assert tokenize("self-defense works") == ["self-defense", "works"]
+
+
+def _tokenize_reference(text):
+    """The tokenizer as it was: a set of each token's characters tells dash runs apart."""
+    tokens = []
+    for raw in text.lower().split():
+        if raw and set(raw) == {"-"}:
+            tokens.extend("-" * len(raw))
+            continue
+        word = raw.strip(string.punctuation)
+        if word:
+            tokens.append(word)
+    return tokens
+
+
+#: Words, punctuation runs, dash runs and Unicode whitespace, to be joined.
+TEXT_PIECES = st.sampled_from(
+    ["I", "think", "maybe,", "sort", "of", "kind", "and", "AND", "-", "--", "---", "- -", "...",
+     "(so)", "don't", "-x-", "x-", "\u00e9t\u00e9", "12", " ", "  ", "\t", "\n", "\u00a0",
+     "\u2028"])
+TEXTS = st.lists(TEXT_PIECES, max_size=14).map(" ".join) | st.text(max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=TEXTS)
+def test_tokenize_matches_the_reference(text):
+    assert tokenize(text) == _tokenize_reference(text)
 
 
 # -- hedging -----------------------------------------------------------------
@@ -139,6 +168,22 @@ def test_disfluency_empty_and_edge_cases():
     assert measure_disfluency("word - -") == 0
     assert measure_disfluency("And -- and") == 1  # single-token spelling
     assert measure_disfluency("And - - AND") == 1  # case-insensitive
+
+
+def _measure_disfluency_reference(text):
+    """The window scan measure_disfluency replaced: w, "-", "-", w at every offset."""
+    tokens = tokenize(text)
+    for i in range(len(tokens) - 3):
+        w = tokens[i]
+        if w != "-" and tokens[i + 1] == tokens[i + 2] == "-" and tokens[i + 3] == w:
+            return 1
+    return 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=TEXTS)
+def test_disfluency_matches_the_window_scan_reference(text):
+    assert measure_disfluency(text) == _measure_disfluency_reference(text)
 
 
 @settings(max_examples=50, deadline=None)
@@ -543,6 +588,57 @@ def test_build_records_with_topic_mediator():
     for rec in result.records:
         assert 0 <= rec.m["topic"] <= 2
         encode_records([rec], result.records.domains)
+
+
+def _cases_for(texts):
+    """One case per text: an introduction, the text as the advocate turn, a reply."""
+    lines = []
+    for i, text in enumerate(texts):
+        lines += [Utterance(f"c{i}", 0, "Chief", "chief_justice", "Ms. Smith, proceed."),
+                  Utterance(f"c{i}", 1, "Alex Smith", "advocate", text),
+                  Utterance(f"c{i}", 2, "Justice J", "justice", "Noted.")]
+    return extract_units(lines), {f"c{i}": lines[3 * i:3 * i + 3] for i in range(len(texts))}
+
+
+TOPIC_MODEL = fit_topic_model(["statute waiver provision think", "custody children treaty"] * 4,
+                              k=2, seed=0, n_sweeps=6, burn_in=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts=st.lists(TEXTS.filter(str.strip) | st.sampled_from(
+    ["statute - - statute", "I think the treaty", "custody, kind of"]), min_size=2, max_size=6))
+def test_build_records_levels_equal_the_per_text_measures(texts):
+    units, cases = _cases_for(texts)
+    records = build_records(units, MeasurementSpec.default(topic_model=TOPIC_MODEL), 2,
+                            case_utterances=cases).records
+    assert records.m["hedging"].tolist() == [measure_hedging(t, LEXICON) for t in texts]
+    assert records.m["disfluency"].tolist() == [measure_disfluency(t) for t in texts]
+    assert records.m["topic"].tolist() == [int(measure_topics(TOPIC_MODEL, [t])[0])
+                                           for t in texts]
+
+
+def test_build_records_tokenizes_each_included_text_once(monkeypatch):
+    import medlang.measure as measure
+    import medlang.textutil as textutil
+    import medlang.topics as topics
+
+    texts = ["I think - - think", "custody treaty", "statute waiver", "kind of"]
+    units, cases = _cases_for(texts)
+    cases["c3"] = cases["c3"][1:]  # no introduction: excluded
+    units.append(AnalysisUnit("c9:0", Utterance("c9", 0, "Alex Smith", "advocate", "No reply"),
+                              None))  # no responder: excluded
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return textutil.tokenize(text)
+
+    for module in (measure, topics):
+        monkeypatch.setattr(module, "tokenize", counting)
+    build = build_records(units, MeasurementSpec.default(topic_model=TOPIC_MODEL), 2,
+                          case_utterances=cases)
+    assert len(build.records) == 3
+    assert sorted(calls) == sorted(texts[:3])  # hedging, disfluency and topics made 9
 
 
 def test_validator_accepts_exactly_what_build_emits(paired_units, paired_case_utterances):

@@ -13,9 +13,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medlang.cli import main
 from medlang.corpus import (
     AnalysisUnit,
     Utterance,
+    extract_units,
+    parse_case_metadata,
     unit_to_json,
     utterance_to_json,
     write_case_metadata,
@@ -167,6 +170,28 @@ def test_transcript_writer_matches_json_dumps(utterances):
 def test_units_writer_matches_json_dumps(units):
     assert written(write_units, units) == "".join(unit_reference(u) + "\n" for u in units)
     assert [unit_to_json(u) for u in units] == [unit_reference(u) for u in units]
+
+
+def test_units_writer_keeps_equal_but_differently_encoded_contexts_apart(tmp_path):
+    # 1, 1.0 and true compare equal and hash alike, as do 0.0 and -0.0; lists and
+    # dicts are unhashable. Each unit must still get its own context text.
+    flags = ["1", "1.0", "true", "[1]", "0.0", "-0.0", '{"a": 1}', '{"a": true}', '"1"', '"1"']
+    turns, meta = [], []
+    for i, flag in enumerate(flags):
+        turns += [Utterance(f"c{i}", 0, "Chief", "chief_justice", "Ms. Smith, proceed."),
+                  Utterance(f"c{i}", 1, "Alex Smith", "advocate", "I think so - -"),
+                  Utterance(f"c{i}", 2, "Justice J", "justice", "Go on.")]
+        meta.append(f'{{"case_id": "c{i}", "flag": {flag}}}\n')
+    (tmp_path / "t.ndjson").write_text(written(write_transcript, turns), encoding="utf-8")
+    (tmp_path / "m.ndjson").write_text("".join(meta), encoding="utf-8")
+    units_path = tmp_path / "units.ndjson"
+    assert main(["ingest", "--transcripts", str(tmp_path / "t.ndjson"),
+                 "--meta", str(tmp_path / "m.ndjson"), "--out", str(units_path)]) == 0
+    units = extract_units(turns, parse_case_metadata("".join(meta)))
+    assert [repr(u.context_features["flag"]) for u in units] == [repr(json.loads(f))
+                                                                 for f in flags]
+    assert units_path.read_bytes() == "".join(
+        unit_reference(u) + "\n" for u in units).encode("utf-8")
 
 
 @settings(max_examples=200, deadline=None)
