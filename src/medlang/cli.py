@@ -25,12 +25,11 @@ from . import glm, mediation, scm
 from .corpus import (  # noqa: F401
     _iter_objects,
     extract_units,
+    lone_surrogate,
     parse_case_metadata,
     parse_transcript,
     unit_to_json,
     units_from_json,
-    write_case_metadata,
-    write_transcript,
     write_units,
 )
 from .errors import ConfigError, DataError, MedlangError, ParseError
@@ -109,6 +108,11 @@ class RunConfig:
         check_priors(self.topic_alpha, self.topic_beta)
         if not self.mediators:
             raise ConfigError("at least one mediator must be requested")
+        for key in ("mediators", "confounders"):
+            names = getattr(self, key) or ()
+            repeated = sorted({name for name in names if names.count(name) > 1})
+            if repeated:
+                raise ConfigError(f"{key} must not repeat a name; repeated: {repeated}")
 
     @property
     def x_weighting(self) -> str:
@@ -495,8 +499,8 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _write_with(out / "records.ndjson", write_records, result.records)
     if args.render:
-        _write_with(out / "transcripts.ndjson", write_transcript, result.utterances)
-        _write_with(out / "meta.ndjson", write_case_metadata, result.case_metadata)
+        _write_with(out / "transcripts.ndjson", scm.write_rendered_transcript, result)
+        _write_with(out / "meta.ndjson", scm.write_rendered_metadata, result)
     oracle = {
         name: asdict(scm.exact_effects(spec, name)) for name in spec.mediator_names
     } if spec.assumption_clean else None
@@ -539,12 +543,15 @@ def _load_json_object(path: str, what: str) -> dict:
     with _open(path, "r") as fh:
         try:
             obj = json.load(fh)
+            surrogate = lone_surrogate(obj)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"malformed {what} file {path}: {exc.msg}") from exc
         except UnicodeDecodeError as exc:
             raise ConfigError(f"malformed {what} file {path}: not UTF-8 text") from exc
         except RecursionError as exc:
             raise ConfigError(f"malformed {what} file {path}: nested too deeply") from exc
+    if surrogate:
+        raise ConfigError(f"malformed {what} file {path}: lone surrogate {surrogate}")
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} file {path} is not a JSON object")
     return obj
@@ -568,13 +575,18 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    estimates = []
+    estimates, first_line = [], {}
     with _open(args.estimates) as fh:
         for line_number, obj in _iter_objects(fh, "estimate"):
             try:
-                estimates.append(EffectEstimate.from_dict(obj))
+                est = EffectEstimate.from_dict(obj)
             except DataError as exc:
                 raise ParseError(str(exc), line_number) from exc
+            name = est.mediator_name
+            if first_line.setdefault(name, line_number) != line_number:
+                raise ParseError(f"duplicate estimate for mediator {name!r}, first on line "
+                                 f"{first_line[name]}", line_number)
+            estimates.append(est)
     text = report(estimates)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)

@@ -68,7 +68,9 @@ def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> It
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError("not UTF-8 text", source.count(b"\n", 0, exc.start) + 1) from exc
-    lines = iter(source.splitlines() if isinstance(source, str) else source)
+    # Split at "\n" only, as iterating a binary stream does; str.splitlines
+    # would also split inside a JSON string holding U+2028 or a lone "\r".
+    lines = iter(source.split("\n") if isinstance(source, str) else source)
     for lineno in itertools.count(1):
         try:  # a text stream decodes while it is iterated
             line = next(lines, None)
@@ -100,6 +102,19 @@ def _decode_line(line: str):
     return json.loads(line)
 
 
+def lone_surrogate(obj) -> str | None:
+    """The escape of the first lone surrogate in the strings of a decoded JSON value, or None.
+
+    Only a \\u escape can put one into a decoded string; such a string
+    could never be written back as UTF-8.
+    """
+    try:
+        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return f"\\u{ord(exc.object[exc.start]):04x}"
+    return None
+
+
 def _iter_objects(source, what: str) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each non-blank JSON line of ``what`` records.
 
@@ -110,17 +125,13 @@ def _iter_objects(source, what: str) -> Iterator[tuple[int, dict]]:
     for lineno, line in _iter_lines(source):
         try:
             obj = _decode_line(line)
-            # Only a \u escape can put a lone surrogate into a decoded string;
-            # such a string could never be written back as UTF-8.
-            if "\\u" in line:
-                json.dumps(obj, ensure_ascii=False).encode("utf-8")
+            surrogate = lone_surrogate(obj) if "\\u" in line else None
         except json.JSONDecodeError as exc:
             raise ParseError(f"malformed {what}: {exc.msg}", lineno) from exc
         except RecursionError as exc:
             raise ParseError(f"malformed {what}: nested too deeply", lineno) from exc
-        except UnicodeEncodeError as exc:
-            surrogate = f"\\u{ord(exc.object[exc.start]):04x}"
-            raise ParseError(f"malformed {what}: lone surrogate {surrogate}", lineno) from exc
+        if surrogate:
+            raise ParseError(f"malformed {what}: lone surrogate {surrogate}", lineno)
         if not isinstance(obj, dict):
             raise ParseError(f"{what} is not an object", lineno)
         yield lineno, obj
@@ -207,33 +218,47 @@ def write_transcript(utterances: Iterable[Utterance], stream: IO[str]) -> None:
     stream.write("".join([utterance_to_json(utt) + "\n" for utt in utterances]))
 
 
+def case_metadata_template(attrs: Mapping[str, str]) -> list[str]:
+    """A metadata line of string attributes, split where its case_id value goes.
+
+    The line is ASCII-escaped, case_id sorted in among the attribute names;
+    joining the pieces with an escaped case id gives the whole line. The NUL
+    placeholder cannot occur in escaped JSON. An attribute named case_id
+    replaces the case id, as a dict merge would, and leaves no placeholder.
+    """
+    fields = {"case_id": "\0", **{name: encode_basestring_ascii(v) for name, v in attrs.items()}}
+    return (_json_object(fields, encode_basestring_ascii) + "\n").split("\0")
+
+
 def write_case_metadata(case_metadata: Mapping[str, Mapping[str, str]], stream: IO[str]) -> None:
     """Write a metadata sidecar of string attributes: one line per case, in case_id order.
 
-    Lines are ASCII-escaped, case_id sorted in among the attribute names.
-    Each distinct attribute set is encoded once, as the text around its
-    case_id value: the NUL placeholder cannot occur in escaped JSON. An
-    attribute named case_id replaces the case id, as a dict merge would,
-    and leaves no placeholder.
+    Each distinct attribute set is encoded once, as a case_metadata_template.
     """
     around: dict[tuple, list[str]] = {}
     lines = []
     for case_id, attrs in sorted(case_metadata.items()):
         key = tuple(attrs.items())
         if key not in around:
-            fields = {"case_id": "\0", **{name: encode_basestring_ascii(v) for name, v in key}}
-            around[key] = (_json_object(fields, encode_basestring_ascii) + "\n").split("\0")
+            around[key] = case_metadata_template(attrs)
         lines.append(encode_basestring_ascii(case_id).join(around[key]))
     stream.write("".join(lines))
 
 
 def parse_case_metadata(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> dict[str, dict]:
-    """Parse the optional per-case metadata sidecar (one object per case_id)."""
+    """Parse the optional per-case metadata sidecar (one object per case_id).
+
+    A line without a string case_id, or whose case_id repeats an earlier
+    one, raises ParseError; the other values are copied as given.
+    """
     meta: dict[str, dict] = {}
     for lineno, obj in _iter_objects(source, "metadata record"):
         if "case_id" not in obj:
             raise ParseError("metadata record must be an object with a case_id", lineno)
-        case_id = str(obj["case_id"])
+        case_id = obj["case_id"]
+        if type(case_id) is not str:
+            raise ParseError(f"metadata case_id must be a string, got {type(case_id).__name__}",
+                             lineno)
         if case_id in meta:
             raise ParseError(f"duplicate metadata for case {case_id!r}", lineno)
         meta[case_id] = {k: v for k, v in obj.items() if k != "case_id"}

@@ -19,6 +19,7 @@ X, independent of i, is available via x_weighting="marginal".
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -116,31 +117,18 @@ class EffectEstimate:
     def from_dict(cls, obj) -> "EffectEstimate":
         """Inverse of to_dict; the counters and the caveat may be absent.
 
-        Raises DataError on a missing key or a value of the wrong shape.
+        Raises DataError on a missing key or a value of the wrong type: the
+        effects and the level are numbers, the intervals pairs of numbers,
+        the counters non-negative integers (a bool is neither), the mediator
+        and the caveat strings.
         """
         if not isinstance(obj, dict):
             raise DataError(f"an estimate must be a JSON object, got {type(obj).__name__}")
         missing = [key for key in _REQUIRED_KEYS if key not in obj]
         if missing:
             raise DataError(f"estimate lacks keys {missing}")
-        try:
-            return cls(
-                mediator_name=str(obj["mediator"]),
-                nde=float(obj["nde"]),
-                nie=float(obj["nie"]),
-                nie_reversed=float(obj["nie_reversed"]),
-                total_effect=float(obj["total_effect"]),
-                ci_level=float(obj["ci_level"]),
-                nde_ci=_interval(obj["nde_ci"]),
-                nie_ci=_interval(obj["nie_ci"]),
-                n_units=int(obj["n_units"]),
-                n_bootstrap=int(obj["n_bootstrap"]),
-                n_dropped_replicates=int(obj.get("n_dropped_replicates", 0)),
-                n_clamped_intervals=int(obj.get("n_clamped_intervals", 0)),
-                caveat=str(obj.get("caveat", INTERPRETATION_CAVEAT)),
-            )
-        except (TypeError, ValueError) as exc:
-            raise DataError(f"malformed estimate: {exc}") from exc
+        values = {key: _typed(key, value) for key, value in obj.items() if key in _FIELDS}
+        return cls(mediator_name=values.pop("mediator"), **values)
 
 
 _REQUIRED_KEYS = (
@@ -149,9 +137,33 @@ _REQUIRED_KEYS = (
 )
 
 
-def _interval(value) -> tuple[float, float]:
-    lo, hi = value
-    return float(lo), float(hi)
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+# (test of the JSON value, what it must be, its conversion) for each estimate field.
+_STRING = (lambda v: isinstance(v, str), "a string", str)
+_NUMBER = (_is_number, "a number", float)
+_COUNT = (lambda v: _is_number(v) and isinstance(v, numbers.Integral) and v >= 0,
+          "a non-negative integer", int)
+_INTERVAL = (lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v)),
+             "a pair of numbers", lambda v: (float(v[0]), float(v[1])))
+_FIELDS = {
+    "mediator": _STRING, "caveat": _STRING,
+    "nde": _NUMBER, "nie": _NUMBER, "nie_reversed": _NUMBER, "total_effect": _NUMBER,
+    "ci_level": _NUMBER, "nde_ci": _INTERVAL, "nie_ci": _INTERVAL,
+    "n_units": _COUNT, "n_bootstrap": _COUNT, "n_dropped_replicates": _COUNT,
+    "n_clamped_intervals": _COUNT,
+}
+
+
+def _typed(key: str, value):
+    """An estimate field's JSON value, checked and converted as _FIELDS says."""
+    ok, expected, convert = _FIELDS[key]
+    if not ok(value):
+        raise DataError(f"malformed estimate: {key} must be {expected}, "
+                        f"got {type(value).__name__}")
+    return convert(value)
 
 
 @dataclass(frozen=True)

@@ -26,15 +26,18 @@ Carlo estimator cross-checks the sum by simulation.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import cache, cached_property
 from importlib import resources
+from json.encoder import encode_basestring, encode_basestring_ascii
 from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Utterance
+from .corpus import Utterance, case_metadata_template, lone_surrogate, utterance_to_json
 from .errors import ConfigError, DataError
 from .measure import CodedRecords, Domains
 from .seeding import assign_folds, derive_seed
@@ -325,12 +328,15 @@ class _SpecNode:
 def load_scm_spec(source: IO[str] | str) -> ScmSpec:
     try:
         obj = json.loads(source if isinstance(source, str) else source.read())
+        surrogate = lone_surrogate(obj)
     except UnicodeDecodeError as exc:
         raise DataError("malformed structural model file: not UTF-8 text") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"malformed structural model file: {exc.msg}") from exc
     except RecursionError as exc:
         raise DataError("malformed structural model file: nested too deeply") from exc
+    if surrogate:
+        raise DataError(f"malformed structural model file: lone surrogate {surrogate}")
     return ScmSpec.from_dict(obj)
 
 
@@ -352,9 +358,32 @@ def load_fixture(name: str) -> ScmSpec:
 
 @dataclass(frozen=True)
 class GenerateResult:
+    """Sampled records, and whether generate rendered them as transcripts.
+
+    Rendered unit i is the three-turn case ``case{i:07d}``. Its turns and
+    metadata follow from the record columns, so ``utterances`` and
+    ``case_metadata`` are built when first read (they are None unless
+    rendered), and write_rendered_transcript/write_rendered_metadata
+    write the files without them.
+    """
+
     records: CodedRecords
-    utterances: tuple[Utterance, ...] | None = None
-    case_metadata: dict[str, dict] | None = None
+    rendered: bool = False
+
+    @cached_property
+    def utterances(self) -> tuple[Utterance, ...] | None:
+        if not self.rendered:
+            return None
+        rows = zip(*(column.tolist() for column in _render_columns(self.records)))
+        return tuple(turn for i, row in enumerate(rows) for turn in _render_unit(i, *row)[1])
+
+    @cached_property
+    def case_metadata(self) -> dict[str, dict] | None:
+        if not self.rendered:
+            return None
+        codes = self.records.x.tolist()
+        x_levels = {code: self.records.domains.x_assignment(code) for code in set(codes)}
+        return {f"case{i:07d}": dict(x_levels[code]) for i, code in enumerate(codes)}
 
 
 @dataclass(frozen=True)
@@ -467,9 +496,21 @@ def _cdf(pmf) -> np.ndarray:
     return cdf
 
 
-def _inverse_cdf(cdf: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """The level each uniform in eps draws from its row of cdf (or from one shared row)."""
-    return (eps[:, None] >= cdf).sum(axis=1)
+def _inverse_cdf(cdf: np.ndarray, eps: np.ndarray, index: np.ndarray | None = None) -> np.ndarray:
+    """The level each uniform in eps draws by inverse CDF.
+
+    cdf holds one distribution per row: its last axis is the level, its
+    other axes are flattened in C order. eps[i] draws from row index[i], or,
+    without an index, from the one row of a 1-D cdf. A level is the number
+    of CDF columns at or below its uniform, counted one column at a time
+    from a 1-D gather. The pinned top column is skipped: a uniform in
+    [0, 1) never reaches 1.
+    """
+    columns = np.ascontiguousarray(np.reshape(cdf, (-1, np.shape(cdf)[-1])).T)
+    level = np.zeros(len(eps), dtype=np.int64)
+    for column in columns[:-1]:
+        level += eps >= (column[0] if index is None else column.take(index))
+    return level
 
 
 def _draw_confounders(spec: ScmSpec, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -487,10 +528,11 @@ def _draw_confounders(spec: ScmSpec, rng: np.random.Generator, size: int) -> np.
 RENDERABLE_MEDIATORS = ("hedging", "disfluency")
 
 
-def _render_unit(i: int, t: int, hedging: int, disfluency: int,
-                 y: int) -> tuple[str, list[Utterance]]:
-    case_id = f"case{i:07d}"
-    surname = f"Smith{i:07d}"
+def _render_turns(number: str, t: int, hedging: int, disfluency: int,
+                  y: int) -> list[Utterance]:
+    """The three turns of the case numbered ``number``: the one source of rendered text."""
+    case_id = f"case{number}"
+    surname = f"Smith{number}"
     honorific = "Ms." if t == 1 else "Mr."
     core = "the record shows the statute controls here"
     if disfluency == 1:
@@ -500,14 +542,70 @@ def _render_unit(i: int, t: int, hedging: int, disfluency: int,
     else:
         body = core[0].upper() + core[1:]
     body = body + (" - -" if y == 1 else ".")
-    turns = [
+    return [
         Utterance(case_id, 0, "Chief Justice Burger", "chief_justice",
                   f"{honorific} {surname}, you may proceed."),
         Utterance(case_id, 1, f"Alex {surname}", "advocate", body),
         Utterance(case_id, 2, "Justice Marshall", "justice",
                   "What is your response to that point?"),
     ]
-    return case_id, turns
+
+
+def _render_unit(i: int, t: int, hedging: int, disfluency: int,
+                 y: int) -> tuple[str, list[Utterance]]:
+    turns = _render_turns(f"{i:07d}", t, hedging, disfluency, y)
+    return turns[0].case_id, turns
+
+
+def _render_columns(records: CodedRecords) -> tuple[np.ndarray, ...]:
+    """The columns t, hedging, disfluency, y; a mediator the spec lacks renders as absent."""
+    absent = np.zeros(len(records), dtype=np.int64)
+    return (records.t, *(records.m.get(name, absent) for name in RENDERABLE_MEDIATORS),
+            records.y)
+
+
+@cache
+def _transcript_templates() -> tuple[tuple[str, ...], ...]:
+    """A case's three transcript lines by the code 8t + 4 hedging + 2 disfluency + y.
+
+    Each is rendered once with a NUL case number and split where that
+    number stands, so joining the pieces with a case number gives the
+    lines utterance_to_json writes for that case.
+    """
+    placeholder = encode_basestring("\0")[1:-1]  # the NUL as its JSON escape
+    return tuple(
+        tuple("".join(utterance_to_json(turn) + "\n" for turn in _render_turns("\0", *bits))
+              .split(placeholder))
+        for bits in itertools.product((0, 1), repeat=4)
+    )
+
+
+def _case_order(n: int, digits: int = 7) -> Sequence[int]:
+    """Unit indices 0..n-1 in the sorted order of their case numbers, zero-padded to digits.
+
+    While every number has the same width (n <= 10**digits) that is index
+    order; a wider number sorts by its text among the narrower ones.
+    """
+    if n <= 10**digits:
+        return range(n)
+    return sorted(range(n), key=lambda i: f"{i:0{digits}d}")
+
+
+def write_rendered_transcript(result: GenerateResult, stream: IO[str]) -> None:
+    """A rendered result's transcript, as write_transcript writes result.utterances."""
+    templates = _transcript_templates()
+    t, hedging, disfluency, y = _render_columns(result.records)
+    codes = (8 * t + 4 * hedging + 2 * disfluency + y).tolist()
+    stream.write("".join([f"{i:07d}".join(templates[code]) for i, code in enumerate(codes)]))
+
+
+def write_rendered_metadata(result: GenerateResult, stream: IO[str]) -> None:
+    """A rendered result's metadata sidecar, as write_case_metadata writes result.case_metadata."""
+    codes = result.records.x.tolist()
+    domains = result.records.domains
+    around = {code: case_metadata_template(domains.x_assignment(code)) for code in set(codes)}
+    stream.write("".join([encode_basestring_ascii(f"case{i:07d}").join(around[codes[i]])
+                          for i in _case_order(len(codes))]))
 
 
 def generate(
@@ -562,12 +660,16 @@ def generate(
     u = _inverse_cdf(_cdf(laws.u), eps_u)
     t = (eps_t < laws.treatment[x]).astype(np.int64)
     cdfs = [_cdf(table) for table in laws.mediators]
+    # Each unit's (t, x, u) row of a mediator table, scaled past the prev_y axis.
+    row = ((t * laws.x.size + x) * laws.u.size + u) * 2
+    n_first = spec.mediators[0].levels
 
     def draw(prev_y):
         """Every unit's mediator levels and outcome, given its previous unit's outcome."""
         levels: list[np.ndarray] = []
         for cdf, eps in zip(cdfs, eps_m):
-            levels.append(_inverse_cdf(cdf[t, x, u, prev_y, levels[0] if levels else 0], eps))
+            first = levels[0] if levels else 0
+            levels.append(_inverse_cdf(cdf, eps, (row + prev_y) * n_first + first))
         return levels, (eps_y < laws.outcome[(t, x, u, *levels)]).astype(np.int64)
 
     prev_y = 0
@@ -597,25 +699,7 @@ def generate(
         fold=np.asarray([folds[uid] for uid in unit_ids], dtype=np.int64),
         domains=spec.domains(),
     )
-    if not render:
-        return GenerateResult(records=records)
-
-    # A mediator the spec lacks renders as absent.
-    absent = [0] * n
-    hedging, disfluency = (m[name].tolist() if name in m else absent
-                           for name in RENDERABLE_MEDIATORS)
-    codes = x.tolist()
-    x_levels = {code: records.domains.x_assignment(code) for code in set(codes)}
-    utterances: list[Utterance] = []
-    case_metadata: dict[str, dict] = {}
-    rows = zip(t.tolist(), hedging, disfluency, y.tolist(), codes)
-    for i, (t_i, hedging_i, disfluency_i, y_i, code) in enumerate(rows):
-        case_id, turns = _render_unit(i, t_i, hedging_i, disfluency_i, y_i)
-        utterances.extend(turns)
-        case_metadata[case_id] = dict(x_levels[code])
-    return GenerateResult(
-        records=records, utterances=tuple(utterances), case_metadata=case_metadata
-    )
+    return GenerateResult(records=records, rendered=render)
 
 
 # ---------------------------------------------------------------------------
@@ -740,38 +824,56 @@ def monte_carlo_effects(
     for categorical draws, one uniform per outcome), so each draw produces
     coherent counterfactuals; averages estimate the same estimands as
     exact_effects.
+
+    Each draw's (x, u) is one row code, and every table is read by one
+    flat index: a mediator's CDF columns by that row, the outcome table by
+    the mixed-radix code of (t, x, u, m_1..m_J). Each contrast is a
+    difference of two binary outcomes, so its sum and its sum of squares
+    are counts.
     """
     if n_draws < 1:
         raise ConfigError(f"n_draws must be at least 1, got {n_draws}")
     laws = _tabulate(spec)
     _require_oracle_clean(spec)
     j = _resolve_mediator(spec, mediator_name)
-    cdfs = [_cdf(table[:, :, :, 0, 0]) for table in laws.mediators]
+    u_cdf = _cdf(laws.u)
+    # Per mediator, P(M_j <= k | t, x, u) for each arm t, rows by the (x, u) code.
+    cdfs = [[_cdf(table[t_arm, :, :, 0, 0]) for t_arm in (0, 1)] for table in laws.mediators]
+    outcome = laws.outcome.ravel()
+    n_m = math.prod(ml.levels for ml in spec.mediators)
+    arm_offset = laws.x.size * laws.u.size * n_m  # flat distance from t = 0 to t = 1
+    strides = [math.prod(ml.levels for ml in spec.mediators[k + 1:])
+               for k in range(len(spec.mediators))]
     rng = np.random.default_rng(_check_seed(seed))
 
     sums = np.zeros(3)
     sq_sums = np.zeros(3)
     for start in range(0, n_draws, _MC_BATCH):
         size = min(_MC_BATCH, n_draws - start)
-        x = _draw_confounders(spec, rng, size)
-        u = (_inverse_cdf(_cdf(laws.u), rng.random(size)) if spec.u_law is not None
-             else np.zeros(size, dtype=np.int64))
+        row = _draw_confounders(spec, rng, size)
+        if spec.u_law is not None:
+            row = row * laws.u.size + _inverse_cdf(u_cdf, rng.random(size))
         arms: tuple[list[np.ndarray], list[np.ndarray]] = ([], [])
-        for cdf in cdfs:
+        for arm_cdfs in cdfs:
             eps = rng.random(size)
             for t_arm in (0, 1):
-                arms[t_arm].append(_inverse_cdf(cdf[t_arm, x, u], eps))
+                arms[t_arm].append(_inverse_cdf(arm_cdfs[t_arm], eps, row))
         eps_y = rng.random(size)
+        block = row * n_m
 
         def y_of(t: int, a: int, b: int) -> np.ndarray:
-            """Y(t, M_j(a), M_rest(b)) of every draw."""
-            levels = [arms[a if k == j else b][k] for k in range(len(cdfs))]
-            return (eps_y < laws.outcome[(t, x, u, *levels)]).astype(np.int64)
+            """Y(t, M_j(a), M_rest(b)) of every draw, as booleans."""
+            index = block + t * arm_offset
+            for k, stride in enumerate(strides):
+                index = index + arms[a if k == j else b][k] * stride
+            return eps_y < outcome.take(index)
 
         y_base = y_of(0, 0, 0)
-        diffs = np.stack([y_of(1, 0, 1) - y_base, y_of(0, 1, 0) - y_base, y_of(1, 1, 1) - y_base])
-        sums += diffs.sum(axis=1)
-        sq_sums += (diffs * diffs).sum(axis=1)
+        n_base = np.count_nonzero(y_base)
+        for c, (t, a, b) in enumerate(((1, 0, 1), (0, 1, 0), (1, 1, 1))):
+            y = y_of(t, a, b)
+            sums[c] += np.count_nonzero(y) - n_base
+            sq_sums[c] += np.count_nonzero(y != y_base)
 
     means = sums / n_draws
     variances = np.maximum(sq_sums / n_draws - means**2, 0.0)

@@ -596,3 +596,28 @@ def near_turns(draw):
 def test_transcript_reader_matches_the_per_turn_reference(turns):
     text = "\n".join(json.dumps(turn) for turn in turns)
     assert _outcome(parse_transcript, text) == _outcome(_reference_transcript, text)
+
+
+# str.splitlines also breaks at each of these; a binary stream, which is what
+# the command line reads, breaks at "\n" only.
+SPLITLINES_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\r"]
+
+
+@pytest.mark.parametrize("char", SPLITLINES_BREAKS,
+                         ids=[f"U+{ord(c):04X}" for c in SPLITLINES_BREAKS])
+def test_only_a_newline_ends_a_line_in_every_source_kind(char):
+    text = f"I think{char}so"
+    first = ('{"case_id": "c", "index": 0, "speaker_id": "s", "speaker_role": "advocate", '
+             f'"text": "{text}"}}')
+    data = (first + "\n" + line("c", 1, "j", "justice", "Why?") + "\n").encode("utf-8")
+    outcomes = []
+    for source in (data, data.decode("utf-8"), io.BytesIO(data)):
+        try:
+            outcomes.append([utt.text for utt in parse_transcript(source)])
+        except ParseError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    if ord(char) >= 0x20:  # JSON allows it raw inside a string
+        assert outcomes[0] == [text, "Why?"]
+    else:  # a raw control character is not JSON
+        assert outcomes[0].startswith("line 1: malformed record: Invalid control character")

@@ -777,3 +777,45 @@ def test_tables_reproduce_direct_evaluation_on_small_specs(spec, carryover, coup
         coupling = 0.0
     knobbed = replace(spec, temporal_carryover=carryover, mediator_coupling=coupling)
     assert_matches_reference(knobbed, n_units=300, n_draws=3000, seed=seed)
+
+
+# -- inverse CDF by column ----------------------------------------------------------------
+
+
+@st.composite
+def cdf_tables(draw):
+    """CDF rows of 2-5 levels with uniforms to draw from them, including ties and the ends.
+
+    The weights are not normalized, so a row's cumulative sum may pass 1
+    before its pinned top, or stay below it.
+    """
+    levels = draw(st.integers(2, 5))
+    n_rows = draw(st.integers(1, 6))
+    weights = st.floats(0.0, 0.7, allow_subnormal=False)
+    table = scm._cdf(np.array([[draw(weights) for _ in range(levels)] for _ in range(n_rows)]))
+    ties = [float(v) for v in table.ravel() if v < 1.0]
+    eps = draw(st.lists(st.one_of(st.sampled_from([0.0, 1.0 - 2.0**-53] + ties),
+                                  st.floats(0.0, 1.0, exclude_max=True)), max_size=40))
+    index = draw(st.lists(st.integers(0, n_rows - 1), min_size=len(eps), max_size=len(eps)))
+    return table, np.array(eps, dtype=float), np.array(index, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cdf_tables())
+def test_inverse_cdf_by_column_equals_the_broadcast_comparison(args):
+    table, eps, index = args
+    for row in table:  # one shared 1-D row
+        got = scm._inverse_cdf(row, eps)
+        want = (eps[:, None] >= row).sum(axis=1)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    want = (eps[:, None] >= table[index]).sum(axis=1)  # a row per draw
+    for shaped in (table, table.reshape(len(table), 1, -1)):
+        got = scm._inverse_cdf(shaped, eps, index)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_inverse_cdf_when_the_cumulative_sum_passes_one_before_the_pin():
+    row = scm._cdf([0.7, 0.7, 0.1])  # [0.7, 1.4, 1.0]
+    eps = np.array([0.0, 0.69, 0.7, 0.99, 1.0 - 2.0**-53])
+    assert scm._inverse_cdf(row, eps).tolist() == (eps[:, None] >= row).sum(axis=1).tolist()
+    assert scm._inverse_cdf(row, eps).tolist() == [0, 0, 1, 1, 1]

@@ -8,11 +8,14 @@ for simulate's metadata sidecar.
 
 import io
 import json
+from dataclasses import replace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from medlang import scm
 from medlang.cli import main
 from medlang.corpus import (
     AnalysisUnit,
@@ -26,6 +29,7 @@ from medlang.corpus import (
     write_units,
 )
 from medlang.measure import CodedRecords, Domains, record_to_json, write_records
+from medlang.seeding import derive_seed
 
 # -- the per-row reference lines ----------------------------------------------
 
@@ -204,6 +208,127 @@ def test_metadata_writer_matches_json_dumps(data):
     meta = data.draw(st.dictionaries(TEXT, attrs, max_size=6))
     assert written(write_case_metadata, meta) == "".join(
         metadata_reference(cid, attrs) + "\n" for cid, attrs in sorted(meta.items()))
+
+
+# -- simulate --render against the per-Utterance path ------------------------
+
+
+def rendered_reference(records) -> tuple[tuple, dict]:
+    """utterances and case_metadata as generate built them unit by unit, before the templates."""
+    absent = [0] * len(records)
+    hedging, disfluency = (records.m[name].tolist() if name in records.m else absent
+                           for name in ("hedging", "disfluency"))
+    codes = records.x.tolist()
+    utterances, case_metadata = [], {}
+    rows = zip(records.t.tolist(), hedging, disfluency, records.y.tolist(), codes)
+    for i, (t, h, d, y, code) in enumerate(rows):
+        case_id, turns = scm._render_unit(i, t, h, d, y)
+        utterances.extend(turns)
+        case_metadata[case_id] = dict(records.domains.x_assignment(code))
+    return tuple(utterances), case_metadata
+
+
+def assert_rendered_like_reference(result) -> None:
+    utterances, case_metadata = rendered_reference(result.records)
+    assert written(lambda r, fh: scm.write_rendered_transcript(r, fh), result) == written(
+        write_transcript, utterances)
+    assert written(lambda r, fh: scm.write_rendered_metadata(r, fh), result) == written(
+        write_case_metadata, case_metadata)
+    assert result.utterances == utterances
+    assert list(result.case_metadata.items()) == list(case_metadata.items())
+
+
+def disfluency_only_spec():
+    """binary_scm with its one mediator renamed disfluency, so hedging renders as absent."""
+    spec = scm.load_fixture("binary_scm")
+    outcome = replace(spec.outcome, mediators={"disfluency": spec.outcome.mediators["hedging"]},
+                      tm_interactions={"disfluency": spec.outcome.tm_interactions["hedging"]})
+    return replace(spec, mediators=(replace(spec.mediators[0], name="disfluency"),),
+                   outcome=outcome)
+
+
+RENDER_SPECS = {
+    "binary_scm": lambda: scm.load_fixture("binary_scm"),
+    "two_mediator_scm": lambda: scm.load_fixture("two_mediator_scm"),
+    "disfluency_only": disfluency_only_spec,
+}
+
+
+def head(records, n: int):
+    """The first n units of coded records."""
+    return replace(records, unit_ids=records.unit_ids[:n], t=records.t[:n], x=records.x[:n],
+                   m={name: column[:n] for name, column in records.m.items()},
+                   y=records.y[:n], fold=records.fold[:n])
+
+
+@pytest.mark.parametrize("spec_name", RENDER_SPECS)
+@pytest.mark.parametrize("n", [0, 1, 500])
+def test_rendered_writers_match_the_per_utterance_path(spec_name, n):
+    result = scm.generate(RENDER_SPECS[spec_name](), 500, seed=3, render=True)
+    assert_rendered_like_reference(scm.GenerateResult(head(result.records, n), rendered=True))
+
+
+@pytest.mark.parametrize("spec_name", RENDER_SPECS)
+@pytest.mark.parametrize("n", [0, 500])
+def test_simulate_render_writes_what_the_per_utterance_path_wrote(tmp_path, spec_name, n):
+    spec = RENDER_SPECS[spec_name]()
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(spec.to_json(), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["simulate", "--spec", str(spec_path), "--n", str(n), "--seed", "4",
+                 "--render", "--out", str(out)]) == 0
+    result = scm.generate(spec, n, seed=4, fold_seed=derive_seed(4, "folds"), render=True)
+    utterances, case_metadata = rendered_reference(result.records)
+    assert (out / "transcripts.ndjson").read_text("utf-8") == written(write_transcript,
+                                                                      utterances)
+    assert (out / "meta.ndjson").read_text("utf-8") == written(write_case_metadata,
+                                                               case_metadata)
+    assert (out / "records.ndjson").read_text("utf-8") == written(write_records, result.records)
+
+
+@st.composite
+def rendered_records(draw):
+    """Rendered-shaped records over any confounders, case_id among the names included."""
+    names = draw(st.lists(st.sampled_from(["z", "a", "B", "é", "case_id", 'q"']), unique=True,
+                          max_size=3))
+    confounders = tuple((name, tuple(draw(st.lists(TEXT, min_size=1, max_size=3, unique=True))))
+                        for name in names)
+    mediators = draw(st.lists(st.sampled_from(["hedging", "disfluency"]), unique=True,
+                              min_size=1))
+    domains = Domains(confounders=confounders, mediators=tuple((m, 2) for m in mediators))
+    n = draw(st.integers(0, 30))
+
+    def column(hi):
+        return np.asarray(draw(st.lists(st.integers(0, hi), min_size=n, max_size=n)),
+                          dtype=np.int64)
+
+    return CodedRecords(unit_ids=tuple(f"case{i:07d}:1" for i in range(n)), t=column(1),
+                        x=column(domains.n_x - 1), m={m: column(1) for m in mediators},
+                        y=column(1), fold=column(1), domains=domains)
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=rendered_records())
+def test_rendered_writers_match_the_per_utterance_path_on_any_confounders(records):
+    assert_rendered_like_reference(scm.GenerateResult(records, rendered=True))
+
+
+@pytest.mark.parametrize("digits", [1, 2])
+def test_case_order_is_the_sorted_order_of_the_case_numbers(digits):
+    for n in range(3 * 10**digits):
+        assert list(scm._case_order(n, digits)) == sorted(
+            range(n), key=lambda i: f"{i:0{digits}d}")
+
+
+def test_meta_lines_follow_the_sorted_case_ids():
+    ids = [scm._render_unit(i, 0, 0, 0, 0)[0] for i in range(1200)]
+    assert [ids[i] for i in scm._case_order(len(ids))] == sorted(ids)
+    assert scm._case_order(10**7) == range(10**7)  # every 7-digit case number: index order
+
+
+def test_unrendered_result_has_no_transcript():
+    result = scm.generate(scm.load_fixture("binary_scm"), 10, seed=1)
+    assert result.utterances is None and result.case_metadata is None
 
 
 # -- count guard --------------------------------------------------------------
