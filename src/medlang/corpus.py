@@ -141,8 +141,8 @@ def _parse_turn(obj, lineno: int, label: str = "") -> Utterance:
     """One turn object checked against the per-turn rules of the transcript format.
 
     Exactly the expected fields, a known speaker role, a non-negative
-    integer index (a bool is not one) and non-empty text; ``label`` prefixes
-    each error message.
+    integer index (a bool is not one), non-empty text and string case and
+    speaker ids; ``label`` prefixes each error message.
     """
     if not isinstance(obj, dict):
         raise ParseError(f"{label}is not an object", lineno)
@@ -161,7 +161,10 @@ def _parse_turn(obj, lineno: int, label: str = "") -> Utterance:
     text = obj["text"]
     if not isinstance(text, str) or not text.strip():
         raise ParseError(f"{label}text is empty after whitespace trimming", lineno)
-    return Utterance(str(obj["case_id"]), index, str(obj["speaker_id"]), role, text)
+    for key in ("case_id", "speaker_id"):
+        if type(obj[key]) is not str:
+            raise ParseError(f"{label}{key} must be a string, got {obj[key]!r}", lineno)
+    return Utterance(obj["case_id"], index, obj["speaker_id"], role, text)
 
 
 def parse_transcript(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> list[Utterance]:
@@ -176,9 +179,10 @@ def parse_transcript(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) 
         role, index, text = obj.get("speaker_role"), obj.get("index"), obj.get("text")
         # _parse_turn's rules in one test; _parse_turn runs only to raise.
         if not (obj.keys() == _RECORD_FIELD_SET and role in SPEAKER_ROLES
-                and type(index) is int and index >= 0 and type(text) is str and text.strip()):
+                and type(index) is int and index >= 0 and type(text) is str and text.strip()
+                and type(obj["case_id"]) is str and type(obj["speaker_id"]) is str):
             _parse_turn(obj, lineno)
-        case_id = str(obj["case_id"])
+        case_id = obj["case_id"]
         expected = next_index.get(case_id, 0)
         if index != expected:
             # Indices so far are 0..expected-1, so a smaller one is a repeat.
@@ -187,7 +191,7 @@ def parse_transcript(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) 
             raise ParseError(f"non-contiguous index for case {case_id!r}: expected {expected}, "
                              f"got {index}", lineno)
         next_index[case_id] = expected + 1
-        utterances.append(Utterance(case_id, index, str(obj["speaker_id"]), role, text))
+        utterances.append(Utterance(case_id, index, obj["speaker_id"], role, text))
     return utterances
 
 

@@ -118,6 +118,7 @@ def fit_topic_model(
 
     rng = np.random.default_rng(seed)
     z = rng.integers(0, k, size=word_of.size)
+    tokens = np.arange(word_of.size)
 
     def counts(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         nkw = np.bincount(z * n_words + word_of, minlength=k * n_words).reshape(k, n_words)
@@ -130,14 +131,23 @@ def fit_topic_model(
     theta_acc = np.zeros((n_docs, k))
 
     for sweep in range(n_sweeps):
-        own = z[:, None] == np.arange(k)
-        weights = nkw[:, word_of].T - own + beta
-        weights /= nk - own + beta_sum
-        weights *= ndk[doc_of] - own + alpha
-        cumulative = np.cumsum(weights, axis=1, out=weights)
-        threshold = rng.random(word_of.size) * cumulative[:, -1]
-        # First topic whose cumulative weight reaches the threshold.
-        z = (cumulative < threshold[:, None]).sum(axis=1)
+        # Topic-major (k, tokens) weights, so each call runs along the token axis. A token's
+        # own topic is then recomputed from its counts less its own assignment, subtracting
+        # in integers before adding the prior.
+        weights = np.take((nkw + beta) / (nk + beta_sum)[:, None], word_of, axis=1)
+        weights *= np.repeat((ndk + alpha).T, doc_len, axis=1)
+        own = np.take(nkw - 1 + beta, z * n_words + word_of)
+        own /= np.take(nk - 1 + beta_sum, z)
+        own *= np.take(ndk - 1 + alpha, doc_of * k + z)
+        weights[z, tokens] = own
+        for row in range(1, k):  # cumulative sum over topics, in topic order
+            weights[row] += weights[row - 1]
+        threshold = rng.random(word_of.size) * weights[-1]
+        # The new topic is the number of cumulative weights below the threshold. The last
+        # row, the total, never is: u * total <= total for u < 1.
+        z = (weights[0] < threshold).astype(np.int64)
+        for row in weights[1:-1]:
+            z += row < threshold
         nkw, nk, ndk = counts(z)
         if sweep >= burn_in:
             phi_acc += (nkw + beta) / (nk[:, None] + beta_sum)
@@ -147,7 +157,7 @@ def fit_topic_model(
         vocab=vocab,
         topic_word=phi_acc / phi_acc.sum(axis=1, keepdims=True),
         doc_topic=theta_acc / theta_acc.sum(axis=1, keepdims=True),
-        assignments=z.astype(np.int64),
+        assignments=z,
         n_topics=k,
         alpha=alpha,
         beta=beta,
@@ -157,30 +167,72 @@ def fit_topic_model(
     return model
 
 
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum over the first axis, adding rows in the order np.sum adds a contiguous vector.
+
+    numpy's pairwise sum adds fewer than 8 terms in order, up to 128 terms
+    in eight interleaved partial sums, and more by halves (the first half a
+    multiple of 8 long), so each column's sum is the float np.sum gives
+    (except that a column of negative zeros sums to -0.0 here).
+    """
+    n = a.shape[0]
+    if n < 8:
+        total = a[0].copy()
+        for row in a[1:]:
+            total += row
+        return total
+    if n <= 128:
+        partial = a[:8].copy()
+        end = n - n % 8
+        for start in range(8, end, 8):
+            partial += a[start:start + 8]
+        total = (((partial[0] + partial[1]) + (partial[2] + partial[3]))
+                 + ((partial[4] + partial[5]) + (partial[6] + partial[7])))
+        for row in a[end:]:
+            total += row
+        return total
+    half = n // 2 - n // 2 % 8
+    return _row_sum(a[:half]) + _row_sum(a[half:])
+
+
 def fold_in(model: TopicModel, texts: Sequence[str | list[str]],
             stop_words: frozenset[str] = DEFAULT_STOP_WORDS) -> np.ndarray:
     """Deterministic EM fold-in: topic proportions of each text, one row each.
 
     A text may be given as its tokenize() list. Rows of text with no
-    in-vocabulary token are NaN. Texts of one in-vocabulary length share a
-    (texts, tokens, topics) array, summed over tokens in token order, so no
-    row depends on the batch it came in.
+    in-vocabulary token are NaN. Texts are folded in together as a
+    topic-major (topics, tokens, texts) array, one per power-of-two class
+    of in-vocabulary length so that padding stays under half of it. A
+    padded token has topic-word weight 0 and a topic sum of 1, so it adds
+    exactly 0.0 to the sum over tokens, which runs in token order; sums
+    over topics follow np.sum's order (_row_sum). So no row depends on the
+    batch it came in.
     """
     index = model.vocab_index
     ids = [[index[tok] for tok in preprocess(text, stop_words) if tok in index] for text in texts]
     lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
-    k = model.n_topics
+    k, n_words = model.n_topics, len(model.vocab)
+    table = np.concatenate([model.topic_word, np.zeros((k, 1))], axis=1)  # padding is n_words
     out = np.full((len(texts), k), np.nan)
-    for length in np.unique(lengths[lengths > 0]):
-        rows = np.flatnonzero(lengths == length)
-        cols = model.topic_word.T[np.array([ids[row] for row in rows])]
-        theta = np.full((rows.size, 1, k), 1.0 / k)
+    length_class = np.frexp(lengths)[1]  # e with 2**(e - 1) <= length < 2**e
+    for cls in np.unique(length_class[lengths > 0]):
+        rows = np.flatnonzero(length_class == cls)
+        real = np.arange(lengths[rows].max()) < lengths[rows, None]
+        word = np.full(real.shape, n_words)
+        word[real] = [i for row in rows for i in ids[row]]
+        cols = table[:, word.T]
+        padding = (~real.T).astype(float)
+        theta = np.full((k, rows.size), 1.0 / k)
+        q = np.empty_like(cols)
         for _ in range(_FOLD_IN_ITERATIONS):
-            q = theta * cols
-            q /= q.sum(axis=2, keepdims=True)
-            theta = model.alpha + q.sum(axis=1, keepdims=True)
-            theta /= theta.sum(axis=2, keepdims=True)
-        out[rows] = theta[:, 0]
+            np.multiply(theta[:, None], cols, out=q)
+            norm = _row_sum(q)
+            norm += padding
+            q /= norm
+            theta = q.sum(axis=1)
+            theta += model.alpha
+            theta /= _row_sum(theta)
+        out[rows] = theta.T
     return out
 
 
@@ -189,13 +241,6 @@ def measure_topics(model: TopicModel, texts: Sequence[str | list[str]],
     """Dominant topic of each text, ties to the lowest index; level K if none is in vocabulary."""
     theta = fold_in(model, texts, stop_words)
     return np.where(np.isnan(theta[:, 0]), model.no_content_level, np.argmax(theta, axis=1))
-
-
-def infer_proportions(model: TopicModel, text: str,
-                      stop_words: frozenset[str] = DEFAULT_STOP_WORDS) -> np.ndarray | None:
-    """Fold-in of one text; None when no token is in vocabulary."""
-    theta = fold_in(model, [text], stop_words)[0]
-    return None if np.isnan(theta[0]) else theta
 
 
 def measure_topic(model: TopicModel, text: str,

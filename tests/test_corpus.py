@@ -537,8 +537,8 @@ def test_line_decoder_rejects_with_the_json_loads_message(text, message):
 
 #: Three lines that, joined into one JSON array, decode to three valid turns.
 SPLIT_VALUE_LINES = (
-    '{"index": 0, "speaker_id": "s", "speaker_role": "advocate", "text": "t", "case_id": [{}',
-    "{}]}",
+    '{"case_id": "c", "index": 0, "speaker_id": "s", "speaker_role": "advocate"',
+    '"text": "t"}',
     '{"case_id": "d", "index": 0, "speaker_id": "s", "speaker_role": "justice", "text": "t"}, '
     '{"case_id": "d", "index": 1, "speaker_id": "s", "speaker_role": "justice", "text": "t"}',
 )
@@ -549,7 +549,7 @@ def test_transcript_is_not_decoded_as_one_array():
     # value spread over two lines and two values on one line as three turns.
     turns = json.loads("[" + ",".join(SPLIT_VALUE_LINES) + "]")
     assert [_parse_turn(obj, 1) for obj in turns] == [
-        Utterance("[{}, {}]", 0, "s", "advocate", "t"),
+        Utterance("c", 0, "s", "advocate", "t"),
         Utterance("d", 0, "s", "justice", "t"),
         Utterance("d", 1, "s", "justice", "t"),
     ]

@@ -283,6 +283,24 @@ def test_malformed_input_exits_with_a_typed_error(tmp_path, capsys, base, format
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("key, value", [("case_id", ["a"]), ("case_id", 7),
+                                        ("speaker_id", {"x": 1}), ("speaker_id", None)])
+@pytest.mark.parametrize("command, arg", [key for key, (fmt, _) in FILE_ARGS.items()
+                                          if fmt == "transcript"])
+def test_transcript_ids_of_the_wrong_value_type_exit_3(tmp_path, capsys, base, command, arg,
+                                                       key, value):
+    """The wrong-value-type class for the ids of a turn, which are not converted to strings."""
+    first, second = _lines(TRANSCRIPTS)[:2]
+    path = tmp_path / "bad-transcript"
+    path.write_text(first + "\n" + json.dumps(_with(key, value)(json.loads(second))) + "\n",
+                    encoding="utf-8")
+    capsys.readouterr()
+    assert main(FILE_ARGS[command, arg][1](base, tmp_path, path)) == 3
+    err = capsys.readouterr().err
+    assert re.search(f"line 2: .*{key} {REASONS['wrong-value-type']} a string", err), err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("fmt", ["transcript", "metadata", "units", "records", "estimates"])
 def test_each_malformed_line_is_named(tmp_path, capsys, base, formats, fmt):
     """A line-oriented reader names the bad line (line 2 of every malformed file)."""

@@ -426,8 +426,7 @@ def test_build_records_folds_in_every_topic_text_in_one_batch(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in ((measure, "measure_topics"), (measure, "measure_topic"),
-                         (topics, "fold_in"), (topics, "measure_topic"),
-                         (topics, "infer_proportions")):
+                         (topics, "fold_in"), (topics, "measure_topic")):
         counting(module, name)
     build = build_records(extract_units(utts), MeasurementSpec.default(topic_model=model), 2,
                           case_utterances={"c": utts})

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from medlang.errors import ConfigError, DataError
+from medlang.textutil import tokenize
 from medlang.topics import (
     TopicModel,
+    _row_sum,
     fit_topic_model,
     fold_in,
-    infer_proportions,
     match_topics,
     measure_topic,
     measure_topics,
@@ -97,7 +98,7 @@ def test_out_of_vocabulary_text_gets_reserved_level(small_planted_model):
     model = small_planted_model
     assert measure_topic(model, "zebra quokka xylophone") == model.n_topics
     assert measure_topic(model, "") == model.n_topics
-    assert infer_proportions(model, "zebra") is None
+    assert np.isnan(fold_in(model, ["zebra"])).all()
 
 
 def test_exact_tie_breaks_to_topic_zero():
@@ -112,13 +113,13 @@ def test_exact_tie_breaks_to_topic_zero():
         seed=0,
     )
     assert measure_topic(model, "alpha beta alpha") == 0
-    theta = infer_proportions(model, "alpha beta")
+    theta = fold_in(model, ["alpha beta"])[0]
     assert theta[0] == theta[1]
     assert list(measure_topics(model, ["alpha", "alpha beta alpha", "beta", "gamma"])) == [0, 0, 0, 2]
 
 
 def test_proportions_sum_to_one(small_planted_model):
-    theta = infer_proportions(small_planted_model, " ".join(TOPIC_A_WORDS))
+    theta = fold_in(small_planted_model, [" ".join(TOPIC_A_WORDS)])[0]
     assert abs(theta.sum() - 1.0) < 1e-9
 
 
@@ -143,6 +144,78 @@ def test_model_validation_rejects_bad_cells(cell):
                        seed=0)
     with pytest.raises(DataError, match="negative or non-finite cell"):
         model.validate()
+
+
+# -- topic-major sweep against the token-major one it replaced -------------------
+
+
+def reference_fit(corpus, k, seed, alpha, beta, n_sweeps, burn_in):
+    """The (tokens, k) synchronous sweep, kept as the reference for the topic-major one."""
+    docs = [preprocess(text) for text in corpus]
+    vocab = tuple(sorted({tok for doc in docs for tok in doc}))
+    vocab_index = {tok: i for i, tok in enumerate(vocab)}
+    n_docs, n_words = len(docs), len(vocab)
+    doc_len = np.array([len(doc) for doc in docs])
+    doc_of = np.repeat(np.arange(n_docs), doc_len)
+    word_of = np.array([vocab_index[tok] for doc in docs for tok in doc])
+    rng = np.random.default_rng(seed)
+    z = rng.integers(0, k, size=word_of.size)
+
+    def counts(z):
+        nkw = np.bincount(z * n_words + word_of, minlength=k * n_words).reshape(k, n_words)
+        ndk = np.bincount(doc_of * k + z, minlength=n_docs * k).reshape(n_docs, k)
+        return nkw, nkw.sum(axis=1), ndk
+
+    nkw, nk, ndk = counts(z)
+    beta_sum = beta * n_words
+    phi_acc = np.zeros((k, n_words))
+    theta_acc = np.zeros((n_docs, k))
+    for sweep in range(n_sweeps):
+        own = z[:, None] == np.arange(k)
+        weights = nkw[:, word_of].T - own + beta
+        weights /= nk - own + beta_sum
+        weights *= ndk[doc_of] - own + alpha
+        cumulative = np.cumsum(weights, axis=1, out=weights)
+        threshold = rng.random(word_of.size) * cumulative[:, -1]
+        z = (cumulative < threshold[:, None]).sum(axis=1)
+        nkw, nk, ndk = counts(z)
+        if sweep >= burn_in:
+            phi_acc += (nkw + beta) / (nk[:, None] + beta_sum)
+            theta_acc += (ndk + alpha) / (doc_len[:, None] + k * alpha)
+    return (vocab, phi_acc / phi_acc.sum(axis=1, keepdims=True),
+            theta_acc / theta_acc.sum(axis=1, keepdims=True), z.astype(np.int64))
+
+
+FIT_CORPORA = {
+    # one-token documents among longer ones, and one with no content word at all
+    "short": planted_corpus(40, seed=5, doc_len=(1, 12))[0] + ["statute", "the of and"],
+    "one-document": [" ".join(TOPIC_A_WORDS + TOPIC_B_WORDS)],
+}
+
+
+@pytest.mark.parametrize("corpus", sorted(FIT_CORPORA))
+@pytest.mark.parametrize("burn_in", [0, 5])
+@pytest.mark.parametrize("seed", [0, 3, 11])
+@pytest.mark.parametrize("k", [2, 5, 8, 10, 12])
+def test_topic_major_sweep_equals_the_token_major_one_bit_for_bit(corpus, burn_in, seed, k):
+    texts = FIT_CORPORA[corpus]
+    model = fit_topic_model(texts, k=k, seed=seed, alpha=0.3, beta=0.05, n_sweeps=12,
+                            burn_in=burn_in)
+    vocab, topic_word, doc_topic, assignments = reference_fit(texts, k, seed, 0.3, 0.05, 12,
+                                                              burn_in)
+    assert model.vocab == vocab
+    assert model.topic_word.tobytes() == topic_word.tobytes()
+    assert model.doc_topic.tobytes() == doc_topic.tobytes()
+    assert model.assignments.tobytes() == assignments.tobytes()
+
+
+def test_row_sum_adds_in_the_order_of_np_sum():
+    rng = np.random.default_rng(0)
+    for n in range(1, 301):
+        # magnitudes spread over 16 decades, so another order gives another sum
+        rows = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-8, 8, size=(n, 4))
+        want = [np.sum(np.ascontiguousarray(rows[:, j])) for j in range(4)]
+        assert _row_sum(rows).tobytes() == np.array(want).tobytes(), n
 
 
 # -- batched fold-in against the per-text EM loop it replaced --------------------
@@ -178,13 +251,15 @@ def random_model(k, n_words, seed):
     )
 
 
-@pytest.mark.parametrize("k", [2, 5, 10, 12])
+@pytest.mark.parametrize("k", [2, 5, 7, 8, 9, 10, 12, 16])
 def test_batched_fold_in_equals_the_per_text_loop_bit_for_bit(k):
     model = random_model(k, n_words=15, seed=k)
     rng = np.random.default_rng(100 + k)
     # 15 words and up to 40 tokens: most documents repeat words
     texts = [" ".join(rng.choice(model.vocab, size=n)) for n in range(1, 41) for _ in range(3)]
     texts.append("the zebra of quokka")
+    texts.insert(50, " ".join(rng.choice(model.vocab, size=300)))  # one long text
+    texts[::4] = [tokenize(text) for text in texts[::4]]  # token lists among strings
     got = fold_in(model, texts)
     levels = measure_topics(model, texts)
     for text, row, level in zip(texts, got, levels):
@@ -194,8 +269,16 @@ def test_batched_fold_in_equals_the_per_text_loop_bit_for_bit(k):
         else:
             assert row.tobytes() == want.tobytes()
             assert level == int(np.argmax(want))
-            assert infer_proportions(model, text).tobytes() == want.tobytes()
+            assert fold_in(model, [text])[0].tobytes() == want.tobytes()
             assert measure_topic(model, text) == level
+
+
+def test_batch_without_in_vocabulary_tokens_is_all_no_content():
+    model = random_model(5, n_words=15, seed=1)
+    texts = ["", "zebra quokka", ["the", "of"], []]
+    assert np.isnan(fold_in(model, texts)).all() and fold_in(model, texts).shape == (4, 5)
+    assert list(measure_topics(model, texts)) == [model.no_content_level] * 4
+    assert fold_in(model, []).shape == (0, 5)
 
 
 def test_batched_levels_do_not_depend_on_batch_order():
