@@ -3,8 +3,11 @@
 Units are resampled with replacement within each cross-fit fold and both
 nuisance models are refit per replicate, so the intervals reflect model
 estimation noise, not just the final averaging step. A resample only
-changes cell counts, so the refits are count-based and batched: every
-replicate's models are fitted from its counts in one stacked Newton solve.
+changes cell counts, so every replicate's fold cell counts are drawn from
+their multinomial law in one draw, and every replicate's models are
+fitted from its counts in one stacked Newton solve that starts where the
+point fit ended. The intervals depend on the cell counts alone, not on the
+order of the records.
 """
 
 from medlang import bootstrap_effects, exact_effects, fit_models, generate, load_fixture

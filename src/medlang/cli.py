@@ -176,12 +176,14 @@ def _fit_topic_model_for_units(units, config: RunConfig):
 
     The split is the complement of fold 0 under a seed derived from the run
     seed, so the model never trains on the fold it will be scored against
-    first.
+    first. The training texts go to the sampler in unit_id order, so the
+    model does not depend on the order of the input cases.
     """
     fold_map = assign_folds(
         [u.unit_id for u in units], config.folds, derive_seed(config.seed, "topic-split")
     )
-    train_texts = [u.p1_utterance.text for u in units if fold_map[u.unit_id] != 0]
+    train_texts = [u.p1_utterance.text for u in sorted(units, key=lambda u: u.unit_id)
+                   if fold_map[u.unit_id] != 0]
     return fit_topic_model(
         train_texts,
         config.topics,

@@ -74,10 +74,13 @@ def make_plan(unit_ids: Sequence[str], n_folds: int, seed: int) -> CrossFitPlan:
 
 @dataclass(frozen=True)
 class FoldDiagnostics:
+    """One fold's fit; ``restart`` is the iterate its final Newton step was taken from."""
+
     log_likelihood: float
     n_iterations: int
     smoothed_cells: tuple[tuple, ...]
     coefficients: np.ndarray
+    restart: np.ndarray
 
 
 def valid_mediator_tables(table: np.ndarray) -> np.ndarray:
@@ -144,6 +147,7 @@ class BatchFit(NamedTuple):
     iterations: np.ndarray
     loglik: np.ndarray
     status: np.ndarray
+    restart: np.ndarray
 
 
 def fit_categorical_glm_batch(
@@ -152,23 +156,28 @@ def fit_categorical_glm_batch(
     ridge: float = RIDGE,
     max_iterations: int = MAX_ITERATIONS,
     tol: float = CONVERGENCE_TOL,
+    start: np.ndarray | None = None,
 ) -> BatchFit:
     """Newton/IRLS fits of a stack of multinomial logits sharing one design.
 
     design: (R, d) covariate rows; counts: (B, R, K) observation counts per
-    member and response level. Level 0 is the reference. Every member takes
-    exactly the Newton steps it would take alone: each iteration solves all
-    active members' (p, p) systems in one stacked solve, and a member stops
-    stepping once its largest step falls below ``tol``. A ridge term keeps
-    the step well defined under separation or collinearity.
+    member and response level; start: (B, K-1, d) coefficients each member
+    starts from (zeros by default). Level 0 is the reference. Every member
+    takes exactly the Newton steps it would take alone: each iteration solves
+    all active members' (p, p) systems in one stacked solve, and a member
+    stops stepping once its largest step falls below ``tol``. A ridge term
+    keeps the step well defined under separation or collinearity.
 
     Returns (probs (B, R, K), coefficients (B, K-1, d), iterations (B,),
-    penalized log-likelihoods (B,), status (B,)). A member's status is
-    CONVERGED, FAILED_STEP (singular or non-finite Newton system; its
-    iteration count is the failing iteration) or NOT_CONVERGED; failed
-    members keep their last coefficients and never stop the others.
-    Members are fitted in slices of at most about BATCH_BYTES of Newton
-    systems; a member's result does not depend on the slice it is in.
+    penalized log-likelihoods (B,), status (B,), restart (B, K-1, d)). A
+    member's status is CONVERGED, FAILED_STEP (singular or non-finite Newton
+    system; its iteration count is the failing iteration) or NOT_CONVERGED;
+    failed members keep their last coefficients and never stop the others.
+    A member's restart is the iterate its final step was taken from:
+    started there on the same counts, it repeats that step bit for bit and
+    converges in one iteration. Members are fitted in slices of at most
+    about BATCH_BYTES of Newton systems; a member's result does not depend
+    on the slice it is in.
     """
     n_members, n_rows, n_levels = counts.shape
     if n_levels < 2:
@@ -177,9 +186,11 @@ def fit_categorical_glm_batch(
     k = n_levels - 1
     n_params = k * d
     size = max(1, BATCH_BYTES // (8 * (3 * n_params * n_params + n_rows * k * k)))
+    coef = np.zeros((n_members, k, d)) if start is None else np.array(start, dtype=float)
     if n_members > size:
         parts = [
-            fit_categorical_glm_batch(design, counts[i : i + size], ridge, max_iterations, tol)
+            fit_categorical_glm_batch(design, counts[i : i + size], ridge, max_iterations, tol,
+                                      coef[i : i + size])
             for i in range(0, n_members, size)
         ]
         return BatchFit(*(np.concatenate(arrays) for arrays in zip(*parts)))
@@ -187,7 +198,7 @@ def fit_categorical_glm_batch(
     # Row-wise outer products: one matmul turns per-row weights into blocks.
     outer = (design[:, :, None] * design[:, None, :]).reshape(n_rows, d * d)
     ridge_eye = ridge * np.eye(n_params)
-    coef = np.zeros((n_members, k, d))
+    restart = coef.copy()
     iterations = np.zeros(n_members, dtype=np.int64)
     status = np.full(n_members, NOT_CONVERGED)
     active = np.arange(n_members)
@@ -211,6 +222,7 @@ def fit_categorical_glm_batch(
         iterations[active] += 1
         failed = ~np.isfinite(step).all(axis=1)
         step[failed] = 0.0
+        restart[active] = c
         coef[active] = c + step.reshape(c.shape)
         done = ~failed & (np.abs(step).max(axis=1) < tol)
         status[active[failed]] = FAILED_STEP
@@ -220,7 +232,7 @@ def fit_categorical_glm_batch(
     # counts * log(probs), with 0 where a cell's count is 0 (so 0 * log(0) adds 0).
     log_probs = np.log(probs, out=np.zeros_like(probs), where=counts > 0)
     loglik = (counts * log_probs).sum(axis=(1, 2)) - 0.5 * ridge * (coef ** 2).sum(axis=(1, 2))
-    return BatchFit(probs, coef, iterations, loglik, status)
+    return BatchFit(probs, coef, iterations, loglik, status, restart)
 
 
 def _glm_probs(design: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -263,11 +275,9 @@ def fit_categorical_glm(
     iterations, penalized log-likelihood); a failed fit raises
     NumericalError. This is the one-member case of fit_categorical_glm_batch.
     """
-    probs, coef, iterations, loglik, status = fit_categorical_glm_batch(
-        design, counts[None], ridge, max_iterations, tol
-    )
-    _raise_if_failed(status, iterations)
-    return probs[0], coef[0], int(iterations[0]), float(loglik[0])
+    fit = fit_categorical_glm_batch(design, counts[None], ridge, max_iterations, tol)
+    _raise_if_failed(fit.status, fit.iterations)
+    return fit.probs[0], fit.coef[0], int(fit.iterations[0]), float(fit.loglik[0])
 
 
 def _raise_if_failed(status: np.ndarray, iterations: np.ndarray, context: str = "") -> None:
@@ -371,46 +381,55 @@ def _training_counts(
 
 
 def _fit_stack(
-    design: np.ndarray, counts: np.ndarray, cells: tuple[int, ...], lead: tuple[int, ...]
+    design: np.ndarray, counts: np.ndarray, cells: tuple[int, ...], lead: tuple[int, ...],
+    start: np.ndarray | None,
 ) -> tuple[BatchFit, np.ndarray]:
     """Batch-fit (members, rows, levels) counts; shape the results by ``lead``.
 
-    Returns the fit and the mask of rows without counts, shaped lead + cells.
+    ``start`` holds each member's first iterate, shaped lead + (levels - 1,
+    columns), or is None for zeros. Returns the fit and the mask of rows
+    without counts, shaped lead + cells.
     """
-    fit = fit_categorical_glm_batch(design, counts)
+    if start is not None:
+        start = np.broadcast_to(start, lead + start.shape[-2:]).reshape(
+            (-1,) + start.shape[-2:])
+    fit = fit_categorical_glm_batch(design, counts, start=start)
     empty = counts.sum(axis=-1) == 0
     return BatchFit(*(a.reshape(lead + a.shape[1:]) for a in fit)), empty.reshape(lead + cells)
 
 
 def fit_mediator_tables(
-    domains: Domains, train: np.ndarray
+    domains: Domains, train: np.ndarray, start: np.ndarray | None = None
 ) -> tuple[np.ndarray, BatchFit, np.ndarray]:
     """Fit P(M | T, X) to every member of a stack of training cell counts.
 
     train: (..., K, 2, n_x, 2) counts over (m, t, x, y), with any leading
-    axes (folds; replicates x folds). Returns the (..., 2, n_x, K) tables,
-    the BatchFit with arrays shaped by the leading axes, and the (..., 2, n_x)
-    mask of cells without training counts, which get the uniform default.
+    axes (folds; replicates x folds); start: first iterates, broadcast to
+    the leading axes (see FoldDiagnostics.restart), or None for zeros.
+    Returns the (..., 2, n_x, K) tables, the BatchFit with arrays shaped by
+    the leading axes, and the (..., 2, n_x) mask of cells without training
+    counts, which get the uniform default.
     """
     lead, n_levels, n_x = train.shape[:-4], train.shape[-4], train.shape[-2]
     counts = np.moveaxis(train.sum(axis=-1), -3, -1).reshape((-1, 2 * n_x, n_levels))
-    fit, empty = _fit_stack(_mediator_design(domains), counts, (2, n_x), lead)
+    fit, empty = _fit_stack(_mediator_design(domains), counts, (2, n_x), lead, start)
     table = fit.probs.reshape(lead + (2, n_x, n_levels))
     return np.where(empty[..., None], 1.0 / n_levels, table), fit, empty
 
 
 def fit_outcome_tables(
-    domains: Domains, train: np.ndarray
+    domains: Domains, train: np.ndarray, start: np.ndarray | None = None
 ) -> tuple[np.ndarray, BatchFit, np.ndarray]:
     """Fit E[Y | M, T, X] to every member of a stack of training cell counts.
 
-    train as for fit_mediator_tables. Returns the (..., K, 2, n_x) tables,
-    the BatchFit shaped by the leading axes, and the (..., K, 2, n_x) mask of
-    cells without training counts, which get 0.5.
+    train and start as for fit_mediator_tables. Returns the (..., K, 2, n_x)
+    tables, the BatchFit shaped by the leading axes, and the (..., K, 2, n_x)
+    mask of cells without training counts, which get 0.5.
     """
     lead, n_levels, n_x = train.shape[:-4], train.shape[-4], train.shape[-2]
     counts = train.reshape((-1, n_levels * 2 * n_x, 2))
-    fit, empty = _fit_stack(_outcome_design(domains, n_levels), counts, (n_levels, 2, n_x), lead)
+    fit, empty = _fit_stack(_outcome_design(domains, n_levels), counts, (n_levels, 2, n_x), lead,
+                            start)
     table = fit.probs[..., 1].reshape(lead + (n_levels, 2, n_x))
     return np.where(empty, 0.5, table), fit, empty
 
@@ -435,6 +454,7 @@ def _fit_model(cls, fit_tables, records: CodedRecords, mediator_name, plan):
                     (*map(int, c[:-1]), domains.x_assignment(int(c[-1]))) for c in cells
                 ),
                 coefficients=fit.coef[f],
+                restart=fit.restart[f],
             )
         )
     model = cls(mediator_name=mediator_name, domains=domains, n_folds=table.shape[0],

@@ -289,23 +289,29 @@ def sample_effects(
 def _replicate_counts(
     coded: CodedRecords, mediator_name: str, n_bootstrap: int, seed: int
 ) -> np.ndarray:
-    """Cell counts of every replicate's within-fold resample.
+    """Cell counts of every replicate's within-fold resample, (B, F, K, 2, n_x, 2).
 
-    Replicate r resamples each fold's units with replacement from its own
-    stream ``derive_seed(seed, "replicate:r")``; only the resample's
-    (fold, m, t, x, y) cell counts are kept. Returns (B, F, K, 2, n_x, 2).
+    Resampling a fold's n_f units with replacement draws its (m, t, x, y)
+    cell counts from Multinomial(n_f, fold counts / n_f), so all replicates'
+    counts are drawn from that law in one call on the stream ``seed``. They
+    depend on the fold cell counts alone, never on record order, and
+    replicate r draws the same counts for any n_bootstrap > r. numpy gives
+    the last cell the remainder of the others' draws, so each fold's cells
+    are drawn in ascending order of count: the remainder lands on the
+    fold's largest cell, never on an empty one. A fold without units draws
+    zeros.
     """
-    n_folds = coded.n_folds
+    shape = glm.grid_shape(coded.domains, mediator_name, coded.n_folds)
     codes = glm.cell_codes(coded, mediator_name, coded.fold)
-    fold_codes = [codes[coded.fold == f] for f in range(n_folds)]
-    shape = glm.grid_shape(coded.domains, mediator_name, n_folds)
-    n_cells = int(np.prod(shape))
-    counts = np.empty((n_bootstrap, n_cells), dtype=np.int64)
-    for r in range(n_bootstrap):
-        rng = np.random.default_rng(derive_seed(seed, f"replicate:{r}"))
-        draw = np.concatenate([fc[rng.integers(0, fc.size, size=fc.size)] for fc in fold_codes])
-        counts[r] = np.bincount(draw, minlength=n_cells)
-    return counts.reshape((n_bootstrap,) + shape)
+    counts = np.bincount(codes, minlength=int(np.prod(shape))).reshape(shape[0], -1)
+    order = np.argsort(counts, axis=1, kind="stable")
+    ascending = np.take_along_axis(counts, order, axis=1)
+    n = counts.sum(axis=1)
+    pvals = ascending / np.maximum(n, 1)[:, None]
+    draw = np.random.default_rng(seed).multinomial(n, pvals, size=(n_bootstrap, shape[0]))
+    out = np.empty_like(draw)
+    np.put_along_axis(out, np.broadcast_to(order, draw.shape), draw, axis=2)
+    return out.reshape((n_bootstrap,) + shape)
 
 
 def _levels_present(cells: np.ndarray, domains: Domains) -> np.ndarray:
@@ -323,18 +329,27 @@ def _levels_present(cells: np.ndarray, domains: Domains) -> np.ndarray:
 
 
 def _bootstrap_draws(
-    coded: CodedRecords, mediator_name: str, n_bootstrap: int, seed: int, x_weighting: str
+    coded: CodedRecords,
+    g: FittedMediatorModel,
+    f: FittedOutcomeModel,
+    n_bootstrap: int,
+    seed: int,
+    x_weighting: str,
 ) -> np.ndarray:
     """(nde, nie) of every replicate, (B, 2); NaN rows mark dropped replicates.
 
     Refits are count-based and batched: all replicates' training counts
-    come from one cell grid, and both nuisance models of every replicate
-    and fold are fitted in one stacked Newton loop each, through the same
-    glm.fit_mediator_tables/fit_outcome_tables step as the point fit. A
+    come from one multinomial draw (see _replicate_counts), and both
+    nuisance models of every replicate and fold are fitted in one stacked
+    Newton loop each, through the same glm.fit_mediator_tables/
+    fit_outcome_tables step as the point fit. Every replicate's fold fit
+    starts where the point fit ``g``/``f`` of that fold took its final step,
+    so a replicate with the point fit's counts repeats it bit for bit. A
     replicate is dropped if its resample loses a t, m or confounder level
     present in the data, if any of its fits fails, or if any of its tables
     fails the validity rule that the point fit's validate() applies.
     """
+    mediator_name = g.mediator_name
     counts = _replicate_counts(coded, mediator_name, n_bootstrap, seed)
     domains = coded.domains
     cells = counts.sum(axis=(1, 5))
@@ -346,8 +361,8 @@ def _bootstrap_draws(
 
     grid = counts[kept]
     train = (grid.sum(axis=1, keepdims=True) - grid).astype(float)
-    g_table, g_fit, _ = glm.fit_mediator_tables(domains, train)
-    f_table, f_fit, _ = glm.fit_outcome_tables(domains, train)
+    g_table, g_fit, _ = glm.fit_mediator_tables(domains, train, _restart(g, coded.n_folds))
+    f_table, f_fit, _ = glm.fit_outcome_tables(domains, train, _restart(f, coded.n_folds))
     ok = (
         (g_fit.status == glm.CONVERGED) & (f_fit.status == glm.CONVERGED)
         & glm.valid_mediator_tables(g_table) & glm.valid_outcome_tables(f_table)
@@ -357,6 +372,17 @@ def _bootstrap_draws(
     nde, nie, _, _ = _effects(g_table[ok], f_table[ok], fold_x, x_weighting)
     draws[kept[ok]] = np.stack([nde, nie], axis=1)
     return draws
+
+
+def _restart(model, n_folds: int) -> np.ndarray | None:
+    """The point fit's per-fold restart iterates, (F, levels - 1, columns).
+
+    None (start from zeros) if the model carries no diagnostics for the
+    records' folds, as for hand-built tables.
+    """
+    if len(model.diagnostics) != n_folds:
+        return None
+    return np.stack([d.restart for d in model.diagnostics])
 
 
 def _percentile_interval(values: np.ndarray, point: float, ci_level: float):
@@ -381,16 +407,17 @@ def bootstrap_effects(
     The point estimate scores the records with ``g`` and ``f`` (see
     fit_models). Every replicate resamples units with replacement within
     each fold (preserving the cross-fit protocol and fold sizes exactly),
-    refits both nuisance models, and recomputes the effects. The refits are
-    count-based and batched: a resample changes only cell counts, so every
-    replicate's models are fitted from its counts in one stacked Newton
-    solve per model (see _bootstrap_draws). Replicates whose resample loses
-    a covariate level present in the original data, or whose refit fails,
-    are dropped and counted; more than ``max_dropped_fraction`` dropped is
-    an error. An interval that does not contain its point estimate is
-    widened to it, and each such interval is counted in
-    ``n_clamped_intervals``. Replicate seeds are derived independently, so
-    any execution order produces identical intervals.
+    refits both nuisance models, and recomputes the effects. A resample
+    changes only cell counts, so every replicate's fold cell counts are
+    drawn from their multinomial law, all in one draw from ``seed``, and
+    its models are fitted from those counts in one stacked Newton solve per
+    model, started at the point fit (see _bootstrap_draws). The intervals
+    therefore depend on the fold cell counts alone, not on record order.
+    Replicates whose resample loses a covariate level present in the
+    original data, or whose refit fails, are dropped and counted; more than
+    ``max_dropped_fraction`` dropped is an error. An interval that does not
+    contain its point estimate is widened to it, and each such interval is
+    counted in ``n_clamped_intervals``.
     """
     validate_settings(n_bootstrap, ci_level, x_weighting)
     mediator_name = g.mediator_name
@@ -400,7 +427,7 @@ def bootstrap_effects(
     clamped = 0
     nde_ci, nie_ci = (nde, nde), (nie, nie)
     if n_bootstrap > 0:
-        draws = _bootstrap_draws(records, mediator_name, n_bootstrap, seed, x_weighting)
+        draws = _bootstrap_draws(records, g, f, n_bootstrap, seed, x_weighting)
         draws = draws[~np.isnan(draws[:, 0])]
         dropped = n_bootstrap - len(draws)
         if dropped > max_dropped_fraction * n_bootstrap:

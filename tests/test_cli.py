@@ -1,5 +1,6 @@
 import json
 import logging
+import random
 import re
 from collections import Counter
 from dataclasses import replace
@@ -671,3 +672,62 @@ def test_report_header_names_the_interval_level(tmp_path, ci, label):
     ]) == 0
     header = (tmp_path / "est" / "report.txt").read_text("utf-8").splitlines()[2]
     assert f"nde {label} ci" in header and f"nie {label} ci" in header
+
+
+# -- results do not depend on input order -----------------------------------------------
+
+
+def _shuffle_cases(src: Path, dst: Path, seed: int) -> None:
+    """Copy a transcript or metadata file with whole cases in another order."""
+    lines = src.read_text("utf-8").splitlines(keepends=True)
+    by_case: dict[str, list[str]] = {}
+    for line in lines:
+        by_case.setdefault(json.loads(line)["case_id"], []).append(line)
+    cases = list(by_case.values())
+    order = random.Random(seed).sample(range(len(cases)), len(cases))
+    dst.write_text("".join(line for i in order for line in cases[i]), encoding="utf-8")
+
+
+@pytest.mark.parametrize("topics", [None, 2], ids=["no-topics", "topics"])
+def test_run_results_invariant_to_case_order(tmp_path, topics):
+    sim_dir = tmp_path / "sim"
+    assert main([
+        "simulate", "--fixture", "two_mediator_scm", "--n", "160", "--seed", "8",
+        "--render", "--out", str(sim_dir),
+    ]) == 0
+    for name in ("transcripts.ndjson", "meta.ndjson"):
+        _shuffle_cases(sim_dir / name, tmp_path / name, seed=4)
+    assert (tmp_path / "transcripts.ndjson").read_bytes() != (
+        sim_dir / "transcripts.ndjson").read_bytes()
+    mediators = ("hedging", "disfluency") + (("topic",) if topics else ())
+    config = RunConfig(transcripts=str(sim_dir / "transcripts.ndjson"),
+                       meta=str(sim_dir / "meta.ndjson"), out=str(tmp_path / "a"), seed=8,
+                       bootstrap=100, mediators=mediators, confounders=("x0",),
+                       topics=topics, topic_sweeps=20, topic_burn_in=10)
+    run_pipeline(config)
+    run_pipeline(replace(config, transcripts=str(tmp_path / "transcripts.ndjson"),
+                         meta=str(tmp_path / "meta.ndjson"), out=str(tmp_path / "b")))
+    for name in ("effects.ndjson", "effects.csv", "mediator_tables.csv", "outcome_tables.csv",
+                 "plot_data.csv", "report.txt"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def test_estimate_on_records_with_an_empty_fold(tmp_path):
+    sim_dir = tmp_path / "sim"
+    assert main([
+        "simulate", "--fixture", "binary_scm", "--n", "300", "--seed", "2", "--out", str(sim_dir),
+    ]) == 0
+    records = tmp_path / "records.ndjson"
+    lines = []
+    for line in (sim_dir / "records.ndjson").read_text("utf-8").splitlines():
+        obj = json.loads(line)
+        obj["fold"] *= 2  # folds {0, 2}: fold 1 holds no units
+        lines.append(json.dumps(obj) + "\n")
+    records.write_text("".join(lines), encoding="utf-8")
+    assert main([
+        "estimate", "--records", str(records), "--bootstrap", "100", "--out", str(tmp_path / "est"),
+    ]) == 0
+    (effect,) = [json.loads(line)
+                 for line in (tmp_path / "est" / "effects.ndjson").read_text("utf-8").splitlines()]
+    assert effect["n_units"] == 300 and effect["n_dropped_replicates"] == 0
+    assert effect["nde_ci"][0] < effect["nde"] < effect["nde_ci"][1]

@@ -369,7 +369,9 @@ def test_batch_fit_members_match_solo_fits_and_fail_alone():
     good_b = np.array([[5.0, 40.0], [22.0, 19.0]])
     # with no ridge, a member without counts has a zero Hessian
     counts = np.stack([good_a, np.zeros((2, 2)), good_b])
-    probs, coef, iterations, loglik, status = fit_categorical_glm_batch(design, counts, ridge=0.0)
+    probs, coef, iterations, loglik, status, _ = fit_categorical_glm_batch(
+        design, counts, ridge=0.0
+    )
     assert list(status) == [CONVERGED, FAILED_STEP, CONVERGED]
     assert iterations[1] == 1
     for member, solo_counts in ((0, good_a), (2, good_b)):
@@ -386,7 +388,7 @@ def test_batch_fit_marks_only_the_unconverged_member():
     design = np.array([[1.0, 0.0], [1.0, 1.0]])
     balanced = np.array([[20.0, 20.0], [15.0, 15.0]])  # the MLE is the start point
     skewed = np.array([[30.0, 2.0], [3.0, 40.0]])
-    _, _, iterations, _, status = fit_categorical_glm_batch(
+    _, _, iterations, _, status, _ = fit_categorical_glm_batch(
         design, np.stack([balanced, skewed]), max_iterations=2
     )
     assert list(status) == [CONVERGED, NOT_CONVERGED]
@@ -399,11 +401,15 @@ def test_batch_fit_slices_do_not_change_results(monkeypatch):
     rng = np.random.default_rng(4)
     design = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [1.0, 1.0, 1.0]])
     counts = rng.integers(0, 30, size=(7, 4, 3)).astype(float)
+    start = rng.normal(0.0, 0.5, size=(7, 2, 3))
     whole = fit_categorical_glm_batch(design, counts)
+    warm = fit_categorical_glm_batch(design, counts, start=start)
     monkeypatch.setattr(glm, "BATCH_BYTES", 1)  # one member per slice
     sliced = fit_categorical_glm_batch(design, counts)
-    for a, b in zip(whole, sliced):
+    warm_sliced = fit_categorical_glm_batch(design, counts, start=start)
+    for a, b in zip(whole + warm, sliced + warm_sliced):
         assert np.array_equal(a, b)
+    assert not np.array_equal(whole.iterations, warm.iterations)
 
 
 def test_glm_probs_equal_scipy_softmax_bit_for_bit():
@@ -447,6 +453,23 @@ def test_stacked_table_fits_equal_the_point_fits_bit_for_bit():
             point = fit_model(records, "hedging")
             assert np.array_equal(tables[member], point.table)
             assert np.array_equal(fit.coef[member], [d.coefficients for d in point.diagnostics])
+
+
+def test_restart_on_the_point_counts_repeats_the_point_fit_in_one_step():
+    coded, _ = gen_logistic_outcome(3000, seed=71)
+    train = glm._training_counts(coded, "hedging", None)
+    stack = np.stack([train, train])  # (replicate, fold, m, t, x, y)
+    for fit_tables, fit_model in ((glm.fit_mediator_tables, fit_mediator_model),
+                                  (glm.fit_outcome_tables, fit_outcome_model)):
+        point = fit_model(coded, "hedging")
+        assert all(d.n_iterations > 1 for d in point.diagnostics)
+        start = np.stack([d.restart for d in point.diagnostics])
+        tables, fit, _ = fit_tables(coded.domains, stack, start)
+        assert (fit.iterations == 1).all() and (fit.status == CONVERGED).all()
+        for member in range(2):
+            assert np.array_equal(tables[member], point.table)
+            assert np.array_equal(fit.coef[member], [d.coefficients for d in point.diagnostics])
+            assert np.array_equal(fit.restart[member], start)
 
 
 def test_designs_match_the_cell_by_cell_layout():

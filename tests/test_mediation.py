@@ -18,6 +18,7 @@ from medlang.glm import (
 )
 from medlang.measure import CausalRecord
 from medlang.mediation import (
+    X_WEIGHTINGS,
     EffectEstimate,
     EstimatorConfig,
     _bootstrap_draws,
@@ -27,7 +28,6 @@ from medlang.mediation import (
     sample_effects,
 )
 from medlang import scm
-from medlang.seeding import derive_seed
 
 
 def hand_models(g_rows, f_rows, domains=None, n_folds=1):
@@ -400,27 +400,29 @@ def test_effect_estimate_range_enforced():
 
 
 def _sequential_draws(coded, name, n_bootstrap, seed, x_weighting):
-    """Reference: each replicate's resample refitted on its own, row by row."""
+    """Reference: each replicate's drawn counts expanded into rows and refitted cold."""
     widths = [len(levels) for _, levels in coded.domains.confounders]
     n_levels = coded.domains.mediator_sizes[name]
+    shape = glm.grid_shape(coded.domains, name, coded.n_folds)
 
     def present(rows):
-        parts = [np.bincount(coded.t[rows], minlength=2),
-                 np.bincount(coded.m[name][rows], minlength=n_levels)]
-        for j, pos in enumerate(np.unravel_index(coded.x[rows], widths)):
+        parts = [np.bincount(rows.t, minlength=2),
+                 np.bincount(rows.m[name], minlength=n_levels)]
+        for j, pos in enumerate(np.unravel_index(rows.x, widths)):
             parts.append(np.bincount(pos, minlength=widths[j]))
         return np.concatenate(parts) > 0
 
-    base = present(np.arange(len(coded)))
-    fold_rows = [np.nonzero(coded.fold == f)[0] for f in range(coded.n_folds)]
+    base = present(coded)
+    counts = mediation._replicate_counts(coded, name, n_bootstrap, seed)
     draws = np.full((n_bootstrap, 2), np.nan)
     for r in range(n_bootstrap):
-        rng = np.random.default_rng(derive_seed(seed, f"replicate:{r}"))
-        idx = np.concatenate([fr[rng.integers(0, fr.size, size=fr.size)] for fr in fold_rows])
-        if (base & ~present(idx)).any():
+        cells = np.repeat(np.arange(counts[r].size), counts[r].ravel())
+        fold, m, t, x, y = np.unravel_index(cells, shape)
+        resample = glm.CodedRecords(unit_ids=tuple(f"u{i}" for i in range(cells.size)), t=t,
+                                    x=x, m={name: m}, y=y, fold=fold, domains=coded.domains)
+        if (base & ~present(resample)).any():
             continue
         try:
-            resample = _take(coded, idx)
             g = fit_mediator_model(resample, name)
             f = fit_outcome_model(resample, name)
         except NumericalError:
@@ -476,7 +478,7 @@ def _binary_scm_records(n=1500, seed=41):
 )
 def test_batched_bootstrap_matches_sequential_refits(make_coded, x_weighting):
     coded = make_coded()
-    batched = _bootstrap_draws(coded, "hedging", 100, 17, x_weighting)
+    batched = _bootstrap_draws(coded, *fit_models(coded, "hedging"), 100, 17, x_weighting)
     reference = _sequential_draws(coded, "hedging", 100, 17, x_weighting)
     assert np.array_equal(np.isnan(batched), np.isnan(reference))
     kept = ~np.isnan(reference[:, 0])
@@ -484,9 +486,67 @@ def test_batched_bootstrap_matches_sequential_refits(make_coded, x_weighting):
     assert np.abs(batched[kept] - reference[kept]).max() <= 1e-12
 
 
+def _fold_gap_records(n=300, seed=12):
+    """Records whose folds are {0, 2, 3}: fold 1 holds no units."""
+    rng = np.random.default_rng(seed)
+    return records_from_arrays(t=rng.integers(0, 2, n), x0=rng.integers(0, 3, n),
+                               m=rng.integers(0, 2, n), y=rng.integers(0, 2, n),
+                               fold=rng.choice([0, 2, 3], n), domains=simple_domains(3))
+
+
+@pytest.mark.parametrize("make_coded", [_sparse_level_records, _six_level_records,
+                                        _fold_gap_records])
+def test_replicate_counts_resample_each_fold_within_its_cells(make_coded):
+    coded = make_coded()
+    shape = glm.grid_shape(coded.domains, "hedging", coded.n_folds)
+    cells = np.bincount(glm.cell_codes(coded, "hedging", coded.fold),
+                        minlength=int(np.prod(shape))).reshape(shape)
+    counts = mediation._replicate_counts(coded, "hedging", 300, 5)
+    assert counts.shape == (300,) + shape
+    assert not counts[:, cells == 0].any()  # no cell without units gets a count
+    n_fold = np.bincount(coded.fold, minlength=coded.n_folds)
+    assert (counts.sum(axis=(2, 3, 4, 5)) == n_fold).all()  # a fold without units draws zeros
+    assert not np.array_equal(counts[0], counts[1])
+    # on average a replicate holds the data's own counts
+    assert np.abs(counts.mean(axis=0) - cells).max() <= 0.5 + 0.2 * np.sqrt(cells.max())
+
+
+def test_bootstrap_intervals_invariant_to_record_order():
+    coded = _binary_scm_records()
+    shuffled = _take(coded, np.random.default_rng(3).permutation(len(coded)))
+    for x_weighting in X_WEIGHTINGS:
+        base = bootstrap_effects(coded, *fit_models(coded, "hedging"), 100, seed=7,
+                                 x_weighting=x_weighting)
+        other = bootstrap_effects(shuffled, *fit_models(shuffled, "hedging"), 100, seed=7,
+                                  x_weighting=x_weighting)
+        assert base == other  # bit-exact, intervals included
+
+
+def test_warm_started_refits_match_cold_ones_in_fewer_iterations(monkeypatch):
+    coded = _six_level_records()
+    g, f = fit_models(coded, "hedging")
+    real_batch = glm.fit_categorical_glm_batch
+    iterations = []
+
+    def counting_batch(*args, **kwargs):
+        fit = real_batch(*args, **kwargs)
+        iterations.append(int(fit.iterations.sum()))
+        return fit
+
+    monkeypatch.setattr(glm, "fit_categorical_glm_batch", counting_batch)
+    warm = _bootstrap_draws(coded, g, f, 100, 17, "unit")
+    warm_iterations = sum(iterations)
+    iterations.clear()
+    monkeypatch.setattr(mediation, "_restart", lambda model, n_folds: None)
+    cold = _bootstrap_draws(coded, g, f, 100, 17, "unit")
+    assert np.array_equal(np.isnan(warm), np.isnan(cold))
+    assert np.nanmax(np.abs(warm - cold)) <= 1e-12
+    assert warm_iterations < sum(iterations)
+
+
 def test_collapsed_replicates_are_dropped_and_counted():
     coded = _sparse_level_records()
-    draws = _bootstrap_draws(coded, "hedging", 100, 1, "unit")
+    draws = _bootstrap_draws(coded, *fit_models(coded, "hedging"), 100, 1, "unit")
     n_nan = int(np.isnan(draws[:, 0]).sum())
     assert 0 < n_nan < 100
     est = bootstrap_effects(coded, *fit_models(coded, "hedging"), 100, seed=1,
@@ -496,14 +556,16 @@ def test_collapsed_replicates_are_dropped_and_counted():
 
 def test_replicate_draws_depend_only_on_their_own_seed():
     coded = _binary_scm_records()
-    long_run = _bootstrap_draws(coded, "hedging", 200, 23, "unit")
-    short_run = _bootstrap_draws(coded, "hedging", 100, 23, "unit")
+    g, f = fit_models(coded, "hedging")
+    long_run = _bootstrap_draws(coded, g, f, 200, 23, "unit")
+    short_run = _bootstrap_draws(coded, g, f, 100, 23, "unit")
     assert np.array_equal(long_run[:100], short_run)
 
 
 def test_one_failed_member_drops_exactly_its_replicate(monkeypatch):
     coded = _binary_scm_records()
-    clean = _bootstrap_draws(coded, "hedging", 100, 29, "unit")
+    g, f = fit_models(coded, "hedging")
+    clean = _bootstrap_draws(coded, g, f, 100, 29, "unit")
     assert not np.isnan(clean).any()
     real_batch = glm.fit_categorical_glm_batch
 
@@ -514,17 +576,17 @@ def test_one_failed_member_drops_exactly_its_replicate(monkeypatch):
         return fit
 
     monkeypatch.setattr(glm, "fit_categorical_glm_batch", fail_member_three)
-    draws = _bootstrap_draws(coded, "hedging", 100, 29, "unit")
+    draws = _bootstrap_draws(coded, g, f, 100, 29, "unit")
     assert np.isnan(draws[1]).all()
     others = np.arange(100) != 1
     assert np.array_equal(draws[others], clean[others])
-    g, f = fit_models(coded, "hedging")
     assert bootstrap_effects(coded, g, f, 100, seed=29).n_dropped_replicates == 1
 
 
 def test_invalid_table_drops_exactly_its_replicate(monkeypatch):
     coded = _binary_scm_records()
-    clean = _bootstrap_draws(coded, "hedging", 100, 29, "unit")
+    g, f = fit_models(coded, "hedging")
+    clean = _bootstrap_draws(coded, g, f, 100, 29, "unit")
     real_rule = glm.valid_outcome_tables
 
     def reject_replicate_one(table):
@@ -533,7 +595,7 @@ def test_invalid_table_drops_exactly_its_replicate(monkeypatch):
         return valid
 
     monkeypatch.setattr(glm, "valid_outcome_tables", reject_replicate_one)
-    draws = _bootstrap_draws(coded, "hedging", 100, 29, "unit")
+    draws = _bootstrap_draws(coded, g, f, 100, 29, "unit")
     assert np.isnan(draws[1]).all()
     others = np.arange(100) != 1
     assert np.array_equal(draws[others], clean[others])
@@ -546,7 +608,7 @@ def test_clamped_intervals_are_counted(monkeypatch):
     assert est.n_clamped_intervals == 0
     # every replicate far above both point estimates: both intervals are widened
     monkeypatch.setattr(
-        mediation, "_bootstrap_draws", lambda coded, name, b, seed, xw: np.full((b, 2), 0.9)
+        mediation, "_bootstrap_draws", lambda coded, g, f, b, seed, xw: np.full((b, 2), 0.9)
     )
     est = bootstrap_effects(coded, g, f, 100, seed=2)
     assert est.n_clamped_intervals == 2
