@@ -8,7 +8,7 @@ following justice turn of the same case, when one exists.
 
 from __future__ import annotations
 
-import itertools
+import io
 import json
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring, encode_basestring_ascii
@@ -70,18 +70,40 @@ def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> It
             raise ParseError("not UTF-8 text", source.count(b"\n", 0, exc.start) + 1) from exc
     # Split at "\n" only, as iterating a binary stream does; str.splitlines
     # would also split inside a JSON string holding U+2028 or a lone "\r".
-    lines = iter(source.split("\n") if isinstance(source, str) else source)
-    for lineno in itertools.count(1):
-        try:  # a text stream decodes while it is iterated
-            line = next(lines, None)
+    lineno = 0
+    try:  # a text stream decodes while it is iterated
+        for lineno, line in enumerate(source.split("\n") if isinstance(source, str) else source, 1):
             if isinstance(line, bytes):
-                line = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError("not UTF-8 text", lineno) from exc
-        if line is None:
-            return
-        if line.strip():
-            yield lineno, line.rstrip("\n")
+                try:
+                    line = line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ParseError("not UTF-8 text", lineno) from exc
+            line = line.rstrip("\n")
+            if line.strip():
+                yield lineno, line
+    except UnicodeDecodeError as exc:  # raised while reading the line after lineno
+        raise ParseError("not UTF-8 text", lineno + 1) from exc
+
+
+def _read_whole(source) -> tuple[bytes | None, object]:
+    """Read ``source`` once: its bytes, and a source _iter_lines reads as it reads ``source``.
+
+    A str is encoded as UTF-8; bytes read may not be UTF-8. The bytes are
+    None for an iterable of lines and for a str with a lone surrogate. A
+    text stream counts as an iterable of lines: it decodes while it is
+    read, and _iter_lines names the line at which that fails.
+    """
+    if isinstance(source, io.TextIOBase):
+        return None, source
+    if hasattr(source, "read"):
+        data = source.read()
+        return (data, io.BytesIO(data)) if isinstance(data, bytes) else _read_whole(data)
+    if isinstance(source, str):
+        try:
+            return source.encode("utf-8"), source
+        except UnicodeEncodeError:
+            return None, source
+    return (source, source) if isinstance(source, bytes) else (None, source)
 
 
 _scan_once = json.JSONDecoder().scan_once

@@ -14,6 +14,7 @@ applied; see topics.fit_topic_model.
 from __future__ import annotations
 
 import functools
+import json
 import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -27,6 +28,7 @@ from .corpus import (
     Utterance,
     _iter_objects,
     _json_object,
+    _read_whole,
     ends_with_interruption_marker,
 )
 from .errors import ConfigError, DataError, ParseError
@@ -300,18 +302,22 @@ def _code(unit_ids, t, x, m, y, fold, domains: Domains, lines=None) -> CodedReco
 
     def integers(values: list, what: str, size: int | None = None) -> np.ndarray:
         limit = min(size, 2**63) if size else 2**63  # the columns are int64
-        for i, v in enumerate(values):
-            if type(v) is not int or not 0 <= v < limit:  # a bool is not an int here
-                bound = f"an integer in 0..{limit - 1}" if size else "a non-negative integer"
-                fail(i, f"{what} must be {bound}, got {v!r}")
-        return np.asarray(values, dtype=np.int64)
+        try:  # one type test and a range check per column; a bool is not an int here
+            column = np.asarray(values, dtype=np.int64) if set(map(type, values)) <= {int} else None
+        except OverflowError:
+            column = None
+        if column is None or len(column) and not (column.min() >= 0 and int(column.max()) < limit):
+            i, v = next((i, v) for i, v in enumerate(values)  # the first bad value
+                        if type(v) is not int or not 0 <= v < limit)
+            bound = f"an integer in 0..{limit - 1}" if size else "a non-negative integer"
+            fail(i, f"{what} must be {bound}, got {v!r}")
+        return column
 
     index = np.zeros(len(unit_ids), dtype=np.int64)
     for name, levels in domains.confounders:
-        position = {level: pos for pos, level in enumerate(levels)}
-        codes = [position.get(level, -1) for level in x[name]]
-        if -1 in codes:
-            i = codes.index(-1)
+        codes = list(map({level: pos for pos, level in enumerate(levels)}.get, x[name]))
+        if None in codes:
+            i = codes.index(None)
             fail(i, f"confounder {name!r} level {x[name][i]!r} not in domain {levels}")
         index = index * len(levels) + np.asarray(codes, dtype=np.int64)
     return CodedRecords(
@@ -361,27 +367,60 @@ def infer_domains(x: Mapping[str, Sequence[str]], m: Mapping[str, Sequence[int]]
     largest integer level + 1, at least two. Prefer declared domains:
     inference cannot see levels that never occur.
     """
+    def size(levels: Sequence[int]) -> int:
+        if not set(map(type, levels)) <= {int}:
+            levels = [v for v in levels if type(v) is int]
+        return max(max(levels, default=1), 1) + 1
+
     return Domains(
         confounders=tuple((name, tuple(sorted(set(x[name])))) for name in sorted(x)),
-        mediators=tuple(
-            (name, max([1] + [v for v in m[name] if type(v) is int]) + 1) for name in sorted(m)
-        ),
+        mediators=tuple((name, size(m[name])) for name in sorted(m)),
     )
 
 
+def _record_format(mediators: Sequence[str]) -> str:
+    """The one records line format: a %-format of fold, each mediator's level, t, unit_id, x, y.
+
+    ``mediators`` are the names in sorted order; unit_id and x are JSON
+    texts. The lines are those json.dumps(row, ensure_ascii=False,
+    sort_keys=True) gives.
+    """
+    levels = ", ".join(encode_basestring(name).replace("%", "%%") + ": %d" for name in mediators)
+    return '{"fold": %d, "m": {' + levels + '}, "t": %d, "unit_id": %s, "x": %s, "y": %d}\n'
+
+
 def _record_lines(unit_ids, t, x, m: Mapping[str, Iterable[int]], y, fold) -> str:
-    """Records-file lines, newline-terminated, from columns: the one records line format.
+    """Records-file lines, newline-terminated, from columns.
 
     ``x`` holds each row's confounder object as JSON text and ``m`` each
     mediator's integer levels; every other column holds one value per row.
-    The lines are those json.dumps(row, ensure_ascii=False, sort_keys=True)
-    gives.
     """
     names = sorted(m)
-    mediators = ", ".join(encode_basestring(name).replace("%", "%%") + ": %d" for name in names)
-    line = '{"fold": %d, "m": {' + mediators + '}, "t": %d, "unit_id": %s, "x": %s, "y": %d}\n'
     rows = zip(fold, *(m[name] for name in names), t, map(encode_basestring, unit_ids), x, y)
-    return "".join(map(line.__mod__, rows))
+    return "".join(map(_record_format(names).__mod__, rows))
+
+
+#: What a records line pattern matches for each field of _record_format: an
+#: integer of at most 18 digits (so it fits int64) written as JSON writes it,
+#: and a string that needs no escape.
+_PATTERN_FIELDS = {"d": "(0|[1-9][0-9]{0,17})", "s": r'"([^"\\\x00-\x1f]*)"'}
+_FIRST_LINE = re.compile(rb".+")  # the first non-empty line
+
+
+@functools.lru_cache(maxsize=32)
+def _record_pattern(mediators: tuple[str, ...], confounders: tuple[str, ...]) -> re.Pattern:
+    """Matches each whole line, with its newline, that _record_lines writes with these names.
+
+    Its groups capture fold, each mediator's level, t, unit_id, each
+    confounder's level (names sorted) and y as written.
+    """
+    # Escaped JSON text holds no NUL, so NUL marks each field in the line.
+    x = _json_object(dict.fromkeys(confounders, "\0s"))
+    line = re.sub("%[d%]", lambda f: f[0].replace("d", "s"), _record_format(mediators))
+    line %= ("\0d",) * (len(mediators) + 2) + ("\0s", x, "\0d")
+    head, *fields = line[:-1].split("\0")
+    body = re.escape(head) + "".join(_PATTERN_FIELDS[f[0]] + re.escape(f[1:]) for f in fields)
+    return re.compile("^" + body + r"(?:\n|\Z)", re.MULTILINE)
 
 
 def _x_json(x: Mapping[str, str]) -> str:
@@ -414,6 +453,80 @@ def records_from_json(source) -> CodedRecords:
     that is not a JSON object, lacks a key, names other variables than the
     first line, repeats an earlier line's unit id, or holds a value that
     is not an integer in its domain raises ParseError with its line number.
+
+    A file whose every non-blank line is in the exact form write_records
+    gives is read as columns by one pattern (_record_columns); any other
+    source goes through the per-line reader, _records_from_lines. Both give
+    the same records, and only the per-line reader raises.
+    """
+    data, source = _read_whole(source)
+    columns = None if data is None else _record_columns(data)
+    if columns is None:
+        return _records_from_lines(source)
+    del data, source  # the columns hold all that is kept: free the file before coding them
+    unit_ids, t, x, m, y, fold = columns
+    return _code(unit_ids, t, x, m, y, fold, infer_domains(x, m))
+
+
+#: Records bytes are decoded and split about this many at a time (whole
+#: lines): a whole decoded file and its split would each take more memory
+#: than the file itself.
+_BLOCK = 1 << 15
+
+
+def _record_columns(data: bytes) -> tuple | None:
+    """The columns (unit_ids, t, x, m, y, fold) of a file in the exact form of _record_lines.
+
+    The variable names are the first line's; integers have at most 18
+    digits and strings need no escape. Any other file, one that is not
+    UTF-8, a repeated unit id or a t or y outside 0..1 gives None; _code
+    accepts whatever this returns.
+    """
+    first_line = _FIRST_LINE.search(data)
+    try:
+        first = json.loads(first_line[0].decode("utf-8")) if first_line else None
+    except (ValueError, RecursionError):
+        return None
+    if not (isinstance(first, dict) and isinstance(first.get("m"), dict)
+            and isinstance(first.get("x"), dict)):
+        return None
+    mediators, confounders = tuple(sorted(first["m"])), tuple(sorted(first["x"]))
+    pattern = _record_pattern(mediators, confounders)
+    # The groups: fold, each mediator's level, t, unit_id, each confounder's level, y.
+    k, step = len(mediators), pattern.groups + 1
+    strings = range(k + 3, step - 1)
+    columns: list[list] = [[] for _ in range(pattern.groups)]
+    start = 0
+    while start < len(data):
+        end = data.find(b"\n", start + _BLOCK) + 1 or len(data)
+        try:  # a newline byte never falls inside a UTF-8 character
+            block = data[start:end].decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        # Split at every line in the writer's form: what lies between must be blank lines.
+        pieces = pattern.split(block)
+        if "".join(pieces[::step]).strip():
+            return None
+        for group, column in enumerate(columns, 1):
+            values = pieces[group::step]
+            if group not in strings:
+                value = {digits: int(digits) for digits in set(values)}
+                values = map(value.__getitem__, values)
+            column += values
+        start = end
+    fold, *levels, t, unit_ids = columns[:k + 3]
+    y = columns[-1]
+    ids = sorted(unit_ids)  # not a set, which would be the read's largest transient
+    if any(map(str.__eq__, ids, ids[1:])) or max(t, default=0) > 1 or max(y, default=0) > 1:
+        return None
+    return (unit_ids, t, dict(zip(confounders, columns[k + 3:-1])), dict(zip(mediators, levels)),
+            y, fold)
+
+
+def _records_from_lines(source) -> CodedRecords:
+    """records_from_json one line at a time, for any source _iter_lines reads.
+
+    This reader raises every error of records_from_json.
     """
     lines, unit_ids, t, y, fold = [], [], [], [], []
     x: dict[str, list[str]] = {}
@@ -441,11 +554,12 @@ def records_from_json(source) -> CodedRecords:
             levels.append(rm[name])
         lines.append(lineno)
     records = _code(unit_ids, t, x, m, y, fold, infer_domains(x, m), lines)
-    first_line: dict[str, int] = {}
-    for unit_id, lineno in zip(unit_ids, lines):
-        if first_line.setdefault(unit_id, lineno) != lineno:
-            raise ParseError(f"duplicate unit_id {unit_id!r}, first on line "
-                             f"{first_line[unit_id]}", lineno)
+    if len(set(unit_ids)) < len(unit_ids):
+        first_line: dict[str, int] = {}
+        for unit_id, lineno in zip(unit_ids, lines):
+            if first_line.setdefault(unit_id, lineno) != lineno:
+                raise ParseError(f"duplicate unit_id {unit_id!r}, first on line "
+                                 f"{first_line[unit_id]}", lineno)
     return records
 
 

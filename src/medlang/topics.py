@@ -208,8 +208,10 @@ def fold_in(model: TopicModel, texts: Sequence[str | list[str]],
     over topics follow np.sum's order (_row_sum). So no row depends on the
     batch it came in.
     """
-    index = model.vocab_index
-    ids = [[index[tok] for tok in preprocess(text, stop_words) if tok in index] for text in texts]
+    # preprocess's filter, run once per vocabulary word instead of once per token.
+    kept = {tok: model.vocab_index[tok] for tok in preprocess(list(model.vocab), stop_words)}
+    ids = [[kept[tok] for tok in (tokenize(text) if isinstance(text, str) else text) if tok in kept]
+           for text in texts]
     lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
     k, n_words = model.n_topics, len(model.vocab)
     table = np.concatenate([model.topic_word, np.zeros((k, 1))], axis=1)  # padding is n_words

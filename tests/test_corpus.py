@@ -621,3 +621,18 @@ def test_only_a_newline_ends_a_line_in_every_source_kind(char):
         assert outcomes[0] == [text, "Why?"]
     else:  # a raw control character is not JSON
         assert outcomes[0].startswith("line 1: malformed record: Invalid control character")
+
+
+@pytest.mark.parametrize("n_good", [0, 2, 3000])
+def test_text_stream_not_utf8_names_the_line_being_read(tmp_path, n_good):
+    # A text stream decodes a chunk at a time, so the error comes while the
+    # stream reads some line at or before the bad one: that line is named.
+    path = tmp_path / "transcript.ndjson"
+    path.write_bytes((GOOD_TRANSCRIPT_LINE + b"\n") * n_good + b"\xff\n")
+    read = 0
+    with open(path, encoding="utf-8") as fh, pytest.raises(UnicodeDecodeError):
+        for _ in fh:
+            read += 1
+    with open(path, encoding="utf-8") as fh, pytest.raises(ParseError, match="not UTF-8") as info:
+        list(_iter_lines(fh))
+    assert info.value.line_number == read + 1

@@ -1,17 +1,22 @@
+import contextlib
 import io
 import json
 import re
 import string
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import near_lines
+from medlang import cli, measure, scm
 from medlang.corpus import AnalysisUnit, Utterance, extract_units, parse_transcript
 from medlang.errors import ConfigError, DataError, MedlangError, ParseError
 from medlang.measure import (
     CausalRecord,
+    CodedRecords,
+    Domains,
     MeasurementSpec,
     build_records,
     default_hedging_lexicon,
@@ -23,6 +28,7 @@ from medlang.measure import (
     encode_records,
     record_to_json,
     records_from_json,
+    write_records,
 )
 from medlang.textutil import tokenize
 from medlang.topics import fit_topic_model, measure_topics
@@ -735,3 +741,211 @@ def test_records_reader_parses_or_raises_a_medlang_error(lines):
         except MedlangError:
             continue
         assert len(records) <= len(lines)
+
+
+# -- the column reader against the per-line reference ---------------------------------
+#
+# records_from_json reads a file in the writer's exact form by one pattern;
+# measure._records_from_lines, the per-line reader every other file goes
+# through, is the reference: same records, same errors and line numbers.
+
+#: Quotes, backslashes, control characters, a line separator, a no-break
+#: space, non-ASCII and non-BMP characters, plus any other non-surrogate.
+READER_TEXT = st.text(
+    alphabet=st.one_of(st.sampled_from('"\\\n\r\t\x00\x1f\x7f\u2028\u00a0 éЖ中😀'),
+                       st.characters(blacklist_categories=("Cs",))),
+    max_size=8,
+)
+#: Names that need escaping, one with a "%", one that sorts before "fold".
+READER_NAMES = ["hedging", "a", 'q"', "b\\", "n\n", "é", "m%d", " ", "\x01"]
+
+
+def _sources(data: bytes):
+    """A maker of each kind of source records_from_json reads, each holding ``data``.
+
+    The first three are read whole; the others line by line.
+    """
+    yield lambda: data
+    yield lambda: io.BytesIO(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        return
+    yield lambda: text
+    yield lambda: io.StringIO(text)
+    yield lambda: text.split("\n")
+
+
+def _outcome(read, source):
+    """The records ``read`` gives as plain columns, or its ParseError's message and line."""
+    try:
+        records = read(source)
+    except ParseError as exc:
+        return "error", str(exc), exc.line_number
+    return (records.domains, records.unit_ids,
+            [(column.dtype, column.tolist()) for column in
+             (records.t, records.x, records.y, records.fold, *records.m.values())],
+            tuple(records.m))
+
+
+@contextlib.contextmanager
+def split_blocks_of(size: int):
+    """Have the column reader decode and split about ``size`` bytes (whole lines) at a time."""
+    saved, measure._BLOCK = measure._BLOCK, size
+    try:
+        yield
+    finally:
+        measure._BLOCK = saved
+
+
+def assert_reads_like_the_reference(data: bytes):
+    # The reference reads bytes whole but a stream line by line, so an error
+    # can differ between the two; each kind is compared with its own.
+    for source in _sources(data):
+        reference = _outcome(measure._records_from_lines, source())
+        for size in (measure._BLOCK, 1, 150):  # one block, a line each, one or two lines each
+            with split_blocks_of(size):
+                assert _outcome(records_from_json, source()) == reference
+
+
+@st.composite
+def reader_records(draw):
+    confounders = tuple(
+        (name, tuple(draw(st.lists(READER_TEXT, min_size=1, max_size=3, unique=True))))
+        for name in draw(st.lists(st.sampled_from(READER_NAMES), unique=True, max_size=2)))
+    mediators = tuple((name, draw(st.integers(2, 4))) for name in
+                      draw(st.lists(st.sampled_from(READER_NAMES), unique=True,
+                                    min_size=1, max_size=3)))
+    domains = Domains(confounders=confounders, mediators=mediators)
+    n = draw(st.integers(1, 6))
+
+    def column(hi):
+        return np.asarray(draw(st.lists(st.integers(0, hi), min_size=n, max_size=n)),
+                          dtype=np.int64)
+
+    return CodedRecords(
+        unit_ids=tuple(draw(st.lists(READER_TEXT, min_size=n, max_size=n, unique=True))),
+        t=column(1), x=column(domains.n_x - 1),
+        m={name: column(size - 1) for name, size in mediators},
+        y=column(1), fold=column(3), domains=domains)
+
+
+def written_records(records) -> bytes:
+    buf = io.StringIO()
+    write_records(records, buf)
+    return buf.getvalue().encode("utf-8")
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=reader_records())
+def test_column_reader_round_trip_equals_the_reference(records):
+    assert_reads_like_the_reference(written_records(records))
+
+
+def _canonical_file() -> bytes:
+    return written_records(CodedRecords(
+        unit_ids=("c:0", "c:1", "c:2"), t=np.array([1, 0, 1]), x=np.array([0, 1, 1]),
+        m={"hedging": np.array([1, 0, 0]), "disfluency": np.array([0, 1, 0])},
+        y=np.array([0, 1, 1]), fold=np.array([1, 0, 1]),
+        domains=Domains(confounders=(("x0", ("0", "1")),),
+                        mediators=(("hedging", 2), ("disfluency", 2)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_column_reader_equals_the_reference_on_corrupted_files(data):
+    lines = _canonical_file().split(b"\n")
+    for i in data.draw(st.sets(st.integers(0, 2), min_size=1, max_size=2)):
+        lines[i] = data.draw(near_lines(lines[i]))
+    assert_reads_like_the_reference(b"\n".join(lines))
+
+
+SECOND = '{"fold": 0, "m": {"disfluency": 1, "hedging": 0}, "t": 0, "unit_id": "c:1", '\
+         '"x": {"x0": "1"}, "y": 1}'
+
+
+@pytest.mark.parametrize("second", [
+    SECOND.replace('"unit_id"', '"valence": null, "unit_id"'),
+    '{"t": 0, "fold": 0, "m": {"hedging": 0, "disfluency": 1}, "unit_id": "c:1", '
+    '"x": {"x0": "1"}, "y": 1}',
+    SECOND.replace('"t": 0', '"t":  0'),
+    SECOND.replace('"t": 0', '"t":0'),
+    " " + SECOND,
+    SECOND + " ",
+    SECOND + "\r",
+    SECOND.replace('"t": 0', '"t": 1.0'),
+    SECOND.replace('"t": 0', '"t": -0'),
+    SECOND.replace('"t": 0', '"t": 01'),
+    SECOND.replace('"fold": 0', '"fold": 1234567890123456789'),
+    SECOND.replace('"fold": 0', '"fold": 123456789012345678'),
+    SECOND.replace('"fold": 0', '"fold": 9999999999999999999'),
+    SECOND.replace('"t": 0', '"t": 2'),
+    SECOND.replace('"y": 1', '"y": 2'),
+    SECOND.replace('"c:1"', '"\\u00e9"'),
+    SECOND.replace('"c:1"', '"é"'),
+    SECOND.replace('"c:1"', '"c:\t1"'),
+    SECOND.replace('"c:1"', '"c:\x7f1"'),
+    SECOND.replace('"1"}', '"\\u00e9"}'),
+    SECOND.replace('"1"}', '1}'),
+    SECOND.replace('"c:1"', '"c:0"'),
+    SECOND.replace('"hedging"', '"h\\u0065dging"'),
+    SECOND.replace('"x0"', '"x1"'),
+    "\u00a0",
+    "\u00a0" + SECOND,
+    "  \t",
+    "",
+    "\u2028",
+    "\x85",
+], ids=["valence-null", "reordered-keys", "extra-space", "no-space", "leading-space",
+        "trailing-space", "crlf", "float-t", "negative-zero-t", "leading-zero-t",
+        "19-digit-fold", "18-digit-fold", "fold-past-int64", "t-out-of-domain", "y-out-of-domain",
+        "escaped-unit-id", "non-ascii-unit-id", "raw-tab-in-unit-id", "raw-delete-in-unit-id",
+        "escaped-level", "integer-level",
+        "duplicate-unit-id", "escaped-name", "other-confounder", "only-nbsp", "nbsp-before",
+        "only-spaces", "empty", "only-line-separator", "only-next-line"])
+def test_column_reader_equals_the_reference_on_non_canonical_lines(second):
+    first, _, third = _canonical_file().decode("utf-8").split("\n")[:3]
+    assert_reads_like_the_reference(f"{first}\n{second}\n{third}\n".encode("utf-8"))
+
+
+def test_column_reader_equals_the_reference_on_bad_utf8_in_a_text_stream(tmp_path):
+    # A text stream decodes in chunks, so the bad line is found while it is read.
+    lines = _canonical_file().split(b"\n")[:1] * 4000
+    lines = [line.replace(b'"c:0"', b'"c:%d"' % i) for i, line in enumerate(lines)]
+    lines[3000] = b"\xff"
+    path = tmp_path / "records.ndjson"
+    path.write_bytes(b"\n".join(lines))
+    with open(path, encoding="utf-8") as fh:
+        got = _outcome(records_from_json, fh)
+    with open(path, encoding="utf-8") as fh:
+        assert got == _outcome(measure._records_from_lines, fh)
+    assert got[0] == "error" and "not UTF-8" in got[1]
+
+
+def test_writer_form_never_reaches_the_per_line_reader(monkeypatch, tmp_path):
+    """A file write_records wrote is read by the pattern alone, from bytes, str or a file."""
+    files = [_canonical_file(),
+             written_records(scm.generate(scm.load_fixture("two_mediator_scm"), 200,
+                                          seed=1).records),
+             written_records(CodedRecords(
+                 unit_ids=("é 中", "😀", "u "), t=np.array([0, 1, 1]),
+                 x=np.array([0, 1, 0]), m={name: np.array([0, 2, 1]) for name in READER_NAMES},
+                 y=np.array([1, 0, 1]), fold=np.array([0, 0, 1]),
+                 domains=Domains(confounders=(('q"', ("a", "b")),),
+                                 mediators=tuple((name, 3) for name in READER_NAMES))))]
+    files.append(files[0].replace(b"\n", b"\n\n \t\n\xc2\xa0\n", 1))  # blank lines
+    expected = [_outcome(measure._records_from_lines, data) for data in files]
+    assert all(want[0] != "error" for want in expected)
+
+    def per_line_reader(source):
+        raise AssertionError("the per-line reader ran")
+
+    monkeypatch.setattr(measure, "_records_from_lines", per_line_reader)
+    for data, want in zip(files, expected):
+        for size in (measure._BLOCK, 1, 150):
+            with split_blocks_of(size):
+                for source in list(_sources(data))[:3]:
+                    assert _outcome(records_from_json, source()) == want
+        path = tmp_path / "records.ndjson"
+        path.write_bytes(data)
+        assert _outcome(cli._load_records_file, str(path)) == want
