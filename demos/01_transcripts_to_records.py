@@ -36,11 +36,8 @@ def main() -> None:
         print(f"  unit {unit.unit_id}: {unit.p1_utterance.speaker_id} -> {responder}, "
               f"context {dict(unit.context_features)}")
 
-    by_case = {}
-    for utt in utterances:
-        by_case.setdefault(utt.case_id, []).append(utt)
     build = build_records(
-        units, MeasurementSpec.default(), n_folds=2, case_utterances=by_case, seed=0
+        units, MeasurementSpec.default(), n_folds=2, case_utterances=utterances.cases, seed=0
     )
     print("\nmeasured records (t = gender signal, y = interruption):")
     for rec in build.records:

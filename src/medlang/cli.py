@@ -23,6 +23,7 @@ from . import glm, mediation, scm
 # record_to_json and unit_to_json stay importable from here: bench/tracer.py
 # wraps these names.
 from .corpus import (  # noqa: F401
+    Transcript,
     _iter_objects,
     extract_units,
     lone_surrogate,
@@ -195,7 +196,8 @@ def _fit_topic_model_for_units(units, config: RunConfig):
     )
 
 
-def measure_units(units, utterances, config: RunConfig) -> BuildResult:
+def measure_units(units, transcript: Transcript, config: RunConfig) -> BuildResult:
+    """Measure ``units`` into records; the honorific scan reads ``transcript``'s cases."""
     if config.lexicon:
         with _open(config.lexicon, "r") as fh:
             try:
@@ -212,14 +214,11 @@ def measure_units(units, utterances, config: RunConfig) -> BuildResult:
         topic_model=topic_model,
         strict_interruption_marker=config.strict_marker,
     )
-    by_case: dict[str, list] = {}
-    for utt in utterances:
-        by_case.setdefault(utt.case_id, []).append(utt)
     return build_records(
         units,
         spec,
         config.folds,
-        case_utterances=by_case,
+        case_utterances=transcript.cases,
         seed=derive_seed(config.seed, "folds"),
         confounders=config.confounders,
     )
@@ -347,9 +346,8 @@ def run_pipeline(config: RunConfig) -> dict:
     )
     write_estimates(out, estimates)
 
-    n_advocate = sum(1 for u in utterances if u.speaker_role == "advocate")
     warnings = {
-        "n_advocate_utterances": n_advocate,
+        "n_advocate_utterances": len(units),  # one unit per advocate utterance
         "n_units": len(units),
         "n_records": len(build.records),
         "excluded_units": build.exclusion_counts(),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 import re
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -24,11 +25,15 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .corpus import (
+    _BLOCK,
     AnalysisUnit,
     Utterance,
+    _first_object,
     _iter_objects,
     _json_object,
+    _line_pattern,
     _read_whole,
+    _split_columns,
     ends_with_interruption_marker,
 )
 from .errors import ConfigError, DataError, ParseError
@@ -144,6 +149,7 @@ def _surname(speaker_id: str) -> str:
     return parts[-1]
 
 
+_INDEX = operator.attrgetter("index")
 _SPACE = re.compile(r"\s+")
 _WORD = re.compile(r"\w")
 
@@ -176,7 +182,7 @@ def label_treatment(
     honorific_map = honorific_map or {"Ms.": 1, "Mr.": 0}
     surname = _surname(advocate_id)
     starts = _honorific_starts(tuple(honorific_map))
-    for utt in sorted(case_utterances, key=lambda u: u.index):
+    for utt in sorted(case_utterances, key=_INDEX):
         if utt.speaker_role != "chief_justice":
             continue
         text = utt.text
@@ -400,27 +406,18 @@ def _record_lines(unit_ids, t, x, m: Mapping[str, Iterable[int]], y, fold) -> st
     return "".join(map(_record_format(names).__mod__, rows))
 
 
-#: What a records line pattern matches for each field of _record_format: an
-#: integer of at most 18 digits (so it fits int64) written as JSON writes it,
-#: and a string that needs no escape.
-_PATTERN_FIELDS = {"d": "(0|[1-9][0-9]{0,17})", "s": r'"([^"\\\x00-\x1f]*)"'}
-_FIRST_LINE = re.compile(rb".+")  # the first non-empty line
-
-
 @functools.lru_cache(maxsize=32)
 def _record_pattern(mediators: tuple[str, ...], confounders: tuple[str, ...]) -> re.Pattern:
     """Matches each whole line, with its newline, that _record_lines writes with these names.
 
     Its groups capture fold, each mediator's level, t, unit_id, each
-    confounder's level (names sorted) and y as written.
+    confounder's level (names sorted) and y as written; strings need no escape.
     """
     # Escaped JSON text holds no NUL, so NUL marks each field in the line.
     x = _json_object(dict.fromkeys(confounders, "\0s"))
     line = re.sub("%[d%]", lambda f: f[0].replace("d", "s"), _record_format(mediators))
     line %= ("\0d",) * (len(mediators) + 2) + ("\0s", x, "\0d")
-    head, *fields = line[:-1].split("\0")
-    body = re.escape(head) + "".join(_PATTERN_FIELDS[f[0]] + re.escape(f[1:]) for f in fields)
-    return re.compile("^" + body + r"(?:\n|\Z)", re.MULTILINE)
+    return _line_pattern(line[:-1])
 
 
 def _x_json(x: Mapping[str, str]) -> str:
@@ -468,12 +465,6 @@ def records_from_json(source) -> CodedRecords:
     return _code(unit_ids, t, x, m, y, fold, infer_domains(x, m))
 
 
-#: Records bytes are decoded and split about this many at a time (whole
-#: lines): a whole decoded file and its split would each take more memory
-#: than the file itself.
-_BLOCK = 1 << 15
-
-
 def _record_columns(data: bytes) -> tuple | None:
     """The columns (unit_ids, t, x, m, y, fold) of a file in the exact form of _record_lines.
 
@@ -482,38 +473,16 @@ def _record_columns(data: bytes) -> tuple | None:
     UTF-8, a repeated unit id or a t or y outside 0..1 gives None; _code
     accepts whatever this returns.
     """
-    first_line = _FIRST_LINE.search(data)
-    try:
-        first = json.loads(first_line[0].decode("utf-8")) if first_line else None
-    except (ValueError, RecursionError):
-        return None
-    if not (isinstance(first, dict) and isinstance(first.get("m"), dict)
-            and isinstance(first.get("x"), dict)):
+    first = _first_object(data)
+    if not (first and isinstance(first.get("m"), dict) and isinstance(first.get("x"), dict)):
         return None
     mediators, confounders = tuple(sorted(first["m"])), tuple(sorted(first["x"]))
     pattern = _record_pattern(mediators, confounders)
     # The groups: fold, each mediator's level, t, unit_id, each confounder's level, y.
-    k, step = len(mediators), pattern.groups + 1
-    strings = range(k + 3, step - 1)
-    columns: list[list] = [[] for _ in range(pattern.groups)]
-    start = 0
-    while start < len(data):
-        end = data.find(b"\n", start + _BLOCK) + 1 or len(data)
-        try:  # a newline byte never falls inside a UTF-8 character
-            block = data[start:end].decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-        # Split at every line in the writer's form: what lies between must be blank lines.
-        pieces = pattern.split(block)
-        if "".join(pieces[::step]).strip():
-            return None
-        for group, column in enumerate(columns, 1):
-            values = pieces[group::step]
-            if group not in strings:
-                value = {digits: int(digits) for digits in set(values)}
-                values = map(value.__getitem__, values)
-            column += values
-        start = end
+    k = len(mediators)
+    columns = _split_columns(data, pattern, [*range(1, k + 3), pattern.groups], _BLOCK)
+    if columns is None:
+        return None
     fold, *levels, t, unit_ids = columns[:k + 3]
     y = columns[-1]
     ids = sorted(unit_ids)  # not a set, which would be the read's largest transient
@@ -598,8 +567,9 @@ def build_records(
     are excluded and counted, never silently dropped. Fold ids come from a
     seeded balanced shuffle of the included unit ids.
 
-    ``case_utterances`` maps case_id to the full turn sequence of the case;
-    the honorific scan needs turns that are not part of any unit.
+    ``case_utterances`` maps case_id to the full turn sequence of the case
+    (Transcript.cases, say); the honorific scan needs turns that are not
+    part of any unit, and gets the chief justice's in index order.
     ``confounders`` selects which context features become X (default: the
     prior-interruption bucket plus issue_area where available). Their
     names and observed levels are sorted, as infer_domains sorts them.
@@ -634,7 +604,8 @@ def build_records(
             turns = case_utterances.get(case_id)
             if turns is None:
                 raise DataError(f"unit {unit.unit_id}: no utterances supplied for case {case_id!r}")
-            treatment_cache[key] = label_treatment(turns, advocate, spec.honorific_map)
+            chief = sorted([t for t in turns if t.speaker_role == "chief_justice"], key=_INDEX)
+            treatment_cache[key] = label_treatment(chief, advocate, spec.honorific_map)
         t = treatment_cache[key]
         if t is None:
             exclusions.append(Exclusion(unit.unit_id, "no_honorific_introduction"))

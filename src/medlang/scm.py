@@ -423,6 +423,8 @@ def _logistic(score: np.ndarray) -> np.ndarray:
     return np.array([_expit(v) for v in score.ravel().tolist()], dtype=float).reshape(score.shape)
 
 
+# Overflow gives inf or nan scores, which the checks at the end reject.
+@np.errstate(over="ignore", invalid="ignore")
 def _tabulate(spec: ScmSpec) -> _LawTables:
     """Check the spec's structure, tabulate every law and check its values.
 

@@ -207,13 +207,6 @@ def test_chief_justice_counts_as_responder():
     assert unit.context_features["responder_role"] == "chief_justice"
 
 
-def test_other_unit_levels_recognized_but_unimplemented(paired_utterances):
-    with pytest.raises(DataError, match="not implemented"):
-        extract_units(paired_utterances, unit_level="thread")
-    with pytest.raises(DataError, match="unknown unit level"):
-        extract_units(paired_utterances, unit_level="paragraph")
-
-
 def test_unit_json_round_trip(paired_units):
     text = "".join(unit_to_json(u) + "\n" for u in paired_units)
     again = units_from_json(text)

@@ -105,6 +105,7 @@ def test_validate_rejects_invalid_treatment_probability():
         bad.validate()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_validate_rejects_overflowing_mediator_law():
     spec = toy_spec()
     # 1e308 + 1e308 overflows to inf at t = 1, and the softmax of inf is nan.
@@ -113,6 +114,7 @@ def test_validate_rejects_overflowing_mediator_law():
         replace(spec, mediators=(mediator,)).validate()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_validate_rejects_non_finite_outcome_law():
     spec = toy_spec()
     # Opposite infinite coefficients give nan scores. Finite coefficients can
@@ -122,6 +124,7 @@ def test_validate_rejects_non_finite_outcome_law():
         replace(spec, outcome=outcome).validate()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_validate_checks_the_carryover_axis():
     spec = toy_spec()
     mediator = replace(spec.mediators[0], intercepts=(1e308,))
