@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from json.encoder import encode_basestring, encode_basestring_ascii
-from typing import IO, ClassVar, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import DataError, ParseError
 
@@ -48,13 +48,12 @@ class Utterance(NamedTuple):
 class Transcript(list):
     """A transcript's utterances in file order, as parse_transcript reads them; read-only.
 
-    ``cases`` maps each case_id to its turns in index order; ``plain`` tells
-    that each line was _PLAIN_TURN % turn (see _transcript_columns).
+    ``cases`` maps each case_id to its turns in index order.
     """
 
-    def __init__(self, utterances, cases: dict[str, list[Utterance]], plain: bool) -> None:
+    def __init__(self, utterances, cases: dict[str, list[Utterance]]) -> None:
         super().__init__(utterances)
-        self.cases, self.plain = cases, plain
+        self.cases = cases
 
     def _read_only(self, *args, **kwargs):
         raise TypeError("a Transcript is read-only; change a list() copy of it")
@@ -78,7 +77,6 @@ class AnalysisUnit:
     p1_utterance: Utterance
     p2_utterance: Utterance | None
     context_features: Mapping[str, object] = field(default_factory=dict)
-    _plain: ClassVar[bool] = False  # turns from a plain Transcript; replace() clears it
 
 
 def ends_with_interruption_marker(text: str, strict: bool = False) -> bool:
@@ -296,7 +294,7 @@ def parse_transcript(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) 
                              f"got {index}", lineno)
         turns.append(Utterance(case_id, index, obj["speaker_id"], role, text))
         utterances.append(turns[-1])
-    return Transcript(utterances, cases, False)
+    return Transcript(utterances, cases)
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +310,6 @@ def parse_transcript(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) 
 def _json_object(fields: Mapping[str, str], escape=encode_basestring) -> str:
     """A JSON object from its keys and each value's JSON text, keys sorted and escaped."""
     return "{" + ", ".join(f"{escape(key)}: {fields[key]}" for key in sorted(fields)) + "}"
-
-
-#: _TURN_FORMAT for strings that need no escape: each as it is, between quotes.
-_PLAIN_TURN = _TURN_FORMAT.replace("%s", '"%s"')
 
 
 def utterance_to_json(utt: Utterance) -> str:
@@ -386,7 +380,7 @@ def parse_case_metadata(source: IO[bytes] | IO[str] | Iterable[str] | bytes | st
 
 
 def _transcript_columns(data: bytes) -> Transcript | None:
-    """The Transcript of ``data`` if every non-blank line is as _PLAIN_TURN writes it, every
+    """The Transcript of ``data`` if every non-blank line matches _TURN_PATTERN, every
     role known, every text non-blank and each case's indices run 0, 1, ...; else None."""
     columns = _split_columns(data, _TURN_PATTERN, (2,), _BLOCK)
     if columns is None:
@@ -404,7 +398,7 @@ def _transcript_columns(data: bytes) -> Transcript | None:
         if len(turns) != utt.index:
             return None
         turns.append(utt)
-    return Transcript(utterances, cases, True)
+    return Transcript(utterances, cases)
 
 
 def _metadata_columns(data: bytes) -> dict[str, dict] | None:
@@ -448,9 +442,9 @@ def extract_units(
     if clash:
         raise DataError(f"case {clash[0]!r}: metadata names one of {sorted(COMPUTED_FEATURES)}")
     if isinstance(utterances, Transcript):  # grouped as read
-        cases, plain = utterances.cases, utterances.plain
+        cases = utterances.cases
     else:
-        cases, plain = {}, False
+        cases = {}
         for utt in utterances:
             cases.setdefault(utt.case_id, []).append(utt)
         for case_id, turns in cases.items():
@@ -483,10 +477,7 @@ def extract_units(
         }
         context.update(case_metadata.get(case_id, ()))
         # The id is unique: (case_id, index) is, and the index holds no ":".
-        unit = AnalysisUnit(f"{case_id}:{index}", utt, p2, context)
-        if plain:
-            object.__setattr__(unit, "_plain", True)
-        units.append(unit)
+        units.append(AnalysisUnit(f"{case_id}:{index}", utt, p2, context))
     return units
 
 
@@ -505,9 +496,8 @@ def _unit_line(unit: AnalysisUnit, contexts: dict[tuple, str]) -> str:
         context = json.dumps(dict(items), ensure_ascii=False, sort_keys=True)
         if all(type(key) is str and type(value) is str for key, value in items):
             contexts[items] = context
-    turn_json = _PLAIN_TURN.__mod__ if unit._plain else utterance_to_json
-    p2 = "null" if unit.p2_utterance is None else turn_json(unit.p2_utterance)
-    return (f'{{"context": {context}, "p1": {turn_json(unit.p1_utterance)}, '
+    p2 = "null" if unit.p2_utterance is None else utterance_to_json(unit.p2_utterance)
+    return (f'{{"context": {context}, "p1": {utterance_to_json(unit.p1_utterance)}, '
             f'"p2": {p2}, "unit_id": {encode_basestring(unit.unit_id)}}}\n')
 
 

@@ -17,7 +17,7 @@ import functools
 import json
 import operator
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from importlib import resources
 from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator, Mapping, Sequence
@@ -370,8 +370,7 @@ def infer_domains(x: Mapping[str, Sequence[str]], m: Mapping[str, Sequence[int]]
     """Domains observed in record columns (see _code for their layout).
 
     Names and confounder levels are sorted; a mediator's size is its
-    largest integer level + 1, at least two. Prefer declared domains:
-    inference cannot see levels that never occur.
+    largest integer level + 1, at least two.
     """
     def size(levels: Sequence[int]) -> int:
         if not set(map(type, levels)) <= {int}:
@@ -446,10 +445,11 @@ def write_records(records: CodedRecords, stream: IO[str]) -> None:
 def records_from_json(source) -> CodedRecords:
     """Read NDJSON causal records into CodedRecords over the domains they show.
 
-    The domains are inferred from the lines (see infer_domains). A line
-    that is not a JSON object, lacks a key, names other variables than the
-    first line, repeats an earlier line's unit id, or holds a value that
-    is not an integer in its domain raises ParseError with its line number.
+    The domains are inferred from the lines (see infer_domains). A line that
+    is not a JSON object, lacks a key, names other variables than the first
+    line, repeats an earlier line's unit id, or holds an x level that is not a
+    string or another value not an integer in its domain raises ParseError
+    with its line number.
 
     A file whose every non-blank line is in the exact form write_records
     gives is read as columns by one pattern (_record_columns); any other
@@ -518,7 +518,10 @@ def _records_from_lines(source) -> CodedRecords:
             raise ParseError("malformed causal record: unit_id must be a string, "
                              f"got {unit_ids[-1]!r}", lineno)
         for name, levels in x.items():
-            levels.append(str(rx[name]))
+            if type(rx[name]) is not str:
+                raise ParseError(f"malformed causal record: confounder {name!r} must be a "
+                                 f"string, got {rx[name]!r}", lineno)
+            levels.append(rx[name])
         for name, levels in m.items():
             levels.append(rm[name])
         lines.append(lineno)
@@ -622,14 +625,11 @@ def build_records(
         m["disfluency"].append(measure_disfluency(tokens))
         if spec.topic_model is not None:
             docs.append(tokens)
-    mediator_domains: list[tuple[str, int]] = [("hedging", 2), ("disfluency", 2)]
     if spec.topic_model is not None:
-        mediator_domains.append((TOPIC_MEDIATOR, spec.topic_model.n_topics + 1))
         m[TOPIC_MEDIATOR] = measure_topics(spec.topic_model, docs).tolist()
 
-    # Confounders follow the reader's rule, so a records file read back
-    # carries the same domains.
-    domains = replace(infer_domains(x, {}), mediators=tuple(mediator_domains))
+    # The reader's rule, so a records file reads back with the domains of its run.
+    domains = infer_domains(x, m)
     folds = assign_folds(unit_ids, n_folds, seed) if unit_ids else {}
     records = _code(unit_ids, t_column, x, m, y_column, [folds[u] for u in unit_ids], domains)
     return BuildResult(records=records, exclusions=tuple(exclusions))

@@ -168,31 +168,11 @@ def fit_topic_model(
 
 
 def _row_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the first axis, adding rows in the order np.sum adds a contiguous vector.
-
-    numpy's pairwise sum adds fewer than 8 terms in order, up to 128 terms
-    in eight interleaved partial sums, and more by halves (the first half a
-    multiple of 8 long), so each column's sum is the float np.sum gives
-    (except that a column of negative zeros sums to -0.0 here).
-    """
-    n = a.shape[0]
-    if n < 8:
-        total = a[0].copy()
-        for row in a[1:]:
-            total += row
-        return total
-    if n <= 128:
-        partial = a[:8].copy()
-        end = n - n % 8
-        for start in range(8, end, 8):
-            partial += a[start:start + 8]
-        total = (((partial[0] + partial[1]) + (partial[2] + partial[3]))
-                 + ((partial[4] + partial[5]) + (partial[6] + partial[7])))
-        for row in a[end:]:
-            total += row
-        return total
-    half = n // 2 - n // 2 % 8
-    return _row_sum(a[:half]) + _row_sum(a[half:])
+    """Sum over the first axis, rows in order; np.sum's order would change with the shape."""
+    total = a[0].copy()
+    for row in a[1:]:
+        total += row
+    return total
 
 
 def fold_in(model: TopicModel, texts: Sequence[str | list[str]],
@@ -205,7 +185,7 @@ def fold_in(model: TopicModel, texts: Sequence[str | list[str]],
     of in-vocabulary length so that padding stays under half of it. A
     padded token has topic-word weight 0 and a topic sum of 1, so it adds
     exactly 0.0 to the sum over tokens, which runs in token order; sums
-    over topics follow np.sum's order (_row_sum). So no row depends on the
+    over topics run in topic order (_row_sum). So no row depends on the
     batch it came in.
     """
     # preprocess's filter, run once per vocabulary word instead of once per token.

@@ -605,7 +605,8 @@ def test_non_utf8_records_file_is_parse_error(tmp_path, capsys):
 # -- one fit per mediator, one writer per bundle ---------------------------------------
 
 
-def _simulated_run(tmp_path, confounders=("x0",)) -> Path:
+def _simulated_run(tmp_path, confounders=("x0",), mediators=("hedging", "disfluency"),
+                   **topics) -> Path:
     """Run the pipeline with 100 replicates on a rendered 300-unit two-mediator corpus."""
     sim_dir = tmp_path / "sim"
     assert main([
@@ -614,7 +615,7 @@ def _simulated_run(tmp_path, confounders=("x0",)) -> Path:
     ]) == 0
     config_path, _ = write_config(
         tmp_path, sim_dir / "transcripts.ndjson", sim_dir / "meta.ndjson",
-        bootstrap=100, confounders=list(confounders),
+        bootstrap=100, confounders=list(confounders), mediators=list(mediators), **topics,
     )
     assert main(["run", "--config", str(config_path)]) == 0
     return tmp_path / "out"
@@ -640,18 +641,28 @@ def test_run_fits_each_model_once(tmp_path, paired_transcript_path, paired_meta_
 
 
 @pytest.mark.parametrize(
-    "confounders", [("x0",), ("x0", "prior_interruption_bucket")],
-    ids=["x0", "x0-prior_interruption_bucket"],
+    "confounders, mediators, topics",
+    [(("x0",), ("hedging", "disfluency"), {}),
+     (("x0", "prior_interruption_bucket"), ("hedging", "disfluency"), {}),
+     # Every rendered text has content, so the no-content topic level never occurs.
+     (("x0",), ("hedging", "disfluency", "topic"),
+      {"topics": 2, "topic_sweeps": 20, "topic_burn_in": 10})],
+    ids=["x0", "x0-prior_interruption_bucket", "x0-topic-unseen-level"],
 )
-def test_estimate_and_fit_on_run_records_reproduce_the_run(tmp_path, confounders):
-    run_dir = _simulated_run(tmp_path, confounders)
+def test_estimate_and_fit_on_run_records_reproduce_the_run(tmp_path, confounders, mediators,
+                                                           topics):
+    run_dir = _simulated_run(tmp_path, confounders, mediators, **topics)
     records = str(run_dir / "records.ndjson")
+    if topics:
+        lines = (run_dir / "records.ndjson").read_text("utf-8").splitlines()
+        levels = {json.loads(line)["m"]["topic"] for line in lines}
+        assert topics["topics"] not in levels
     assert main([
-        "estimate", "--records", records, "--mediators", "hedging,disfluency",
+        "estimate", "--records", records, "--mediators", ",".join(mediators),
         "--seed", "7", "--bootstrap", "100", "--ci", "0.9", "--out", str(tmp_path / "est"),
     ]) == 0
     assert main([
-        "fit", "--records", records, "--mediators", "hedging,disfluency",
+        "fit", "--records", records, "--mediators", ",".join(mediators),
         "--out", str(tmp_path / "fit"),
     ]) == 0
     for name in ("effects.csv", "effects.ndjson", "plot_data.csv", "report.txt"):

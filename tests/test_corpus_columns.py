@@ -222,7 +222,6 @@ def test_writer_form_transcript_never_reaches_the_per_line_reader(monkeypatch, t
             with blocks_of(size):
                 for source in list(source_kinds(data))[:3]:
                     assert transcript_outcome(source()) == want
-                    assert parse_transcript(source()).plain
         path = tmp_path / "transcripts.ndjson"
         path.write_bytes(data)
         with open(path, "rb") as fh:

@@ -283,21 +283,36 @@ def test_malformed_input_exits_with_a_typed_error(tmp_path, capsys, base, format
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("key, value", [("case_id", ["a"]), ("case_id", 7),
-                                        ("speaker_id", {"x": 1}), ("speaker_id", None)])
-@pytest.mark.parametrize("command, arg", [key for key, (fmt, _) in FILE_ARGS.items()
-                                          if fmt == "transcript"])
-def test_transcript_ids_of_the_wrong_value_type_exit_3(tmp_path, capsys, base, command, arg,
-                                                       key, value):
-    """The wrong-value-type class for the ids of a turn, which are not converted to strings."""
-    first, second = _lines(TRANSCRIPTS)[:2]
-    path = tmp_path / "bad-transcript"
+#: Values of the wrong type for keys that no reader converts to a string: (format, key, value).
+WRONG_TYPE_VALUES = [
+    *[("transcript", key, value) for key, value in [("case_id", ["a"]), ("case_id", 7),
+                                                    ("speaker_id", {"x": 1}),
+                                                    ("speaker_id", None)]],
+    *[("records", ("x", "x0"), value) for value in [None, True, [1], {"a": 1}, 1, 1.0]],
+]
+
+
+def _wrong_type_cases():
+    for fmt, key, value in WRONG_TYPE_VALUES:
+        name = key[-1] if isinstance(key, tuple) else key
+        for (command, arg), (reads, _) in FILE_ARGS.items():
+            if reads == fmt:
+                yield pytest.param(command, arg, fmt, key, name, value,
+                                   id=f"{command}-{arg.strip('-')}-{name}-{json.dumps(value)}")
+
+
+@pytest.mark.parametrize("command, arg, fmt, key, name, value", _wrong_type_cases())
+def test_ids_and_levels_of_the_wrong_value_type_exit_3(tmp_path, capsys, base, command, arg,
+                                                       fmt, key, name, value):
+    """The wrong-value-type class for each value a reader requires to be a JSON string."""
+    first, second = _lines(TRANSCRIPTS if fmt == "transcript" else base / "records.ndjson")[:2]
+    path = tmp_path / f"bad-{fmt}"
     path.write_text(first + "\n" + json.dumps(_with(key, value)(json.loads(second))) + "\n",
                     encoding="utf-8")
     capsys.readouterr()
     assert main(FILE_ARGS[command, arg][1](base, tmp_path, path)) == 3
     err = capsys.readouterr().err
-    assert re.search(f"line 2: .*{key} {REASONS['wrong-value-type']} a string", err), err
+    assert re.search(f"line 2: .*{name}'? {REASONS['wrong-value-type']} a string", err), err
     assert "Traceback" not in err
 
 

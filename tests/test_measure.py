@@ -589,7 +589,9 @@ def test_build_records_with_topic_mediator():
     model = fit_topic_model(train_texts, k=2, seed=1, n_sweeps=20, burn_in=10)
     spec = MeasurementSpec.default(topic_model=model)
     result = build_records(units, spec, 2, case_utterances=cases)
-    assert dict(result.records.domains.mediators)["topic"] == 3  # K topics + reserved level
+    stream = io.StringIO()
+    write_records(result.records, stream)
+    assert records_from_json(stream.getvalue()).domains == result.records.domains
     for rec in result.records:
         assert 0 <= rec.m["topic"] <= 2
         encode_records([rec], result.records.domains)
@@ -677,6 +679,8 @@ def test_validator_accepts_exactly_what_build_emits(paired_units, paired_case_ut
 # -- record reader -----------------------------------------------------------------
 
 GOOD_RECORD = CausalRecord(unit_id="c:0", t=1, x={"x0": "0"}, m={"hedging": 1}, y=0, fold=1)
+#: Confounder levels that are JSON but not strings; the reader converts none of them.
+NON_STRING_LEVELS = ("null", "true", "[1]", '{"a": 1}', "1", "1.0")
 
 
 @pytest.mark.parametrize(
@@ -700,10 +704,13 @@ GOOD_RECORD = CausalRecord(unit_id="c:0", t=1, x={"x0": "0"}, m={"hedging": 1}, 
         ("[" * 100_000, "malformed causal record"),
         (record_to_json(GOOD_RECORD), "duplicate unit_id 'c:0', first on line 1"),
         (record_to_json(GOOD_RECORD).replace('"c:0"', '["c:0"]'), "unit_id must be a string"),
+        *[(record_to_json(GOOD_RECORD).replace('"x0": "0"', f'"x0": {level}'),
+           "confounder 'x0' must be a string") for level in NON_STRING_LEVELS],
     ],
     ids=["non-json", "non-object", "missing-key", "non-integer-t", "float-t", "bool-y",
          "bool-fold", "negative-fold", "float-mediator-level", "other-variables", "non-utf8",
-         "deeply-nested", "duplicate-unit-id", "non-string-unit-id"],
+         "deeply-nested", "duplicate-unit-id", "non-string-unit-id",
+         *[f"confounder-level-{level}" for level in NON_STRING_LEVELS]],
 )
 def test_records_reader_rejects_malformed_line_with_its_number(bad_line, reason):
     if isinstance(bad_line, str):
