@@ -16,14 +16,7 @@ from .corpus import (
     parse_transcript,
 )
 from .errors import ConfigError, DataError, MedlangError, NumericalError, ParseError
-from .glm import (
-    CrossFitPlan,
-    FittedMediatorModel,
-    FittedOutcomeModel,
-    fit_mediator_model,
-    fit_outcome_model,
-    make_plan,
-)
+from .glm import FittedMediatorModel, FittedOutcomeModel, fit_mediator_model, fit_outcome_model
 from .measure import (
     BuildResult,
     CausalRecord,
@@ -72,7 +65,6 @@ __all__ = [
     "CausalRecord",
     "CodedRecords",
     "ConfigError",
-    "CrossFitPlan",
     "DataError",
     "Domains",
     "EffectEstimate",
@@ -107,7 +99,6 @@ __all__ = [
     "load_fixture",
     "load_lexicon",
     "load_scm_spec",
-    "make_plan",
     "measure_disfluency",
     "measure_hedging",
     "measure_topic",

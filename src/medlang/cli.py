@@ -19,6 +19,8 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import glm, mediation, scm
 # record_to_json and unit_to_json stay importable from here: bench/tracer.py
 # wraps these names.
@@ -46,7 +48,8 @@ from .measure import (  # noqa: F401
 )
 from .mediation import EffectEstimate, EstimatorConfig, INTERPRETATION_CAVEAT, estimate_all
 from .seeding import assign_folds, derive_seed
-from .topics import check_priors, fit_topic_model
+from .topics import (DEFAULT_ALPHA, DEFAULT_BETA, DEFAULT_BURN_IN, DEFAULT_SWEEPS, check_priors,
+                     check_sweeps, fit_topic_model)
 
 logger = logging.getLogger("medlang")
 
@@ -84,15 +87,16 @@ class RunConfig:
     lexicon: str | None = None
     seed: int = 0
     folds: int = 2
-    bootstrap: int = 1000
-    ci: float = 0.90
+    bootstrap: int = EstimatorConfig.n_bootstrap
+    ci: float = EstimatorConfig.ci_level
     mediators: tuple[str, ...] = ("hedging", "disfluency")
     confounders: tuple[str, ...] | None = None
     topics: int | None = None
-    topic_alpha: float = 0.1
-    topic_beta: float = 0.01
-    topic_sweeps: int = 1000
-    topic_burn_in: int = 500
+    # topics.DEFAULT_*, imported by name: the field ``topics`` shadows the module here.
+    topic_alpha: float = DEFAULT_ALPHA
+    topic_beta: float = DEFAULT_BETA
+    topic_sweeps: int = DEFAULT_SWEEPS
+    topic_burn_in: int = DEFAULT_BURN_IN
     strict_marker: bool = False
     x_marginal: bool = False
 
@@ -107,6 +111,7 @@ class RunConfig:
         if self.topics is not None and self.topics < 2:
             raise ConfigError(f"topics must be >= 2, got {self.topics}")
         check_priors(self.topic_alpha, self.topic_beta)
+        check_sweeps(self.topic_sweeps, self.topic_burn_in)
         if not self.mediators:
             raise ConfigError("at least one mediator must be requested")
         for key in ("mediators", "confounders"):
@@ -308,22 +313,37 @@ def write_estimates(out: Path, estimates: Sequence[EffectEstimate]) -> str:
     return text
 
 
+def ingest(config: RunConfig) -> tuple[Transcript, list]:
+    """Read the transcript and the metadata sidecar; return the transcript and its units."""
+    with _open(config.transcripts) as fh:
+        transcript = parse_transcript(fh)
+    meta = None
+    if config.meta:
+        with _open(config.meta) as fh:
+            meta = parse_case_metadata(fh)
+    return transcript, extract_units(transcript, meta, strict_marker=config.strict_marker)
+
+
+def fit_and_estimate(records, mediators: Sequence[str], seed: int, n_bootstrap: int,
+                     ci_level: float, x_weighting: str) -> tuple[list, list[EffectEstimate]]:
+    """Fit each mediator's nuisance pair, then bootstrap its effects from the run ``seed``."""
+    models = [mediation.fit_models(records, name) for name in mediators]
+    estimates = estimate_all(records, models, EstimatorConfig(
+        n_bootstrap=n_bootstrap, seed=derive_seed(seed, "estimate"), ci_level=ci_level,
+        x_weighting=x_weighting))
+    return models, estimates
+
+
 def run_pipeline(config: RunConfig) -> dict:
     """Execute all stages and write the report bundle plus a run manifest."""
     config.validate()
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    with _open(config.transcripts) as fh:
-        utterances = parse_transcript(fh)
-    meta = None
-    if config.meta:
-        with _open(config.meta) as fh:
-            meta = parse_case_metadata(fh)
-    units = extract_units(utterances, meta, strict_marker=config.strict_marker)
+    transcript, units = ingest(config)
     _write_with(out / "units.ndjson", write_units, units)
 
-    build = measure_units(units, utterances, config)
+    build = measure_units(units, transcript, config)
     _write_with(out / "records.ndjson", write_records, build.records)
     known = build.records.domains.mediator_sizes
     missing = [m for m in config.mediators if m not in known]
@@ -332,18 +352,9 @@ def run_pipeline(config: RunConfig) -> dict:
             f"requested mediators {missing} were not measured; available: {sorted(known)}"
         )
 
-    models = [mediation.fit_models(build.records, name) for name in config.mediators]
+    models, estimates = fit_and_estimate(build.records, config.mediators, config.seed,
+                                         config.bootstrap, config.ci, config.x_weighting)
     write_tables(out, models)
-    estimates = estimate_all(
-        build.records,
-        models,
-        EstimatorConfig(
-            n_bootstrap=config.bootstrap,
-            seed=derive_seed(config.seed, "estimate"),
-            ci_level=config.ci,
-            x_weighting=config.x_weighting,
-        ),
-    )
     write_estimates(out, estimates)
 
     warnings = {
@@ -400,14 +411,14 @@ def _load_records_file(path: str) -> glm.CodedRecords:
     return records
 
 
+def _config_from_args(args, **overrides) -> RunConfig:
+    """A RunConfig of the parsed arguments named as its fields, then ``overrides``."""
+    given = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
+    return RunConfig(**{**given, **overrides})
+
+
 def cmd_ingest(args) -> int:
-    with _open(args.transcripts) as fh:
-        utterances = parse_transcript(fh)
-    meta = None
-    if args.meta:
-        with _open(args.meta) as fh:
-            meta = parse_case_metadata(fh)
-    units = extract_units(utterances, meta, strict_marker=args.strict_marker)
+    _, units = ingest(_config_from_args(args))
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     _write_with(Path(args.out), write_units, units)
     print(f"wrote {len(units)} units to {args.out}")
@@ -415,20 +426,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    config = RunConfig(
-        transcripts=args.transcripts,
-        out=os.path.dirname(args.out) or ".",
-        lexicon=args.lexicon,
-        seed=args.seed,
-        folds=args.folds,
-        topics=args.topics,
-        topic_alpha=args.topic_alpha,
-        topic_beta=args.topic_beta,
-        topic_sweeps=args.topic_sweeps,
-        topic_burn_in=args.topic_burn_in,
-        strict_marker=args.strict_marker,
-        confounders=_split_csv_arg(args.confounders),
-    )
+    config = _config_from_args(args, out=os.path.dirname(args.out) or ".",
+                               confounders=_split_csv_arg(args.confounders))
     config.validate()
     with _open(args.units) as fh:
         units = units_from_json(fh)
@@ -445,11 +444,11 @@ def cmd_measure(args) -> int:
 
 def cmd_fit(args) -> int:
     coded = _load_records_file(args.records)
-    plan = None
     if args.folds is not None:
-        plan = glm.make_plan(coded.unit_ids, args.folds, args.seed)
+        fold_of = assign_folds(coded.unit_ids, args.folds, args.seed)
+        coded = replace(coded, fold=np.array([fold_of[u] for u in coded.unit_ids], dtype=np.int64))
     mediators = _split_csv_arg(args.mediators) or tuple(coded.domains.mediator_sizes)
-    models = [mediation.fit_models(coded, m, plan=plan) for m in mediators]
+    models = [mediation.fit_models(coded, m) for m in mediators]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_tables(out, models)
@@ -460,16 +459,8 @@ def cmd_fit(args) -> int:
 def cmd_estimate(args) -> int:
     coded = _load_records_file(args.records)
     mediators = _split_csv_arg(args.mediators) or tuple(coded.domains.mediator_sizes)
-    estimates = estimate_all(
-        coded,
-        [mediation.fit_models(coded, m) for m in mediators],
-        EstimatorConfig(
-            n_bootstrap=args.bootstrap,
-            seed=derive_seed(args.seed, "estimate"),
-            ci_level=args.ci,
-            x_weighting="marginal" if args.x_marginal else "unit",
-        ),
-    )
+    _, estimates = fit_and_estimate(coded, mediators, args.seed, args.bootstrap, args.ci,
+                                    "marginal" if args.x_marginal else "unit")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     print(write_estimates(out, estimates))
@@ -619,15 +610,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="full transcripts (the honorific introduction is not part of any unit)")
     p.add_argument("--lexicon", default=None)
     p.add_argument("--topics", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--folds", type=int, default=2)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--folds", type=int, default=RunConfig.folds)
     p.add_argument("--out", required=True)
     p.add_argument("--strict-marker", action="store_true", dest="strict_marker")
     p.add_argument("--confounders", default=None)
-    p.add_argument("--topic-sweeps", type=int, default=1000, dest="topic_sweeps")
-    p.add_argument("--topic-burn-in", type=int, default=500, dest="topic_burn_in")
-    p.add_argument("--topic-alpha", type=float, default=0.1, dest="topic_alpha")
-    p.add_argument("--topic-beta", type=float, default=0.01, dest="topic_beta")
+    p.add_argument("--topic-sweeps", type=int, default=RunConfig.topic_sweeps, dest="topic_sweeps")
+    p.add_argument("--topic-burn-in", type=int, default=RunConfig.topic_burn_in,
+                   dest="topic_burn_in")
+    p.add_argument("--topic-alpha", type=float, default=RunConfig.topic_alpha, dest="topic_alpha")
+    p.add_argument("--topic-beta", type=float, default=RunConfig.topic_beta, dest="topic_beta")
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("fit", help="fit nuisance models and export audit tables")
@@ -641,9 +633,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("estimate", help="estimate effects with bootstrap intervals")
     p.add_argument("--records", required=True)
     p.add_argument("--mediators", default=None)
-    p.add_argument("--bootstrap", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ci", type=float, default=0.90)
+    p.add_argument("--bootstrap", type=int, default=RunConfig.bootstrap)
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    p.add_argument("--ci", type=float, default=RunConfig.ci)
     p.add_argument("--x-marginal", action="store_true", dest="x_marginal")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_estimate)

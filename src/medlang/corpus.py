@@ -30,7 +30,6 @@ STRICT_INTERRUPTION_MARKERS = ("- -",)
 COMPUTED_FEATURES = frozenset({"prior_interruption_bucket", "responder_role"})
 
 _RECORD_FIELDS = ("case_id", "index", "speaker_id", "speaker_role", "text")
-_RECORD_FIELD_SET = frozenset(_RECORD_FIELDS)
 #: The one transcript line format, without its newline: a %-format of the fields' JSON texts.
 _TURN_FORMAT = '{"case_id": %s, "index": %d, "speaker_id": %s, "speaker_role": %s, "text": %s}'
 
@@ -179,24 +178,6 @@ def _split_columns(data: bytes, pattern: re.Pattern, integers, block: int) -> li
     return columns
 
 
-_scan_once = json.JSONDecoder().scan_once
-_JSON_SPACE = " \t\n\r"
-
-
-def _decode_line(line: str):
-    """The value json.loads(line) gives, decoded in one call of its C scanner.
-
-    Unless only JSON whitespace surrounds it, json.loads raises its error.
-    """
-    try:
-        obj, end = _scan_once(line, len(line) - len(line.lstrip(_JSON_SPACE)))
-        if not line[end:].strip(_JSON_SPACE):
-            return obj
-    except StopIteration:
-        pass
-    return json.loads(line)
-
-
 def lone_surrogate(obj) -> str | None:
     """The escape of the first lone surrogate in the strings of a decoded JSON value, or None.
 
@@ -219,7 +200,7 @@ def _iter_objects(source, what: str) -> Iterator[tuple[int, dict]]:
     """
     for lineno, line in _iter_lines(source):
         try:
-            obj = _decode_line(line)
+            obj = json.loads(line)
             surrogate = lone_surrogate(obj) if "\\u" in line else None
         except json.JSONDecodeError as exc:
             raise ParseError(f"malformed {what}: {exc.msg}", lineno) from exc
@@ -277,13 +258,8 @@ def parse_transcript(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) 
     utterances: list[Utterance] = []
     cases: dict[str, list[Utterance]] = {}
     for lineno, obj in _iter_objects(source, "record"):
-        role, index, text = obj.get("speaker_role"), obj.get("index"), obj.get("text")
-        # _parse_turn's rules in one test; _parse_turn runs only to raise.
-        if not (obj.keys() == _RECORD_FIELD_SET and role in SPEAKER_ROLES
-                and type(index) is int and index >= 0 and type(text) is str and text.strip()
-                and type(obj["case_id"]) is str and type(obj["speaker_id"]) is str):
-            _parse_turn(obj, lineno)
-        case_id = obj["case_id"]
+        utt = _parse_turn(obj, lineno)
+        case_id, index = utt.case_id, utt.index
         turns = cases.setdefault(case_id, [])
         expected = len(turns)
         if index != expected:
@@ -292,8 +268,8 @@ def parse_transcript(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) 
                 raise ParseError(f"duplicate (case_id, index) = ({case_id!r}, {index})", lineno)
             raise ParseError(f"non-contiguous index for case {case_id!r}: expected {expected}, "
                              f"got {index}", lineno)
-        turns.append(Utterance(case_id, index, obj["speaker_id"], role, text))
-        utterances.append(turns[-1])
+        turns.append(utt)
+        utterances.append(utt)
     return Transcript(utterances, cases)
 
 

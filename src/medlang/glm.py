@@ -25,14 +25,13 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass
-from typing import IO, Mapping, NamedTuple, Sequence
+from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
 # The record set and its builders are defined next to Domains and re-exported here.
 from .measure import CodedRecords, Domains, encode_records, infer_domains  # noqa: F401
-from .seeding import assign_folds
 
 logger = logging.getLogger("medlang")
 
@@ -47,29 +46,6 @@ CONVERGED, FAILED_STEP, NOT_CONVERGED = 0, 1, 2
 # about this many bytes, so that memory stays bounded when many replicates
 # meet a large design (levels x covariates); small designs run in one slice.
 BATCH_BYTES = 8 << 20
-
-
-@dataclass(frozen=True)
-class CrossFitPlan:
-    """Seeded balanced partition of unit ids into test folds.
-
-    Units in fold f are scored by models trained on every other fold, so
-    the assignment is keyed by unit id, never by record position.
-    """
-
-    n_folds: int
-    fold_of: Mapping[str, int]
-
-    def validate(self) -> None:
-        folds = set(self.fold_of.values())
-        if folds != set(range(self.n_folds)):
-            raise ConfigError(f"plan folds {sorted(folds)} do not cover 0..{self.n_folds - 1}")
-
-
-def make_plan(unit_ids: Sequence[str], n_folds: int, seed: int) -> CrossFitPlan:
-    plan = CrossFitPlan(n_folds=n_folds, fold_of=assign_folds(unit_ids, n_folds, seed))
-    plan.validate()
-    return plan
 
 
 @dataclass(frozen=True)
@@ -325,22 +301,6 @@ def _outcome_design(domains: Domains, n_levels: int) -> np.ndarray:
     )
 
 
-def _apply_plan(coded: CodedRecords, plan: CrossFitPlan | None) -> tuple[np.ndarray, int]:
-    if plan is None:
-        if not len(coded):
-            raise DataError("no records to fit")
-        n_folds = coded.n_folds
-        if n_folds < 2:
-            raise ConfigError("records carry fewer than 2 folds and no plan was given")
-        return coded.fold, n_folds
-    plan.validate()
-    try:
-        fold = np.asarray([plan.fold_of[uid] for uid in coded.unit_ids], dtype=np.int64)
-    except KeyError as exc:
-        raise DataError(f"unit {exc.args[0]!r} missing from cross-fit plan") from exc
-    return fold, plan.n_folds
-
-
 def _default_mediator(domains: Domains, mediator_name: str | None) -> str:
     sizes = domains.mediator_sizes
     if mediator_name is None:
@@ -365,12 +325,14 @@ def grid_shape(domains: Domains, mediator_name: str, n_folds: int) -> tuple[int,
     return (n_folds, domains.mediator_sizes[mediator_name], 2, domains.n_x, 2)
 
 
-def _training_counts(
-    coded: CodedRecords, mediator_name: str, plan: CrossFitPlan | None
-) -> np.ndarray:
+def _training_counts(coded: CodedRecords, mediator_name: str) -> np.ndarray:
     """Training cell counts per fold: every fold's grid minus the fold's own."""
-    fold, n_folds = _apply_plan(coded, plan)
-    codes = cell_codes(coded, mediator_name, fold)
+    if not len(coded):
+        raise DataError("no records to fit")
+    n_folds = coded.n_folds
+    if n_folds < 2:
+        raise ConfigError("records carry fewer than 2 folds")
+    codes = cell_codes(coded, mediator_name, coded.fold)
     shape = grid_shape(coded.domains, mediator_name, n_folds)
     counts = np.bincount(codes, minlength=int(np.prod(shape))).reshape(shape)
     train = counts.sum(axis=0) - counts
@@ -434,11 +396,11 @@ def fit_outcome_tables(
     return np.where(empty, 0.5, table), fit, empty
 
 
-def _fit_model(cls, fit_tables, records: CodedRecords, mediator_name, plan):
+def _fit_model(cls, fit_tables, records: CodedRecords, mediator_name):
     """Fit one nuisance model per fold, log its defaulted cells and validate it."""
     domains = records.domains
     mediator_name = _default_mediator(domains, mediator_name)
-    table, fit, empty = fit_tables(domains, _training_counts(records, mediator_name, plan))
+    table, fit, empty = fit_tables(domains, _training_counts(records, mediator_name))
     _raise_if_failed(fit.status, fit.iterations, f"{cls.kind} model for {mediator_name!r}: ")
     diagnostics = []
     for f in range(len(fit.status)):
@@ -464,17 +426,17 @@ def _fit_model(cls, fit_tables, records: CodedRecords, mediator_name, plan):
 
 
 def fit_mediator_model(
-    records: CodedRecords, mediator_name: str | None = None, plan: CrossFitPlan | None = None
+    records: CodedRecords, mediator_name: str | None = None
 ) -> FittedMediatorModel:
     """Fit P(M | T, X) per fold and materialize the full (t, x) grid."""
-    return _fit_model(FittedMediatorModel, fit_mediator_tables, records, mediator_name, plan)
+    return _fit_model(FittedMediatorModel, fit_mediator_tables, records, mediator_name)
 
 
 def fit_outcome_model(
-    records: CodedRecords, mediator_name: str | None = None, plan: CrossFitPlan | None = None
+    records: CodedRecords, mediator_name: str | None = None
 ) -> FittedOutcomeModel:
     """Fit E[Y | M, T, X] per fold and materialize the full (m, t, x) grid."""
-    return _fit_model(FittedOutcomeModel, fit_outcome_tables, records, mediator_name, plan)
+    return _fit_model(FittedOutcomeModel, fit_outcome_tables, records, mediator_name)
 
 
 # ---------------------------------------------------------------------------

@@ -72,7 +72,6 @@ class MeasurementSpec:
     """Configuration of the text-to-variable measurement layer."""
 
     hedging_lexicon: tuple[str, ...]
-    disfluency_marker: str = DASH_TOKEN
     honorific_map: Mapping[str, int] = field(
         default_factory=lambda: {"Ms.": 1, "Mr.": 0}
     )

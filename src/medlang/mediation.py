@@ -29,7 +29,6 @@ from .errors import ConfigError, DataError, NumericalError
 from . import glm
 from .glm import (
     CodedRecords,
-    CrossFitPlan,
     FittedMediatorModel,
     FittedOutcomeModel,
     fit_mediator_model,
@@ -236,13 +235,10 @@ def _effects(
 
 
 def fit_models(
-    records: CodedRecords, mediator_name: str, plan: CrossFitPlan | None = None
+    records: CodedRecords, mediator_name: str
 ) -> tuple[FittedMediatorModel, FittedOutcomeModel]:
     """Fit one mediator's nuisance pair g(m | t, x) and f(y | m, t, x) per fold."""
-    return (
-        fit_mediator_model(records, mediator_name, plan=plan),
-        fit_outcome_model(records, mediator_name, plan=plan),
-    )
+    return fit_mediator_model(records, mediator_name), fit_outcome_model(records, mediator_name)
 
 
 def sample_effects(
@@ -398,7 +394,7 @@ def bootstrap_effects(
     f: FittedOutcomeModel,
     n_bootstrap: int,
     seed: int,
-    ci_level: float = 0.90,
+    ci_level: float = EstimatorConfig.ci_level,
     x_weighting: str = "unit",
     max_dropped_fraction: float = 0.10,
 ) -> EffectEstimate:

@@ -40,7 +40,7 @@ import numpy as np
 from .corpus import Utterance, case_metadata_template, lone_surrogate, utterance_to_json
 from .errors import ConfigError, DataError
 from .measure import CodedRecords, Domains
-from .seeding import assign_folds, derive_seed
+from .seeding import assign_folds, check_seed, derive_seed
 
 VIOLATION_KNOBS = ("unmeasured_confounder", "mediator_coupling", "temporal_carryover")
 
@@ -56,13 +56,6 @@ def _check_probs(name: str, probs: Sequence[float]) -> tuple[float, ...]:
     if abs(sum(vec) - 1.0) > _PROB_TOL:
         raise ConfigError(f"{name}: probabilities sum to {sum(vec)!r}, expected 1")
     return vec
-
-
-def _check_seed(seed: int) -> int:
-    """A seed for np.random.default_rng, which takes only non-negative integers."""
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    return seed
 
 
 @dataclass(frozen=True)
@@ -653,7 +646,7 @@ def generate(
             f"2 levels; got levels {not_binary}"
         )
 
-    rng = np.random.default_rng(_check_seed(spec.seed if seed is None else seed))
+    rng = np.random.default_rng(check_seed(spec.seed if seed is None else seed))
     x = _draw_confounders(spec, rng, n)
     eps_u = rng.random(n)
     eps_t = rng.random(n)
@@ -846,7 +839,7 @@ def monte_carlo_effects(
     arm_offset = laws.x.size * laws.u.size * n_m  # flat distance from t = 0 to t = 1
     strides = [math.prod(ml.levels for ml in spec.mediators[k + 1:])
                for k in range(len(spec.mediators))]
-    rng = np.random.default_rng(_check_seed(seed))
+    rng = np.random.default_rng(check_seed(seed))
 
     sums = np.zeros(3)
     sq_sums = np.zeros(3)
@@ -944,7 +937,6 @@ def violation_study(
     n: int,
     seed: int,
     n_folds: int = 2,
-    x_weighting: str = "unit",
 ) -> list[ViolationRow]:
     """Bias of the full estimation pipeline as one knob turns.
 
@@ -973,8 +965,7 @@ def violation_study(
         )
         records = result.records
         for name in spec_base.mediator_names:
-            nde_est, nie_est, _, _ = sample_effects(records, *fit_models(records, name),
-                                                    x_weighting)
+            nde_est, nie_est, _, _ = sample_effects(records, *fit_models(records, name))
             oracle = oracles[name]
             rows.append(
                 ViolationRow(

@@ -21,6 +21,13 @@ def derive_seed(root_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def check_seed(seed: int) -> int:
+    """A seed for np.random.default_rng, which takes only non-negative integers."""
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
 def assign_folds(unit_ids: Sequence[str], n_folds: int, seed: int) -> dict[str, int]:
     """Seeded balanced fold assignment keyed by unit id.
 
@@ -36,6 +43,6 @@ def assign_folds(unit_ids: Sequence[str], n_folds: int, seed: int) -> dict[str, 
         raise ConfigError(
             f"too few units for {n_folds} folds: have {len(ids)}"
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     order = rng.permutation(len(ids))
     return {ids[j]: int(pos % n_folds) for pos, j in enumerate(order)}

@@ -36,10 +36,10 @@ DEFAULT_STOP_WORDS = frozenset(
 _FOLD_IN_ITERATIONS = 50
 
 
-def preprocess(text: str | list[str], stop_words: frozenset[str] = DEFAULT_STOP_WORDS) -> list[str]:
+def preprocess(text: str | list[str]) -> list[str]:
     """Tokens kept for topic modeling: alphabetic content words only; ``text`` may be tokens."""
     return [tok for tok in (tokenize(text) if isinstance(text, str) else text)
-            if tok not in stop_words and (tok.isalpha() or any(c.isalpha() for c in tok))]
+            if tok not in DEFAULT_STOP_WORDS and (tok.isalpha() or any(c.isalpha() for c in tok))]
 
 
 @dataclass(frozen=True)
@@ -84,6 +84,12 @@ def check_priors(alpha: float, beta: float) -> None:
             raise ConfigError(f"topic {name} must be finite and > 0, got {value}")
 
 
+def check_sweeps(n_sweeps: int, burn_in: int) -> None:
+    """Raise ConfigError unless burn_in lies in [0, n_sweeps)."""
+    if not 0 <= burn_in < n_sweeps:
+        raise ConfigError(f"burn_in must lie in [0, n_sweeps), got {burn_in}/{n_sweeps}")
+
+
 def fit_topic_model(
     corpus: Sequence[str],
     k: int,
@@ -92,7 +98,6 @@ def fit_topic_model(
     beta: float = DEFAULT_BETA,
     n_sweeps: int = DEFAULT_SWEEPS,
     burn_in: int = DEFAULT_BURN_IN,
-    stop_words: frozenset[str] = DEFAULT_STOP_WORDS,
 ) -> TopicModel:
     """Fit by synchronous collapsed Gibbs sampling, single chain, fixed seed.
 
@@ -103,10 +108,9 @@ def fit_topic_model(
     """
     if k < 2:
         raise ConfigError(f"topic count must be at least 2, got {k}")
-    if not 0 <= burn_in < n_sweeps:
-        raise ConfigError(f"burn_in must lie in [0, n_sweeps), got {burn_in}/{n_sweeps}")
+    check_sweeps(n_sweeps, burn_in)
     check_priors(alpha, beta)
-    docs = [preprocess(text, stop_words) for text in corpus]
+    docs = [preprocess(text) for text in corpus]
     vocab = tuple(sorted({tok for doc in docs for tok in doc}))
     if not vocab:
         raise DataError("vocabulary empty after preprocessing")
@@ -175,8 +179,7 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def fold_in(model: TopicModel, texts: Sequence[str | list[str]],
-            stop_words: frozenset[str] = DEFAULT_STOP_WORDS) -> np.ndarray:
+def fold_in(model: TopicModel, texts: Sequence[str | list[str]]) -> np.ndarray:
     """Deterministic EM fold-in: topic proportions of each text, one row each.
 
     A text may be given as its tokenize() list. Rows of text with no
@@ -189,7 +192,7 @@ def fold_in(model: TopicModel, texts: Sequence[str | list[str]],
     batch it came in.
     """
     # preprocess's filter, run once per vocabulary word instead of once per token.
-    kept = {tok: model.vocab_index[tok] for tok in preprocess(list(model.vocab), stop_words)}
+    kept = {tok: model.vocab_index[tok] for tok in preprocess(list(model.vocab))}
     ids = [[kept[tok] for tok in (tokenize(text) if isinstance(text, str) else text) if tok in kept]
            for text in texts]
     lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
@@ -218,17 +221,15 @@ def fold_in(model: TopicModel, texts: Sequence[str | list[str]],
     return out
 
 
-def measure_topics(model: TopicModel, texts: Sequence[str | list[str]],
-                   stop_words: frozenset[str] = DEFAULT_STOP_WORDS) -> np.ndarray:
+def measure_topics(model: TopicModel, texts: Sequence[str | list[str]]) -> np.ndarray:
     """Dominant topic of each text, ties to the lowest index; level K if none is in vocabulary."""
-    theta = fold_in(model, texts, stop_words)
+    theta = fold_in(model, texts)
     return np.where(np.isnan(theta[:, 0]), model.no_content_level, np.argmax(theta, axis=1))
 
 
-def measure_topic(model: TopicModel, text: str,
-                  stop_words: frozenset[str] = DEFAULT_STOP_WORDS) -> int:
+def measure_topic(model: TopicModel, text: str) -> int:
     """Dominant topic of one text, as measure_topics."""
-    return int(measure_topics(model, [text], stop_words)[0])
+    return int(measure_topics(model, [text])[0])
 
 
 def match_topics(model: TopicModel, reference_rows: Iterable[Sequence[float]]) -> list[tuple[int, float]]:

@@ -6,12 +6,15 @@ from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from medlang.cli import RunConfig, main, report, run_pipeline
 from medlang.errors import ConfigError
-from medlang.measure import CausalRecord, record_to_json, records_from_json
-from medlang.mediation import INTERPRETATION_CAVEAT, EffectEstimate
+from medlang.measure import CausalRecord, record_to_json, records_from_json, write_records
+from medlang.mediation import (INTERPRETATION_CAVEAT, EffectEstimate, bootstrap_effects,
+                               fit_models, sample_effects)
+from medlang.seeding import assign_folds, derive_seed
 
 
 def write_config(tmp_path, transcripts, meta=None, **overrides):
@@ -742,3 +745,69 @@ def test_estimate_on_records_with_an_empty_fold(tmp_path):
                  for line in (tmp_path / "est" / "effects.ndjson").read_text("utf-8").splitlines()]
     assert effect["n_units"] == 300 and effect["n_dropped_replicates"] == 0
     assert effect["nde_ci"][0] < effect["nde"] < effect["nde_ci"][1]
+
+
+# -- one fold source; marginal X weighting; settings rejected before any read ------------
+
+
+def _simulated_records(tmp_path, n=300) -> Path:
+    sim_dir = tmp_path / "sim"
+    assert main(["simulate", "--fixture", "two_mediator_scm", "--n", str(n), "--seed", "4",
+                 "--out", str(sim_dir)]) == 0
+    return sim_dir / "records.ndjson"
+
+
+def test_fit_with_folds_equals_fit_on_records_refolded_by_assign_folds(tmp_path):
+    records = _simulated_records(tmp_path)
+    assert main(["fit", "--records", str(records), "--folds", "3", "--seed", "5",
+                 "--out", str(tmp_path / "refit")]) == 0
+    coded = records_from_json(records.read_bytes())
+    fold_of = assign_folds(coded.unit_ids, 3, 5)
+    refolded = tmp_path / "refolded.ndjson"
+    with open(refolded, "w", encoding="utf-8") as fh:
+        write_records(replace(coded, fold=np.array([fold_of[u] for u in coded.unit_ids])), fh)
+    assert main(["fit", "--records", str(refolded), "--out", str(tmp_path / "fit")]) == 0
+    for name in ("mediator_tables.csv", "outcome_tables.csv"):
+        table = (tmp_path / "refit" / name).read_text("utf-8")
+        assert table == (tmp_path / "fit" / name).read_text("utf-8"), name
+        assert {row.split(",")[0] for row in table.splitlines()[1:]} == {"0", "1", "2"}
+
+
+def test_fit_with_a_negative_fold_seed_exits_2(tmp_path, capsys):
+    records = _simulated_records(tmp_path, n=20)
+    out = tmp_path / "fit"
+    assert main(["fit", "--records", str(records), "--folds", "2", "--seed", "-1",
+                 "--out", str(out)]) == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_x_marginal_estimates_equal_bootstrap_effects_with_marginal_weighting(tmp_path):
+    run_dir = _simulated_run(tmp_path, x_marginal=True)
+    records = run_dir / "records.ndjson"
+    assert main(["estimate", "--records", str(records), "--seed", "7", "--bootstrap", "100",
+                 "--x-marginal", "--out", str(tmp_path / "est")]) == 0
+    coded = records_from_json(records.read_bytes())
+    want = []
+    for name in ("hedging", "disfluency"):
+        g, f = fit_models(coded, name)
+        assert sample_effects(coded, g, f, "marginal") != sample_effects(coded, g, f)
+        seed = derive_seed(derive_seed(7, "estimate"), f"bootstrap:{name}")
+        want.append(bootstrap_effects(coded, g, f, 100, seed, x_weighting="marginal").to_json())
+    for effects in (run_dir / "effects.ndjson", tmp_path / "est" / "effects.ndjson"):
+        assert sorted(effects.read_text("utf-8").splitlines()) == sorted(want)
+
+
+def test_burn_in_not_below_sweeps_exits_2_before_any_output(tmp_path, capsys,
+                                                             paired_transcript_path):
+    config_path, config = write_config(tmp_path, paired_transcript_path, topics=2,
+                                       topic_sweeps=10, topic_burn_in=20)
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert "burn_in must lie in [0, n_sweeps), got 20/10" in capsys.readouterr().err
+    out = Path(config["out"])
+    assert not out.exists() or not any(out.iterdir())
+    # measure rejects the pair before it opens the (missing) units file
+    assert main(["measure", "--units", str(tmp_path / "missing.ndjson"), "--transcripts",
+                 str(paired_transcript_path), "--topics", "2", "--topic-sweeps", "10",
+                 "--topic-burn-in", "20", "--out", str(tmp_path / "records.ndjson")]) == 2
+    assert "burn_in must lie in [0, n_sweeps), got 20/10" in capsys.readouterr().err

@@ -10,7 +10,6 @@ from medlang.corpus import (
     SPEAKER_ROLES,
     AnalysisUnit,
     Utterance,
-    _decode_line,
     _iter_lines,
     _iter_objects,
     _parse_turn,
@@ -472,12 +471,6 @@ def decoder_lines(draw):
         i = draw(st.integers(0, len(text)))
         text = text[:i] + draw(st.sampled_from('{}[]",: \\0e.-nNu\x0b')) + text[i + 1:]
     return draw(PADDING) + text + draw(PADDING)
-
-
-@settings(max_examples=500, deadline=None)
-@given(line=decoder_lines() | st.text(max_size=12))
-def test_line_decoder_accepts_exactly_what_json_loads_accepts(line):
-    assert _outcome(_decode_line, line) == _outcome(json.loads, line)
 
 
 @settings(max_examples=300, deadline=None)

@@ -20,43 +20,43 @@ from medlang.glm import (
     fit_mediator_model,
     fit_outcome_model,
     infer_domains,
-    make_plan,
     write_mediator_table_csv,
     write_outcome_table_csv,
 )
 from medlang.measure import Domains
 from medlang.mediation import bootstrap_effects, fit_models
+from medlang.seeding import assign_folds
 
 
-# -- cross-fit plans ----------------------------------------------------------
+# -- cross-fit fold assignment -------------------------------------------------
 
 
-def test_make_plan_balance_four_ids():
-    plan = make_plan(["a", "b", "c", "d"], 2, seed=0)
-    sizes = sorted(Counter(plan.fold_of.values()).values())
+def test_assign_folds_balance_four_ids():
+    fold_of = assign_folds(["a", "b", "c", "d"], 2, seed=0)
+    sizes = sorted(Counter(fold_of.values()).values())
     assert sizes == [2, 2]
 
 
-def test_make_plan_balance_five_ids():
-    plan = make_plan(["a", "b", "c", "d", "e"], 2, seed=0)
-    sizes = sorted(Counter(plan.fold_of.values()).values())
+def test_assign_folds_balance_five_ids():
+    fold_of = assign_folds(["a", "b", "c", "d", "e"], 2, seed=0)
+    sizes = sorted(Counter(fold_of.values()).values())
     assert sizes == [2, 3]
 
 
-def test_make_plan_determinism_and_partition():
+def test_assign_folds_determinism_and_partition():
     ids = [f"u{i}" for i in range(20)]
-    a = make_plan(ids, 4, seed=9)
-    b = make_plan(list(reversed(ids)), 4, seed=9)
-    assert a.fold_of == b.fold_of
-    assert set(a.fold_of) == set(ids)
-    assert set(a.fold_of.values()) == set(range(4))
+    a = assign_folds(ids, 4, seed=9)
+    b = assign_folds(list(reversed(ids)), 4, seed=9)
+    assert a == b
+    assert set(a) == set(ids)
+    assert set(a.values()) == set(range(4))
 
 
-def test_make_plan_too_few_units():
+def test_assign_folds_too_few_units():
     with pytest.raises(ConfigError, match="too few"):
-        make_plan(["a", "b"], 3, seed=0)
+        assign_folds(["a", "b"], 3, seed=0)
     with pytest.raises(ConfigError):
-        make_plan(["a", "b"], 1, seed=0)
+        assign_folds(["a", "b"], 1, seed=0)
 
 
 # -- synthetic generators (independent of the scm module) ---------------------
@@ -259,10 +259,12 @@ def test_fit_errors_on_unknown_mediator():
         fit_mediator_model(records, "topic")
 
 
-def test_plan_overrides_record_folds():
+def test_refolded_records_fit_over_their_new_folds():
     records = gen_mediator_independent_of_t(100, seed=0)
-    plan = make_plan([r.unit_id for r in records], 4, seed=3)
-    model = fit_mediator_model(records, "hedging", plan=plan)
+    assert records.n_folds == 2
+    fold_of = assign_folds(records.unit_ids, 4, seed=3)
+    refolded = replace(records, fold=np.array([fold_of[u] for u in records.unit_ids]))
+    model = fit_mediator_model(refolded, "hedging")
     assert model.n_folds == 4
 
 
@@ -442,8 +444,8 @@ def test_stacked_table_fits_equal_the_point_fits_bit_for_bit():
     a, _ = gen_logistic_outcome(3000, seed=71)
     b, _ = gen_logistic_outcome(3000, seed=72)
     assert a.domains == b.domains
-    train_a = glm._training_counts(a, "hedging", None)
-    train_b = glm._training_counts(b, "hedging", None)
+    train_a = glm._training_counts(a, "hedging")
+    train_b = glm._training_counts(b, "hedging")
     stack = np.stack([train_a, train_b, train_a])  # (replicate, fold, m, t, x, y)
     for fit_tables, fit_model in ((glm.fit_mediator_tables, fit_mediator_model),
                                   (glm.fit_outcome_tables, fit_outcome_model)):
@@ -457,7 +459,7 @@ def test_stacked_table_fits_equal_the_point_fits_bit_for_bit():
 
 def test_restart_on_the_point_counts_repeats_the_point_fit_in_one_step():
     coded, _ = gen_logistic_outcome(3000, seed=71)
-    train = glm._training_counts(coded, "hedging", None)
+    train = glm._training_counts(coded, "hedging")
     stack = np.stack([train, train])  # (replicate, fold, m, t, x, y)
     for fit_tables, fit_model in ((glm.fit_mediator_tables, fit_mediator_model),
                                   (glm.fit_outcome_tables, fit_outcome_model)):

@@ -326,6 +326,11 @@ def test_negative_seed_is_config_error():
         monte_carlo_effects(spec, n_draws=10, seed=-2)
 
 
+def test_negative_fold_seed_is_config_error():
+    with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+        generate(load_fixture("binary_scm"), 10, seed=1, fold_seed=-1)
+
+
 def test_logistic_equals_scipy_expit_bit_for_bit():
     rng = np.random.default_rng(20)
     grid = np.concatenate([
