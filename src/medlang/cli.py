@@ -107,7 +107,7 @@ class RunConfig:
                 raise ConfigError(f"{label} path does not exist: {path}")
         if self.folds < 2:
             raise ConfigError(f"folds must be >= 2, got {self.folds}")
-        mediation.validate_settings(self.bootstrap, self.ci, self.x_weighting)
+        mediation.validate_settings(self.bootstrap, self.ci)
         if self.topics is not None and self.topics < 2:
             raise ConfigError(f"topics must be >= 2, got {self.topics}")
         check_priors(self.topic_alpha, self.topic_beta)
@@ -119,10 +119,6 @@ class RunConfig:
             repeated = sorted({name for name in names if names.count(name) > 1})
             if repeated:
                 raise ConfigError(f"{key} must not repeat a name; repeated: {repeated}")
-
-    @property
-    def x_weighting(self) -> str:
-        return "marginal" if self.x_marginal else "unit"
 
     def to_dict(self) -> dict:
         data = asdict(self)
@@ -325,12 +321,12 @@ def ingest(config: RunConfig) -> tuple[Transcript, list]:
 
 
 def fit_and_estimate(records, mediators: Sequence[str], seed: int, n_bootstrap: int,
-                     ci_level: float, x_weighting: str) -> tuple[list, list[EffectEstimate]]:
+                     ci_level: float, x_marginal: bool) -> tuple[list, list[EffectEstimate]]:
     """Fit each mediator's nuisance pair, then bootstrap its effects from the run ``seed``."""
     models = [mediation.fit_models(records, name) for name in mediators]
     estimates = estimate_all(records, models, EstimatorConfig(
         n_bootstrap=n_bootstrap, seed=derive_seed(seed, "estimate"), ci_level=ci_level,
-        x_weighting=x_weighting))
+        x_marginal=x_marginal))
     return models, estimates
 
 
@@ -353,7 +349,7 @@ def run_pipeline(config: RunConfig) -> dict:
         )
 
     models, estimates = fit_and_estimate(build.records, config.mediators, config.seed,
-                                         config.bootstrap, config.ci, config.x_weighting)
+                                         config.bootstrap, config.ci, config.x_marginal)
     write_tables(out, models)
     write_estimates(out, estimates)
 
@@ -460,7 +456,7 @@ def cmd_estimate(args) -> int:
     coded = _load_records_file(args.records)
     mediators = _split_csv_arg(args.mediators) or tuple(coded.domains.mediator_sizes)
     _, estimates = fit_and_estimate(coded, mediators, args.seed, args.bootstrap, args.ci,
-                                    "marginal" if args.x_marginal else "unit")
+                                    args.x_marginal)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     print(write_estimates(out, estimates))

@@ -83,23 +83,26 @@ def ends_with_interruption_marker(text: str, strict: bool = False) -> bool:
 
 
 def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> Iterator[tuple[int, str]]:
-    """Yield (line number, text) for each non-blank line; bad UTF-8 raises ParseError."""
+    """Yield (line number, text) for each non-blank line; bad UTF-8 raises ParseError.
+
+    A str, and each str line, is read as its UTF-8 bytes with any lone
+    surrogate kept (surrogatepass): a raw lone surrogate is not UTF-8 text.
+    """
+    if isinstance(source, str):
+        source = source.encode("utf-8", "surrogatepass")
     if isinstance(source, bytes):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError("not UTF-8 text", source.count(b"\n", 0, exc.start) + 1) from exc
-    # Split at "\n" only, as iterating a binary stream does; str.splitlines
-    # would also split inside a JSON string holding U+2028 or a lone "\r".
+        # Split at "\n" only, as iterating a binary stream does; str.splitlines
+        # would also split inside a JSON string holding U+2028 or a lone "\r".
+        source = io.BytesIO(source)
     lineno = 0
     try:  # a text stream decodes while it is iterated
-        for lineno, line in enumerate(source.split("\n") if isinstance(source, str) else source, 1):
-            if isinstance(line, bytes):
-                try:
-                    line = line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise ParseError("not UTF-8 text", lineno) from exc
-            line = line.rstrip("\n")
+        for lineno, line in enumerate(source, 1):
+            try:
+                if isinstance(line, str):
+                    line = line.encode("utf-8", "surrogatepass")
+                line = line.decode("utf-8").rstrip("\n")
+            except UnicodeDecodeError as exc:
+                raise ParseError("not UTF-8 text", lineno) from exc
             if line.strip():
                 yield lineno, line
     except UnicodeDecodeError as exc:  # raised while reading the line after lineno
@@ -109,21 +112,17 @@ def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> It
 def _read_whole(source) -> tuple[bytes | None, object]:
     """Read ``source`` once: its bytes, and a source _iter_lines reads as it reads ``source``.
 
-    A str is encoded as UTF-8; bytes read may not be UTF-8. The bytes are
-    None for an iterable of lines and for a str with a lone surrogate. A
-    text stream counts as an iterable of lines: it decodes while it is
-    read, and _iter_lines names the line at which that fails.
+    A str is read as _iter_lines reads it; bytes read may not be UTF-8. The
+    bytes are None for an iterable of lines. A text stream counts as an
+    iterable of lines: it decodes while it is read, and _iter_lines names
+    the line at which that fails.
     """
     if isinstance(source, io.TextIOBase):
         return None, source
     if hasattr(source, "read"):
-        data = source.read()
-        return (data, io.BytesIO(data)) if isinstance(data, bytes) else _read_whole(data)
+        source = source.read()
     if isinstance(source, str):
-        try:
-            return source.encode("utf-8"), source
-        except UnicodeEncodeError:
-            return None, source
+        source = source.encode("utf-8", "surrogatepass")
     return (source, source) if isinstance(source, bytes) else (None, source)
 
 
@@ -154,14 +153,14 @@ def _first_object(data: bytes) -> dict | None:
     return first if isinstance(first, dict) else None
 
 
-def _split_columns(data: bytes, pattern: re.Pattern, integers, block: int) -> list[list] | None:
+def _split_columns(data: bytes, pattern: re.Pattern, integers) -> list[list] | None:
     """Each group's captures in file order (ints for ``integers``), if ``pattern`` matches
     every non-blank line of ``data``; None for bytes not UTF-8 or a line of another form."""
     step = pattern.groups + 1
     columns: list[list] = [[] for _ in range(pattern.groups)]
     start = 0
     while start < len(data):
-        end = data.find(b"\n", start + block) + 1 or len(data)
+        end = data.find(b"\n", start + _BLOCK) + 1 or len(data)
         try:  # a newline byte never falls inside a UTF-8 character
             pieces = pattern.split(data[start:end].decode("utf-8"))
         except UnicodeDecodeError:
@@ -358,7 +357,7 @@ def parse_case_metadata(source: IO[bytes] | IO[str] | Iterable[str] | bytes | st
 def _transcript_columns(data: bytes) -> Transcript | None:
     """The Transcript of ``data`` if every non-blank line matches _TURN_PATTERN, every
     role known, every text non-blank and each case's indices run 0, 1, ...; else None."""
-    columns = _split_columns(data, _TURN_PATTERN, (2,), _BLOCK)
+    columns = _split_columns(data, _TURN_PATTERN, (2,))
     if columns is None:
         return None
     case_ids, indices, speaker_ids, roles, texts = columns
@@ -385,7 +384,7 @@ def _metadata_columns(data: bytes) -> dict[str, dict] | None:
         return None
     names = sorted(first)
     pattern = _line_pattern(_json_object(dict.fromkeys(names, "\0s"), encode_basestring_ascii))
-    columns = _split_columns(data, pattern, (), _BLOCK)
+    columns = _split_columns(data, pattern, ())
     if columns is None:
         return None
     case_ids = columns.pop(names.index("case_id"))

@@ -129,9 +129,6 @@ class BatchFit(NamedTuple):
 def fit_categorical_glm_batch(
     design: np.ndarray,
     counts: np.ndarray,
-    ridge: float = RIDGE,
-    max_iterations: int = MAX_ITERATIONS,
-    tol: float = CONVERGENCE_TOL,
     start: np.ndarray | None = None,
 ) -> BatchFit:
     """Newton/IRLS fits of a stack of multinomial logits sharing one design.
@@ -141,8 +138,9 @@ def fit_categorical_glm_batch(
     starts from (zeros by default). Level 0 is the reference. Every member
     takes exactly the Newton steps it would take alone: each iteration solves
     all active members' (p, p) systems in one stacked solve, and a member
-    stops stepping once its largest step falls below ``tol``. A ridge term
-    keeps the step well defined under separation or collinearity.
+    stops stepping once its largest step falls below CONVERGENCE_TOL, or
+    after MAX_ITERATIONS steps. A RIDGE penalty keeps the step well defined
+    under separation or collinearity.
 
     Returns (probs (B, R, K), coefficients (B, K-1, d), iterations (B,),
     penalized log-likelihoods (B,), status (B,), restart (B, K-1, d)). A
@@ -165,26 +163,25 @@ def fit_categorical_glm_batch(
     coef = np.zeros((n_members, k, d)) if start is None else np.array(start, dtype=float)
     if n_members > size:
         parts = [
-            fit_categorical_glm_batch(design, counts[i : i + size], ridge, max_iterations, tol,
-                                      coef[i : i + size])
+            fit_categorical_glm_batch(design, counts[i : i + size], coef[i : i + size])
             for i in range(0, n_members, size)
         ]
         return BatchFit(*(np.concatenate(arrays) for arrays in zip(*parts)))
     totals = counts.sum(axis=2)
     # Row-wise outer products: one matmul turns per-row weights into blocks.
     outer = (design[:, :, None] * design[:, None, :]).reshape(n_rows, d * d)
-    ridge_eye = ridge * np.eye(n_params)
+    ridge_eye = RIDGE * np.eye(n_params)
     restart = coef.copy()
     iterations = np.zeros(n_members, dtype=np.int64)
     status = np.full(n_members, NOT_CONVERGED)
     active = np.arange(n_members)
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         if active.size == 0:
             break
         c = coef[active]
         probs = _glm_probs(design, c)[:, :, 1:]
         weighted = totals[active][:, :, None] * probs  # (A, R, k)
-        grad = np.swapaxes(counts[active, :, 1:] - weighted, 1, 2) @ design - ridge * c
+        grad = np.swapaxes(counts[active, :, 1:] - weighted, 1, 2) @ design - RIDGE * c
         # w[a, r, i, j] = n_r p_ri (1[i = j] - p_rj), the multinomial information.
         w = weighted[:, :, :, None] * (np.eye(k) - probs[:, :, None, :])
         blocks = np.swapaxes(w.reshape(active.size, n_rows, k * k), 1, 2) @ outer
@@ -200,14 +197,14 @@ def fit_categorical_glm_batch(
         step[failed] = 0.0
         restart[active] = c
         coef[active] = c + step.reshape(c.shape)
-        done = ~failed & (np.abs(step).max(axis=1) < tol)
+        done = ~failed & (np.abs(step).max(axis=1) < CONVERGENCE_TOL)
         status[active[failed]] = FAILED_STEP
         status[active[done]] = CONVERGED
         active = active[~(failed | done)]
     probs = _glm_probs(design, coef)
     # counts * log(probs), with 0 where a cell's count is 0 (so 0 * log(0) adds 0).
     log_probs = np.log(probs, out=np.zeros_like(probs), where=counts > 0)
-    loglik = (counts * log_probs).sum(axis=(1, 2)) - 0.5 * ridge * (coef ** 2).sum(axis=(1, 2))
+    loglik = (counts * log_probs).sum(axis=(1, 2)) - 0.5 * RIDGE * (coef ** 2).sum(axis=(1, 2))
     return BatchFit(probs, coef, iterations, loglik, status, restart)
 
 
@@ -238,11 +235,7 @@ def _stacked_solve(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 
 def fit_categorical_glm(
-    design: np.ndarray,
-    counts: np.ndarray,
-    ridge: float = RIDGE,
-    max_iterations: int = MAX_ITERATIONS,
-    tol: float = CONVERGENCE_TOL,
+    design: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, int, float]:
     """Newton/IRLS fit of one multinomial logit on aggregated rows.
 
@@ -251,7 +244,7 @@ def fit_categorical_glm(
     iterations, penalized log-likelihood); a failed fit raises
     NumericalError. This is the one-member case of fit_categorical_glm_batch.
     """
-    fit = fit_categorical_glm_batch(design, counts[None], ridge, max_iterations, tol)
+    fit = fit_categorical_glm_batch(design, counts[None])
     _raise_if_failed(fit.status, fit.iterations)
     return fit.probs[0], fit.coef[0], int(fit.iterations[0]), float(fit.loglik[0])
 

@@ -17,7 +17,7 @@ import functools
 import json
 import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator, Mapping, Sequence
@@ -25,7 +25,6 @@ from typing import IO, Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .corpus import (
-    _BLOCK,
     AnalysisUnit,
     Utterance,
     _first_object,
@@ -72,9 +71,6 @@ class MeasurementSpec:
     """Configuration of the text-to-variable measurement layer."""
 
     hedging_lexicon: tuple[str, ...]
-    honorific_map: Mapping[str, int] = field(
-        default_factory=lambda: {"Ms.": 1, "Mr.": 0}
-    )
     topic_model: TopicModel | None = None
     strict_interruption_marker: bool = False
 
@@ -82,11 +78,6 @@ class MeasurementSpec:
         if not self.hedging_lexicon:
             raise ConfigError("hedging lexicon is empty")
         self.hedging_lexicon = tuple(normalize_phrase(p) for p in self.hedging_lexicon)
-        values = sorted(self.honorific_map.values())
-        if values != [0, 1]:
-            raise ConfigError(
-                f"honorific map must be a bijection onto {{0, 1}}, got {dict(self.honorific_map)}"
-            )
 
     @classmethod
     def default(cls, **overrides) -> "MeasurementSpec":
@@ -148,53 +139,36 @@ def _surname(speaker_id: str) -> str:
     return parts[-1]
 
 
+#: The treatment value of each honorific the chief justice may introduce an advocate with.
+HONORIFICS = {"Ms.": 1, "Mr.": 0}
+# An honorific followed by whitespace, not run on from a word character. No
+# honorific can overlap another, so the matches are every honorific there.
+_HONORIFIC = re.compile(r"(?<!\w)(" + "|".join(map(re.escape, HONORIFICS)) + r")(?=\s)")
 _INDEX = operator.attrgetter("index")
 _SPACE = re.compile(r"\s+")
 _WORD = re.compile(r"\w")
 
 
-@functools.lru_cache(maxsize=32)
-def _honorific_starts(honorifics: tuple[str, ...]) -> re.Pattern:
-    """Zero-width matches at every position where an honorific and a space begin.
-
-    Zero-width, so overlapping honorifics are all seen.
-    """
-    alternatives = "|".join(re.escape(hon) for hon in honorifics)
-    return re.compile(r"(?<!\w)(?=(?:" + alternatives + r")\s)")
-
-
-def label_treatment(
-    case_utterances: Sequence[Utterance],
-    advocate_id: str,
-    honorific_map: Mapping[str, int] | None = None,
-) -> int | None:
+def label_treatment(case_utterances: Sequence[Utterance], advocate_id: str) -> int | None:
     """Gender-signal label from the chief justice's honorific introduction.
 
     Scans chief-justice turns in case order for the first honorific applied
     to the advocate's surname (the last whitespace token of the speaker id)
-    and returns its mapped value: the earliest position in the first such
-    turn, ties going to the first honorific of the map. The surname must
-    not run on into a word character ("Mr. Smith's" counts for Smith,
-    "Mr. Smithson" does not). Returns None when no introduction is found;
-    callers exclude such units with a counted warning.
+    and returns its HONORIFICS value: the earliest position in the first
+    such turn. The surname must not run on into a word character ("Mr.
+    Smith's" counts for Smith, "Mr. Smithson" does not). Returns None when
+    no introduction is found; callers exclude such units with a counted
+    warning.
     """
-    honorific_map = honorific_map or {"Ms.": 1, "Mr.": 0}
     surname = _surname(advocate_id)
-    starts = _honorific_starts(tuple(honorific_map))
-    for utt in sorted(case_utterances, key=_INDEX):
-        if utt.speaker_role != "chief_justice":
-            continue
+    chief_turns = [utt for utt in case_utterances if utt.speaker_role == "chief_justice"]
+    for utt in sorted(chief_turns, key=_INDEX):
         text = utt.text
-        for start in starts.finditer(text):
-            pos = start.start()
-            for hon, value in honorific_map.items():
-                if not text.startswith(hon, pos):
-                    continue
-                # The surname holds no whitespace, so it starts where the run ends.
-                space = _SPACE.match(text, pos + len(hon))
-                if (space and text.startswith(surname, space.end())
-                        and not _WORD.match(text, space.end() + len(surname))):
-                    return value
+        for honorific in _HONORIFIC.finditer(text):
+            # The surname holds no whitespace, so it starts where the run ends.
+            after = _SPACE.match(text, honorific.end()).end()
+            if text.startswith(surname, after) and not _WORD.match(text, after + len(surname)):
+                return HONORIFICS[honorific[1]]
     return None
 
 
@@ -479,7 +453,7 @@ def _record_columns(data: bytes) -> tuple | None:
     pattern = _record_pattern(mediators, confounders)
     # The groups: fold, each mediator's level, t, unit_id, each confounder's level, y.
     k = len(mediators)
-    columns = _split_columns(data, pattern, [*range(1, k + 3), pattern.groups], _BLOCK)
+    columns = _split_columns(data, pattern, [*range(1, k + 3), pattern.groups])
     if columns is None:
         return None
     fold, *levels, t, unit_ids = columns[:k + 3]
@@ -571,10 +545,10 @@ def build_records(
 
     ``case_utterances`` maps case_id to the full turn sequence of the case
     (Transcript.cases, say); the honorific scan needs turns that are not
-    part of any unit, and gets the chief justice's in index order.
-    ``confounders`` selects which context features become X (default: the
-    prior-interruption bucket plus issue_area where available). Their
-    names and observed levels are sorted, as infer_domains sorts them.
+    part of any unit. ``confounders`` selects which context features become
+    X (default: the prior-interruption bucket plus issue_area where
+    available); a unit whose value of one is not a string raises DataError.
+    Their names and observed levels are sorted, as infer_domains sorts them.
     """
     if n_folds < 2:
         raise ConfigError(f"n_folds must be >= 2, got {n_folds}")
@@ -606,8 +580,7 @@ def build_records(
             turns = case_utterances.get(case_id)
             if turns is None:
                 raise DataError(f"unit {unit.unit_id}: no utterances supplied for case {case_id!r}")
-            chief = sorted([t for t in turns if t.speaker_role == "chief_justice"], key=_INDEX)
-            treatment_cache[key] = label_treatment(chief, advocate, spec.honorific_map)
+            treatment_cache[key] = label_treatment(turns, advocate)
         t = treatment_cache[key]
         if t is None:
             exclusions.append(Exclusion(unit.unit_id, "no_honorific_introduction"))
@@ -618,7 +591,11 @@ def build_records(
         for name in confounders:
             if name not in unit.context_features:
                 raise DataError(f"unit {unit.unit_id}: missing context feature {name!r}")
-            x[name].append(str(unit.context_features[name]))
+            level = unit.context_features[name]
+            if type(level) is not str:
+                raise DataError(f"unit {unit.unit_id}: context feature {name!r} must be a string, "
+                                f"got {level!r}")
+            x[name].append(level)
         tokens = tokenize(unit.p1_utterance.text)  # once, for every mediator
         m["hedging"].append(measure_hedging(tokens, spec.hedging_lexicon))
         m["disfluency"].append(measure_disfluency(tokens))

@@ -13,14 +13,14 @@ arm of f; per unit, te_i = nde_i + nie_reversed_i is an algebraic identity.
 
 By default the inner sum is evaluated at each unit's own X_i; the
 alternative reading that weights by the empirical marginal distribution of
-X, independent of i, is available via x_weighting="marginal".
+X, independent of i, is available via x_marginal=True.
 """
 
 from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -37,8 +37,6 @@ from .glm import (
 from .measure import Domains
 from .seeding import derive_seed
 
-X_WEIGHTINGS = ("unit", "marginal")
-
 #: Attached to every estimate: the direct effect is only interpretable as
 #: the full direct causal effect if every relevant mediator is included.
 INTERPRETATION_CAVEAT = (
@@ -49,6 +47,9 @@ INTERPRETATION_CAVEAT = (
 )
 
 IDENTITY_TOL = 1e-9
+
+#: bootstrap_effects fails when more than this share of its replicates is dropped.
+MAX_DROPPED_FRACTION = 0.10
 
 
 @dataclass(frozen=True)
@@ -93,21 +94,9 @@ class EffectEstimate:
                 raise NumericalError(f"{label} [{lo}, {hi}] does not contain {point}")
 
     def to_dict(self) -> dict:
-        return {
-            "mediator": self.mediator_name,
-            "nde": self.nde,
-            "nie": self.nie,
-            "nie_reversed": self.nie_reversed,
-            "total_effect": self.total_effect,
-            "ci_level": self.ci_level,
-            "nde_ci": list(self.nde_ci),
-            "nie_ci": list(self.nie_ci),
-            "n_units": self.n_units,
-            "n_bootstrap": self.n_bootstrap,
-            "n_dropped_replicates": self.n_dropped_replicates,
-            "n_clamped_intervals": self.n_clamped_intervals,
-            "caveat": self.caveat,
-        }
+        data = asdict(self)
+        data["mediator"] = data.pop("mediator_name")
+        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -170,17 +159,15 @@ class EstimatorConfig:
     n_bootstrap: int = 1000
     seed: int = 0
     ci_level: float = 0.90
-    x_weighting: str = "unit"
+    x_marginal: bool = False
 
 
-def validate_settings(n_bootstrap: int, ci_level: float, x_weighting: str) -> None:
-    """Raise ConfigError on a bad bootstrap count, interval level or X weighting."""
+def validate_settings(n_bootstrap: int, ci_level: float) -> None:
+    """Raise ConfigError on a bad bootstrap count or interval level."""
     if n_bootstrap != 0 and n_bootstrap < 100:
         raise ConfigError(f"n_bootstrap must be 0 (disabled) or >= 100, got {n_bootstrap}")
     if not 0.0 < ci_level < 1.0:
         raise ConfigError(f"ci_level must lie in (0, 1), got {ci_level}")
-    if x_weighting not in X_WEIGHTINGS:
-        raise ConfigError(f"x_weighting must be one of {X_WEIGHTINGS}, got {x_weighting!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -214,23 +201,20 @@ def _cell_effects(g_table: np.ndarray, f_table: np.ndarray):
 
 
 def _effects(
-    g_table: np.ndarray, f_table: np.ndarray, fold_x: np.ndarray, x_weighting: str
+    g_table: np.ndarray, f_table: np.ndarray, fold_x: np.ndarray, x_marginal: bool
 ) -> tuple[np.ndarray, ...]:
     """Unit averages of the four effects from per-fold tables.
 
-    fold_x: (..., F, n_x) counts of scored units per (fold, x) cell. Under
-    "unit" weighting each cell counts its own units; under "marginal" each
-    fold's units are spread over the pooled empirical distribution of X.
+    fold_x: (..., F, n_x) counts of scored units per (fold, x) cell. By
+    default each cell counts its own units; with ``x_marginal`` each fold's
+    units are spread over the pooled empirical distribution of X.
     Returns nde, nie, nie_reversed and te, each of the leading shape.
     """
     n = fold_x.sum(axis=(-2, -1))
-    if x_weighting == "unit":
-        w = fold_x
-    elif x_weighting == "marginal":
+    w = fold_x
+    if x_marginal:
         x_share = fold_x.sum(axis=-2) / n[..., None]
         w = fold_x.sum(axis=-1)[..., :, None] * x_share[..., None, :]
-    else:
-        raise ConfigError(f"x_weighting must be one of {X_WEIGHTINGS}")
     return tuple((w * c).sum(axis=(-2, -1)) / n for c in _cell_effects(g_table, f_table))
 
 
@@ -245,7 +229,7 @@ def sample_effects(
     records: CodedRecords,
     g: FittedMediatorModel,
     f: FittedOutcomeModel,
-    x_weighting: str = "unit",
+    x_marginal: bool = False,
 ) -> tuple[float, float, float, float]:
     """Cross-fitted sample averages (nde, nie, nie_reversed, te) over the records.
 
@@ -274,7 +258,7 @@ def sample_effects(
     n_x = records.domains.n_x
     fold_x = np.bincount(records.fold * n_x + records.x, minlength=g.n_folds * n_x)
     fold_x = fold_x.reshape(g.n_folds, n_x).astype(float)
-    return tuple(float(v) for v in _effects(g.table, f.table, fold_x, x_weighting))
+    return tuple(float(v) for v in _effects(g.table, f.table, fold_x, x_marginal))
 
 
 # ---------------------------------------------------------------------------
@@ -330,7 +314,7 @@ def _bootstrap_draws(
     f: FittedOutcomeModel,
     n_bootstrap: int,
     seed: int,
-    x_weighting: str,
+    x_marginal: bool,
 ) -> np.ndarray:
     """(nde, nie) of every replicate, (B, 2); NaN rows mark dropped replicates.
 
@@ -365,7 +349,7 @@ def _bootstrap_draws(
     ).all(axis=1)
 
     fold_x = grid[ok].sum(axis=(2, 3, 5)).astype(float)
-    nde, nie, _, _ = _effects(g_table[ok], f_table[ok], fold_x, x_weighting)
+    nde, nie, _, _ = _effects(g_table[ok], f_table[ok], fold_x, x_marginal)
     draws[kept[ok]] = np.stack([nde, nie], axis=1)
     return draws
 
@@ -395,8 +379,7 @@ def bootstrap_effects(
     n_bootstrap: int,
     seed: int,
     ci_level: float = EstimatorConfig.ci_level,
-    x_weighting: str = "unit",
-    max_dropped_fraction: float = 0.10,
+    x_marginal: bool = False,
 ) -> EffectEstimate:
     """Point estimates of the fitted pair plus percentile intervals from unit resampling.
 
@@ -411,25 +394,25 @@ def bootstrap_effects(
     therefore depend on the fold cell counts alone, not on record order.
     Replicates whose resample loses a covariate level present in the
     original data, or whose refit fails, are dropped and counted; more than
-    ``max_dropped_fraction`` dropped is an error. An interval that does not
+    MAX_DROPPED_FRACTION dropped is an error. An interval that does not
     contain its point estimate is widened to it, and each such interval is
     counted in ``n_clamped_intervals``.
     """
-    validate_settings(n_bootstrap, ci_level, x_weighting)
+    validate_settings(n_bootstrap, ci_level)
     mediator_name = g.mediator_name
-    nde, nie, nie_rev, te = sample_effects(records, g, f, x_weighting)
+    nde, nie, nie_rev, te = sample_effects(records, g, f, x_marginal)
 
     dropped = 0
     clamped = 0
     nde_ci, nie_ci = (nde, nde), (nie, nie)
     if n_bootstrap > 0:
-        draws = _bootstrap_draws(records, g, f, n_bootstrap, seed, x_weighting)
+        draws = _bootstrap_draws(records, g, f, n_bootstrap, seed, x_marginal)
         draws = draws[~np.isnan(draws[:, 0])]
         dropped = n_bootstrap - len(draws)
-        if dropped > max_dropped_fraction * n_bootstrap:
+        if dropped > MAX_DROPPED_FRACTION * n_bootstrap:
             raise NumericalError(
                 f"{dropped}/{n_bootstrap} bootstrap replicates dropped "
-                f"(> {max_dropped_fraction:.0%}): data too sparse for resampling"
+                f"(> {MAX_DROPPED_FRACTION:.0%}): data too sparse for resampling"
             )
         if len(draws):
             nde_ci, nde_clamped = _percentile_interval(draws[:, 0], nde, ci_level)
@@ -473,7 +456,7 @@ def estimate_all(
             n_bootstrap=config.n_bootstrap,
             seed=derive_seed(config.seed, f"bootstrap:{g.mediator_name}"),
             ci_level=config.ci_level,
-            x_weighting=config.x_weighting,
+            x_marginal=config.x_marginal,
         )
         for g, f in models
     ]

@@ -368,7 +368,7 @@ class GenerateResult:
         if not self.rendered:
             return None
         rows = zip(*(column.tolist() for column in _render_columns(self.records)))
-        return tuple(turn for i, row in enumerate(rows) for turn in _render_unit(i, *row)[1])
+        return tuple(turn for i, row in enumerate(rows) for turn in _render_turns(f"{i:07d}", *row))
 
     @cached_property
     def case_metadata(self) -> dict[str, dict] | None:
@@ -544,12 +544,6 @@ def _render_turns(number: str, t: int, hedging: int, disfluency: int,
         Utterance(case_id, 2, "Justice Marshall", "justice",
                   "What is your response to that point?"),
     ]
-
-
-def _render_unit(i: int, t: int, hedging: int, disfluency: int,
-                 y: int) -> tuple[str, list[Utterance]]:
-    turns = _render_turns(f"{i:07d}", t, hedging, disfluency, y)
-    return turns[0].case_id, turns
 
 
 def _render_columns(records: CodedRecords) -> tuple[np.ndarray, ...]:
@@ -782,10 +776,6 @@ def exact_effects(spec: ScmSpec, mediator_name: str | None = None) -> OracleResu
     return result
 
 
-def exact_effects_all(spec: ScmSpec) -> dict[str, OracleResult]:
-    return {name: exact_effects(spec, name) for name in spec.mediator_names}
-
-
 # ---------------------------------------------------------------------------
 # Counterfactual Monte Carlo (second oracle, simulating from the same tables)
 # ---------------------------------------------------------------------------
@@ -951,7 +941,7 @@ def violation_study(
         raise ConfigError("violation studies need an assumption-clean base spec")
     if knob not in VIOLATION_KNOBS:
         raise ConfigError(f"unknown knob {knob!r}; choose from {VIOLATION_KNOBS}")
-    oracles = exact_effects_all(spec_base)
+    oracles = {name: exact_effects(spec_base, name) for name in spec_base.mediator_names}
 
     rows: list[ViolationRow] = []
     for magnitude in magnitude_grid:

@@ -589,6 +589,27 @@ def test_measure_rejects_a_repeated_unit_id_with_exit_3(tmp_path, capsys, paired
     assert not (tmp_path / "r.ndjson").exists()
 
 
+@pytest.mark.parametrize("level", [1, None, {"k": [1]}])
+def test_a_confounder_level_that_is_not_a_string_exits_3(tmp_path, capsys, paired_transcript_path,
+                                                        paired_meta_path, level):
+    meta = tmp_path / "meta.ndjson"
+    meta.write_text("".join(json.dumps({**json.loads(line), "issue_area": level}) + "\n"
+                            for line in paired_meta_path.read_text("utf-8").splitlines()),
+                    encoding="utf-8")
+    units_path = tmp_path / "units.ndjson"
+    assert main(["ingest", "--transcripts", str(paired_transcript_path), "--meta", str(meta),
+                 "--out", str(units_path)]) == 0
+    assert main(["measure", "--units", str(units_path), "--transcripts",
+                 str(paired_transcript_path), "--confounders", "issue_area",
+                 "--out", str(tmp_path / "r.ndjson")]) == 3
+    message = f"context feature 'issue_area' must be a string, got {level!r}"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r.ndjson").exists()
+    config_path, _ = write_config(tmp_path, paired_transcript_path, meta)
+    assert main(["run", "--config", str(config_path)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_study_non_numeric_grid_exits_2(tmp_path, capsys):
     out = tmp_path / "study.csv"
     assert main(["study", "--fixture", "binary_scm", "--knob", "mediator_coupling",
@@ -791,9 +812,9 @@ def test_x_marginal_estimates_equal_bootstrap_effects_with_marginal_weighting(tm
     want = []
     for name in ("hedging", "disfluency"):
         g, f = fit_models(coded, name)
-        assert sample_effects(coded, g, f, "marginal") != sample_effects(coded, g, f)
+        assert sample_effects(coded, g, f, True) != sample_effects(coded, g, f)
         seed = derive_seed(derive_seed(7, "estimate"), f"bootstrap:{name}")
-        want.append(bootstrap_effects(coded, g, f, 100, seed, x_weighting="marginal").to_json())
+        want.append(bootstrap_effects(coded, g, f, 100, seed, x_marginal=True).to_json())
     for effects in (run_dir / "effects.ndjson", tmp_path / "est" / "effects.ndjson"):
         assert sorted(effects.read_text("utf-8").splitlines()) == sorted(want)
 

@@ -23,6 +23,7 @@ from medlang.corpus import (
     write_transcript,
 )
 from medlang.errors import DataError, MedlangError, ParseError
+from medlang.measure import CausalRecord, record_to_json, records_from_json
 
 
 def line(case_id, index, speaker, role, text):
@@ -268,6 +269,32 @@ def test_metadata_reader_rejects_a_lone_surrogate():
     text = '{"case_id": "a", "issue_area": "x"}\n{"case_id": "c", "issue_area": "\\udc00"}'
     with pytest.raises(ParseError, match=r"lone surrogate \\udc00") as info:
         parse_case_metadata(text)
+    assert info.value.line_number == 2
+
+
+@pytest.mark.parametrize("kind", ["str", "StringIO", "list"])
+@pytest.mark.parametrize("reader", ["transcript", "metadata", "units", "records"])
+def test_every_reader_rejects_a_raw_lone_surrogate_in_text(reader, kind):
+    # Its escape is a lone surrogate error (above); the raw character in a str
+    # is text that is not UTF-8, as its bytes in a file would be.
+    def unit(unit_id, text):
+        return unit_to_json(AnalysisUnit(unit_id, Utterance("c", 1, "A S", "advocate", text), None))
+
+    def record(unit_id, level):
+        return record_to_json(CausalRecord(unit_id, 0, {"x0": level}, {"hedging": 1}, 1, 0))
+
+    read, first, second = {
+        "transcript": (parse_transcript, line("a", 0, "s", "advocate", "Go."),
+                       line("b", 0, "s", "advocate", "RAW")),
+        "metadata": (parse_case_metadata, '{"case_id": "a", "issue_area": "x"}',
+                     '{"case_id": "b", "issue_area": "RAW"}'),
+        "units": (units_from_json, unit("c:0", "Go."), unit("c:1", "RAW")),
+        "records": (records_from_json, record("u0", "a"), record("u1", "RAW")),
+    }[reader]
+    text = first + "\n" + second.replace("RAW", "so \ud800") + "\n"
+    source = {"str": text, "StringIO": io.StringIO(text), "list": text.splitlines(True)}[kind]
+    with pytest.raises(ParseError, match="not UTF-8 text") as info:
+        read(source)
     assert info.value.line_number == 2
 
 

@@ -365,38 +365,38 @@ def test_smoothed_cells_log_one_info_event_per_point_fit_fold(caplog):
     assert len([r for r in caplog.records if r.name == "medlang"]) == 4
 
 
-def test_batch_fit_members_match_solo_fits_and_fail_alone():
+def test_batch_fit_members_match_solo_fits_and_fail_alone(monkeypatch):
     design = np.array([[1.0, 0.0], [1.0, 1.0]])
     good_a = np.array([[30.0, 10.0], [12.0, 25.0]])
     good_b = np.array([[5.0, 40.0], [22.0, 19.0]])
     # with no ridge, a member without counts has a zero Hessian
+    monkeypatch.setattr(glm, "RIDGE", 0.0)
     counts = np.stack([good_a, np.zeros((2, 2)), good_b])
-    probs, coef, iterations, loglik, status, _ = fit_categorical_glm_batch(
-        design, counts, ridge=0.0
-    )
+    probs, coef, iterations, loglik, status, _ = fit_categorical_glm_batch(design, counts)
     assert list(status) == [CONVERGED, FAILED_STEP, CONVERGED]
     assert iterations[1] == 1
     for member, solo_counts in ((0, good_a), (2, good_b)):
-        solo = fit_categorical_glm(design, solo_counts, ridge=0.0)
+        solo = fit_categorical_glm(design, solo_counts)
         assert np.array_equal(probs[member], solo[0])
         assert np.array_equal(coef[member], solo[1])
         assert iterations[member] == solo[2]
         assert loglik[member] == solo[3]
     with pytest.raises(NumericalError, match="step failed"):
-        fit_categorical_glm(design, np.zeros((2, 2)), ridge=0.0)
+        fit_categorical_glm(design, np.zeros((2, 2)))
 
 
-def test_batch_fit_marks_only_the_unconverged_member():
+def test_batch_fit_marks_only_the_unconverged_member(monkeypatch):
     design = np.array([[1.0, 0.0], [1.0, 1.0]])
     balanced = np.array([[20.0, 20.0], [15.0, 15.0]])  # the MLE is the start point
     skewed = np.array([[30.0, 2.0], [3.0, 40.0]])
+    monkeypatch.setattr(glm, "MAX_ITERATIONS", 2)
     _, _, iterations, _, status, _ = fit_categorical_glm_batch(
-        design, np.stack([balanced, skewed]), max_iterations=2
+        design, np.stack([balanced, skewed])
     )
     assert list(status) == [CONVERGED, NOT_CONVERGED]
     assert list(iterations) == [1, 2]
     with pytest.raises(NumericalError, match="did not converge"):
-        fit_categorical_glm(design, skewed, max_iterations=2)
+        fit_categorical_glm(design, skewed)
 
 
 def test_batch_fit_slices_do_not_change_results(monkeypatch):
@@ -432,7 +432,8 @@ def test_loglik_is_finite_where_a_zero_count_meets_a_zero_probability(monkeypatc
     probs = np.array([[[1.0, 0.0], [0.25, 0.75]], [[0.0, 1.0], [0.5, 0.5]]])
     # with no iterations the coefficients stay 0 and the loglik reads these probabilities
     monkeypatch.setattr(glm, "_glm_probs", lambda design, coef: probs)
-    loglik = fit_categorical_glm_batch(design, counts, max_iterations=0).loglik
+    monkeypatch.setattr(glm, "MAX_ITERATIONS", 0)
+    loglik = fit_categorical_glm_batch(design, counts).loglik
     assert np.isfinite(loglik).all()
     assert np.array_equal(loglik, xlogy(counts, probs).sum(axis=(1, 2)))
 

@@ -3,6 +3,7 @@ import io
 import json
 import re
 import string
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import near_lines
-from medlang import cli, measure, scm
+from medlang import cli, corpus, measure, scm
 from medlang.corpus import AnalysisUnit, Utterance, extract_units, parse_transcript
 from medlang.errors import ConfigError, DataError, MedlangError, ParseError
 from medlang.measure import (
+    HONORIFICS,
     CausalRecord,
     CodedRecords,
     Domains,
@@ -307,13 +309,12 @@ def test_treatment_does_not_match_mrs():
     assert label_treatment(utts, "Mark Levy") is None
 
 
-def _label_treatment_reference(case_utterances, advocate_id, honorific_map=None):
+def _label_treatment_reference(case_utterances, advocate_id):
     """The per-surname regex search label_treatment replaced."""
-    honorific_map = honorific_map or {"Ms.": 1, "Mr.": 0}
     surname = advocate_id.split()[-1]
     patterns = {
         hon: re.compile(r"(?<!\w)" + re.escape(hon) + r"\s+" + re.escape(surname) + r"(?!\w)")
-        for hon in honorific_map
+        for hon in HONORIFICS
     }
     for utt in sorted(case_utterances, key=lambda u: u.index):
         if utt.speaker_role != "chief_justice":
@@ -324,14 +325,11 @@ def _label_treatment_reference(case_utterances, advocate_id, honorific_map=None)
             if match and (best is None or match.start() < best[0]):
                 best = (match.start(), hon)
         if best is not None:
-            return honorific_map[best[1]]
+            return HONORIFICS[best[1]]
     return None
 
 
 SURNAMES = ("Smith", "Sm", "O'Connell")
-HONORIFIC_MAPS = st.sampled_from(
-    [{"Ms.": 1, "Mr.": 0}, {"Mr.": 0, "Ms.": 1}, {"Mrs.": 1, "Mr.": 0}]
-)
 
 
 @st.composite
@@ -351,23 +349,22 @@ def chief_turns(draw, surname):
 
 
 @settings(max_examples=400, deadline=None)
-@given(data=st.data(), surname=st.sampled_from(SURNAMES), honorific_map=HONORIFIC_MAPS,
-       reverse=st.booleans())
-def test_treatment_matches_the_per_surname_regex_reference(data, surname, honorific_map, reverse):
+@given(data=st.data(), surname=st.sampled_from(SURNAMES), reverse=st.booleans())
+def test_treatment_matches_the_per_surname_regex_reference(data, surname, reverse):
     turns = data.draw(chief_turns(surname))
     utts = [Utterance("c", i, "Chief" if role == "chief_justice" else f"S{i}", role, text)
             for i, (role, text) in enumerate(turns)]
     if reverse:
         utts.reverse()
     advocate = "Alex " + surname
-    expected = _label_treatment_reference(utts, advocate, honorific_map)
-    assert label_treatment(utts, advocate, honorific_map) == expected
+    expected = _label_treatment_reference(utts, advocate)
+    assert label_treatment(utts, advocate) == expected
 
 
 def test_treatment_match_semantics():
-    def label(*texts, honorific_map=None):
+    def label(*texts):
         utts = [Utterance("c", i, "Chief", "chief_justice", text) for i, text in enumerate(texts)]
-        return label_treatment(utts, "Mark Smith", honorific_map)
+        return label_treatment(utts, "Mark Smith")
 
     assert label("Mr. Smith's turn.") == 0
     assert label("Mr. Smith-Jones, proceed.") == 0
@@ -377,12 +374,6 @@ def test_treatment_match_semantics():
     assert label("We begin.", "Ms. Smith, then Mr. Smith.") == 1  # first qualifying turn
     assert label("Mr. Smith, then Ms. Smith.", "Ms. Smith") == 0  # earliest position
     assert label("Mr. Ms. Smith") == 1  # overlapping candidates are all seen
-    assert label("Mr.  Smith", honorific_map={"Mr.": 0, "Mr. ": 1}) == 0  # a tie: map order
-    assert label("Mr.  Smith", honorific_map={"Mr. ": 1, "Mr.": 0}) == 1
-    assert label("Mrs. Smith", honorific_map={"Mrs.": 1, "Mr.": 0}) == 1
-    # an honorific that is a prefix of another starts at the same position
-    assert label("Mr. Smith", honorific_map={"Mr": 1, "Mr.": 0}) == 0
-    assert label("Mr Smith", honorific_map={"Mr": 1, "Mr.": 0}) == 1
 
 
 def test_treatment_compiles_no_pattern_per_surname(monkeypatch):
@@ -452,11 +443,6 @@ def test_load_lexicon_comments_and_normalization():
 def test_load_lexicon_empty_errors():
     with pytest.raises(ConfigError):
         load_lexicon("# only a comment\n")
-
-
-def test_honorific_map_must_be_bijection():
-    with pytest.raises(ConfigError):
-        MeasurementSpec(hedging_lexicon=("i think",), honorific_map={"Ms.": 1, "Mr.": 1})
 
 
 # -- build_records ---------------------------------------------------------------
@@ -578,6 +564,18 @@ def test_build_records_exclusion_reasons():
     }
     assert len(result.records) == 3
     assert len(result.records) + len(result.exclusions) == len(units)
+
+
+@pytest.mark.parametrize("confounders", [("issue_area",), None])
+@pytest.mark.parametrize("level", [1, None, True, 1.5, {"k": [1]}, ["a"]])
+def test_build_records_rejects_a_confounder_level_that_is_not_a_string(level, confounders):
+    units, cases = _synthetic_corpus(3)
+    units = [replace(u, context_features={**u.context_features, "issue_area": level if i else "a"})
+             for i, u in enumerate(units)]
+    message = f"unit {units[1].unit_id}: context feature 'issue_area' must be a string, got {level!r}"
+    with pytest.raises(DataError, match=re.escape(message)):
+        build_records(units, MeasurementSpec.default(), 2, case_utterances=cases,
+                      confounders=confounders)
 
 
 def test_build_records_with_topic_mediator():
@@ -798,19 +796,18 @@ def _outcome(read, source):
 @contextlib.contextmanager
 def split_blocks_of(size: int):
     """Have the column reader decode and split about ``size`` bytes (whole lines) at a time."""
-    saved, measure._BLOCK = measure._BLOCK, size
+    saved, corpus._BLOCK = corpus._BLOCK, size
     try:
         yield
     finally:
-        measure._BLOCK = saved
+        corpus._BLOCK = saved
 
 
 def assert_reads_like_the_reference(data: bytes):
-    # The reference reads bytes whole but a stream line by line, so an error
-    # can differ between the two; each kind is compared with its own.
+    # Each source kind is compared with the reference reading that same kind.
     for source in _sources(data):
         reference = _outcome(measure._records_from_lines, source())
-        for size in (measure._BLOCK, 1, 150):  # one block, a line each, one or two lines each
+        for size in (corpus._BLOCK, 1, 150):  # one block, a line each, one or two lines each
             with split_blocks_of(size):
                 assert _outcome(records_from_json, source()) == reference
 
@@ -949,7 +946,7 @@ def test_writer_form_never_reaches_the_per_line_reader(monkeypatch, tmp_path):
 
     monkeypatch.setattr(measure, "_records_from_lines", per_line_reader)
     for data, want in zip(files, expected):
-        for size in (measure._BLOCK, 1, 150):
+        for size in (corpus._BLOCK, 1, 150):
             with split_blocks_of(size):
                 for source in list(_sources(data))[:3]:
                     assert _outcome(records_from_json, source()) == want

@@ -18,7 +18,6 @@ from medlang.glm import (
 )
 from medlang.measure import CausalRecord
 from medlang.mediation import (
-    X_WEIGHTINGS,
     EffectEstimate,
     EstimatorConfig,
     _bootstrap_draws,
@@ -216,8 +215,8 @@ def test_marginal_weighting_equals_unit_weighting_with_single_level_x():
     )
     g = fit_mediator_model(records)
     f = fit_outcome_model(records)
-    assert sample_effects(records, g, f, x_weighting="unit")[0] == sample_effects(
-        records, g, f, x_weighting="marginal"
+    assert sample_effects(records, g, f, x_marginal=False)[0] == sample_effects(
+        records, g, f, x_marginal=True
     )[0]
 
 
@@ -227,8 +226,8 @@ def test_marginal_weighting_runs_and_stays_close_on_fixture():
     coded = result.records
     g = fit_mediator_model(coded)
     f = fit_outcome_model(coded)
-    unit = sample_effects(coded, g, f, x_weighting="unit")[0]
-    marginal = sample_effects(coded, g, f, x_weighting="marginal")[0]
+    unit = sample_effects(coded, g, f, x_marginal=False)[0]
+    marginal = sample_effects(coded, g, f, x_marginal=True)[0]
     assert abs(unit - marginal) <= 0.02
 
 
@@ -244,7 +243,7 @@ def test_marginal_weighting_hand_arithmetic():
     assert sample_effects(records, g, f)[0] == pytest.approx((0.1 + 0.1 + 0.4) / 3, abs=1e-12)
     # marginal: each fold's units spread over the pooled X shares (2/3, 1/3)
     marginal = (2 * (2 / 3 * 0.1 + 1 / 3 * 0.5) + (2 / 3 * 0.3 + 1 / 3 * 0.4)) / 3
-    assert sample_effects(records, g, f, x_weighting="marginal")[0] == pytest.approx(
+    assert sample_effects(records, g, f, x_marginal=True)[0] == pytest.approx(
         marginal, abs=1e-12
     )
 
@@ -399,7 +398,7 @@ def test_effect_estimate_range_enforced():
 # -- batched, count-based bootstrap ---------------------------------------------------
 
 
-def _sequential_draws(coded, name, n_bootstrap, seed, x_weighting):
+def _sequential_draws(coded, name, n_bootstrap, seed, x_marginal):
     """Reference: each replicate's drawn counts expanded into rows and refitted cold."""
     widths = [len(levels) for _, levels in coded.domains.confounders]
     n_levels = coded.domains.mediator_sizes[name]
@@ -427,7 +426,7 @@ def _sequential_draws(coded, name, n_bootstrap, seed, x_weighting):
             f = fit_outcome_model(resample, name)
         except NumericalError:
             continue
-        draws[r] = sample_effects(resample, g, f, x_weighting)[:2]
+        draws[r] = sample_effects(resample, g, f, x_marginal)[:2]
     return draws
 
 
@@ -465,21 +464,21 @@ def _binary_scm_records(n=1500, seed=41):
 
 
 @pytest.mark.parametrize(
-    "make_coded, x_weighting",
+    "make_coded, x_marginal",
     [
-        (_binary_scm_records, "unit"),
-        (_binary_scm_records, "marginal"),
-        (_six_level_records, "unit"),
-        (_six_level_records, "marginal"),
-        (_sparse_level_records, "unit"),
+        (_binary_scm_records, False),
+        (_binary_scm_records, True),
+        (_six_level_records, False),
+        (_six_level_records, True),
+        (_sparse_level_records, False),
     ],
     ids=["binary_scm", "binary_scm-marginal", "six_levels", "six_levels-marginal",
          "collapsing"],
 )
-def test_batched_bootstrap_matches_sequential_refits(make_coded, x_weighting):
+def test_batched_bootstrap_matches_sequential_refits(make_coded, x_marginal):
     coded = make_coded()
-    batched = _bootstrap_draws(coded, *fit_models(coded, "hedging"), 100, 17, x_weighting)
-    reference = _sequential_draws(coded, "hedging", 100, 17, x_weighting)
+    batched = _bootstrap_draws(coded, *fit_models(coded, "hedging"), 100, 17, x_marginal)
+    reference = _sequential_draws(coded, "hedging", 100, 17, x_marginal)
     assert np.array_equal(np.isnan(batched), np.isnan(reference))
     kept = ~np.isnan(reference[:, 0])
     assert kept.any()
@@ -514,11 +513,11 @@ def test_replicate_counts_resample_each_fold_within_its_cells(make_coded):
 def test_bootstrap_intervals_invariant_to_record_order():
     coded = _binary_scm_records()
     shuffled = _take(coded, np.random.default_rng(3).permutation(len(coded)))
-    for x_weighting in X_WEIGHTINGS:
+    for x_marginal in (False, True):
         base = bootstrap_effects(coded, *fit_models(coded, "hedging"), 100, seed=7,
-                                 x_weighting=x_weighting)
+                                 x_marginal=x_marginal)
         other = bootstrap_effects(shuffled, *fit_models(shuffled, "hedging"), 100, seed=7,
-                                  x_weighting=x_weighting)
+                                  x_marginal=x_marginal)
         assert base == other  # bit-exact, intervals included
 
 
@@ -534,38 +533,38 @@ def test_warm_started_refits_match_cold_ones_in_fewer_iterations(monkeypatch):
         return fit
 
     monkeypatch.setattr(glm, "fit_categorical_glm_batch", counting_batch)
-    warm = _bootstrap_draws(coded, g, f, 100, 17, "unit")
+    warm = _bootstrap_draws(coded, g, f, 100, 17, False)
     warm_iterations = sum(iterations)
     iterations.clear()
     monkeypatch.setattr(mediation, "_restart", lambda model, n_folds: None)
-    cold = _bootstrap_draws(coded, g, f, 100, 17, "unit")
+    cold = _bootstrap_draws(coded, g, f, 100, 17, False)
     assert np.array_equal(np.isnan(warm), np.isnan(cold))
     assert np.nanmax(np.abs(warm - cold)) <= 1e-12
     assert warm_iterations < sum(iterations)
 
 
-def test_collapsed_replicates_are_dropped_and_counted():
+def test_collapsed_replicates_are_dropped_and_counted(monkeypatch):
     coded = _sparse_level_records()
-    draws = _bootstrap_draws(coded, *fit_models(coded, "hedging"), 100, 1, "unit")
+    draws = _bootstrap_draws(coded, *fit_models(coded, "hedging"), 100, 1, False)
     n_nan = int(np.isnan(draws[:, 0]).sum())
     assert 0 < n_nan < 100
-    est = bootstrap_effects(coded, *fit_models(coded, "hedging"), 100, seed=1,
-                            max_dropped_fraction=1.0)
+    monkeypatch.setattr(mediation, "MAX_DROPPED_FRACTION", 1.0)
+    est = bootstrap_effects(coded, *fit_models(coded, "hedging"), 100, seed=1)
     assert est.n_dropped_replicates == n_nan
 
 
 def test_replicate_draws_depend_only_on_their_own_seed():
     coded = _binary_scm_records()
     g, f = fit_models(coded, "hedging")
-    long_run = _bootstrap_draws(coded, g, f, 200, 23, "unit")
-    short_run = _bootstrap_draws(coded, g, f, 100, 23, "unit")
+    long_run = _bootstrap_draws(coded, g, f, 200, 23, False)
+    short_run = _bootstrap_draws(coded, g, f, 100, 23, False)
     assert np.array_equal(long_run[:100], short_run)
 
 
 def test_one_failed_member_drops_exactly_its_replicate(monkeypatch):
     coded = _binary_scm_records()
     g, f = fit_models(coded, "hedging")
-    clean = _bootstrap_draws(coded, g, f, 100, 29, "unit")
+    clean = _bootstrap_draws(coded, g, f, 100, 29, False)
     assert not np.isnan(clean).any()
     real_batch = glm.fit_categorical_glm_batch
 
@@ -576,7 +575,7 @@ def test_one_failed_member_drops_exactly_its_replicate(monkeypatch):
         return fit
 
     monkeypatch.setattr(glm, "fit_categorical_glm_batch", fail_member_three)
-    draws = _bootstrap_draws(coded, g, f, 100, 29, "unit")
+    draws = _bootstrap_draws(coded, g, f, 100, 29, False)
     assert np.isnan(draws[1]).all()
     others = np.arange(100) != 1
     assert np.array_equal(draws[others], clean[others])
@@ -586,7 +585,7 @@ def test_one_failed_member_drops_exactly_its_replicate(monkeypatch):
 def test_invalid_table_drops_exactly_its_replicate(monkeypatch):
     coded = _binary_scm_records()
     g, f = fit_models(coded, "hedging")
-    clean = _bootstrap_draws(coded, g, f, 100, 29, "unit")
+    clean = _bootstrap_draws(coded, g, f, 100, 29, False)
     real_rule = glm.valid_outcome_tables
 
     def reject_replicate_one(table):
@@ -595,7 +594,7 @@ def test_invalid_table_drops_exactly_its_replicate(monkeypatch):
         return valid
 
     monkeypatch.setattr(glm, "valid_outcome_tables", reject_replicate_one)
-    draws = _bootstrap_draws(coded, g, f, 100, 29, "unit")
+    draws = _bootstrap_draws(coded, g, f, 100, 29, False)
     assert np.isnan(draws[1]).all()
     others = np.arange(100) != 1
     assert np.array_equal(draws[others], clean[others])

@@ -21,7 +21,6 @@ from medlang.scm import (
     ScmSpec,
     TreatmentLaw,
     exact_effects,
-    exact_effects_all,
     generate,
     load_fixture,
     load_scm_spec,
@@ -267,7 +266,7 @@ def test_oracle_null_spec_all_zero():
 
 def test_oracle_identity_and_all_mediators():
     spec = load_fixture("two_mediator_scm")
-    results = exact_effects_all(spec)
+    results = {name: exact_effects(spec, name) for name in spec.mediator_names}
     assert set(results) == {"hedging", "disfluency"}
     for res in results.values():
         assert abs(res.te_true - res.nde_true - res.nie_reversed_true) <= 1e-12

@@ -222,9 +222,9 @@ def rendered_reference(records) -> tuple[tuple, dict]:
     utterances, case_metadata = [], {}
     rows = zip(records.t.tolist(), hedging, disfluency, records.y.tolist(), codes)
     for i, (t, h, d, y, code) in enumerate(rows):
-        case_id, turns = scm._render_unit(i, t, h, d, y)
+        turns = scm._render_turns(f"{i:07d}", t, h, d, y)
         utterances.extend(turns)
-        case_metadata[case_id] = dict(records.domains.x_assignment(code))
+        case_metadata[turns[0].case_id] = dict(records.domains.x_assignment(code))
     return tuple(utterances), case_metadata
 
 
@@ -321,7 +321,7 @@ def test_case_order_is_the_sorted_order_of_the_case_numbers(digits):
 
 
 def test_meta_lines_follow_the_sorted_case_ids():
-    ids = [scm._render_unit(i, 0, 0, 0, 0)[0] for i in range(1200)]
+    ids = [scm._render_turns(f"{i:07d}", 0, 0, 0, 0)[0].case_id for i in range(1200)]
     assert [ids[i] for i in scm._case_order(len(ids))] == sorted(ids)
     assert scm._case_order(10**7) == range(10**7)  # every 7-digit case number: index order
 
