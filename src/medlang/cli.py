@@ -15,11 +15,9 @@ import json
 import logging
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
-
-import numpy as np
 
 from . import glm, mediation, scm
 # record_to_json and unit_to_json stay importable from here: bench/tracer.py
@@ -28,7 +26,7 @@ from .corpus import (  # noqa: F401
     Transcript,
     _iter_objects,
     extract_units,
-    lone_surrogate,
+    load_json,
     parse_case_metadata,
     parse_transcript,
     unit_to_json,
@@ -121,10 +119,7 @@ class RunConfig:
                 raise ConfigError(f"{key} must not repeat a name; repeated: {repeated}")
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["mediators"] = list(self.mediators)
-        data["confounders"] = list(self.confounders) if self.confounders else None
-        return data
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
@@ -181,13 +176,12 @@ def _fit_topic_model_for_units(units, config: RunConfig):
     first. The training texts go to the sampler in unit_id order, so the
     model does not depend on the order of the input cases.
     """
-    fold_map = assign_folds(
+    folds = assign_folds(
         [u.unit_id for u in units], config.folds, derive_seed(config.seed, "topic-split")
     )
-    train_texts = [u.p1_utterance.text for u in sorted(units, key=lambda u: u.unit_id)
-                   if fold_map[u.unit_id] != 0]
+    train = sorted((u.unit_id, u.p1_utterance.text) for u, fold in zip(units, folds) if fold)
     return fit_topic_model(
-        train_texts,
+        [text for _, text in train],
         config.topics,
         derive_seed(config.seed, "topic-model"),
         alpha=config.topic_alpha,
@@ -237,12 +231,9 @@ def write_effects_csv(estimates: Sequence[EffectEstimate], stream) -> None:
     for est in estimates:
         writer.writerow(
             [
-                est.mediator_name,
-                repr(est.nde), repr(est.nde_ci[0]), repr(est.nde_ci[1]),
-                repr(est.nie), repr(est.nie_ci[0]), repr(est.nie_ci[1]),
-                repr(est.nie_reversed), repr(est.total_effect), repr(est.ci_level),
-                est.n_units, est.n_bootstrap, est.n_dropped_replicates,
-                est.n_clamped_intervals,
+                est.mediator_name, est.nde, *est.nde_ci, est.nie, *est.nie_ci,
+                est.nie_reversed, est.total_effect, est.ci_level,
+                est.n_units, est.n_bootstrap, est.n_dropped_replicates, est.n_clamped_intervals,
             ]
         )
 
@@ -251,10 +242,8 @@ def write_plot_data_csv(estimates: Sequence[EffectEstimate], stream) -> None:
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["mediator", "effect", "value", "lower", "upper"])
     for est in estimates:
-        writer.writerow(["%s" % est.mediator_name, "nde", repr(est.nde),
-                         repr(est.nde_ci[0]), repr(est.nde_ci[1])])
-        writer.writerow(["%s" % est.mediator_name, "nie", repr(est.nie),
-                         repr(est.nie_ci[0]), repr(est.nie_ci[1])])
+        writer.writerow([est.mediator_name, "nde", est.nde, *est.nde_ci])
+        writer.writerow([est.mediator_name, "nie", est.nie, *est.nie_ci])
 
 
 def report(estimates: Sequence[EffectEstimate]) -> str:
@@ -441,8 +430,7 @@ def cmd_measure(args) -> int:
 def cmd_fit(args) -> int:
     coded = _load_records_file(args.records)
     if args.folds is not None:
-        fold_of = assign_folds(coded.unit_ids, args.folds, args.seed)
-        coded = replace(coded, fold=np.array([fold_of[u] for u in coded.unit_ids], dtype=np.int64))
+        coded = replace(coded, fold=assign_folds(coded.unit_ids, args.folds, args.seed))
     mediators = _split_csv_arg(args.mediators) or tuple(coded.domains.mediator_sizes)
     models = [mediation.fit_models(coded, m) for m in mediators]
     out = Path(args.out)
@@ -510,17 +498,8 @@ def cmd_study(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["knob", "magnitude", "mediator", "nde_estimate", "nie_estimate",
-             "nde_true", "nie_true", "nde_bias", "nie_bias"]
-        )
-        for row in rows:
-            writer.writerow(
-                [row.knob, repr(row.magnitude), row.mediator,
-                 repr(row.nde_estimate), repr(row.nie_estimate),
-                 repr(row.nde_true), repr(row.nie_true),
-                 repr(row.nde_bias), repr(row.nie_bias)]
-            )
+        writer.writerow([f.name for f in fields(scm.ViolationRow)])
+        writer.writerows(map(astuple, rows))
     print(f"wrote violation study ({len(rows)} rows) to {args.out}")
     return 0
 
@@ -528,17 +507,7 @@ def cmd_study(args) -> int:
 def _load_json_object(path: str, what: str) -> dict:
     """Read a whole-file JSON object; anything else is a ConfigError naming the file."""
     with _open(path, "r") as fh:
-        try:
-            obj = json.load(fh)
-            surrogate = lone_surrogate(obj)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"malformed {what} file {path}: {exc.msg}") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"malformed {what} file {path}: not UTF-8 text") from exc
-        except RecursionError as exc:
-            raise ConfigError(f"malformed {what} file {path}: nested too deeply") from exc
-    if surrogate:
-        raise ConfigError(f"malformed {what} file {path}: lone surrogate {surrogate}")
+        obj = load_json(fh, lambda reason: ConfigError(f"malformed {what} file {path}: {reason}"))
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} file {path} is not a JSON object")
     return obj

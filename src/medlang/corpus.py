@@ -177,17 +177,30 @@ def _split_columns(data: bytes, pattern: re.Pattern, integers) -> list[list] | N
     return columns
 
 
-def lone_surrogate(obj) -> str | None:
-    """The escape of the first lone surrogate in the strings of a decoded JSON value, or None.
+def load_json(text: str | IO[str], error) -> object:
+    """The JSON value of ``text``, a str or a text stream; a fault raises ``error(reason)``.
 
-    Only a \\u escape can put one into a decoded string; such a string
-    could never be written back as UTF-8.
+    The reasons: "not UTF-8 text", json.loads's message, "nested too deeply"
+    and "lone surrogate \\ud800" (say): a string holding one could never be
+    written back as UTF-8.
     """
     try:
-        json.dumps(obj, ensure_ascii=False).encode("utf-8")
+        if not isinstance(text, str):
+            text = text.read()
+        obj = json.loads(text)
+        if not text.isascii():  # a raw one, which only a str not decoded from UTF-8 can hold
+            text.encode("utf-8")
+        if "\\u" in text:  # an escaped one
+            json.dumps(obj, ensure_ascii=False).encode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error("not UTF-8 text") from exc
     except UnicodeEncodeError as exc:
-        return f"\\u{ord(exc.object[exc.start]):04x}"
-    return None
+        raise error(f"lone surrogate \\u{ord(exc.object[exc.start]):04x}") from None
+    except json.JSONDecodeError as exc:
+        raise error(exc.msg) from exc
+    except RecursionError as exc:
+        raise error("nested too deeply") from exc
+    return obj
 
 
 def _iter_objects(source, what: str) -> Iterator[tuple[int, dict]]:
@@ -198,15 +211,7 @@ def _iter_objects(source, what: str) -> Iterator[tuple[int, dict]]:
     hold a lone surrogate escape such as "\\ud800", raises ParseError.
     """
     for lineno, line in _iter_lines(source):
-        try:
-            obj = json.loads(line)
-            surrogate = lone_surrogate(obj) if "\\u" in line else None
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed {what}: {exc.msg}", lineno) from exc
-        except RecursionError as exc:
-            raise ParseError(f"malformed {what}: nested too deeply", lineno) from exc
-        if surrogate:
-            raise ParseError(f"malformed {what}: lone surrogate {surrogate}", lineno)
+        obj = load_json(line, lambda reason: ParseError(f"malformed {what}: {reason}", lineno))
         if not isinstance(obj, dict):
             raise ParseError(f"{what} is not an object", lineno)
         yield lineno, obj

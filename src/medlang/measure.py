@@ -91,26 +91,23 @@ def _phrase_pattern(lexicon: tuple[str, ...]) -> re.Pattern:
     return re.compile("|".join(re.escape(f" {phrase} ") for phrase in phrases) or "(?!)")
 
 
-def measure_hedging(text: str | list[str], lexicon: Sequence[str]) -> int:
+def measure_hedging(tokens: list[str], lexicon: Sequence[str]) -> int:
     """1 iff any lexicon phrase occurs on token boundaries, case-insensitively.
 
-    ``text`` may be given as its tokenize() list. Tokens hold no whitespace, so
-    a phrase in the tokens joined by single spaces is a run of whole tokens.
+    ``tokens`` is a text's tokenize() list. Tokens hold no whitespace, so a
+    phrase in the tokens joined by single spaces is a run of whole tokens.
     """
     if not lexicon:
         raise ConfigError("hedging lexicon is empty")
-    tokens = tokenize(text) if isinstance(text, str) else text
     return 1 if _phrase_pattern(tuple(lexicon)).search(f" {' '.join(tokens)} ") else 0
 
 
-def measure_disfluency(text: str | list[str]) -> int:
-    """1 iff the token stream contains w, "-", "-", w for some unigram w.
+def measure_disfluency(tokens: list[str]) -> int:
+    """1 iff a text's tokenize() list contains w, "-", "-", w for some unigram w.
 
     The repeated word must be identical on both sides of the double dash;
-    restarts with a different word do not count. ``text`` may be given as
-    its tokenize() list.
+    restarts with a different word do not count.
     """
-    tokens = tokenize(text) if isinstance(text, str) else text
     start = 1
     while True:
         try:
@@ -606,6 +603,6 @@ def build_records(
 
     # The reader's rule, so a records file reads back with the domains of its run.
     domains = infer_domains(x, m)
-    folds = assign_folds(unit_ids, n_folds, seed) if unit_ids else {}
-    records = _code(unit_ids, t_column, x, m, y_column, [folds[u] for u in unit_ids], domains)
+    folds = assign_folds(unit_ids, n_folds, seed).tolist() if unit_ids else []
+    records = _code(unit_ids, t_column, x, m, y_column, folds, domains)
     return BuildResult(records=records, exclusions=tuple(exclusions))

@@ -37,7 +37,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Utterance, case_metadata_template, lone_surrogate, utterance_to_json
+from .corpus import Utterance, case_metadata_template, load_json, utterance_to_json
 from .errors import ConfigError, DataError
 from .measure import CodedRecords, Domains
 from .seeding import assign_folds, check_seed, derive_seed
@@ -319,18 +319,8 @@ class _SpecNode:
 
 
 def load_scm_spec(source: IO[str] | str) -> ScmSpec:
-    try:
-        obj = json.loads(source if isinstance(source, str) else source.read())
-        surrogate = lone_surrogate(obj)
-    except UnicodeDecodeError as exc:
-        raise DataError("malformed structural model file: not UTF-8 text") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"malformed structural model file: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise DataError("malformed structural model file: nested too deeply") from exc
-    if surrogate:
-        raise DataError(f"malformed structural model file: lone surrogate {surrogate}")
-    return ScmSpec.from_dict(obj)
+    return ScmSpec.from_dict(
+        load_json(source, lambda reason: DataError(f"malformed structural model file: {reason}")))
 
 
 FIXTURE_NAMES = ("binary_scm", "two_mediator_scm")
@@ -677,7 +667,6 @@ def generate(
         unit_ids = [f"u{i:07d}" for i in range(n)]
     if fold_seed is None:
         fold_seed = derive_seed(spec.seed if seed is None else seed, "folds")
-    folds = assign_folds(unit_ids, n_folds, fold_seed) if n else {}
 
     records = CodedRecords(
         unit_ids=tuple(unit_ids),
@@ -685,7 +674,7 @@ def generate(
         x=x,
         m=m,
         y=y,
-        fold=np.asarray([folds[uid] for uid in unit_ids], dtype=np.int64),
+        fold=assign_folds(unit_ids, n_folds, fold_seed) if n else np.zeros(0, dtype=np.int64),
         domains=spec.domains(),
     )
     return GenerateResult(records=records, rendered=render)

@@ -28,21 +28,25 @@ def check_seed(seed: int) -> int:
     return seed
 
 
-def assign_folds(unit_ids: Sequence[str], n_folds: int, seed: int) -> dict[str, int]:
-    """Seeded balanced fold assignment keyed by unit id.
+def assign_folds(unit_ids: Sequence[str], n_folds: int, seed: int) -> np.ndarray:
+    """Seeded balanced folds of ``unit_ids``: each id's fold as int64, in the order given.
 
-    Fold sizes differ by at most one. The assignment depends only on the
+    Fold sizes differ by at most one. An id's fold depends only on the
     sorted id set, n_folds, and the seed, never on input order.
     """
     if n_folds < 2:
         raise ConfigError(f"n_folds must be >= 2, got {n_folds}")
-    ids = sorted(set(unit_ids))
-    if len(ids) != len(unit_ids):
+    n = len(unit_ids)
+    if len(set(unit_ids)) != n:
         raise ConfigError("unit ids must be unique for fold assignment")
-    if n_folds > len(ids):
+    if n_folds > n:
         raise ConfigError(
-            f"too few units for {n_folds} folds: have {len(ids)}"
+            f"too few units for {n_folds} folds: have {n}"
         )
     rng = np.random.default_rng(check_seed(seed))
-    order = rng.permutation(len(ids))
-    return {ids[j]: int(pos % n_folds) for pos, j in enumerate(order)}
+    # ranked[j]: the position of the j-th smallest id by Python's sort (a numpy string
+    # sort drops trailing NULs). The pos-th id of a seeded shuffle takes fold pos % n_folds.
+    ranked = np.array(sorted(range(n), key=unit_ids.__getitem__), dtype=np.int64)
+    folds = np.empty(n, dtype=np.int64)
+    folds[ranked[rng.permutation(n)]] = np.arange(n) % n_folds
+    return folds

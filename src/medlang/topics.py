@@ -36,9 +36,9 @@ DEFAULT_STOP_WORDS = frozenset(
 _FOLD_IN_ITERATIONS = 50
 
 
-def preprocess(text: str | list[str]) -> list[str]:
-    """Tokens kept for topic modeling: alphabetic content words only; ``text`` may be tokens."""
-    return [tok for tok in (tokenize(text) if isinstance(text, str) else text)
+def preprocess(tokens: list[str]) -> list[str]:
+    """The tokens kept for topic modeling: alphabetic content words only."""
+    return [tok for tok in tokens
             if tok not in DEFAULT_STOP_WORDS and (tok.isalpha() or any(c.isalpha() for c in tok))]
 
 
@@ -46,14 +46,13 @@ def preprocess(text: str | list[str]) -> list[str]:
 class TopicModel:
     """Fitted topic model; immutable after fitting.
 
-    topic_word rows and doc_topic rows each sum to one. assignments is the
-    final Gibbs state over the flattened training tokens, kept so that
-    refits under the same seed can be compared exactly.
+    topic_word rows each sum to one. assignments is the final Gibbs state
+    over the flattened training tokens, kept so that refits under the same
+    seed can be compared exactly.
     """
 
     vocab: tuple[str, ...]
     topic_word: np.ndarray
-    doc_topic: np.ndarray
     assignments: np.ndarray
     n_topics: int
     alpha: float
@@ -70,11 +69,11 @@ class TopicModel:
         return self.n_topics
 
     def validate(self) -> None:
-        for name, table in (("topic-word", self.topic_word), ("document-topic", self.doc_topic)):
-            if not np.isfinite(table).all() or (table < 0).any():
-                raise DataError(f"{name} table has a negative or non-finite cell")
-            if table.size and not np.allclose(table.sum(axis=1), 1.0, atol=1e-9):
-                raise DataError(f"{name} rows do not sum to 1")
+        table = self.topic_word
+        if not np.isfinite(table).all() or (table < 0).any():
+            raise DataError("topic-word table has a negative or non-finite cell")
+        if table.size and not np.allclose(table.sum(axis=1), 1.0, atol=1e-9):
+            raise DataError("topic-word rows do not sum to 1")
 
 
 def check_priors(alpha: float, beta: float) -> None:
@@ -103,14 +102,14 @@ def fit_topic_model(
 
     Each sweep resamples every token from the previous sweep's counts less
     its own assignment (AD-LDA, Newman et al. 2009, one token per processor),
-    drawing one uniform per token. Topic-word and document-topic
-    distributions average the per-sweep posterior estimates after burn-in.
+    drawing one uniform per token. The topic-word distributions average the
+    per-sweep posterior estimates after burn-in.
     """
     if k < 2:
         raise ConfigError(f"topic count must be at least 2, got {k}")
     check_sweeps(n_sweeps, burn_in)
     check_priors(alpha, beta)
-    docs = [preprocess(text) for text in corpus]
+    docs = [preprocess(tokenize(text)) for text in corpus]
     vocab = tuple(sorted({tok for doc in docs for tok in doc}))
     if not vocab:
         raise DataError("vocabulary empty after preprocessing")
@@ -132,7 +131,6 @@ def fit_topic_model(
     nkw, nk, ndk = counts(z)
     beta_sum = beta * n_words
     phi_acc = np.zeros((k, n_words))
-    theta_acc = np.zeros((n_docs, k))
 
     for sweep in range(n_sweeps):
         # Topic-major (k, tokens) weights, so each call runs along the token axis. A token's
@@ -155,12 +153,10 @@ def fit_topic_model(
         nkw, nk, ndk = counts(z)
         if sweep >= burn_in:
             phi_acc += (nkw + beta) / (nk[:, None] + beta_sum)
-            theta_acc += (ndk + alpha) / (doc_len[:, None] + k * alpha)
 
     model = TopicModel(
         vocab=vocab,
         topic_word=phi_acc / phi_acc.sum(axis=1, keepdims=True),
-        doc_topic=theta_acc / theta_acc.sum(axis=1, keepdims=True),
         assignments=z,
         n_topics=k,
         alpha=alpha,
@@ -179,10 +175,10 @@ def _row_sum(a: np.ndarray) -> np.ndarray:
     return total
 
 
-def fold_in(model: TopicModel, texts: Sequence[str | list[str]]) -> np.ndarray:
+def fold_in(model: TopicModel, docs: Sequence[list[str]]) -> np.ndarray:
     """Deterministic EM fold-in: topic proportions of each text, one row each.
 
-    A text may be given as its tokenize() list. Rows of text with no
+    Each text is given as its tokenize() list. Rows of text with no
     in-vocabulary token are NaN. Texts are folded in together as a
     topic-major (topics, tokens, texts) array, one per power-of-two class
     of in-vocabulary length so that padding stays under half of it. A
@@ -193,12 +189,11 @@ def fold_in(model: TopicModel, texts: Sequence[str | list[str]]) -> np.ndarray:
     """
     # preprocess's filter, run once per vocabulary word instead of once per token.
     kept = {tok: model.vocab_index[tok] for tok in preprocess(list(model.vocab))}
-    ids = [[kept[tok] for tok in (tokenize(text) if isinstance(text, str) else text) if tok in kept]
-           for text in texts]
+    ids = [[kept[tok] for tok in doc if tok in kept] for doc in docs]
     lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
     k, n_words = model.n_topics, len(model.vocab)
     table = np.concatenate([model.topic_word, np.zeros((k, 1))], axis=1)  # padding is n_words
-    out = np.full((len(texts), k), np.nan)
+    out = np.full((len(docs), k), np.nan)
     length_class = np.frexp(lengths)[1]  # e with 2**(e - 1) <= length < 2**e
     for cls in np.unique(length_class[lengths > 0]):
         rows = np.flatnonzero(length_class == cls)
@@ -221,15 +216,16 @@ def fold_in(model: TopicModel, texts: Sequence[str | list[str]]) -> np.ndarray:
     return out
 
 
-def measure_topics(model: TopicModel, texts: Sequence[str | list[str]]) -> np.ndarray:
-    """Dominant topic of each text, ties to the lowest index; level K if none is in vocabulary."""
-    theta = fold_in(model, texts)
+def measure_topics(model: TopicModel, docs: Sequence[list[str]]) -> np.ndarray:
+    """Dominant topic of each text's tokenize() list, ties to the lowest index; level K if
+    none of its tokens is in vocabulary."""
+    theta = fold_in(model, docs)
     return np.where(np.isnan(theta[:, 0]), model.no_content_level, np.argmax(theta, axis=1))
 
 
 def measure_topic(model: TopicModel, text: str) -> int:
     """Dominant topic of one text, as measure_topics."""
-    return int(measure_topics(model, [text])[0])
+    return int(measure_topics(model, [tokenize(text)])[0])
 
 
 def match_topics(model: TopicModel, reference_rows: Iterable[Sequence[float]]) -> list[tuple[int, float]]:

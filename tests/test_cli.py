@@ -8,7 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
+from conftest import FIXTURE_DIR
 from medlang.cli import RunConfig, main, report, run_pipeline
 from medlang.errors import ConfigError
 from medlang.measure import CausalRecord, record_to_json, records_from_json, write_records
@@ -83,17 +86,26 @@ def test_run_twice_is_byte_identical(tmp_path, paired_transcript_path, paired_me
 
 
 def test_manifest_rerun_reproduces_artifacts(tmp_path, paired_transcript_path, paired_meta_path):
-    config_path, _ = write_config(tmp_path, paired_transcript_path, paired_meta_path)
-    assert main(["run", "--config", str(config_path)]) == 0
-    out = tmp_path / "out"
-    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
-    original = read_artifacts(out)
-    assert main(["run", "--manifest", str(out / "manifest.json"),
-                 "--out", str(tmp_path / "again")]) == 0
-    again = read_artifacts(tmp_path / "again")
-    assert original == again
-    rerun_manifest = json.loads((tmp_path / "again" / "manifest.json").read_text("utf-8"))
-    assert rerun_manifest["artifacts"] == manifest["artifacts"]
+    # An empty confounder list is a run without confounders, not one with the default ones.
+    for name, overrides in (("defaults", {}), ("no_confounders", {"confounders": []})):
+        run_dir = tmp_path / name
+        run_dir.mkdir()
+        config_path, _ = write_config(run_dir, paired_transcript_path, paired_meta_path,
+                                      **overrides)
+        assert main(["run", "--config", str(config_path)]) == 0
+        out = run_dir / "out"
+        manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+        original = read_artifacts(out)
+        if overrides:
+            assert manifest["config"]["confounders"] == []
+            assert all(json.loads(line)["x"] == {}
+                       for line in original["records.ndjson"].splitlines())
+        assert main(["run", "--manifest", str(out / "manifest.json"),
+                     "--out", str(run_dir / "again")]) == 0
+        again = read_artifacts(run_dir / "again")
+        assert original == again, name
+        rerun_manifest = json.loads((run_dir / "again" / "manifest.json").read_text("utf-8"))
+        assert rerun_manifest["artifacts"] == manifest["artifacts"]
 
 
 # -- stage commands ---------------------------------------------------------------
@@ -353,6 +365,48 @@ def test_config_accepts_nulls_and_lists():
                                   "mediators": ["hedging"], "confounders": ["x0"], "ci": 1})
     assert config.mediators == ("hedging",) and config.confounders == ("x0",)
     assert config.meta is None and config.topics is None
+
+
+PATHS = (FIXTURE_DIR / "paired_cases.ndjson", FIXTURE_DIR / "paired_cases_meta.ndjson",
+         Path(__file__).parents[1] / "src" / "medlang" / "data" / "hedging_lexicon.txt")
+NAMES = st.lists(st.text(max_size=6), max_size=4, unique=True).map(tuple)
+POSITIVE = st.floats(min_value=1e-300, allow_infinity=False) | st.integers(1, 10)
+
+
+@st.composite
+def valid_configs(draw):
+    """RunConfigs that validate accepts; each field is drawn from both sides of its bounds."""
+    sweeps = draw(st.integers(1, 5000))
+    config = RunConfig(
+        transcripts=str(PATHS[0]),
+        out=draw(st.text(max_size=8)),
+        meta=draw(st.none() | st.sampled_from([str(p) for p in PATHS])),
+        lexicon=draw(st.none() | st.sampled_from([str(p) for p in PATHS])),
+        seed=draw(st.integers()),
+        folds=draw(st.integers(1, 20)),
+        bootstrap=draw(st.sampled_from([0, 99, 100]) | st.integers(100, 10**6)),
+        ci=draw(st.floats(0.0, 1.0)),
+        mediators=draw(NAMES),
+        confounders=draw(st.none() | NAMES),
+        topics=draw(st.none() | st.integers(1, 50)),
+        topic_alpha=draw(POSITIVE),
+        topic_beta=draw(POSITIVE),
+        topic_sweeps=sweeps,
+        topic_burn_in=draw(st.integers(0, sweeps)),
+        strict_marker=draw(st.booleans()),
+        x_marginal=draw(st.booleans()),
+    )
+    try:
+        config.validate()
+    except ConfigError:
+        reject()
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=valid_configs())
+def test_every_valid_config_survives_its_manifest(config):
+    assert RunConfig.from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
 
 def test_config_value_type_error_exits_2(tmp_path, capsys, paired_transcript_path,
@@ -783,10 +837,9 @@ def test_fit_with_folds_equals_fit_on_records_refolded_by_assign_folds(tmp_path)
     assert main(["fit", "--records", str(records), "--folds", "3", "--seed", "5",
                  "--out", str(tmp_path / "refit")]) == 0
     coded = records_from_json(records.read_bytes())
-    fold_of = assign_folds(coded.unit_ids, 3, 5)
     refolded = tmp_path / "refolded.ndjson"
     with open(refolded, "w", encoding="utf-8") as fh:
-        write_records(replace(coded, fold=np.array([fold_of[u] for u in coded.unit_ids])), fh)
+        write_records(replace(coded, fold=assign_folds(coded.unit_ids, 3, 5)), fh)
     assert main(["fit", "--records", str(refolded), "--out", str(tmp_path / "fit")]) == 0
     for name in ("mediator_tables.csv", "outcome_tables.csv"):
         table = (tmp_path / "refit" / name).read_text("utf-8")

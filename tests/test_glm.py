@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit, softmax, xlogy
 
 from conftest import records_from_arrays
@@ -32,24 +34,51 @@ from medlang.seeding import assign_folds
 
 
 def test_assign_folds_balance_four_ids():
-    fold_of = assign_folds(["a", "b", "c", "d"], 2, seed=0)
-    sizes = sorted(Counter(fold_of.values()).values())
+    folds = assign_folds(["a", "b", "c", "d"], 2, seed=0)
+    sizes = sorted(Counter(folds.tolist()).values())
     assert sizes == [2, 2]
 
 
 def test_assign_folds_balance_five_ids():
-    fold_of = assign_folds(["a", "b", "c", "d", "e"], 2, seed=0)
-    sizes = sorted(Counter(fold_of.values()).values())
+    folds = assign_folds(["a", "b", "c", "d", "e"], 2, seed=0)
+    sizes = sorted(Counter(folds.tolist()).values())
     assert sizes == [2, 3]
 
 
 def test_assign_folds_determinism_and_partition():
     ids = [f"u{i}" for i in range(20)]
     a = assign_folds(ids, 4, seed=9)
-    b = assign_folds(list(reversed(ids)), 4, seed=9)
-    assert a == b
-    assert set(a) == set(ids)
-    assert set(a.values()) == set(range(4))
+    assert a.dtype == np.int64 and a.shape == (20,)
+    assert np.array_equal(assign_folds(ids, 4, seed=9), a)
+    for order in (np.arange(20)[::-1], np.random.default_rng(0).permutation(20)):
+        # a permuted input gives the permuted folds
+        assert np.array_equal(assign_folds([ids[i] for i in order], 4, seed=9), a[order])
+    assert set(a.tolist()) == set(range(4))
+
+
+def _assign_folds_reference(unit_ids, n_folds, seed):
+    """The dict rule assign_folds replaced: the pos-th id of a seeded shuffle of the sorted ids."""
+    ids = sorted(set(unit_ids))
+    order = np.random.default_rng(seed).permutation(len(ids))
+    return {ids[j]: int(pos % n_folds) for pos, j in enumerate(order)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # NULs, non-ASCII and astral characters, and ids that are prefixes of others
+    unit_ids=st.lists(st.text(alphabet="ab\x00\xe9\U0001f600", max_size=4), min_size=5,
+                      max_size=60, unique=True),
+    n_folds=st.integers(2, 5),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_assign_folds_equals_the_dict_rule(unit_ids, n_folds, seed):
+    want = _assign_folds_reference(unit_ids, n_folds, seed)
+    assert assign_folds(unit_ids, n_folds, seed).tolist() == [want[u] for u in unit_ids]
+
+
+def test_assign_folds_rejects_repeated_ids():
+    with pytest.raises(ConfigError, match="unique"):
+        assign_folds(["a", "b", "a"], 2, seed=0)
 
 
 def test_assign_folds_too_few_units():
@@ -262,8 +291,7 @@ def test_fit_errors_on_unknown_mediator():
 def test_refolded_records_fit_over_their_new_folds():
     records = gen_mediator_independent_of_t(100, seed=0)
     assert records.n_folds == 2
-    fold_of = assign_folds(records.unit_ids, 4, seed=3)
-    refolded = replace(records, fold=np.array([fold_of[u] for u in records.unit_ids]))
+    refolded = replace(records, fold=assign_folds(records.unit_ids, 4, seed=3))
     model = fit_mediator_model(refolded, "hedging")
     assert model.n_folds == 4
 

@@ -83,7 +83,7 @@ def test_tokenize_matches_the_reference(text):
 
 def test_hedging_on_fixture_texts(paired_units):
     for unit in paired_units:
-        assert measure_hedging(unit.p1_utterance.text, LEXICON) == 1
+        assert measure_hedging(tokenize(unit.p1_utterance.text), LEXICON) == 1
 
 
 def test_hedging_negative_verified_by_exhaustive_scan():
@@ -91,20 +91,20 @@ def test_hedging_negative_verified_by_exhaustive_scan():
     # independent oracle: scan every phrase against the padded token string
     padded = " " + " ".join(tokenize(text)) + " "
     assert all(f" {phrase} " not in padded for phrase in LEXICON)
-    assert measure_hedging(text, LEXICON) == 0
+    assert measure_hedging(tokenize(text), LEXICON) == 0
 
 
 def test_hedging_respects_token_boundaries():
     # "maybe" inside a longer token is not a match
-    assert measure_hedging("The maybes have it.", ("maybe",)) == 0
-    assert measure_hedging("Maybe so.", ("maybe",)) == 1
+    assert measure_hedging(tokenize("The maybes have it."), ("maybe",)) == 0
+    assert measure_hedging(tokenize("Maybe so."), ("maybe",)) == 1
     # multi-word phrase must be contiguous
-    assert measure_hedging("I definitely think so.", ("i think",)) == 0
+    assert measure_hedging(tokenize("I definitely think so."), ("i think",)) == 0
 
 
 def test_hedging_empty_lexicon_is_config_error():
     with pytest.raises(ConfigError):
-        measure_hedging("anything", ())
+        measure_hedging(tokenize("anything"), ())
     with pytest.raises(ConfigError):
         MeasurementSpec(hedging_lexicon=())
 
@@ -118,7 +118,7 @@ def test_hedging_empty_lexicon_is_config_error():
 def test_hedging_invariance_under_whitespace_and_case(lead, trail, upper):
     base = "I mean the point stands"
     text = lead + (base.upper() if upper else base) + trail
-    assert measure_hedging(text, LEXICON) == 1
+    assert measure_hedging(tokenize(text), LEXICON) == 1
 
 
 def _measure_hedging_reference(text, lexicon):
@@ -152,8 +152,8 @@ HEDGE_PHRASES = st.lists(st.sampled_from(HEDGE_WORDS), max_size=3).map(" ".join)
 def test_hedging_matches_the_phrase_scan_reference(words, seps, lexicon):
     text = "".join(sep + word for sep, word in zip(seps, words))
     expected = _measure_hedging_reference(text, lexicon)
-    assert measure_hedging(text, lexicon) == expected  # a list lexicon
-    assert measure_hedging(text, tuple(lexicon)) == expected
+    assert measure_hedging(tokenize(text), lexicon) == expected  # a list lexicon
+    assert measure_hedging(tokenize(text), tuple(lexicon)) == expected
 
 
 # -- disfluency ----------------------------------------------------------------
@@ -161,21 +161,21 @@ def test_hedging_matches_the_phrase_scan_reference(words, seps, lexicon):
 
 def test_disfluency_on_fixture_texts(paired_units):
     by_speaker = {u.p1_utterance.speaker_id: u.p1_utterance.text for u in paired_units}
-    assert measure_disfluency(by_speaker["Ann O'Connell Adams"]) == 1
-    assert measure_disfluency(by_speaker["Mark Irving Levy"]) == 0
+    assert measure_disfluency(tokenize(by_speaker["Ann O'Connell Adams"])) == 1
+    assert measure_disfluency(tokenize(by_speaker["Mark Irving Levy"])) == 0
 
 
 def test_disfluency_requires_same_unigram():
-    assert measure_disfluency("you're - - that you say") == 0
-    assert measure_disfluency("have - - have almost all") == 1
+    assert measure_disfluency(tokenize("you're - - that you say")) == 0
+    assert measure_disfluency(tokenize("have - - have almost all")) == 1
 
 
 def test_disfluency_empty_and_edge_cases():
-    assert measure_disfluency("") == 0
-    assert measure_disfluency("- -") == 0
-    assert measure_disfluency("word - -") == 0
-    assert measure_disfluency("And -- and") == 1  # single-token spelling
-    assert measure_disfluency("And - - AND") == 1  # case-insensitive
+    assert measure_disfluency(tokenize("")) == 0
+    assert measure_disfluency(tokenize("- -")) == 0
+    assert measure_disfluency(tokenize("word - -")) == 0
+    assert measure_disfluency(tokenize("And -- and")) == 1  # single-token spelling
+    assert measure_disfluency(tokenize("And - - AND")) == 1  # case-insensitive
 
 
 def _measure_disfluency_reference(text):
@@ -191,7 +191,7 @@ def _measure_disfluency_reference(text):
 @settings(max_examples=300, deadline=None)
 @given(text=TEXTS)
 def test_disfluency_matches_the_window_scan_reference(text):
-    assert measure_disfluency(text) == _measure_disfluency_reference(text)
+    assert measure_disfluency(tokenize(text)) == _measure_disfluency_reference(text)
 
 
 @settings(max_examples=50, deadline=None)
@@ -199,7 +199,7 @@ def test_disfluency_matches_the_window_scan_reference(text):
 def test_disfluency_invariance_under_whitespace_and_case(lead, upper):
     base = "and - - and the rest"
     text = lead + (base.upper() if upper else base)
-    assert measure_disfluency(text) == 1
+    assert measure_disfluency(tokenize(text)) == 1
 
 
 # -- interruption --------------------------------------------------------------
@@ -616,9 +616,9 @@ def test_build_records_levels_equal_the_per_text_measures(texts):
     units, cases = _cases_for(texts)
     records = build_records(units, MeasurementSpec.default(topic_model=TOPIC_MODEL), 2,
                             case_utterances=cases).records
-    assert records.m["hedging"].tolist() == [measure_hedging(t, LEXICON) for t in texts]
-    assert records.m["disfluency"].tolist() == [measure_disfluency(t) for t in texts]
-    assert records.m["topic"].tolist() == [int(measure_topics(TOPIC_MODEL, [t])[0])
+    assert records.m["hedging"].tolist() == [measure_hedging(tokenize(t), LEXICON) for t in texts]
+    assert records.m["disfluency"].tolist() == [measure_disfluency(tokenize(t)) for t in texts]
+    assert records.m["topic"].tolist() == [int(measure_topics(TOPIC_MODEL, [tokenize(t)])[0])
                                            for t in texts]
 
 

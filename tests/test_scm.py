@@ -140,6 +140,16 @@ def test_json_round_trip():
     assert again == spec
 
 
+@pytest.mark.parametrize("surrogate", ["\ud800", "\\ud800"])
+@pytest.mark.parametrize("source", [str, io.StringIO])
+def test_a_lone_surrogate_in_the_spec_text_is_a_data_error(surrogate, source):
+    """Raw in a str, or as an escape; the raw one cannot come from a UTF-8 file."""
+    text = load_fixture("binary_scm").to_json().replace('"hedging"', f'"hedg{surrogate}"', 1)
+    with pytest.raises(DataError, match=r"malformed structural model file: lone surrogate "
+                                        r"\\ud800"):
+        load_scm_spec(source(text))
+
+
 def _json_paths(value, path=()):
     yield path
     if isinstance(value, dict):

@@ -49,7 +49,8 @@ def small_planted_model():
 
 
 def test_preprocess_filters_stopwords_and_dashes():
-    assert preprocess("I think the - - statute controls 12") == ["think", "statute", "controls"]
+    tokens = tokenize("I think the - - statute controls 12")
+    assert preprocess(tokens) == ["think", "statute", "controls"]
 
 
 def test_k_below_two_is_config_error():
@@ -72,7 +73,6 @@ def test_planted_topics_recovered(small_planted_model):
 def test_row_normalization(small_planted_model):
     model = small_planted_model
     assert np.allclose(model.topic_word.sum(axis=1), 1.0, atol=1e-9)
-    assert np.allclose(model.doc_topic.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_same_seed_reproduces_assignments():
@@ -81,7 +81,6 @@ def test_same_seed_reproduces_assignments():
     b = fit_topic_model(texts, k=2, seed=3, n_sweeps=30, burn_in=15)
     assert np.array_equal(a.assignments, b.assignments)
     assert np.array_equal(a.topic_word, b.topic_word)
-    assert np.array_equal(a.doc_topic, b.doc_topic)
 
 
 def test_pure_document_maps_to_planted_topic(small_planted_model):
@@ -98,14 +97,13 @@ def test_out_of_vocabulary_text_gets_reserved_level(small_planted_model):
     model = small_planted_model
     assert measure_topic(model, "zebra quokka xylophone") == model.n_topics
     assert measure_topic(model, "") == model.n_topics
-    assert np.isnan(fold_in(model, ["zebra"])).all()
+    assert np.isnan(fold_in(model, [["zebra"]])).all()
 
 
 def test_exact_tie_breaks_to_topic_zero():
     model = TopicModel(
         vocab=("alpha", "beta"),
         topic_word=np.array([[0.5, 0.5], [0.5, 0.5]]),
-        doc_topic=np.zeros((0, 2)),
         assignments=np.zeros(0, dtype=np.int64),
         n_topics=2,
         alpha=0.1,
@@ -113,13 +111,14 @@ def test_exact_tie_breaks_to_topic_zero():
         seed=0,
     )
     assert measure_topic(model, "alpha beta alpha") == 0
-    theta = fold_in(model, ["alpha beta"])[0]
+    theta = fold_in(model, [["alpha", "beta"]])[0]
     assert theta[0] == theta[1]
-    assert list(measure_topics(model, ["alpha", "alpha beta alpha", "beta", "gamma"])) == [0, 0, 0, 2]
+    docs = [tokenize(text) for text in ("alpha", "alpha beta alpha", "beta", "gamma")]
+    assert list(measure_topics(model, docs)) == [0, 0, 0, 2]
 
 
 def test_proportions_sum_to_one(small_planted_model):
-    theta = fold_in(small_planted_model, [" ".join(TOPIC_A_WORDS)])[0]
+    theta = fold_in(small_planted_model, [list(TOPIC_A_WORDS)])[0]
     assert abs(theta.sum() - 1.0) < 1e-9
 
 
@@ -139,7 +138,7 @@ def test_non_finite_or_non_positive_prior_is_config_error(key, value):
 @pytest.mark.parametrize("cell", [-0.25, float("nan"), float("inf")])
 def test_model_validation_rejects_bad_cells(cell):
     topic_word = np.array([[0.5, 0.5], [1.25, cell]])
-    model = TopicModel(vocab=("alpha", "beta"), topic_word=topic_word, doc_topic=np.zeros((0, 2)),
+    model = TopicModel(vocab=("alpha", "beta"), topic_word=topic_word,
                        assignments=np.zeros(0, dtype=np.int64), n_topics=2, alpha=0.1, beta=0.01,
                        seed=0)
     with pytest.raises(DataError, match="negative or non-finite cell"):
@@ -151,7 +150,7 @@ def test_model_validation_rejects_bad_cells(cell):
 
 def reference_fit(corpus, k, seed, alpha, beta, n_sweeps, burn_in):
     """The (tokens, k) synchronous sweep, kept as the reference for the topic-major one."""
-    docs = [preprocess(text) for text in corpus]
+    docs = [preprocess(tokenize(text)) for text in corpus]
     vocab = tuple(sorted({tok for doc in docs for tok in doc}))
     vocab_index = {tok: i for i, tok in enumerate(vocab)}
     n_docs, n_words = len(docs), len(vocab)
@@ -169,7 +168,6 @@ def reference_fit(corpus, k, seed, alpha, beta, n_sweeps, burn_in):
     nkw, nk, ndk = counts(z)
     beta_sum = beta * n_words
     phi_acc = np.zeros((k, n_words))
-    theta_acc = np.zeros((n_docs, k))
     for sweep in range(n_sweeps):
         own = z[:, None] == np.arange(k)
         weights = nkw[:, word_of].T - own + beta
@@ -181,9 +179,7 @@ def reference_fit(corpus, k, seed, alpha, beta, n_sweeps, burn_in):
         nkw, nk, ndk = counts(z)
         if sweep >= burn_in:
             phi_acc += (nkw + beta) / (nk[:, None] + beta_sum)
-            theta_acc += (ndk + alpha) / (doc_len[:, None] + k * alpha)
-    return (vocab, phi_acc / phi_acc.sum(axis=1, keepdims=True),
-            theta_acc / theta_acc.sum(axis=1, keepdims=True), z.astype(np.int64))
+    return vocab, phi_acc / phi_acc.sum(axis=1, keepdims=True), z.astype(np.int64)
 
 
 FIT_CORPORA = {
@@ -201,11 +197,9 @@ def test_topic_major_sweep_equals_the_token_major_one_bit_for_bit(corpus, burn_i
     texts = FIT_CORPORA[corpus]
     model = fit_topic_model(texts, k=k, seed=seed, alpha=0.3, beta=0.05, n_sweeps=12,
                             burn_in=burn_in)
-    vocab, topic_word, doc_topic, assignments = reference_fit(texts, k, seed, 0.3, 0.05, 12,
-                                                              burn_in)
+    vocab, topic_word, assignments = reference_fit(texts, k, seed, 0.3, 0.05, 12, burn_in)
     assert model.vocab == vocab
     assert model.topic_word.tobytes() == topic_word.tobytes()
-    assert model.doc_topic.tobytes() == doc_topic.tobytes()
     assert model.assignments.tobytes() == assignments.tobytes()
 
 
@@ -223,7 +217,7 @@ def test_row_sum_adds_rows_in_order():
 def reference_proportions(model, text):
     """The per-text EM fold-in, kept as the reference for the batched one."""
     vocab_index = model.vocab_index
-    ids = [vocab_index[tok] for tok in preprocess(text) if tok in vocab_index]
+    ids = [vocab_index[tok] for tok in preprocess(tokenize(text)) if tok in vocab_index]
     if not ids:
         return None
     cols = model.topic_word[:, ids]
@@ -241,7 +235,6 @@ def random_model(k, n_words, seed):
     return TopicModel(
         vocab=tuple(f"word{chr(97 + i // 26)}{chr(97 + i % 26)}" for i in range(n_words)),
         topic_word=rng.dirichlet(np.full(n_words, 0.3), size=k),
-        doc_topic=np.zeros((0, k)),
         assignments=np.zeros(0, dtype=np.int64),
         n_topics=k,
         alpha=0.1,
@@ -258,36 +251,36 @@ def test_batched_fold_in_equals_the_per_text_loop_bit_for_bit(k):
     texts = [" ".join(rng.choice(model.vocab, size=n)) for n in range(1, 41) for _ in range(3)]
     texts.append("the zebra of quokka")
     texts.insert(50, " ".join(rng.choice(model.vocab, size=300)))  # one long text
-    texts[::4] = [tokenize(text) for text in texts[::4]]  # token lists among strings
-    got = fold_in(model, texts)
-    levels = measure_topics(model, texts)
-    for text, row, level in zip(texts, got, levels):
+    docs = [tokenize(text) for text in texts]
+    got = fold_in(model, docs)
+    levels = measure_topics(model, docs)
+    for text, doc, row, level in zip(texts, docs, got, levels):
         want = reference_proportions(model, text)
         if want is None:
             assert np.isnan(row).all() and level == k
         else:
             assert row.tobytes() == want.tobytes()
             assert level == int(np.argmax(want))
-            assert fold_in(model, [text])[0].tobytes() == want.tobytes()
+            assert fold_in(model, [doc])[0].tobytes() == want.tobytes()
             assert measure_topic(model, text) == level
 
 
 def test_batch_without_in_vocabulary_tokens_is_all_no_content():
     model = random_model(5, n_words=15, seed=1)
-    texts = ["", "zebra quokka", ["the", "of"], []]
-    assert np.isnan(fold_in(model, texts)).all() and fold_in(model, texts).shape == (4, 5)
-    assert list(measure_topics(model, texts)) == [model.no_content_level] * 4
+    docs = [[], ["zebra", "quokka"], ["the", "of"], ["-", "-"]]
+    assert np.isnan(fold_in(model, docs)).all() and fold_in(model, docs).shape == (4, 5)
+    assert list(measure_topics(model, docs)) == [model.no_content_level] * 4
     assert fold_in(model, []).shape == (0, 5)
 
 
 def test_batched_levels_do_not_depend_on_batch_order():
     model = random_model(5, n_words=15, seed=9)
     rng = np.random.default_rng(9)
-    texts = [" ".join(rng.choice(model.vocab, size=int(rng.integers(1, 30)))) for _ in range(200)]
-    texts += ["", "zebra quokka"]
-    levels = measure_topics(model, texts)
+    docs = [list(rng.choice(model.vocab, size=int(rng.integers(1, 30)))) for _ in range(200)]
+    docs += [[], ["zebra", "quokka"]]
+    levels = measure_topics(model, docs)
     assert list(levels[-2:]) == [model.no_content_level] * 2
-    order = rng.permutation(len(texts))
-    assert np.array_equal(measure_topics(model, [texts[i] for i in order]), levels[order])
-    assert np.array_equal(fold_in(model, [texts[i] for i in order]),
-                          fold_in(model, texts)[order], equal_nan=True)
+    order = rng.permutation(len(docs))
+    assert np.array_equal(measure_topics(model, [docs[i] for i in order]), levels[order])
+    assert np.array_equal(fold_in(model, [docs[i] for i in order]),
+                          fold_in(model, docs)[order], equal_nan=True)
