@@ -95,7 +95,6 @@ class RunConfig:
     topic_beta: float = DEFAULT_BETA
     topic_sweeps: int = DEFAULT_SWEEPS
     topic_burn_in: int = DEFAULT_BURN_IN
-    strict_marker: bool = False
     x_marginal: bool = False
 
     def validate(self) -> None:
@@ -145,9 +144,9 @@ class RunConfig:
         return cls(**data)
 
 
-def _open(path, mode: str = "rb"):
+def _open(path):
     try:
-        return open(path, mode, **({} if "b" in mode else {"encoding": "utf-8"}))
+        return open(path, "rb")
     except OSError as exc:
         raise ConfigError(f"cannot open {path}: {exc.strerror}") from exc
 
@@ -194,21 +193,16 @@ def _fit_topic_model_for_units(units, config: RunConfig):
 def measure_units(units, transcript: Transcript, config: RunConfig) -> BuildResult:
     """Measure ``units`` into records; the honorific scan reads ``transcript``'s cases."""
     if config.lexicon:
-        with _open(config.lexicon, "r") as fh:
+        with _open(config.lexicon) as fh:
             try:
-                text = fh.read()
+                lexicon = load_lexicon(fh.read().decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise ConfigError(
                     f"malformed lexicon file {config.lexicon}: not UTF-8 text") from exc
-        lexicon = load_lexicon(text)
     else:
         lexicon = default_hedging_lexicon()
     topic_model = _fit_topic_model_for_units(units, config) if config.topics else None
-    spec = MeasurementSpec(
-        hedging_lexicon=lexicon,
-        topic_model=topic_model,
-        strict_interruption_marker=config.strict_marker,
-    )
+    spec = MeasurementSpec(hedging_lexicon=lexicon, topic_model=topic_model)
     return build_records(
         units,
         spec,
@@ -306,7 +300,7 @@ def ingest(config: RunConfig) -> tuple[Transcript, list]:
     if config.meta:
         with _open(config.meta) as fh:
             meta = parse_case_metadata(fh)
-    return transcript, extract_units(transcript, meta, strict_marker=config.strict_marker)
+    return transcript, extract_units(transcript, meta)
 
 
 def fit_and_estimate(records, mediators: Sequence[str], seed: int, n_bootstrap: int,
@@ -456,20 +450,13 @@ def _load_spec_arg(args) -> scm.ScmSpec:
         return scm.load_fixture(args.fixture)
     if not args.spec:
         raise ConfigError("provide --spec PATH or --fixture NAME")
-    with _open(args.spec, "r") as fh:
+    with _open(args.spec) as fh:
         return scm.load_scm_spec(fh)
 
 
 def cmd_simulate(args) -> int:
     spec = _load_spec_arg(args)
-    result = scm.generate(
-        spec,
-        args.n,
-        seed=args.seed,
-        n_folds=args.folds,
-        fold_seed=derive_seed(args.seed, "folds"),
-        render=args.render,
-    )
+    result = scm.generate(spec, args.n, seed=args.seed, n_folds=args.folds, render=args.render)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_with(out / "records.ndjson", write_records, result.records)
@@ -506,8 +493,9 @@ def cmd_study(args) -> int:
 
 def _load_json_object(path: str, what: str) -> dict:
     """Read a whole-file JSON object; anything else is a ConfigError naming the file."""
-    with _open(path, "r") as fh:
-        obj = load_json(fh, lambda reason: ConfigError(f"malformed {what} file {path}: {reason}"))
+    with _open(path) as fh:
+        obj = load_json(fh.read(), lambda reason: ConfigError(
+            f"malformed {what} file {path}: {reason}"))
     if not isinstance(obj, dict):
         raise ConfigError(f"{what} file {path} is not a JSON object")
     return obj
@@ -533,7 +521,7 @@ def cmd_run(args) -> int:
 def cmd_report(args) -> int:
     estimates, first_line = [], {}
     with _open(args.estimates) as fh:
-        for line_number, obj in _iter_objects(fh, "estimate"):
+        for line_number, obj in _iter_objects(fh.read(), "estimate"):
             try:
                 est = EffectEstimate.from_dict(obj)
             except DataError as exc:
@@ -566,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transcripts", required=True)
     p.add_argument("--meta", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--strict-marker", action="store_true", dest="strict_marker")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("measure", help="measure units into causal records")
@@ -578,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.add_argument("--folds", type=int, default=RunConfig.folds)
     p.add_argument("--out", required=True)
-    p.add_argument("--strict-marker", action="store_true", dest="strict_marker")
     p.add_argument("--confounders", default=None)
     p.add_argument("--topic-sweeps", type=int, default=RunConfig.topic_sweeps, dest="topic_sweeps")
     p.add_argument("--topic-burn-in", type=int, default=RunConfig.topic_burn_in,

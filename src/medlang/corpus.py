@@ -21,10 +21,9 @@ from .errors import DataError, ParseError
 SPEAKER_ROLES = ("advocate", "justice", "chief_justice")
 RESPONDER_ROLES = ("justice", "chief_justice")
 
-#: Trailing markers treated as an interruption of the current speaker.
-#: "--" tolerates transcription variance; strict mode keeps only "- -".
+#: Trailing markers treated as an interruption of the current speaker: the
+#: transcripts' "- -" and its variant "--".
 INTERRUPTION_MARKERS = ("- -", "--")
-STRICT_INTERRUPTION_MARKERS = ("- -",)
 
 #: The context features extract_units computes; no metadata attribute may take their names.
 COMPUTED_FEATURES = frozenset({"prior_interruption_bucket", "responder_role"})
@@ -78,52 +77,24 @@ class AnalysisUnit:
     context_features: Mapping[str, object] = field(default_factory=dict)
 
 
-def ends_with_interruption_marker(text: str, strict: bool = False) -> bool:
-    return text.rstrip().endswith(STRICT_INTERRUPTION_MARKERS if strict else INTERRUPTION_MARKERS)
+def ends_with_interruption_marker(text: str) -> bool:
+    return text.rstrip().endswith(INTERRUPTION_MARKERS)
 
 
-def _iter_lines(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> Iterator[tuple[int, str]]:
-    """Yield (line number, text) for each non-blank line; bad UTF-8 raises ParseError.
+def _read_whole(source: IO[bytes] | bytes | str) -> bytes:
+    """The bytes of ``source``: bytes, a binary stream's, or a str's as UTF-8.
 
-    A str, and each str line, is read as its UTF-8 bytes with any lone
-    surrogate kept (surrogatepass): a raw lone surrogate is not UTF-8 text.
+    A str keeps any lone surrogate (surrogatepass), so a raw one is not
+    UTF-8 text to the decoders. Any other source raises TypeError.
     """
     if isinstance(source, str):
-        source = source.encode("utf-8", "surrogatepass")
-    if isinstance(source, bytes):
-        # Split at "\n" only, as iterating a binary stream does; str.splitlines
-        # would also split inside a JSON string holding U+2028 or a lone "\r".
-        source = io.BytesIO(source)
-    lineno = 0
-    try:  # a text stream decodes while it is iterated
-        for lineno, line in enumerate(source, 1):
-            try:
-                if isinstance(line, str):
-                    line = line.encode("utf-8", "surrogatepass")
-                line = line.decode("utf-8").rstrip("\n")
-            except UnicodeDecodeError as exc:
-                raise ParseError("not UTF-8 text", lineno) from exc
-            if line.strip():
-                yield lineno, line
-    except UnicodeDecodeError as exc:  # raised while reading the line after lineno
-        raise ParseError("not UTF-8 text", lineno + 1) from exc
-
-
-def _read_whole(source) -> tuple[bytes | None, object]:
-    """Read ``source`` once: its bytes, and a source _iter_lines reads as it reads ``source``.
-
-    A str is read as _iter_lines reads it; bytes read may not be UTF-8. The
-    bytes are None for an iterable of lines. A text stream counts as an
-    iterable of lines: it decodes while it is read, and _iter_lines names
-    the line at which that fails.
-    """
-    if isinstance(source, io.TextIOBase):
-        return None, source
-    if hasattr(source, "read"):
+        return source.encode("utf-8", "surrogatepass")
+    if hasattr(source, "read") and not isinstance(source, io.TextIOBase):
         source = source.read()
-    if isinstance(source, str):
-        source = source.encode("utf-8", "surrogatepass")
-    return (source, source) if isinstance(source, bytes) else (None, source)
+    if not isinstance(source, bytes):
+        raise TypeError(f"a reader takes bytes, a str or a binary stream, not "
+                        f"{type(source).__name__}")
+    return source
 
 
 #: What a line pattern matches for a field: "d", an integer of at most 18 digits
@@ -177,20 +148,18 @@ def _split_columns(data: bytes, pattern: re.Pattern, integers) -> list[list] | N
     return columns
 
 
-def load_json(text: str | IO[str], error) -> object:
-    """The JSON value of ``text``, a str or a text stream; a fault raises ``error(reason)``.
+def load_json(data: bytes | str, error) -> object:
+    """The JSON value of ``data``, UTF-8 bytes or a str decoded from them; a fault raises
+    ``error(reason)``.
 
     The reasons: "not UTF-8 text", json.loads's message, "nested too deeply"
     and "lone surrogate \\ud800" (say): a string holding one could never be
     written back as UTF-8.
     """
     try:
-        if not isinstance(text, str):
-            text = text.read()
+        text = data if isinstance(data, str) else data.decode("utf-8")
         obj = json.loads(text)
-        if not text.isascii():  # a raw one, which only a str not decoded from UTF-8 can hold
-            text.encode("utf-8")
-        if "\\u" in text:  # an escaped one
+        if "\\u" in text:  # an escaped lone surrogate
             json.dumps(obj, ensure_ascii=False).encode("utf-8")
     except UnicodeDecodeError as exc:
         raise error("not UTF-8 text") from exc
@@ -203,18 +172,25 @@ def load_json(text: str | IO[str], error) -> object:
     return obj
 
 
-def _iter_objects(source, what: str) -> Iterator[tuple[int, dict]]:
+def _iter_objects(data: bytes, what: str) -> Iterator[tuple[int, dict]]:
     """Yield (line number, object) for each non-blank JSON line of ``what`` records.
 
-    Each line holds one JSON value with only JSON whitespace around it. A
-    line that is not UTF-8, not JSON or not a JSON object, or whose strings
-    hold a lone surrogate escape such as "\\ud800", raises ParseError.
+    Only "\\n" ends a line, as when iterating a binary stream: str.splitlines
+    would also split inside a JSON string holding U+2028 or a lone "\\r". Each
+    line holds one JSON value with only JSON whitespace around it. A line
+    that is not UTF-8, not JSON or not a JSON object, or whose strings hold a
+    lone surrogate escape such as "\\ud800", raises ParseError.
     """
-    for lineno, line in _iter_lines(source):
-        obj = load_json(line, lambda reason: ParseError(f"malformed {what}: {reason}", lineno))
-        if not isinstance(obj, dict):
-            raise ParseError(f"{what} is not an object", lineno)
-        yield lineno, obj
+    for lineno, line in enumerate(io.BytesIO(data), 1):
+        try:
+            line = line.decode("utf-8").rstrip("\n")
+        except UnicodeDecodeError as exc:
+            raise ParseError("not UTF-8 text", lineno) from exc
+        if line.strip():
+            obj = load_json(line, lambda reason: ParseError(f"malformed {what}: {reason}", lineno))
+            if not isinstance(obj, dict):
+                raise ParseError(f"{what} is not an object", lineno)
+            yield lineno, obj
 
 
 def _parse_turn(obj, lineno: int, label: str = "") -> Utterance:
@@ -247,21 +223,21 @@ def _parse_turn(obj, lineno: int, label: str = "") -> Utterance:
     return Utterance(obj["case_id"], index, obj["speaker_id"], role, text)
 
 
-def parse_transcript(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> Transcript:
+def parse_transcript(source: IO[bytes] | bytes | str) -> Transcript:
     """Parse newline-delimited turn records into utterances, in file order.
 
     Validates the invariants of the format: each turn passes _parse_turn,
     and per-case indices are unique and contiguous from 0 in file order.
-    Bytes in the writer's form are read as columns (_transcript_columns),
-    anything else line by line: same utterances, and only the latter raises.
+    A file in the writer's form is read as columns (_transcript_columns),
+    any other line by line: same utterances, and only the latter raises.
     """
-    data, source = _read_whole(source)
-    transcript = None if data is None else _transcript_columns(data)
+    data = _read_whole(source)
+    transcript = _transcript_columns(data)
     if transcript is not None:
         return transcript
     utterances: list[Utterance] = []
     cases: dict[str, list[Utterance]] = {}
-    for lineno, obj in _iter_objects(source, "record"):
+    for lineno, obj in _iter_objects(data, "record"):
         utt = _parse_turn(obj, lineno)
         case_id, index = utt.case_id, utt.index
         turns = cases.setdefault(case_id, [])
@@ -330,19 +306,19 @@ def write_case_metadata(case_metadata: Mapping[str, Mapping[str, str]], stream: 
     stream.write("".join(lines))
 
 
-def parse_case_metadata(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> dict[str, dict]:
+def parse_case_metadata(source: IO[bytes] | bytes | str) -> dict[str, dict]:
     """Parse the optional per-case metadata sidecar (one object per case_id).
 
     A line without a string case_id, whose case_id repeats an earlier one,
     or with an attribute named in COMPUTED_FEATURES raises ParseError; the
     other values are copied as given. Read as parse_transcript reads.
     """
-    data, source = _read_whole(source)
-    meta = None if data is None else _metadata_columns(data)
+    data = _read_whole(source)
+    meta = _metadata_columns(data)
     if meta is not None:
         return meta
     meta = {}
-    for lineno, obj in _iter_objects(source, "metadata record"):
+    for lineno, obj in _iter_objects(data, "metadata record"):
         if "case_id" not in obj:
             raise ParseError("metadata record must be an object with a case_id", lineno)
         case_id = obj["case_id"]
@@ -404,7 +380,6 @@ _BUCKETS = ("0", "1", "2+")  # earlier marked advocate turns: 0, 1, 2 or more
 def extract_units(
     utterances: Sequence[Utterance],
     case_metadata: Mapping[str, Mapping[str, object]] | None = None,
-    strict_marker: bool = False,
 ) -> list[AnalysisUnit]:
     """One unit per advocate utterance, in advocate-utterance order.
 
@@ -437,9 +412,8 @@ def extract_units(
         running, buckets = 0, []
         for turn in turns:
             buckets.append(_BUCKETS[running])
-            if running < 2 and turn.speaker_role == "advocate" and ends_with_interruption_marker(
-                turn.text, strict=strict_marker
-            ):
+            if (running < 2 and turn.speaker_role == "advocate"
+                    and ends_with_interruption_marker(turn.text)):
                 running += 1
         prior[case_id] = buckets
 
@@ -494,7 +468,7 @@ def write_units(units: Iterable[AnalysisUnit], stream: IO[str]) -> None:
         stream.write(text)
 
 
-def units_from_json(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -> list[AnalysisUnit]:
+def units_from_json(source: IO[bytes] | bytes | str) -> list[AnalysisUnit]:
     """Read a units file; p1 and p2 follow the transcript's per-turn rules.
 
     A line that lacks a key, whose unit_id is not a string or repeats an
@@ -503,7 +477,7 @@ def units_from_json(source: IO[bytes] | IO[str] | Iterable[str] | bytes | str) -
     unit with no responder.
     """
     units, first_line = [], {}
-    for lineno, obj in _iter_objects(source, "unit record"):
+    for lineno, obj in _iter_objects(_read_whole(source), "unit record"):
         try:
             unit_id, p1, p2, context = obj["unit_id"], obj["p1"], obj["p2"], obj["context"]
         except KeyError as exc:

@@ -81,7 +81,6 @@ class _FittedModel:
 
     mediator_name: str
     domains: Domains
-    n_folds: int
     table: np.ndarray
     diagnostics: tuple[FoldDiagnostics, ...]
 
@@ -412,8 +411,8 @@ def _fit_model(cls, fit_tables, records: CodedRecords, mediator_name):
                 restart=fit.restart[f],
             )
         )
-    model = cls(mediator_name=mediator_name, domains=domains, n_folds=table.shape[0],
-                table=table, diagnostics=tuple(diagnostics))
+    model = cls(mediator_name=mediator_name, domains=domains, table=table,
+                diagnostics=tuple(diagnostics))
     model.validate()
     return model
 

@@ -42,17 +42,13 @@ from .textutil import DASH_TOKEN, normalize_phrase, tokenize
 from .topics import TopicModel, measure_topic, measure_topics  # noqa: F401
 
 
-def load_lexicon(source: IO[str] | Iterable[str] | str) -> tuple[str, ...]:
-    """Read a lexicon file: one phrase per line, "#" comments, UTF-8.
+def load_lexicon(text: str) -> tuple[str, ...]:
+    """Read a lexicon file's text: one phrase per line, "#" comments.
 
     Raises ConfigError if no phrases remain, per the non-empty invariant.
     """
-    if isinstance(source, str):
-        lines: Iterable[str] = source.splitlines()
-    else:
-        lines = source
     phrases = []
-    for line in lines:
+    for line in text.splitlines():
         body = line.split("#", 1)[0].strip()
         if body:
             phrases.append(normalize_phrase(body))
@@ -72,12 +68,10 @@ class MeasurementSpec:
 
     hedging_lexicon: tuple[str, ...]
     topic_model: TopicModel | None = None
-    strict_interruption_marker: bool = False
 
     def __post_init__(self) -> None:
         if not self.hedging_lexicon:
             raise ConfigError("hedging lexicon is empty")
-        self.hedging_lexicon = tuple(normalize_phrase(p) for p in self.hedging_lexicon)
 
     @classmethod
     def default(cls, **overrides) -> "MeasurementSpec":
@@ -86,8 +80,8 @@ class MeasurementSpec:
 
 @functools.lru_cache(maxsize=32)
 def _phrase_pattern(lexicon: tuple[str, ...]) -> re.Pattern:
-    """Matches any non-empty lexicon phrase between spaces; with none, matches nothing."""
-    phrases = dict.fromkeys(" ".join(phrase.split()) for phrase in lexicon if phrase.split())
+    """Matches any non-empty normalized lexicon phrase between spaces; with none, nothing."""
+    phrases = dict.fromkeys(filter(None, map(normalize_phrase, lexicon)))
     return re.compile("|".join(re.escape(f" {phrase} ") for phrase in phrases) or "(?!)")
 
 
@@ -119,14 +113,14 @@ def measure_disfluency(tokens: list[str]) -> int:
         start = i + 1
 
 
-def label_interruption(unit: AnalysisUnit, strict: bool = False) -> int:
+def label_interruption(unit: AnalysisUnit) -> int:
     """1 iff the advocate turn ends with the interruption marker.
 
     Requires a responding turn; without one the outcome is undefined.
     """
     if unit.p2_utterance is None:
         raise DataError(f"unit {unit.unit_id}: outcome undefined (no responding turn)")
-    return int(ends_with_interruption_marker(unit.p1_utterance.text, strict=strict))
+    return int(ends_with_interruption_marker(unit.p1_utterance.text))
 
 
 def _surname(speaker_id: str) -> str:
@@ -412,7 +406,7 @@ def write_records(records: CodedRecords, stream: IO[str]) -> None:
                                records.y.tolist(), records.fold.tolist()))
 
 
-def records_from_json(source) -> CodedRecords:
+def records_from_json(source: IO[bytes] | bytes | str) -> CodedRecords:
     """Read NDJSON causal records into CodedRecords over the domains they show.
 
     The domains are inferred from the lines (see infer_domains). A line that
@@ -423,14 +417,14 @@ def records_from_json(source) -> CodedRecords:
 
     A file whose every non-blank line is in the exact form write_records
     gives is read as columns by one pattern (_record_columns); any other
-    source goes through the per-line reader, _records_from_lines. Both give
+    file goes through the per-line reader, _records_from_lines. Both give
     the same records, and only the per-line reader raises.
     """
-    data, source = _read_whole(source)
-    columns = None if data is None else _record_columns(data)
+    data = _read_whole(source)
+    columns = _record_columns(data)
     if columns is None:
-        return _records_from_lines(source)
-    del data, source  # the columns hold all that is kept: free the file before coding them
+        return _records_from_lines(data)
+    del data  # the columns hold all that is kept: free the file before coding them
     unit_ids, t, x, m, y, fold = columns
     return _code(unit_ids, t, x, m, y, fold, infer_domains(x, m))
 
@@ -462,15 +456,15 @@ def _record_columns(data: bytes) -> tuple | None:
             y, fold)
 
 
-def _records_from_lines(source) -> CodedRecords:
-    """records_from_json one line at a time, for any source _iter_lines reads.
+def _records_from_lines(data: bytes) -> CodedRecords:
+    """records_from_json one line at a time.
 
     This reader raises every error of records_from_json.
     """
     lines, unit_ids, t, y, fold = [], [], [], [], []
     x: dict[str, list[str]] = {}
     m: dict[str, list] = {}
-    for lineno, obj in _iter_objects(source, "causal record"):
+    for lineno, obj in _iter_objects(data, "causal record"):
         try:
             rx, rm = obj["x"], obj["m"]
             if not isinstance(rx, dict) or not isinstance(rm, dict):
@@ -582,7 +576,7 @@ def build_records(
         if t is None:
             exclusions.append(Exclusion(unit.unit_id, "no_honorific_introduction"))
             continue
-        y_column.append(label_interruption(unit, strict=spec.strict_interruption_marker))
+        y_column.append(label_interruption(unit))
         t_column.append(t)
         unit_ids.append(unit.unit_id)
         for name in confounders:

@@ -245,19 +245,20 @@ def sample_effects(
         raise DataError("mediator and outcome models were fitted over different domains")
     if records.domains != g.domains:
         raise DataError("records and models carry different domains")
-    if g.n_folds != f.n_folds:
+    n_folds = g.table.shape[0]
+    if f.table.shape[0] != n_folds:
         raise DataError("mediator and outcome models carry different fold counts")
     _check_table("mediator", g.table, "(fold, t, x, m)")
     _check_table("outcome", f.table, "(fold, m, t, x)")
     if not len(records):
         raise DataError("no records to score")
-    if int(records.fold.max()) >= g.n_folds:
+    if int(records.fold.max()) >= n_folds:
         raise DataError(
-            f"record fold {int(records.fold.max())} outside the fitted models' {g.n_folds} folds"
+            f"record fold {int(records.fold.max())} outside the fitted models' {n_folds} folds"
         )
     n_x = records.domains.n_x
-    fold_x = np.bincount(records.fold * n_x + records.x, minlength=g.n_folds * n_x)
-    fold_x = fold_x.reshape(g.n_folds, n_x).astype(float)
+    fold_x = np.bincount(records.fold * n_x + records.x, minlength=n_folds * n_x)
+    fold_x = fold_x.reshape(n_folds, n_x).astype(float)
     return tuple(float(v) for v in _effects(g.table, f.table, fold_x, x_marginal))
 
 

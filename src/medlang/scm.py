@@ -37,7 +37,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Utterance, case_metadata_template, load_json, utterance_to_json
+from .corpus import Utterance, _read_whole, case_metadata_template, load_json, utterance_to_json
 from .errors import ConfigError, DataError
 from .measure import CodedRecords, Domains
 from .seeding import assign_folds, check_seed, derive_seed
@@ -318,9 +318,9 @@ class _SpecNode:
             raise DataError(f"structural model: {self.path} is out of range") from None
 
 
-def load_scm_spec(source: IO[str] | str) -> ScmSpec:
-    return ScmSpec.from_dict(
-        load_json(source, lambda reason: DataError(f"malformed structural model file: {reason}")))
+def load_scm_spec(source: IO[bytes] | bytes | str) -> ScmSpec:
+    return ScmSpec.from_dict(load_json(_read_whole(source), lambda reason: DataError(
+        f"malformed structural model file: {reason}")))
 
 
 FIXTURE_NAMES = ("binary_scm", "two_mediator_scm")
@@ -330,8 +330,8 @@ def load_fixture(name: str) -> ScmSpec:
     """Load a coefficient fixture shipped with the package."""
     if name not in FIXTURE_NAMES:
         raise ConfigError(f"unknown fixture {name!r}; available: {FIXTURE_NAMES}")
-    text = resources.files("medlang.data.fixtures").joinpath(f"{name}.json").read_text("utf-8")
-    return load_scm_spec(text)
+    path = resources.files("medlang.data.fixtures").joinpath(f"{name}.json")
+    return load_scm_spec(path.read_bytes())
 
 
 # ---------------------------------------------------------------------------

@@ -61,18 +61,18 @@ def test_criterion_2_exact_annihilation_and_identity():
 
     records = encode_records([CausalRecord("u0", 0, {"x0": "0"}, {"hedging": 0}, 0, 0)], domains)
     g_flat = FittedMediatorModel(
-        "hedging", domains, 1, np.array([[[[0.7, 0.3]], [[0.7, 0.3]]]]), ()
+        "hedging", domains, np.array([[[[0.7, 0.3]], [[0.7, 0.3]]]]), ()
     )
     f_any = FittedOutcomeModel(
-        "hedging", domains, 1, np.array([[[[0.4], [0.7]], [[0.5], [0.9]]]]), ()
+        "hedging", domains, np.array([[[[0.4], [0.7]], [[0.5], [0.9]]]]), ()
     )
     nie_zero = sample_effects(records, g_flat, f_any)[1] == 0.0
 
     g_any = FittedMediatorModel(
-        "hedging", domains, 1, np.array([[[[0.75, 0.25]], [[0.4, 0.6]]]]), ()
+        "hedging", domains, np.array([[[[0.75, 0.25]], [[0.4, 0.6]]]]), ()
     )
     f_flat = FittedOutcomeModel(
-        "hedging", domains, 1, np.array([[[[0.41], [0.41]], [[0.77], [0.77]]]]), ()
+        "hedging", domains, np.array([[[[0.41], [0.41]], [[0.77], [0.77]]]]), ()
     )
     nde_zero = sample_effects(records, g_any, f_flat)[0] == 0.0
 

@@ -338,6 +338,8 @@ def test_config_validation():
         RunConfig(transcripts="x", out="y", folds=1).validate()
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"transcripts": "x", "out": "y", "mystery": 1})
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['strict_marker'\]"):
+        RunConfig.from_dict({"transcripts": "x", "out": "y", "strict_marker": False})
     with pytest.raises(ConfigError):
         RunConfig.from_dict({"out": "y"})
 
@@ -351,7 +353,7 @@ def test_config_validation():
         ("mediators", "hedging", "'mediators' must be a list of strings, got str"),
         ("mediators", ["hedging", 1], "'mediators' must be a list of strings"),
         ("confounders", "x0", "'confounders' must be a list of strings or null"),
-        ("strict_marker", 1, "'strict_marker' must be true or false, got int"),
+        ("x_marginal", 1, "'x_marginal' must be true or false, got int"),
         ("meta", 5, "'meta' must be a string or null, got int"),
     ],
 )
@@ -393,7 +395,6 @@ def valid_configs(draw):
         topic_beta=draw(POSITIVE),
         topic_sweeps=sweeps,
         topic_burn_in=draw(st.integers(0, sweeps)),
-        strict_marker=draw(st.booleans()),
         x_marginal=draw(st.booleans()),
     )
     try:

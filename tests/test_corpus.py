@@ -10,9 +10,9 @@ from medlang.corpus import (
     SPEAKER_ROLES,
     AnalysisUnit,
     Utterance,
-    _iter_lines,
     _iter_objects,
     _parse_turn,
+    _read_whole,
     ends_with_interruption_marker,
     extract_units,
     parse_case_metadata,
@@ -24,6 +24,7 @@ from medlang.corpus import (
 )
 from medlang.errors import DataError, MedlangError, ParseError
 from medlang.measure import CausalRecord, record_to_json, records_from_json
+from medlang.scm import load_scm_spec
 
 
 def line(case_id, index, speaker, role, text):
@@ -272,9 +273,8 @@ def test_metadata_reader_rejects_a_lone_surrogate():
     assert info.value.line_number == 2
 
 
-@pytest.mark.parametrize("kind", ["str", "StringIO", "list"])
 @pytest.mark.parametrize("reader", ["transcript", "metadata", "units", "records"])
-def test_every_reader_rejects_a_raw_lone_surrogate_in_text(reader, kind):
+def test_every_reader_rejects_a_raw_lone_surrogate_in_text(reader):
     # Its escape is a lone surrogate error (above); the raw character in a str
     # is text that is not UTF-8, as its bytes in a file would be.
     def unit(unit_id, text):
@@ -292,10 +292,23 @@ def test_every_reader_rejects_a_raw_lone_surrogate_in_text(reader, kind):
         "records": (records_from_json, record("u0", "a"), record("u1", "RAW")),
     }[reader]
     text = first + "\n" + second.replace("RAW", "so \ud800") + "\n"
-    source = {"str": text, "StringIO": io.StringIO(text), "list": text.splitlines(True)}[kind]
     with pytest.raises(ParseError, match="not UTF-8 text") as info:
-        read(source)
+        read(text)
     assert info.value.line_number == 2
+
+
+@pytest.mark.parametrize("kind", [
+    io.StringIO,
+    lambda text: text.splitlines(True),
+    lambda text: io.TextIOWrapper(io.BytesIO(b"\xff" + text.encode("utf-8")), encoding="utf-8"),
+], ids=["StringIO", "list", "text-stream-not-utf8"])
+@pytest.mark.parametrize("read", [
+    parse_transcript, parse_case_metadata, units_from_json, records_from_json, load_scm_spec,
+    lambda source: list(_iter_objects(source, "estimate")),  # the report command's reader
+], ids=["transcript", "metadata", "units", "records", "spec", "estimates"])
+def test_a_reader_takes_no_text_stream_or_list_of_lines(read, kind):
+    with pytest.raises(TypeError):
+        read(kind(line("a", 0, "s", "advocate", "Go.") + "\n"))
 
 
 def test_metadata_duplicate_case_errors():
@@ -345,7 +358,7 @@ def test_units_reader_parses_or_raises_a_medlang_error(lines):
         assert len(units) <= len(lines)
 
 
-def _prior_counts_reference(utterances, strict):
+def _prior_counts_reference(utterances):
     """The rescan extract_units replaced: count earlier marked advocate turns per unit."""
     by_case = {}
     for utt in utterances:
@@ -358,7 +371,7 @@ def _prior_counts_reference(utterances, strict):
             out[f"{utt.case_id}:{utt.index}"] = sum(
                 1 for other in by_case[utt.case_id][: utt.index]
                 if other.speaker_role == "advocate"
-                and ends_with_interruption_marker(other.text, strict=strict)
+                and ends_with_interruption_marker(other.text)
             )
     return out
 
@@ -374,9 +387,8 @@ TURN_TEXTS = ("Go on.", "I was saying - -", "As I said --", "Well -", "So - -  "
                   st.sampled_from(TURN_TEXTS)),
         max_size=20,
     ),
-    strict=st.booleans(),
 )
-def test_prior_interruption_bucket_matches_the_rescan_reference(turns, strict):
+def test_prior_interruption_bucket_matches_the_rescan_reference(turns):
     next_index = {}
     utts = []
     for case_id, role, text in turns:  # cases interleaved in file order
@@ -384,8 +396,8 @@ def test_prior_interruption_bucket_matches_the_rescan_reference(turns, strict):
         next_index[case_id] = index + 1
         utts.append(Utterance(case_id, index, f"{role} {case_id}", role, text))
     expected = {uid: ("2+" if n >= 2 else str(n))
-                for uid, n in _prior_counts_reference(utts, strict).items()}
-    units = extract_units(utts, strict_marker=strict)
+                for uid, n in _prior_counts_reference(utts).items()}
+    units = extract_units(utts)
     assert {u.unit_id: u.context_features["prior_interruption_bucket"] for u in units} == expected
 
 
@@ -394,9 +406,9 @@ def test_extract_checks_each_turn_for_the_marker_at_most_once(monkeypatch):
 
     calls = []
 
-    def counting(text, strict=False):
+    def counting(text):
         calls.append(text)
-        return ends_with_interruption_marker(text, strict)
+        return ends_with_interruption_marker(text)
 
     monkeypatch.setattr(corpus, "ends_with_interruption_marker", counting)
     roles = ("advocate", "justice")
@@ -446,9 +458,15 @@ def test_parse_bool_index_errors():
 
 
 def _reference_objects(source, what="record"):
-    """The reader as it was, decoding each line with json.loads."""
+    """The reader as it was, decoding each "\\n"-ended line with json.loads."""
     out = []
-    for lineno, text in _iter_lines(source):
+    for lineno, text in enumerate(_read_whole(source).split(b"\n"), 1):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError("not UTF-8 text", lineno) from exc
+        if not text.strip():
+            continue
         try:
             obj = json.loads(text)
             if "\\u" in text:
@@ -504,7 +522,7 @@ def decoder_lines(draw):
 @given(lines=st.lists(decoder_lines(), max_size=4))
 def test_reader_gives_the_json_loads_objects_and_errors(lines):
     text = "\n".join(lines)
-    assert _outcome(lambda t: list(_iter_objects(t, "record")), text) == _outcome(
+    assert _outcome(lambda t: list(_iter_objects(_read_whole(t), "record")), text) == _outcome(
         _reference_objects, text)
 
 
@@ -514,7 +532,7 @@ def test_reader_gives_the_json_loads_objects_and_errors(lines):
     ids=["json-whitespace-and-trailing-cr", "nan", "escaped-surrogate-pair"],
 )
 def test_line_decoder_accepts(text):
-    ((lineno, obj),) = _iter_objects(text, "record")
+    ((lineno, obj),) = _iter_objects(text.encode("utf-8"), "record")
     assert (lineno, repr(obj)) == (1, repr(json.loads(text)))  # repr: NaN equals itself
 
 
@@ -531,13 +549,15 @@ def test_line_decoder_accepts(text):
         ("[" * 100_000, "nested too deeply"),
         ('{"a": "\\ud800"}', "lone surrogate \\ud800"),
         ('{"a": ["\\udfff"]}', "lone surrogate \\udfff"),
+        ('{"a": "x', "Unterminated string starting at"),  # not the newline that ends it
     ],
     ids=["vt-before", "vt-after", "nbsp-before", "nbsp-after", "two-values",
-         "two-values-comma", "bom", "deep-nesting", "lone-high-surrogate", "lone-low-surrogate"],
+         "two-values-comma", "bom", "deep-nesting", "lone-high-surrogate", "lone-low-surrogate",
+         "unterminated-string"],
 )
 def test_line_decoder_rejects_with_the_json_loads_message(text, message):
     # A binary stream, as the command line reads, splits lines at "\n" only.
-    source = io.BytesIO((line("a", 0, "s", "advocate", "x") + "\n" + text).encode("utf-8"))
+    source = (line("a", 0, "s", "advocate", "x") + "\n" + text + "\n").encode("utf-8")
     with pytest.raises(ParseError) as info:
         list(_iter_objects(source, "record"))
     assert str(info.value) == f"line 2: malformed record: {message}"
@@ -573,7 +593,7 @@ def test_transcript_is_not_decoded_as_one_array():
 def _reference_transcript(source):
     """parse_transcript as it was: _parse_turn on every line, repeats found with a set."""
     utterances, next_index, seen = [], {}, set()
-    for lineno, obj in _iter_objects(source, "record"):
+    for lineno, obj in _iter_objects(_read_whole(source), "record"):
         utt = _parse_turn(obj, lineno)
         case_id, index = utt.case_id, utt.index
         if (case_id, index) in seen:
@@ -634,18 +654,3 @@ def test_only_a_newline_ends_a_line_in_every_source_kind(char):
         assert outcomes[0] == [text, "Why?"]
     else:  # a raw control character is not JSON
         assert outcomes[0].startswith("line 1: malformed record: Invalid control character")
-
-
-@pytest.mark.parametrize("n_good", [0, 2, 3000])
-def test_text_stream_not_utf8_names_the_line_being_read(tmp_path, n_good):
-    # A text stream decodes a chunk at a time, so the error comes while the
-    # stream reads some line at or before the bad one: that line is named.
-    path = tmp_path / "transcript.ndjson"
-    path.write_bytes((GOOD_TRANSCRIPT_LINE + b"\n") * n_good + b"\xff\n")
-    read = 0
-    with open(path, encoding="utf-8") as fh, pytest.raises(UnicodeDecodeError):
-        for _ in fh:
-            read += 1
-    with open(path, encoding="utf-8") as fh, pytest.raises(ParseError, match="not UTF-8") as info:
-        list(_iter_lines(fh))
-    assert info.value.line_number == read + 1

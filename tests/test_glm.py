@@ -119,7 +119,7 @@ def gen_logistic_outcome(n, seed, b0=-1.6, bm=1.1, bt=0.8, bx=0.6, btm=0.0):
 def test_mediator_independent_of_treatment_has_flat_tables():
     records = gen_mediator_independent_of_t(20000, seed=21)
     model = fit_mediator_model(records)
-    assert model.n_folds == 2
+    assert model.table.shape[0] == 2
     diff = np.abs(model.table[:, 1, :, :] - model.table[:, 0, :, :])
     assert diff.max() <= 0.02
 
@@ -293,7 +293,7 @@ def test_refolded_records_fit_over_their_new_folds():
     assert records.n_folds == 2
     refolded = replace(records, fold=assign_folds(records.unit_ids, 4, seed=3))
     model = fit_mediator_model(refolded, "hedging")
-    assert model.n_folds == 4
+    assert model.table.shape[0] == 4
 
 
 # -- diagnostics and export -------------------------------------------------------

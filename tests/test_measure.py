@@ -119,15 +119,16 @@ def test_hedging_invariance_under_whitespace_and_case(lead, trail, upper):
     base = "I mean the point stands"
     text = lead + (base.upper() if upper else base) + trail
     assert measure_hedging(tokenize(text), LEXICON) == 1
+    assert measure_hedging(tokenize(text), ["I  Mean"]) == 1  # a phrase not yet normalized
 
 
 def _measure_hedging_reference(text, lexicon):
-    """The phrase-by-phrase scan measure_hedging replaced: every phrase at every offset."""
+    """The phrase-by-phrase scan measure_hedging replaced: every lowercased phrase, every offset."""
     if not lexicon:
         raise ConfigError("hedging lexicon is empty")
     tokens = tokenize(text)
     for phrase in lexicon:
-        ptoks = phrase.split()
+        ptoks = phrase.lower().split()
         span = len(ptoks)
         if span == 0 or span > len(tokens):
             continue
@@ -239,7 +240,7 @@ def test_interruption_requires_responder(paired_units):
         label_interruption(orphan)
 
 
-def test_interruption_strict_mode(paired_units):
+def test_interruption_marker_spellings(paired_units):
     unit = paired_units[0]
 
     def with_text(text):
@@ -252,9 +253,9 @@ def test_interruption_strict_mode(paired_units):
             context_features={},
         )
 
-    assert label_interruption(with_text("cut off --"), strict=False) == 1
-    assert label_interruption(with_text("cut off --"), strict=True) == 0
-    assert label_interruption(with_text("cut off - -"), strict=True) == 1
+    assert label_interruption(with_text("cut off --")) == 1
+    assert label_interruption(with_text("cut off - -  ")) == 1
+    assert label_interruption(with_text("cut off -")) == 0
 
 
 # -- treatment -----------------------------------------------------------------
@@ -766,10 +767,7 @@ READER_NAMES = ["hedging", "a", 'q"', "b\\", "n\n", "é", "m%d", " ", "\x01"]
 
 
 def _sources(data: bytes):
-    """A maker of each kind of source records_from_json reads, each holding ``data``.
-
-    The first three are read whole; the others line by line.
-    """
+    """A maker of each kind of source records_from_json reads, each holding ``data``."""
     yield lambda: data
     yield lambda: io.BytesIO(data)
     try:
@@ -777,8 +775,6 @@ def _sources(data: bytes):
     except UnicodeDecodeError:
         return
     yield lambda: text
-    yield lambda: io.StringIO(text)
-    yield lambda: text.split("\n")
 
 
 def _outcome(read, source):
@@ -804,9 +800,9 @@ def split_blocks_of(size: int):
 
 
 def assert_reads_like_the_reference(data: bytes):
-    # Each source kind is compared with the reference reading that same kind.
+    # Each source kind holds the same bytes, which the reference reads.
+    reference = _outcome(measure._records_from_lines, data)
     for source in _sources(data):
-        reference = _outcome(measure._records_from_lines, source())
         for size in (corpus._BLOCK, 1, 150):  # one block, a line each, one or two lines each
             with split_blocks_of(size):
                 assert _outcome(records_from_json, source()) == reference
@@ -912,20 +908,6 @@ def test_column_reader_equals_the_reference_on_non_canonical_lines(second):
     assert_reads_like_the_reference(f"{first}\n{second}\n{third}\n".encode("utf-8"))
 
 
-def test_column_reader_equals_the_reference_on_bad_utf8_in_a_text_stream(tmp_path):
-    # A text stream decodes in chunks, so the bad line is found while it is read.
-    lines = _canonical_file().split(b"\n")[:1] * 4000
-    lines = [line.replace(b'"c:0"', b'"c:%d"' % i) for i, line in enumerate(lines)]
-    lines[3000] = b"\xff"
-    path = tmp_path / "records.ndjson"
-    path.write_bytes(b"\n".join(lines))
-    with open(path, encoding="utf-8") as fh:
-        got = _outcome(records_from_json, fh)
-    with open(path, encoding="utf-8") as fh:
-        assert got == _outcome(measure._records_from_lines, fh)
-    assert got[0] == "error" and "not UTF-8" in got[1]
-
-
 def test_writer_form_never_reaches_the_per_line_reader(monkeypatch, tmp_path):
     """A file write_records wrote is read by the pattern alone, from bytes, str or a file."""
     files = [_canonical_file(),
@@ -948,7 +930,7 @@ def test_writer_form_never_reaches_the_per_line_reader(monkeypatch, tmp_path):
     for data, want in zip(files, expected):
         for size in (corpus._BLOCK, 1, 150):
             with split_blocks_of(size):
-                for source in list(_sources(data))[:3]:
+                for source in _sources(data):
                     assert _outcome(records_from_json, source()) == want
         path = tmp_path / "records.ndjson"
         path.write_bytes(data)

@@ -29,7 +29,7 @@ from medlang.mediation import (
 from medlang import scm
 
 
-def hand_models(g_rows, f_rows, domains=None, n_folds=1):
+def hand_models(g_rows, f_rows, domains=None):
     """Build fitted models directly from probability tables.
 
     g_rows: array (n_folds, 2, n_x, K); f_rows: (n_folds, K, 2, n_x).
@@ -38,14 +38,12 @@ def hand_models(g_rows, f_rows, domains=None, n_folds=1):
     g = FittedMediatorModel(
         mediator_name="hedging",
         domains=domains,
-        n_folds=n_folds,
         table=np.asarray(g_rows, dtype=float),
         diagnostics=(),
     )
     f = FittedOutcomeModel(
         mediator_name="hedging",
         domains=domains,
-        n_folds=n_folds,
         table=np.asarray(f_rows, dtype=float),
         diagnostics=(),
     )
@@ -91,6 +89,13 @@ def test_total_effect_hand_arithmetic():
     nde, _, nie_rev, te = sample_effects(records, g, f)
     assert te == pytest.approx(0.395, abs=1e-12)
     assert abs(te - nde - nie_rev) <= 1e-9
+
+
+def test_models_whose_tables_hold_different_fold_counts_are_a_data_error():
+    g, f = hand_models(g_rows=[[[[0.75, 0.25]], [[0.4, 0.6]]]] * 2,
+                       f_rows=[[[[0.4], [0.7]], [[0.5], [0.9]]]])
+    with pytest.raises(DataError, match="different fold counts"):
+        sample_effects(one_unit_record(), g, f)
 
 
 # -- exact annihilation -----------------------------------------------------------
@@ -236,7 +241,7 @@ def test_marginal_weighting_hand_arithmetic():
     nde_cells = [[0.1, 0.5], [0.3, 0.4]]  # (fold, x)
     g_rows = [[[[1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [1.0, 0.0]]]] * 2
     f_rows = [[[[0.0, 0.0], nde_cells[fold]], [[0.5, 0.5], [0.5, 0.5]]] for fold in (0, 1)]
-    g, f = hand_models(g_rows, f_rows, domains=simple_domains(n_x_levels=2), n_folds=2)
+    g, f = hand_models(g_rows, f_rows, domains=simple_domains(n_x_levels=2))
     # fold 0 holds two units with x = 0, fold 1 one unit with x = 1
     records = records_from_arrays(t=[0, 0, 0], x0=[0, 0, 1], m=[0, 0, 0], y=[0, 0, 0],
                                   fold=[0, 0, 1])
