@@ -195,7 +195,7 @@ def measure_units(units, transcript: Transcript, config: RunConfig) -> BuildResu
     if config.lexicon:
         with _open(config.lexicon) as fh:
             try:
-                lexicon = load_lexicon(fh.read().decode("utf-8"))
+                lexicon = load_lexicon(fh.read().decode("utf-8-sig"))
             except UnicodeDecodeError as exc:
                 raise ConfigError(
                     f"malformed lexicon file {config.lexicon}: not UTF-8 text") from exc

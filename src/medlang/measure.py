@@ -49,9 +49,9 @@ def load_lexicon(text: str) -> tuple[str, ...]:
     """
     phrases = []
     for line in text.splitlines():
-        body = line.split("#", 1)[0].strip()
-        if body:
-            phrases.append(normalize_phrase(body))
+        phrase = normalize_phrase(line.split("#", 1)[0])
+        if phrase:
+            phrases.append(phrase)
     if not phrases:
         raise ConfigError("hedging lexicon is empty")
     return tuple(dict.fromkeys(phrases))

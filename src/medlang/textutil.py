@@ -27,4 +27,5 @@ def tokenize(text: str) -> list[str]:
 
 
 def normalize_phrase(phrase: str) -> str:
-    return " ".join(phrase.lower().split())
+    """A lexicon phrase as the tokens it can match, joined by single spaces."""
+    return " ".join(tokenize(phrase))

@@ -179,13 +179,16 @@ def fold_in(model: TopicModel, docs: Sequence[list[str]]) -> np.ndarray:
     """Deterministic EM fold-in: topic proportions of each text, one row each.
 
     Each text is given as its tokenize() list. Rows of text with no
-    in-vocabulary token are NaN. Texts are folded in together as a
-    topic-major (topics, tokens, texts) array, one per power-of-two class
-    of in-vocabulary length so that padding stays under half of it. A
+    in-vocabulary token are NaN. Texts are folded in together as a C-order
+    (topics, tokens, texts) array with texts innermost, one per power-of-two
+    class of in-vocabulary length so that padding stays under half of it. A
     padded token has topic-word weight 0 and a topic sum of 1, so it adds
-    exactly 0.0 to the sum over tokens, which runs in token order; sums
-    over topics run in topic order (_row_sum). So no row depends on the
-    batch it came in.
+    exactly 0.0 to the sum over tokens. Sums over tokens run in token order
+    and sums over topics in topic order (_row_sum), so no row depends on the
+    batch it came in. A text leaves its batch once an iteration returns its
+    proportions bit for bit: each iteration is the same map of the previous
+    proportions, so every later one would return them too. The others stop
+    after _FOLD_IN_ITERATIONS.
     """
     # preprocess's filter, run once per vocabulary word instead of once per token.
     kept = {tok: model.vocab_index[tok] for tok in preprocess(list(model.vocab))}
@@ -197,21 +200,38 @@ def fold_in(model: TopicModel, docs: Sequence[list[str]]) -> np.ndarray:
     length_class = np.frexp(lengths)[1]  # e with 2**(e - 1) <= length < 2**e
     for cls in np.unique(length_class[lengths > 0]):
         rows = np.flatnonzero(length_class == cls)
-        real = np.arange(lengths[rows].max()) < lengths[rows, None]
+        real = np.arange(lengths[rows].max())[:, None] < lengths[rows]  # (tokens, texts)
         word = np.full(real.shape, n_words)
-        word[real] = [i for row in rows for i in ids[row]]
-        cols = table[:, word.T]
-        padding = (~real.T).astype(float)
+        word.T[real.T] = [i for row in rows for i in ids[row]]  # text by text
+        cols = np.take(table, word, axis=1)
+        padding = (~real).astype(float)
         theta = np.full((k, rows.size), 1.0 / k)
-        q = np.empty_like(cols)
+        # Two buffers of the batch's size: one holds cols, the other each iteration's
+        # product. Texts leave by copying the rest of cols into the product buffer;
+        # the buffers then trade roles, so no iteration allocates a batch.
+        held, spare = cols.reshape(-1), np.empty(cols.size)
         for _ in range(_FOLD_IN_ITERATIONS):
+            q = spare[:cols.size].reshape(cols.shape)
             np.multiply(theta[:, None], cols, out=q)
             norm = _row_sum(q)
             norm += padding
             q /= norm
-            theta = q.sum(axis=1)
+            previous, theta = theta, _row_sum(q.swapaxes(0, 1))
             theta += model.alpha
             theta /= _row_sum(theta)
+            # Bits, not values: 0.0 == -0.0 though a later iteration may tell them apart.
+            moving = (theta.view(np.int64) != previous.view(np.int64)).any(axis=0)
+            if not moving.all():
+                out[rows[~moving]] = theta[:, ~moving].T
+                rows, theta = rows[moving], theta.compress(moving, axis=1)
+                if not rows.size:
+                    break
+                shape = cols.shape[:2] + (rows.size,)
+                held, spare = spare, held
+                # mode="clip" writes straight into out; "raise" would go through a copy
+                cols = np.take(cols, np.flatnonzero(moving), axis=2, mode="clip",
+                               out=held[:math.prod(shape)].reshape(shape))
+                padding = padding.compress(moving, axis=1)
         out[rows] = theta.T
     return out
 
@@ -231,15 +251,18 @@ def measure_topic(model: TopicModel, text: str) -> int:
 def match_topics(model: TopicModel, reference_rows: Iterable[Sequence[float]]) -> list[tuple[int, float]]:
     """Greedy cosine matching of fitted topics to reference distributions.
 
-    Reference rows must be aligned with model.vocab. For each row returns
-    (best unclaimed fitted topic index, cosine); used to compare recovered
-    topics with planted ones up to permutation.
+    Reference rows must be aligned with model.vocab, and there must be no
+    more of them than fitted topics. For each row returns (best unclaimed
+    fitted topic index, cosine); used to compare recovered topics with
+    planted ones up to permutation.
     """
     phi = model.topic_word
     norms = np.linalg.norm(phi, axis=1)
     taken: set[int] = set()
     out = []
     for row in reference_rows:
+        if len(taken) == model.n_topics:
+            raise DataError(f"more reference rows than the {model.n_topics} fitted topics")
         vec = np.asarray(row, dtype=float)
         if vec.shape != (phi.shape[1],):
             raise DataError(

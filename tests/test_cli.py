@@ -239,6 +239,23 @@ def test_custom_lexicon_changes_hedging_labels(
     assert all(r.m["hedging"] == 0 for r in records)
 
 
+def test_lexicon_with_byte_order_mark_and_edge_punctuation_matches_its_tokens(
+    tmp_path, paired_transcript_path, paired_meta_path
+):
+    hedging = []
+    for name, text in (("marked", b"\xef\xbb\xbfI think\nmaybe,\n"), ("plain", b"i think\nmaybe\n")):
+        lexicon = tmp_path / f"{name}.txt"
+        lexicon.write_bytes(text)
+        config_path, _ = write_config(
+            tmp_path, paired_transcript_path, paired_meta_path,
+            lexicon=str(lexicon), out=str(tmp_path / name),
+        )
+        assert main(["run", "--config", str(config_path)]) == 0
+        records = records_from_json((tmp_path / name / "records.ndjson").read_bytes())
+        hedging.append([r.m["hedging"] for r in records])
+    assert hedging[0] == hedging[1] and any(hedging[1])
+
+
 def _latin1_lexicon(tmp_path) -> Path:
     lexicon = tmp_path / "lexicon.txt"
     lexicon.write_bytes("peut-être\n".encode("latin-1"))

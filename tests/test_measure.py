@@ -123,12 +123,12 @@ def test_hedging_invariance_under_whitespace_and_case(lead, trail, upper):
 
 
 def _measure_hedging_reference(text, lexicon):
-    """The phrase-by-phrase scan measure_hedging replaced: every lowercased phrase, every offset."""
+    """The phrase-by-phrase scan measure_hedging replaced: every phrase's tokens, every offset."""
     if not lexicon:
         raise ConfigError("hedging lexicon is empty")
     tokens = tokenize(text)
     for phrase in lexicon:
-        ptoks = phrase.lower().split()
+        ptoks = tokenize(phrase)
         span = len(ptoks)
         if span == 0 or span > len(tokens):
             continue
@@ -439,11 +439,14 @@ def test_build_records_folds_in_every_topic_text_in_one_batch(monkeypatch):
 def test_load_lexicon_comments_and_normalization():
     text = "# comment\nI  Think\n\nsort of  # trailing comment\n"
     assert load_lexicon(text) == ("i think", "sort of")
+    assert load_lexicon("maybe,\n(Sort of)\n--\n") == ("maybe", "sort of", "- -")
 
 
 def test_load_lexicon_empty_errors():
     with pytest.raises(ConfigError):
         load_lexicon("# only a comment\n")
+    with pytest.raises(ConfigError):
+        load_lexicon("...\n, ,\n")
 
 
 # -- build_records ---------------------------------------------------------------

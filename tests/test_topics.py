@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,15 @@ def test_planted_topics_recovered(small_planted_model):
     matches = match_topics(model, planted_reference_rows(list(model.vocab)))
     assert {idx for idx, _ in matches} == {0, 1}
     assert all(cosine >= 0.95 for _, cosine in matches)
+
+
+def test_more_reference_rows_than_topics_is_data_error(small_planted_model):
+    model = small_planted_model
+    rows = planted_reference_rows(list(model.vocab))
+    with pytest.raises(DataError, match="more reference rows than the 2 fitted topics"):
+        match_topics(model, rows + [rows[0]])
+    with pytest.raises(DataError, match="more reference rows"):
+        match_topics(model, iter(rows * 2))
 
 
 def test_row_normalization(small_planted_model):
@@ -222,10 +233,10 @@ def reference_proportions(model, text):
         return None
     cols = model.topic_word[:, ids]
     theta = np.full(model.n_topics, 1.0 / model.n_topics)
-    for _ in range(50):  # sums over topics in topic order, as fold_in adds them
+    for _ in range(50):  # sums over topics and over tokens in order, as fold_in adds them
         q = theta[:, None] * cols
         q /= np.cumsum(q, axis=0)[-1]
-        theta = model.alpha + q.sum(axis=1)
+        theta = model.alpha + np.cumsum(q, axis=1)[:, -1]
         theta /= np.cumsum(theta)[-1]
     return theta
 
@@ -263,6 +274,23 @@ def test_batched_fold_in_equals_the_per_text_loop_bit_for_bit(k):
             assert level == int(np.argmax(want))
             assert fold_in(model, [doc])[0].tobytes() == want.tobytes()
             assert measure_topic(model, text) == level
+
+
+def test_a_text_left_alone_in_its_batch_keeps_its_row():
+    # Words 0-4 each have weight in one topic only, so a text of one of them reaches its
+    # fixed point after two iterations and leaves the batch; the text of shared words,
+    # in the same length class, then runs on alone as a batch of one.
+    base = random_model(5, n_words=15, seed=5)
+    topic_word = base.topic_word.copy()
+    topic_word[:, :5] = np.eye(5)
+    model = dataclasses.replace(base, topic_word=topic_word / topic_word.sum(axis=1, keepdims=True))
+    texts = [" ".join([model.vocab[t]] * n) for t in range(5) for n in (8, 11, 15)]
+    texts.insert(7, " ".join(np.random.default_rng(5).choice(model.vocab[5:], size=12)))
+    docs = [tokenize(text) for text in texts]
+    got = fold_in(model, docs)
+    for text, row in zip(texts, got):
+        assert row.tobytes() == reference_proportions(model, text).tobytes()
+    assert got[7].tobytes() == fold_in(model, [docs[7]])[0].tobytes()
 
 
 def test_batch_without_in_vocabulary_tokens_is_all_no_content():
