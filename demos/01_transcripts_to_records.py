@@ -37,7 +37,7 @@ def main() -> None:
               f"context {dict(unit.context_features)}")
 
     build = build_records(
-        units, MeasurementSpec.default(), n_folds=2, case_utterances=utterances.cases, seed=0
+        units, MeasurementSpec.default(), n_folds=2, case_utterances=utterances, seed=0
     )
     print("\nmeasured records (t = gender signal, y = interruption):")
     for rec in build.records:

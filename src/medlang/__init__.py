@@ -10,6 +10,7 @@ estimator against exact oracles on synthetic structural-model data.
 
 from .corpus import (
     AnalysisUnit,
+    Units,
     Utterance,
     extract_units,
     parse_case_metadata,
@@ -26,7 +27,6 @@ from .measure import (
     build_records,
     default_hedging_lexicon,
     encode_records,
-    label_interruption,
     label_treatment,
     load_lexicon,
     measure_disfluency,
@@ -81,6 +81,7 @@ __all__ = [
     "ScmSpec",
     "TopicModel",
     "TreatmentLaw",
+    "Units",
     "Utterance",
     "bootstrap_effects",
     "build_records",
@@ -94,7 +95,6 @@ __all__ = [
     "fit_outcome_model",
     "fit_topic_model",
     "generate",
-    "label_interruption",
     "label_treatment",
     "load_fixture",
     "load_lexicon",

@@ -24,6 +24,7 @@ from . import glm, mediation, scm
 # wraps these names.
 from .corpus import (  # noqa: F401
     Transcript,
+    Units,
     _iter_objects,
     extract_units,
     load_json,
@@ -175,10 +176,10 @@ def _fit_topic_model_for_units(units, config: RunConfig):
     first. The training texts go to the sampler in unit_id order, so the
     model does not depend on the order of the input cases.
     """
-    folds = assign_folds(
-        [u.unit_id for u in units], config.folds, derive_seed(config.seed, "topic-split")
-    )
-    train = sorted((u.unit_id, u.p1_utterance.text) for u, fold in zip(units, folds) if fold)
+    folds = assign_folds(units.unit_ids, config.folds, derive_seed(config.seed, "topic-split"))
+    texts = map(units.turns.texts.__getitem__, units.p1)
+    train = sorted((unit_id, text) for unit_id, text, fold in zip(units.unit_ids, texts, folds)
+                   if fold)
     return fit_topic_model(
         [text for _, text in train],
         config.topics,
@@ -190,12 +191,12 @@ def _fit_topic_model_for_units(units, config: RunConfig):
     )
 
 
-def measure_units(units, transcript: Transcript, config: RunConfig) -> BuildResult:
+def measure_units(units: Units, transcript: Transcript, config: RunConfig) -> BuildResult:
     """Measure ``units`` into records; the honorific scan reads ``transcript``'s cases."""
     if config.lexicon:
         with _open(config.lexicon) as fh:
             try:
-                lexicon = load_lexicon(fh.read().decode("utf-8-sig"))
+                lexicon = load_lexicon(fh.read().decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise ConfigError(
                     f"malformed lexicon file {config.lexicon}: not UTF-8 text") from exc
@@ -207,7 +208,7 @@ def measure_units(units, transcript: Transcript, config: RunConfig) -> BuildResu
         units,
         spec,
         config.folds,
-        case_utterances=transcript.cases,
+        case_utterances=transcript,
         seed=derive_seed(config.seed, "folds"),
         confounders=config.confounders,
     )
@@ -292,7 +293,7 @@ def write_estimates(out: Path, estimates: Sequence[EffectEstimate]) -> str:
     return text
 
 
-def ingest(config: RunConfig) -> tuple[Transcript, list]:
+def ingest(config: RunConfig) -> tuple[Transcript, Units]:
     """Read the transcript and the metadata sidecar; return the transcript and its units."""
     with _open(config.transcripts) as fh:
         transcript = parse_transcript(fh)
@@ -323,6 +324,9 @@ def run_pipeline(config: RunConfig) -> dict:
     _write_with(out / "units.ndjson", write_units, units)
 
     build = measure_units(units, transcript, config)
+    # Measured: drop the turn and unit columns, whose memory the later stages then reuse.
+    n_units = len(units)
+    del transcript, units
     _write_with(out / "records.ndjson", write_records, build.records)
     known = build.records.domains.mediator_sizes
     missing = [m for m in config.mediators if m not in known]
@@ -337,8 +341,8 @@ def run_pipeline(config: RunConfig) -> dict:
     write_estimates(out, estimates)
 
     warnings = {
-        "n_advocate_utterances": len(units),  # one unit per advocate utterance
-        "n_units": len(units),
+        "n_advocate_utterances": n_units,  # one unit per advocate utterance
+        "n_units": n_units,
         "n_records": len(build.records),
         "excluded_units": build.exclusion_counts(),
         "smoothed_cells": {

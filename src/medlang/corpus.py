@@ -8,13 +8,15 @@ following justice turn of the same case, when one exists.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import re
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import chain, count, islice
 from json.encoder import encode_basestring, encode_basestring_ascii
-from typing import IO, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import IO, NamedTuple
 
 from .errors import DataError, ParseError
 
@@ -43,29 +45,49 @@ class Utterance(NamedTuple):
     text: str
 
 
-class Transcript(list):
-    """A transcript's utterances in file order, as parse_transcript reads them; read-only.
+class Transcript(Sequence):
+    """A transcript's turns in file order, as parse_transcript reads them; read-only.
 
-    ``cases`` maps each case_id to its turns in index order.
+    It holds the columns case_ids, indices, speaker_ids, roles and texts;
+    ``case_rows`` maps each case_id to its rows in index order. Indexing
+    and iterating build Utterance rows.
     """
 
-    def __init__(self, utterances, cases: dict[str, list[Utterance]]) -> None:
-        super().__init__(utterances)
-        self.cases = cases
+    def __init__(self, columns, case_rows: dict[str, list[int]]) -> None:
+        self.case_ids, self.indices, self.speaker_ids, self.roles, self.texts = columns
+        self.columns, self.case_rows = columns, case_rows
 
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("a Transcript is read-only; change a list() copy of it")
+    def __len__(self) -> int:
+        return len(self.case_ids)
 
-    __setitem__ = __delitem__ = __iadd__ = __imul__ = _read_only
-    append = extend = insert = pop = remove = clear = sort = reverse = _read_only
+    def __getitem__(self, i):
+        return self._rows[i]
 
-    def __reduce__(self):  # a copy or a pickle is a list
-        return list, (list(self),)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (list, Transcript)):
+            return NotImplemented
+        return self._rows == list(other)
+
+    def __repr__(self) -> str:
+        return repr(self._rows)
+
+    @functools.cached_property
+    def _rows(self) -> list[Utterance]:
+        return list(map(Utterance, *self.columns))
+
+    def lines(self, rows: Sequence[int]) -> Iterator[str]:
+        """The transcript lines of ``rows``, without newlines, as utterance_to_json writes them."""
+        return _turn_lines(*(map(column.__getitem__, rows) for column in self.columns))
+
+
+def _columns(utterances: Sequence[Utterance]) -> tuple:
+    """The field columns of ``utterances``."""
+    return tuple(zip(*utterances)) or ((),) * len(_RECORD_FIELDS)
 
 
 @dataclass(frozen=True)
 class AnalysisUnit:
-    """An advocate turn plus the immediately following justice turn, if any.
+    """An advocate turn plus the immediately following justice turn, if any; a Units row.
 
     Units with no responder are retained (p2_utterance None) but excluded
     downstream because their outcome is undefined.
@@ -75,6 +97,56 @@ class AnalysisUnit:
     p1_utterance: Utterance
     p2_utterance: Utterance | None
     context_features: Mapping[str, object] = field(default_factory=dict)
+
+
+_ABSENT = object()  # a context feature a unit lacks, in its Units.features column
+
+
+@dataclass(frozen=True, eq=False)
+class Units(Sequence):
+    """A unit table, as extract_units and units_from_json give it: one row per unit.
+
+    ``p1`` and ``p2`` hold each unit's turns as rows of ``turns`` (-1: no
+    responder): the transcript the units came from, or, for units read from
+    a file, their own turns with no ``case_rows``. ``features`` holds a
+    column per context feature that any unit has, _ABSENT where a unit lacks
+    it. Indexing or iterating builds AnalysisUnit rows.
+    """
+
+    turns: Transcript
+    p1: list[int]
+    p2: list[int]
+    unit_ids: list[str]
+    features: dict[str, list]
+
+    def __len__(self) -> int:
+        return len(self.p1)
+
+    def __getitem__(self, i: int) -> AnalysisUnit:
+        i = range(len(self))[i]
+        return AnalysisUnit(self.unit_ids[i], self.turns[self.p1[i]],
+                            self.turns[self.p2[i]] if self.p2[i] >= 0 else None,
+                            {name: column[i] for name, column in self.features.items()
+                             if column[i] is not _ABSENT})
+
+
+def _feature_columns(contexts: Sequence[Mapping]) -> dict[str, list]:
+    """A column per name that any of ``contexts`` holds, _ABSENT where one lacks it."""
+    return {name: [context.get(name, _ABSENT) for context in contexts]
+            for name in dict.fromkeys(chain.from_iterable(contexts))}
+
+
+def unit_table(units: Iterable[AnalysisUnit]) -> Units:
+    """``units`` as a Units table: a table as it is, AnalysisUnit rows copied into one."""
+    if isinstance(units, Units):
+        return units
+    units, turns, p1, p2 = list(units), [], [], []
+    for unit in units:
+        p1.append(len(turns))
+        p2.append(-1 if unit.p2_utterance is None else len(turns) + 1)
+        turns += [turn for turn in (unit.p1_utterance, unit.p2_utterance) if turn is not None]
+    return Units(Transcript(_columns(turns), {}), p1, p2, [unit.unit_id for unit in units],
+                 _feature_columns([unit.context_features for unit in units]))
 
 
 def ends_with_interruption_marker(text: str) -> bool:
@@ -236,21 +308,21 @@ def parse_transcript(source: IO[bytes] | bytes | str) -> Transcript:
     if transcript is not None:
         return transcript
     utterances: list[Utterance] = []
-    cases: dict[str, list[Utterance]] = {}
+    case_rows: dict[str, list[int]] = {}
     for lineno, obj in _iter_objects(data, "record"):
         utt = _parse_turn(obj, lineno)
         case_id, index = utt.case_id, utt.index
-        turns = cases.setdefault(case_id, [])
-        expected = len(turns)
+        rows = case_rows.setdefault(case_id, [])
+        expected = len(rows)
         if index != expected:
             # Indices so far are 0..expected-1, so a smaller one is a repeat.
             if index < expected:
                 raise ParseError(f"duplicate (case_id, index) = ({case_id!r}, {index})", lineno)
             raise ParseError(f"non-contiguous index for case {case_id!r}: expected {expected}, "
                              f"got {index}", lineno)
-        turns.append(utt)
+        rows.append(len(utterances))
         utterances.append(utt)
-    return Transcript(utterances, cases)
+    return Transcript(_columns(utterances), case_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -268,11 +340,16 @@ def _json_object(fields: Mapping[str, str], escape=encode_basestring) -> str:
     return "{" + ", ".join(f"{escape(key)}: {fields[key]}" for key in sorted(fields)) + "}"
 
 
+def _turn_lines(case_ids, indices, speaker_ids, roles, texts) -> Iterator[str]:
+    """Transcript lines, without newlines, from field columns: the one turn writer."""
+    return map(_TURN_FORMAT.__mod__, zip(map(encode_basestring, case_ids), indices,
+                                         map(encode_basestring, speaker_ids),
+                                         map(encode_basestring, roles), map(encode_basestring, texts)))
+
+
 def utterance_to_json(utt: Utterance) -> str:
     """One transcript line, without its newline."""
-    return _TURN_FORMAT % (encode_basestring(utt.case_id), utt.index,
-                           encode_basestring(utt.speaker_id),
-                           encode_basestring(utt.speaker_role), encode_basestring(utt.text))
+    return next(_turn_lines(*([field] for field in utt)))
 
 
 def write_transcript(utterances: Iterable[Utterance], stream: IO[str]) -> None:
@@ -345,16 +422,13 @@ def _transcript_columns(data: bytes) -> Transcript | None:
     roles = list(map(_ROLES.get, roles))  # one string object per role
     if None in roles or not all(map(str.strip, texts)):
         return None
-    # tuple.__new__ builds each Utterance as Utterance._make does, without a Python frame.
-    utterances = list(map(tuple.__new__, repeat(Utterance),
-                          zip(case_ids, indices, speaker_ids, roles, texts)))
-    cases: dict[str, list[Utterance]] = {}
-    for utt in utterances:
-        turns = cases.setdefault(utt.case_id, [])
-        if len(turns) != utt.index:
+    case_rows: dict[str, list[int]] = {}
+    for row, case_id, index in zip(count(), case_ids, indices):
+        rows = case_rows.setdefault(case_id, [])
+        if len(rows) != index:
             return None
-        turns.append(utt)
-    return Transcript(utterances, cases)
+        rows.append(row)
+    return Transcript((case_ids, indices, speaker_ids, roles, texts), case_rows)
 
 
 def _metadata_columns(data: bytes) -> dict[str, dict] | None:
@@ -377,14 +451,29 @@ def _metadata_columns(data: bytes) -> dict[str, dict] | None:
 _BUCKETS = ("0", "1", "2+")  # earlier marked advocate turns: 0, 1, 2 or more
 
 
+def _transcript_of(utterances: Iterable[Utterance]) -> Transcript:
+    """A Transcript of turns in any order; a case whose indices do not run 0, 1, ... raises
+    DataError."""
+    utterances = list(utterances)
+    case_rows: dict[str, list[int]] = {}
+    for row, utt in enumerate(utterances):
+        case_rows.setdefault(utt.case_id, []).append(row)
+    for case_id, rows in case_rows.items():
+        rows.sort(key=lambda row: utterances[row].index)
+        if [utterances[row].index for row in rows] != list(range(len(rows))):
+            raise DataError(f"case {case_id!r}: indices not contiguous from 0")
+    return Transcript(_columns(utterances), case_rows)
+
+
 def extract_units(
     utterances: Sequence[Utterance],
     case_metadata: Mapping[str, Mapping[str, object]] | None = None,
-) -> list[AnalysisUnit]:
-    """One unit per advocate utterance, in advocate-utterance order.
+) -> Units:
+    """One unit per advocate utterance, in advocate-utterance order, as a Units table.
 
-    The responder slot is filled iff the next turn of the same case has a
-    justice or chief-justice role. Context features:
+    ``utterances`` is a Transcript, or turns in any order. The responder
+    slot is filled iff the next turn of the same case has a justice or
+    chief-justice role. Context features:
 
     - prior_interruption_bucket: count of earlier advocate turns in the case
       ending with the interruption marker, bucketed to {0, 1, 2+};
@@ -396,80 +485,69 @@ def extract_units(
     clash = [case for case, meta in case_metadata.items() if not COMPUTED_FEATURES.isdisjoint(meta)]
     if clash:
         raise DataError(f"case {clash[0]!r}: metadata names one of {sorted(COMPUTED_FEATURES)}")
-    if isinstance(utterances, Transcript):  # grouped as read
-        cases = utterances.cases
-    else:
-        cases = {}
-        for utt in utterances:
-            cases.setdefault(utt.case_id, []).append(utt)
-        for case_id, turns in cases.items():
-            turns.sort(key=lambda t: t.index)
-            if [t.index for t in turns] != list(range(len(turns))):
-                raise DataError(f"case {case_id!r}: indices not contiguous from 0")
-    # prior[case][i]: the bucket of earlier advocate turns of the case ending with the marker
-    prior: dict[str, list[str]] = {}
-    for case_id, turns in cases.items():
-        running, buckets = 0, []
-        for turn in turns:
-            buckets.append(_BUCKETS[running])
-            if (running < 2 and turn.speaker_role == "advocate"
-                    and ends_with_interruption_marker(turn.text)):
-                running += 1
-        prior[case_id] = buckets
-
-    units: list[AnalysisUnit] = []
-    for utt in utterances:
-        if utt.speaker_role != "advocate":
-            continue
-        case_id, index = utt.case_id, utt.index
-        turns = cases[case_id]
-        nxt = turns[index + 1] if index + 1 < len(turns) else None
-        p2 = nxt if nxt is not None and nxt.speaker_role in RESPONDER_ROLES else None
-        context: dict[str, object] = {
-            "prior_interruption_bucket": prior[case_id][index],
-            "responder_role": p2.speaker_role if p2 is not None else "none",
-        }
-        context.update(case_metadata.get(case_id, ()))
-        # The id is unique: (case_id, index) is, and the index holds no ":".
-        units.append(AnalysisUnit(f"{case_id}:{index}", utt, p2, context))
-    return units
+    turns = utterances if isinstance(utterances, Transcript) else _transcript_of(utterances)
+    case_ids, indices, roles, texts = turns.case_ids, turns.indices, turns.roles, turns.texts
+    p2, buckets = {}, {}  # by advocate row
+    for rows in turns.case_rows.values():
+        marked = 0  # the case's earlier advocate turns that end with the marker
+        for row, nxt in zip(rows, [*rows[1:], -1]):
+            if roles[row] == "advocate":
+                p2[row] = nxt if nxt >= 0 and roles[nxt] in RESPONDER_ROLES else -1
+                buckets[row] = _BUCKETS[min(marked, 2)]
+                marked += ends_with_interruption_marker(texts[row])
+    advocates = sorted(p2)
+    p2 = list(map(p2.__getitem__, advocates))
+    features = {"prior_interruption_bucket": list(map(buckets.__getitem__, advocates)),
+                "responder_role": [roles[row] if row >= 0 else "none" for row in p2],
+                **_feature_columns([case_metadata.get(case_ids[row], {}) for row in advocates])}
+    # The id is unique: (case_id, index) is, and the index holds no ":".
+    unit_ids = list(map("%s:%d".__mod__, zip(map(case_ids.__getitem__, advocates),
+                                             map(indices.__getitem__, advocates))))
+    return Units(turns, advocates, p2, unit_ids, features)
 
 
-def _unit_line(unit: AnalysisUnit, contexts: dict[tuple, str]) -> str:
-    """One units-file line, with its newline; ``contexts`` caches context texts.
+_UNIT_FORMAT = '{"context": %s, "p1": %s, "p2": %s, "unit_id": %s}\n'
 
-    Only contexts of string keys and values are cached: 1, 1.0 and true, or
-    0.0 and -0.0, compare equal but encode differently.
+
+def _context_texts(features: dict[str, list], n: int) -> Iterator[str]:
+    """Each of ``n`` units' context objects as JSON text, from the feature columns.
+
+    A context of strings is encoded once, then shared: only strings, for
+    1, 1.0 and true, or 0.0 and -0.0, compare equal but encode differently.
     """
-    items = tuple(unit.context_features.items())
-    try:  # a string equals only a string, so a hit is a context of strings
-        context = contexts.get(items)
-    except TypeError:  # an unhashable value
-        context = None
-    if context is None:
-        context = json.dumps(dict(items), ensure_ascii=False, sort_keys=True)
-        if all(type(key) is str and type(value) is str for key, value in items):
-            contexts[items] = context
-    p2 = "null" if unit.p2_utterance is None else utterance_to_json(unit.p2_utterance)
-    return (f'{{"context": {context}, "p1": {utterance_to_json(unit.p1_utterance)}, '
-            f'"p2": {p2}, "unit_id": {encode_basestring(unit.unit_id)}}}\n')
+    names, columns = list(features), list(features.values())
+    contexts = list(zip(*columns)) if columns else [()] * n
+
+    def text(values: tuple) -> str:
+        context = {name: value for name, value in zip(names, values) if value is not _ABSENT}
+        return json.dumps(context, ensure_ascii=False, sort_keys=True)
+
+    if all(set(map(type, column)) <= {str, object} for column in columns):  # object: _ABSENT
+        return map({values: text(values) for values in set(contexts)}.__getitem__, contexts)
+    return map(text, contexts)
+
+
+def write_units(units: Units | Iterable[AnalysisUnit], stream: IO[str]) -> None:
+    """Write a units file from the table's columns, 1,024 lines to a write: a whole file's
+    text would outweigh the units."""
+    units = unit_table(units)
+    # Row -1, no responder, is null: the line made for it (the last turn's) is dropped.
+    p2 = map(lambda row, line: line if row >= 0 else "null", units.p2, units.turns.lines(units.p2))
+    rows = zip(_context_texts(units.features, len(units)), units.turns.lines(units.p1), p2,
+               map(encode_basestring, units.unit_ids))
+    while text := "".join(map(_UNIT_FORMAT.__mod__, islice(rows, 1024))):
+        stream.write(text)
 
 
 def unit_to_json(unit: AnalysisUnit) -> str:
     """One units-file line, without its newline."""
-    return _unit_line(unit, {})[:-1]
+    stream = io.StringIO()
+    write_units([unit], stream)
+    return stream.getvalue()[:-1]
 
 
-def write_units(units: Iterable[AnalysisUnit], stream: IO[str]) -> None:
-    """Write a units file, 1,024 lines to a write: a whole file's text would outweigh the units."""
-    contexts: dict[tuple, str] = {}
-    lines = iter(units)
-    while text := "".join([_unit_line(unit, contexts) for unit in islice(lines, 1024)]):
-        stream.write(text)
-
-
-def units_from_json(source: IO[bytes] | bytes | str) -> list[AnalysisUnit]:
-    """Read a units file; p1 and p2 follow the transcript's per-turn rules.
+def units_from_json(source: IO[bytes] | bytes | str) -> Units:
+    """Read a units file into a Units table; p1 and p2 follow the transcript's per-turn rules.
 
     A line that lacks a key, whose unit_id is not a string or repeats an
     earlier one, whose context is not an object or whose turns break a
@@ -499,4 +577,4 @@ def units_from_json(source: IO[bytes] | bytes | str) -> list[AnalysisUnit]:
         if first_line.setdefault(unit_id, lineno) != lineno:
             raise ParseError(f"duplicate unit_id {unit_id!r}, first on line "
                              f"{first_line[unit_id]}", lineno)
-    return units
+    return unit_table(units)

@@ -14,18 +14,20 @@ applied; see topics.fit_topic_model.
 from __future__ import annotations
 
 import functools
-import json
-import operator
 import re
 from dataclasses import dataclass
 from importlib import resources
+from itertools import chain, compress
 from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .corpus import (
+    _ABSENT,
     AnalysisUnit,
+    Transcript,
+    Units,
     Utterance,
     _first_object,
     _iter_objects,
@@ -33,7 +35,9 @@ from .corpus import (
     _line_pattern,
     _read_whole,
     _split_columns,
+    _transcript_of,
     ends_with_interruption_marker,
+    unit_table,
 )
 from .errors import ConfigError, DataError, ParseError
 from .seeding import assign_folds
@@ -43,12 +47,13 @@ from .topics import TopicModel, measure_topic, measure_topics  # noqa: F401
 
 
 def load_lexicon(text: str) -> tuple[str, ...]:
-    """Read a lexicon file's text: one phrase per line, "#" comments.
+    """Read a lexicon file's text: one phrase per line, "#" comments, a leading byte order
+    mark dropped.
 
     Raises ConfigError if no phrases remain, per the non-empty invariant.
     """
     phrases = []
-    for line in text.splitlines():
+    for line in text.removeprefix("\ufeff").splitlines():
         phrase = normalize_phrase(line.split("#", 1)[0])
         if phrase:
             phrases.append(phrase)
@@ -113,16 +118,6 @@ def measure_disfluency(tokens: list[str]) -> int:
         start = i + 1
 
 
-def label_interruption(unit: AnalysisUnit) -> int:
-    """1 iff the advocate turn ends with the interruption marker.
-
-    Requires a responding turn; without one the outcome is undefined.
-    """
-    if unit.p2_utterance is None:
-        raise DataError(f"unit {unit.unit_id}: outcome undefined (no responding turn)")
-    return int(ends_with_interruption_marker(unit.p1_utterance.text))
-
-
 def _surname(speaker_id: str) -> str:
     parts = speaker_id.split()
     if not parts:
@@ -135,26 +130,23 @@ HONORIFICS = {"Ms.": 1, "Mr.": 0}
 # An honorific followed by whitespace, not run on from a word character. No
 # honorific can overlap another, so the matches are every honorific there.
 _HONORIFIC = re.compile(r"(?<!\w)(" + "|".join(map(re.escape, HONORIFICS)) + r")(?=\s)")
-_INDEX = operator.attrgetter("index")
 _SPACE = re.compile(r"\s+")
 _WORD = re.compile(r"\w")
 
 
-def label_treatment(case_utterances: Sequence[Utterance], advocate_id: str) -> int | None:
+def label_treatment(chief_texts: Sequence[str], advocate_id: str) -> int | None:
     """Gender-signal label from the chief justice's honorific introduction.
 
-    Scans chief-justice turns in case order for the first honorific applied
-    to the advocate's surname (the last whitespace token of the speaker id)
-    and returns its HONORIFICS value: the earliest position in the first
-    such turn. The surname must not run on into a word character ("Mr.
-    Smith's" counts for Smith, "Mr. Smithson" does not). Returns None when
-    no introduction is found; callers exclude such units with a counted
-    warning.
+    Scans ``chief_texts``, the texts of the case's chief-justice turns in
+    index order, for the first honorific applied to the advocate's surname
+    (the last whitespace token of the speaker id) and returns its
+    HONORIFICS value: the earliest position in the first such turn. The
+    surname must not run on into a word character ("Mr. Smith's" counts
+    for Smith, "Mr. Smithson" does not). Returns None when no introduction
+    is found; callers exclude such units with a counted warning.
     """
     surname = _surname(advocate_id)
-    chief_turns = [utt for utt in case_utterances if utt.speaker_role == "chief_justice"]
-    for utt in sorted(chief_turns, key=_INDEX):
-        text = utt.text
+    for text in chief_texts:
         for honorific in _HONORIFIC.finditer(text):
             # The surname holds no whitespace, so it starts where the run ends.
             after = _SPACE.match(text, honorific.end()).end()
@@ -521,10 +513,10 @@ DEFAULT_CONFOUNDERS = ("prior_interruption_bucket", "issue_area")
 
 
 def build_records(
-    units: Sequence[AnalysisUnit],
+    units: Units | Iterable[AnalysisUnit],
     spec: MeasurementSpec,
     n_folds: int,
-    case_utterances: Mapping[str, Sequence[Utterance]],
+    case_utterances: Transcript | Mapping[str, Sequence[Utterance]],
     seed: int = 0,
     confounders: Sequence[str] | None = None,
 ) -> BuildResult:
@@ -534,69 +526,61 @@ def build_records(
     are excluded and counted, never silently dropped. Fold ids come from a
     seeded balanced shuffle of the included unit ids.
 
-    ``case_utterances`` maps case_id to the full turn sequence of the case
-    (Transcript.cases, say); the honorific scan needs turns that are not
-    part of any unit. ``confounders`` selects which context features become
-    X (default: the prior-interruption bucket plus issue_area where
-    available); a unit whose value of one is not a string raises DataError.
-    Their names and observed levels are sorted, as infer_domains sorts them.
+    ``units`` is a Units table and ``case_utterances`` the Transcript whose
+    cases the honorific scan reads (AnalysisUnit rows, or a mapping of each
+    case_id to all its turns, are copied into one). ``confounders`` selects
+    which context features become X (default: the prior-interruption bucket
+    plus issue_area where available); a unit whose value of one is not a
+    string raises DataError. Their names and observed levels are sorted, as
+    infer_domains sorts them.
     """
     if n_folds < 2:
         raise ConfigError(f"n_folds must be >= 2, got {n_folds}")
-
+    units = unit_table(units)
+    turns = units.turns
     if confounders is None:
-        available = set()
-        for unit in units:
-            available.update(unit.context_features)
-        confounders = tuple(c for c in DEFAULT_CONFOUNDERS if c in available)
+        confounders = tuple(c for c in DEFAULT_CONFOUNDERS if c in units.features)
         if not confounders:
             confounders = ("prior_interruption_bucket",)
-
-    treatment_cache: dict[tuple[str, str], int | None] = {}
-    exclusions: list[Exclusion] = []
-    unit_ids: list[str] = []
-    t_column: list[int] = []
-    y_column: list[int] = []
-    x: dict[str, list[str]] = {name: [] for name in confounders}
+    columns = {name: units.features.get(name) or [_ABSENT] * len(units) for name in confounders}
+    if not isinstance(case_utterances, Transcript):
+        case_utterances = _transcript_of(chain.from_iterable(case_utterances.values()))
+    roles, texts = case_utterances.roles, case_utterances.texts
+    chief = {case_id: [texts[row] for row in rows if roles[row] == "chief_justice"]
+             for case_id, rows in case_utterances.case_rows.items()}
+    keys = list(zip(map(turns.case_ids.__getitem__, units.p1),
+                    map(turns.speaker_ids.__getitem__, units.p1)))
+    labels: dict[tuple[str, str], int | None] = {}  # t: one label per (case, advocate)
+    included: list[bool] = []
+    for i, (unit_id, key, p2) in enumerate(zip(units.unit_ids, keys, units.p2)):
+        if p2 >= 0 and key not in labels:
+            if key[0] not in chief:
+                raise DataError(f"unit {unit_id}: no utterances supplied for case {key[0]!r}")
+            labels[key] = label_treatment(chief[key[0]], key[1])
+        included.append(p2 >= 0 and labels[key] is not None)
+        for name, column in columns.items() if included[-1] else ():
+            if type(column[i]) is not str:
+                raise DataError(f"unit {unit_id}: missing context feature {name!r}"
+                                if column[i] is _ABSENT else f"unit {unit_id}: context feature "
+                                f"{name!r} must be a string, got {column[i]!r}")
+    x = {name: list(compress(column, included)) for name, column in columns.items()}
+    unit_ids = list(compress(units.unit_ids, included))
+    texts = list(compress(map(turns.texts.__getitem__, units.p1), included))
     m: dict[str, list[int]] = {"hedging": [], "disfluency": []}
-    docs: list[list[str]] = []  # the topic fold-in's input
-    for unit in units:
-        if unit.p2_utterance is None:
-            exclusions.append(Exclusion(unit.unit_id, "no_responder"))
-            continue
-        case_id = unit.p1_utterance.case_id
-        advocate = unit.p1_utterance.speaker_id
-        key = (case_id, advocate)
-        if key not in treatment_cache:
-            turns = case_utterances.get(case_id)
-            if turns is None:
-                raise DataError(f"unit {unit.unit_id}: no utterances supplied for case {case_id!r}")
-            treatment_cache[key] = label_treatment(turns, advocate)
-        t = treatment_cache[key]
-        if t is None:
-            exclusions.append(Exclusion(unit.unit_id, "no_honorific_introduction"))
-            continue
-        y_column.append(label_interruption(unit))
-        t_column.append(t)
-        unit_ids.append(unit.unit_id)
-        for name in confounders:
-            if name not in unit.context_features:
-                raise DataError(f"unit {unit.unit_id}: missing context feature {name!r}")
-            level = unit.context_features[name]
-            if type(level) is not str:
-                raise DataError(f"unit {unit.unit_id}: context feature {name!r} must be a string, "
-                                f"got {level!r}")
-            x[name].append(level)
-        tokens = tokenize(unit.p1_utterance.text)  # once, for every mediator
+    docs = []  # the topic fold-in's input
+    for tokens in map(tokenize, texts):  # once per text, for every mediator
         m["hedging"].append(measure_hedging(tokens, spec.hedging_lexicon))
         m["disfluency"].append(measure_disfluency(tokens))
         if spec.topic_model is not None:
             docs.append(tokens)
     if spec.topic_model is not None:
         m[TOPIC_MEDIATOR] = measure_topics(spec.topic_model, docs).tolist()
-
     # The reader's rule, so a records file reads back with the domains of its run.
     domains = infer_domains(x, m)
     folds = assign_folds(unit_ids, n_folds, seed).tolist() if unit_ids else []
-    records = _code(unit_ids, t_column, x, m, y_column, folds, domains)
-    return BuildResult(records=records, exclusions=tuple(exclusions))
+    records = _code(unit_ids, list(map(labels.__getitem__, compress(keys, included))), x, m,
+                    [1 if ends_with_interruption_marker(text) else 0 for text in texts],
+                    folds, domains)
+    exclusions = tuple(Exclusion(unit_id, "no_responder" if p2 < 0 else "no_honorific_introduction")
+                       for unit_id, p2, kept in zip(units.unit_ids, units.p2, included) if not kept)
+    return BuildResult(records=records, exclusions=exclusions)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -61,8 +62,10 @@ class TopicModel:
 
     @functools.cached_property
     def vocab_index(self) -> dict[str, int]:
-        """Token -> vocabulary position, built once per model for fold-in."""
-        return {tok: i for i, tok in enumerate(self.vocab)}
+        """Token -> vocabulary position of each word preprocess keeps, built once per model
+        for fold-in. A fitted model's vocabulary holds only such words."""
+        kept = set(preprocess(list(self.vocab)))
+        return {tok: i for i, tok in enumerate(self.vocab) if tok in kept}
 
     @property
     def no_content_level(self) -> int:
@@ -190,10 +193,12 @@ def fold_in(model: TopicModel, docs: Sequence[list[str]]) -> np.ndarray:
     proportions, so every later one would return them too. The others stop
     after _FOLD_IN_ITERATIONS.
     """
-    # preprocess's filter, run once per vocabulary word instead of once per token.
-    kept = {tok: model.vocab_index[tok] for tok in preprocess(list(model.vocab))}
-    ids = [[kept[tok] for tok in doc if tok in kept] for doc in docs]
-    lengths = np.array([len(doc) for doc in ids], dtype=np.int64)
+    # Every token's id, -1 off the vocabulary preprocess keeps, in one pass; then the kept ids
+    # and the text of each, in text order.
+    ids = np.fromiter(map(model.vocab_index.get, chain.from_iterable(docs), repeat(-1)), np.int64)
+    doc_of = np.repeat(np.arange(len(docs)), list(map(len, docs)))[ids >= 0]
+    ids = ids[ids >= 0]
+    lengths = np.bincount(doc_of, minlength=len(docs))
     k, n_words = model.n_topics, len(model.vocab)
     table = np.concatenate([model.topic_word, np.zeros((k, 1))], axis=1)  # padding is n_words
     out = np.full((len(docs), k), np.nan)
@@ -202,7 +207,7 @@ def fold_in(model: TopicModel, docs: Sequence[list[str]]) -> np.ndarray:
         rows = np.flatnonzero(length_class == cls)
         real = np.arange(lengths[rows].max())[:, None] < lengths[rows]  # (tokens, texts)
         word = np.full(real.shape, n_words)
-        word.T[real.T] = [i for row in rows for i in ids[row]]  # text by text
+        word.T[real.T] = ids[length_class[doc_of] == cls]  # text by text
         cols = np.take(table, word, axis=1)
         padding = (~real).astype(float)
         theta = np.full((k, rows.size), 1.0 / k)

@@ -13,6 +13,7 @@ import contextlib
 import copy
 import io
 import json
+import operator
 import pickle
 import random
 
@@ -74,12 +75,12 @@ def blocks_of(size: int):
 
 
 def transcript_outcome(source):
-    """The utterances and cases parse_transcript gives, or its ParseError's message and line."""
+    """The utterances and case rows parse_transcript gives, or its ParseError's message and line."""
     try:
         got = parse_transcript(source)
     except ParseError as exc:
         return "error", str(exc), exc.line_number
-    return repr(list(got)), repr(got.cases)
+    return repr(list(got)), repr(got.case_rows)
 
 
 def metadata_outcome(source):
@@ -222,18 +223,18 @@ def test_writer_form_transcript_never_reaches_the_per_line_reader(monkeypatch, t
             assert transcript_outcome(fh) == want
 
 
-def test_a_transcript_is_a_read_only_list():
+def test_a_transcript_is_a_read_only_sequence():
     transcript = parse_transcript("\n".join(GOOD_LINES))
     assert isinstance(transcript, Transcript) and transcript == list(transcript)
-    assert [turn.index for turn in transcript.cases["c"]] == [0, 1, 2]
+    assert [transcript[row].index for row in transcript.case_rows["c"]] == [0, 1, 2]
     for change in (lambda t: t.append(t[0]), lambda t: t.sort(key=repr), lambda t: t.pop(),
-                   lambda t: t.__setitem__(0, t[1]), lambda t: t.__delitem__(0),
-                   lambda t: t.__iadd__([t[0]])):
-        with pytest.raises(TypeError, match="read-only"):
+                   lambda t: operator.setitem(t, 0, t[1]), lambda t: operator.delitem(t, 0),
+                   lambda t: operator.iadd(t, [t[0]])):
+        with pytest.raises((AttributeError, TypeError)):
             change(transcript)
-    assert transcript == list(transcript) and len(transcript.cases["c"]) == 3
+    assert transcript == list(transcript) and len(transcript.case_rows["c"]) == 3
     for copied in (copy.copy(transcript), pickle.loads(pickle.dumps(transcript))):
-        assert type(copied) is list and copied == transcript
+        assert type(copied) is Transcript and copied == transcript
 
 
 # -- metadata ---------------------------------------------------------------------
@@ -385,17 +386,20 @@ def test_extraction_matches_the_replaced_code(utterances, seed):
 @settings(max_examples=200, deadline=None)
 @given(utterances=interleaved_cases(), seed=st.integers(0, 2**16))
 def test_labelling_matches_the_replaced_code(utterances, seed):
-    # build_records used to hand label_treatment every turn of the case, in any order.
+    # build_records used to hand label_treatment every turn of the case, in any order; it now
+    # hands it the case's chief-justice texts in index order.
     units = extract_units(utterances)
     cases = {}
     for utt in random.Random(seed).sample(utterances, len(utterances)):
         cases.setdefault(utt.case_id, []).append(utt)
+    chief = {case_id: [utt.text for utt in sorted(turns, key=lambda utt: utt.index)
+                       if utt.speaker_role == "chief_justice"] for case_id, turns in cases.items()}
     spec = MeasurementSpec.default()
     handed = []
 
-    def spy(turns, advocate):
-        handed.append(turns)
-        return label_treatment(turns, advocate)
+    def spy(texts, advocate):
+        handed.append(texts)
+        return label_treatment(texts, advocate)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(measure, "label_treatment", spy)
@@ -404,9 +408,9 @@ def test_labelling_matches_the_replaced_code(utterances, seed):
                                    confounders=("prior_interruption_bucket",))
         except ConfigError:  # fewer labelled units than folds
             assume(False)
-    # Each call gets its case's turns as they were handed in; label_treatment sorts them.
-    assert all(any(turns is case for case in cases.values()) for turns in handed)
-    labels = {unit.unit_id: label_treatment(cases[unit.p1_utterance.case_id],
+    # Each call gets its case's chief-justice texts in index order.
+    assert all(texts in chief.values() for texts in handed)
+    labels = {unit.unit_id: label_treatment(chief[unit.p1_utterance.case_id],
                                             unit.p1_utterance.speaker_id)
               for unit in units if unit.p2_utterance is not None}
     assert dict(zip(result.records.unit_ids, result.records.t.tolist())) == {

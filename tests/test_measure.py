@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import near_lines
 from medlang import cli, corpus, measure, scm
-from medlang.corpus import AnalysisUnit, Utterance, extract_units, parse_transcript
+from medlang.corpus import (AnalysisUnit, Utterance, ends_with_interruption_marker,
+                           extract_units, parse_transcript)
 from medlang.errors import ConfigError, DataError, MedlangError, ParseError
 from medlang.measure import (
     HONORIFICS,
@@ -22,7 +23,6 @@ from medlang.measure import (
     MeasurementSpec,
     build_records,
     default_hedging_lexicon,
-    label_interruption,
     label_treatment,
     load_lexicon,
     measure_disfluency,
@@ -208,62 +208,47 @@ def test_disfluency_invariance_under_whitespace_and_case(lead, upper):
 
 def test_interruption_on_fixture_units(paired_units):
     labels = {
-        u.p1_utterance.speaker_id: label_interruption(u) for u in paired_units
+        u.p1_utterance.speaker_id: ends_with_interruption_marker(u.p1_utterance.text)
+        for u in paired_units
     }
-    assert labels["Ann O'Connell Adams"] == 1
-    assert labels["Mark Irving Levy"] == 0
+    assert labels["Ann O'Connell Adams"] is True
+    assert labels["Mark Irving Levy"] is False
 
 
-def test_interruption_marker_only_text(paired_units):
-    unit = paired_units[0]
-    marked = CausalRecord  # noqa: F841  (keep import use obvious)
-    clone = type(unit)(
-        unit_id="x",
-        p1_utterance=type(unit.p1_utterance)(
-            case_id="c", index=0, speaker_id="s", speaker_role="advocate", text="- -"
-        ),
-        p2_utterance=unit.p2_utterance,
-        context_features={},
-    )
-    assert label_interruption(clone) == 1
+def test_interruption_marker_only_text():
+    assert ends_with_interruption_marker("- -")
 
 
-def test_interruption_requires_responder(paired_units):
-    unit = paired_units[0]
-    orphan = type(unit)(
-        unit_id="x",
-        p1_utterance=unit.p1_utterance,
-        p2_utterance=None,
-        context_features={},
-    )
-    with pytest.raises(DataError, match="undefined"):
-        label_interruption(orphan)
+def test_interruption_requires_responder():
+    # Without a responding turn the outcome is undefined: the unit is excluded, not labelled.
+    units, cases = _synthetic_corpus(3)
+    orphan = replace(units[0], p2_utterance=None)
+    build = build_records([orphan, *list(units)[1:]], MeasurementSpec.default(), 2,
+                          case_utterances=cases)
+    assert [(e.unit_id, e.reason) for e in build.exclusions] == [(orphan.unit_id, "no_responder")]
+    assert orphan.unit_id not in build.records.unit_ids
 
 
-def test_interruption_marker_spellings(paired_units):
-    unit = paired_units[0]
-
-    def with_text(text):
-        return type(unit)(
-            unit_id="x",
-            p1_utterance=type(unit.p1_utterance)(
-                case_id="c", index=0, speaker_id="s", speaker_role="advocate", text=text
-            ),
-            p2_utterance=unit.p2_utterance,
-            context_features={},
-        )
-
-    assert label_interruption(with_text("cut off --")) == 1
-    assert label_interruption(with_text("cut off - -  ")) == 1
-    assert label_interruption(with_text("cut off -")) == 0
+def test_interruption_marker_spellings():
+    assert ends_with_interruption_marker("cut off --")
+    assert ends_with_interruption_marker("cut off - -  ")
+    assert not ends_with_interruption_marker("cut off -")
 
 
 # -- treatment -----------------------------------------------------------------
 
 
+def chief_texts(turns):
+    """A case's chief-justice texts in index order, as label_treatment takes them."""
+    return [utt.text for utt in sorted(turns, key=lambda utt: utt.index)
+            if utt.speaker_role == "chief_justice"]
+
+
 def test_treatment_from_fixture_cases(paired_case_utterances):
-    assert label_treatment(paired_case_utterances["2013-12-820"], "Ann O'Connell Adams") == 1
-    assert label_treatment(paired_case_utterances["2008-07-636"], "Mark Irving Levy") == 0
+    assert label_treatment(chief_texts(paired_case_utterances["2013-12-820"]),
+                           "Ann O'Connell Adams") == 1
+    assert label_treatment(chief_texts(paired_case_utterances["2008-07-636"]),
+                           "Mark Irving Levy") == 0
 
 
 def test_treatment_hand_built_introductions():
@@ -271,13 +256,13 @@ def test_treatment_hand_built_introductions():
         '{"case_id": "c", "index": 0, "speaker_id": "Chief", "speaker_role": "chief_justice", "text": "Ms. Adams, you may proceed."}',
         '{"case_id": "c", "index": 1, "speaker_id": "Ann Adams", "speaker_role": "advocate", "text": "Thank you."}',
     ]))
-    assert label_treatment(utts, "Ann Adams") == 1
+    assert label_treatment(chief_texts(utts), "Ann Adams") == 1
 
     utts = parse_transcript("\n".join([
         '{"case_id": "c", "index": 0, "speaker_id": "Chief", "speaker_role": "chief_justice", "text": "Mr. Levy?"}',
         '{"case_id": "c", "index": 1, "speaker_id": "Mark Levy", "speaker_role": "advocate", "text": "Thank you."}',
     ]))
-    assert label_treatment(utts, "Mark Levy") == 0
+    assert label_treatment(chief_texts(utts), "Mark Levy") == 0
 
 
 def test_treatment_undefined_cases():
@@ -285,13 +270,13 @@ def test_treatment_undefined_cases():
     utts = parse_transcript(
         '{"case_id": "c", "index": 0, "speaker_id": "Mark Levy", "speaker_role": "advocate", "text": "Thank you."}'
     )
-    assert label_treatment(utts, "Mark Levy") is None
+    assert label_treatment(chief_texts(utts), "Mark Levy") is None
     # chief speaks but never applies an honorific to this surname
     utts = parse_transcript("\n".join([
         '{"case_id": "c", "index": 0, "speaker_id": "Chief", "speaker_role": "chief_justice", "text": "We will hear argument next."}',
         '{"case_id": "c", "index": 1, "speaker_id": "Mark Levy", "speaker_role": "advocate", "text": "Thank you."}',
     ]))
-    assert label_treatment(utts, "Mark Levy") is None
+    assert label_treatment(chief_texts(utts), "Mark Levy") is None
 
 
 def test_treatment_ignores_non_chief_honorifics():
@@ -300,14 +285,14 @@ def test_treatment_ignores_non_chief_honorifics():
         '{"case_id": "c", "index": 1, "speaker_id": "Chief", "speaker_role": "chief_justice", "text": "Mr. Levy, proceed."}',
         '{"case_id": "c", "index": 2, "speaker_id": "Mark Levy", "speaker_role": "advocate", "text": "Thank you."}',
     ]))
-    assert label_treatment(utts, "Mark Levy") == 0
+    assert label_treatment(chief_texts(utts), "Mark Levy") == 0
 
 
 def test_treatment_does_not_match_mrs():
     utts = parse_transcript(
         '{"case_id": "c", "index": 0, "speaker_id": "Chief", "speaker_role": "chief_justice", "text": "Mrs. Levy, proceed."}'
     )
-    assert label_treatment(utts, "Mark Levy") is None
+    assert label_treatment(chief_texts(utts), "Mark Levy") is None
 
 
 def _label_treatment_reference(case_utterances, advocate_id):
@@ -359,13 +344,12 @@ def test_treatment_matches_the_per_surname_regex_reference(data, surname, revers
         utts.reverse()
     advocate = "Alex " + surname
     expected = _label_treatment_reference(utts, advocate)
-    assert label_treatment(utts, advocate) == expected
+    assert label_treatment(chief_texts(utts), advocate) == expected
 
 
 def test_treatment_match_semantics():
     def label(*texts):
-        utts = [Utterance("c", i, "Chief", "chief_justice", text) for i, text in enumerate(texts)]
-        return label_treatment(utts, "Mark Smith")
+        return label_treatment(texts, "Mark Smith")
 
     assert label("Mr. Smith's turn.") == 0
     assert label("Mr. Smith-Jones, proceed.") == 0
@@ -387,10 +371,9 @@ def test_treatment_compiles_no_pattern_per_surname(monkeypatch):
 
     def label_all(n):
         surnames = [f"Surname{i}" for i in range(n)]
-        utts = [Utterance("c", i, "Chief", "chief_justice", f"Ms. {name}, proceed.")
-                for i, name in enumerate(surnames)]
+        texts = [f"Ms. {name}, proceed." for name in surnames]
         compiles.clear()
-        labels = [label_treatment(utts[i:i + 1], "Alex " + name) for i, name in enumerate(surnames)]
+        labels = [label_treatment([text], "Alex " + name) for text, name in zip(texts, surnames)]
         assert labels == [1] * n
         return len(compiles)
 
@@ -440,6 +423,12 @@ def test_load_lexicon_comments_and_normalization():
     text = "# comment\nI  Think\n\nsort of  # trailing comment\n"
     assert load_lexicon(text) == ("i think", "sort of")
     assert load_lexicon("maybe,\n(Sort of)\n--\n") == ("maybe", "sort of", "- -")
+
+
+def test_load_lexicon_drops_a_leading_byte_order_mark():
+    lexicon = load_lexicon(b"\xef\xbb\xbfI think\nsort of\n".decode("utf-8"))
+    assert lexicon == ("i think", "sort of")
+    assert measure_hedging(tokenize("I think so"), lexicon) == 1
 
 
 def test_load_lexicon_empty_errors():
@@ -517,7 +506,8 @@ def test_build_records_all_units_excluded(paired_units, paired_case_utterances):
         context_features=levy.context_features,
     )
     cases = dict(paired_case_utterances)
-    cases["2013-12-820"] = [u for u in cases["2013-12-820"] if u.speaker_role != "chief_justice"]
+    cases["2013-12-820"] = [u._replace(speaker_role="justice") if u.speaker_role == "chief_justice"
+                            else u for u in cases["2013-12-820"]]
     result = build_records(units, MeasurementSpec.default(), 2, case_utterances=cases)
     assert len(result.records) == 0
     assert result.exclusion_counts() == {
@@ -586,7 +576,7 @@ def test_build_records_with_topic_mediator():
     from medlang.topics import fit_topic_model
 
     units, cases = _synthetic_corpus(8)
-    train_texts = [u.p1_utterance.text + " statute waiver plan" for u in units[:4]]
+    train_texts = [u.p1_utterance.text + " statute waiver plan" for u in list(units)[:4]]
     train_texts += ["custody treaty discretion children order return"] * 4
     model = fit_topic_model(train_texts, k=2, seed=1, n_sweeps=20, burn_in=10)
     spec = MeasurementSpec.default(topic_model=model)
@@ -633,9 +623,9 @@ def test_build_records_tokenizes_each_included_text_once(monkeypatch):
 
     texts = ["I think - - think", "custody treaty", "statute waiver", "kind of"]
     units, cases = _cases_for(texts)
-    cases["c3"] = cases["c3"][1:]  # no introduction: excluded
-    units.append(AnalysisUnit("c9:0", Utterance("c9", 0, "Alex Smith", "advocate", "No reply"),
-                              None))  # no responder: excluded
+    cases["c3"][0] = cases["c3"][0]._replace(speaker_role="justice")  # no introduction: excluded
+    units = [*units, AnalysisUnit("c9:0", Utterance("c9", 0, "Alex Smith", "advocate", "No reply"),
+                                  None)]  # no responder: excluded
     calls = []
 
     def counting(text):
