@@ -76,6 +76,11 @@ _CONFIG_JSON_TYPES = {
 }
 
 
+def _check_unique(key: str, names: Sequence[str]) -> None:
+    if repeated := sorted({name for name in names if names.count(name) > 1}):
+        raise ConfigError(f"{key} must not repeat a name; repeated: {repeated}")
+
+
 @dataclass
 class RunConfig:
     """Configuration of a full pipeline run."""
@@ -113,10 +118,7 @@ class RunConfig:
         if not self.mediators:
             raise ConfigError("at least one mediator must be requested")
         for key in ("mediators", "confounders"):
-            names = getattr(self, key) or ()
-            repeated = sorted({name for name in names if names.count(name) > 1})
-            if repeated:
-                raise ConfigError(f"{key} must not repeat a name; repeated: {repeated}")
+            _check_unique(key, getattr(self, key) or ())
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -394,6 +396,16 @@ def _load_records_file(path: str) -> glm.CodedRecords:
     return records
 
 
+def _records_and_mediators(args) -> tuple[glm.CodedRecords, tuple[str, ...]]:
+    """The records and mediators of fit and estimate: --mediators, else all the file's."""
+    records = _load_records_file(args.records)
+    if not records.domains.mediators:
+        raise DataError(f"no mediators in {args.records}")
+    mediators = _split_csv_arg(args.mediators) or tuple(records.domains.mediator_sizes)
+    _check_unique("mediators", mediators)
+    return records, mediators
+
+
 def _config_from_args(args, **overrides) -> RunConfig:
     """A RunConfig of the parsed arguments named as its fields, then ``overrides``."""
     given = {k: v for k, v in vars(args).items() if k in RunConfig.__dataclass_fields__}
@@ -426,10 +438,9 @@ def cmd_measure(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    coded = _load_records_file(args.records)
+    coded, mediators = _records_and_mediators(args)
     if args.folds is not None:
         coded = replace(coded, fold=assign_folds(coded.unit_ids, args.folds, args.seed))
-    mediators = _split_csv_arg(args.mediators) or tuple(coded.domains.mediator_sizes)
     models = [mediation.fit_models(coded, m) for m in mediators]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -439,8 +450,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    coded = _load_records_file(args.records)
-    mediators = _split_csv_arg(args.mediators) or tuple(coded.domains.mediator_sizes)
+    coded, mediators = _records_and_mediators(args)
     _, estimates = fit_and_estimate(coded, mediators, args.seed, args.bootstrap, args.ci,
                                     args.x_marginal)
     out = Path(args.out)

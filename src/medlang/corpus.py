@@ -63,14 +63,6 @@ class Transcript(Sequence):
     def __getitem__(self, i):
         return self._rows[i]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (list, Transcript)):
-            return NotImplemented
-        return self._rows == list(other)
-
-    def __repr__(self) -> str:
-        return repr(self._rows)
-
     @functools.cached_property
     def _rows(self) -> list[Utterance]:
         return list(map(Utterance, *self.columns))
@@ -137,9 +129,7 @@ def _feature_columns(contexts: Sequence[Mapping]) -> dict[str, list]:
 
 
 def unit_table(units: Iterable[AnalysisUnit]) -> Units:
-    """``units`` as a Units table: a table as it is, AnalysisUnit rows copied into one."""
-    if isinstance(units, Units):
-        return units
+    """AnalysisUnit rows copied into a Units table."""
     units, turns, p1, p2 = list(units), [], [], []
     for unit in units:
         p1.append(len(turns))
@@ -451,29 +441,16 @@ def _metadata_columns(data: bytes) -> dict[str, dict] | None:
 _BUCKETS = ("0", "1", "2+")  # earlier marked advocate turns: 0, 1, 2 or more
 
 
-def _transcript_of(utterances: Iterable[Utterance]) -> Transcript:
-    """A Transcript of turns in any order; a case whose indices do not run 0, 1, ... raises
-    DataError."""
-    utterances = list(utterances)
-    case_rows: dict[str, list[int]] = {}
-    for row, utt in enumerate(utterances):
-        case_rows.setdefault(utt.case_id, []).append(row)
-    for case_id, rows in case_rows.items():
-        rows.sort(key=lambda row: utterances[row].index)
-        if [utterances[row].index for row in rows] != list(range(len(rows))):
-            raise DataError(f"case {case_id!r}: indices not contiguous from 0")
-    return Transcript(_columns(utterances), case_rows)
-
-
 def extract_units(
-    utterances: Sequence[Utterance],
+    utterances: Transcript,
     case_metadata: Mapping[str, Mapping[str, object]] | None = None,
 ) -> Units:
     """One unit per advocate utterance, in advocate-utterance order, as a Units table.
 
-    ``utterances`` is a Transcript, or turns in any order. The responder
-    slot is filled iff the next turn of the same case has a justice or
-    chief-justice role. Context features:
+    ``utterances`` is a Transcript, as parse_transcript reads it; turns
+    built in Python become one through write_transcript then
+    parse_transcript. The responder slot is filled iff the next turn of the
+    same case has a justice or chief-justice role. Context features:
 
     - prior_interruption_bucket: count of earlier advocate turns in the case
       ending with the interruption marker, bucketed to {0, 1, 2+};
@@ -485,10 +462,9 @@ def extract_units(
     clash = [case for case, meta in case_metadata.items() if not COMPUTED_FEATURES.isdisjoint(meta)]
     if clash:
         raise DataError(f"case {clash[0]!r}: metadata names one of {sorted(COMPUTED_FEATURES)}")
-    turns = utterances if isinstance(utterances, Transcript) else _transcript_of(utterances)
-    case_ids, indices, roles, texts = turns.case_ids, turns.indices, turns.roles, turns.texts
+    case_ids, indices, _, roles, texts = utterances.columns
     p2, buckets = {}, {}  # by advocate row
-    for rows in turns.case_rows.values():
+    for rows in utterances.case_rows.values():
         marked = 0  # the case's earlier advocate turns that end with the marker
         for row, nxt in zip(rows, [*rows[1:], -1]):
             if roles[row] == "advocate":
@@ -503,7 +479,7 @@ def extract_units(
     # The id is unique: (case_id, index) is, and the index holds no ":".
     unit_ids = list(map("%s:%d".__mod__, zip(map(case_ids.__getitem__, advocates),
                                              map(indices.__getitem__, advocates))))
-    return Units(turns, advocates, p2, unit_ids, features)
+    return Units(utterances, advocates, p2, unit_ids, features)
 
 
 _UNIT_FORMAT = '{"context": %s, "p1": %s, "p2": %s, "unit_id": %s}\n'
@@ -527,10 +503,9 @@ def _context_texts(features: dict[str, list], n: int) -> Iterator[str]:
     return map(text, contexts)
 
 
-def write_units(units: Units | Iterable[AnalysisUnit], stream: IO[str]) -> None:
+def write_units(units: Units, stream: IO[str]) -> None:
     """Write a units file from the table's columns, 1,024 lines to a write: a whole file's
     text would outweigh the units."""
-    units = unit_table(units)
     # Row -1, no responder, is null: the line made for it (the last turn's) is dropped.
     p2 = map(lambda row, line: line if row >= 0 else "null", units.p2, units.turns.lines(units.p2))
     rows = zip(_context_texts(units.features, len(units)), units.turns.lines(units.p1), p2,
@@ -542,7 +517,7 @@ def write_units(units: Units | Iterable[AnalysisUnit], stream: IO[str]) -> None:
 def unit_to_json(unit: AnalysisUnit) -> str:
     """One units-file line, without its newline."""
     stream = io.StringIO()
-    write_units([unit], stream)
+    write_units(unit_table([unit]), stream)
     return stream.getvalue()[:-1]
 
 

@@ -30,7 +30,7 @@ from typing import IO, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ConfigError, DataError, NumericalError
-# The record set and its builders are defined next to Domains and re-exported here.
+# bench/tracer.py patches medlang.glm.encode_records and medlang.glm.infer_domains.
 from .measure import CodedRecords, Domains, encode_records, infer_domains  # noqa: F401
 
 logger = logging.getLogger("medlang")

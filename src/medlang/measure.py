@@ -17,7 +17,7 @@ import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
-from itertools import chain, compress
+from itertools import compress
 from json.encoder import encode_basestring
 from typing import IO, Iterable, Iterator, Mapping, Sequence
 
@@ -25,19 +25,15 @@ import numpy as np
 
 from .corpus import (
     _ABSENT,
-    AnalysisUnit,
     Transcript,
     Units,
-    Utterance,
     _first_object,
     _iter_objects,
     _json_object,
     _line_pattern,
     _read_whole,
     _split_columns,
-    _transcript_of,
     ends_with_interruption_marker,
-    unit_table,
 )
 from .errors import ConfigError, DataError, ParseError
 from .seeding import assign_folds
@@ -513,10 +509,10 @@ DEFAULT_CONFOUNDERS = ("prior_interruption_bucket", "issue_area")
 
 
 def build_records(
-    units: Units | Iterable[AnalysisUnit],
+    units: Units,
     spec: MeasurementSpec,
     n_folds: int,
-    case_utterances: Transcript | Mapping[str, Sequence[Utterance]],
+    case_utterances: Transcript,
     seed: int = 0,
     confounders: Sequence[str] | None = None,
 ) -> BuildResult:
@@ -526,25 +522,22 @@ def build_records(
     are excluded and counted, never silently dropped. Fold ids come from a
     seeded balanced shuffle of the included unit ids.
 
-    ``units`` is a Units table and ``case_utterances`` the Transcript whose
-    cases the honorific scan reads (AnalysisUnit rows, or a mapping of each
-    case_id to all its turns, are copied into one). ``confounders`` selects
-    which context features become X (default: the prior-interruption bucket
-    plus issue_area where available); a unit whose value of one is not a
-    string raises DataError. Their names and observed levels are sorted, as
-    infer_domains sorts them.
+    ``units`` is a Units table, as extract_units or units_from_json gives
+    it, and ``case_utterances`` the Transcript whose cases the honorific
+    scan reads; turns built in Python become one through write_transcript
+    then parse_transcript. ``confounders`` selects which context features
+    become X (default: the prior-interruption bucket plus issue_area where
+    available); a unit whose value of one is not a string raises DataError.
+    Their names and observed levels are sorted, as infer_domains sorts them.
     """
     if n_folds < 2:
         raise ConfigError(f"n_folds must be >= 2, got {n_folds}")
-    units = unit_table(units)
     turns = units.turns
     if confounders is None:
         confounders = tuple(c for c in DEFAULT_CONFOUNDERS if c in units.features)
         if not confounders:
             confounders = ("prior_interruption_bucket",)
     columns = {name: units.features.get(name) or [_ABSENT] * len(units) for name in confounders}
-    if not isinstance(case_utterances, Transcript):
-        case_utterances = _transcript_of(chain.from_iterable(case_utterances.values()))
     roles, texts = case_utterances.roles, case_utterances.texts
     chief = {case_id: [texts[row] for row in rows if roles[row] == "chief_justice"]
              for case_id, rows in case_utterances.case_rows.items()}

@@ -1,9 +1,11 @@
+import io
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from medlang.corpus import extract_units, parse_case_metadata, parse_transcript
+from medlang.corpus import (Transcript, extract_units, parse_case_metadata, parse_transcript,
+                            write_transcript)
 from medlang.measure import CausalRecord, CodedRecords, Domains, encode_records, infer_domains
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -36,12 +38,11 @@ def paired_units(paired_utterances, paired_meta):
     return extract_units(paired_utterances, paired_meta)
 
 
-@pytest.fixture
-def paired_case_utterances(paired_utterances):
-    by_case = {}
-    for utt in paired_utterances:
-        by_case.setdefault(utt.case_id, []).append(utt)
-    return by_case
+def transcript_of(utterances) -> Transcript:
+    """Turns built in Python, in file order, as a Transcript: written, then parsed back."""
+    stream = io.StringIO()
+    write_transcript(utterances, stream)
+    return parse_transcript(stream.getvalue())
 
 
 def near_lines(line: bytes):

@@ -186,11 +186,8 @@ def test_criterion_6_measurement_exactness(paired_transcript_path, paired_meta_p
     with open(paired_meta_path, "rb") as fh:
         meta = parse_case_metadata(fh)
     units = extract_units(utterances, meta)
-    by_case = {}
-    for utt in utterances:
-        by_case.setdefault(utt.case_id, []).append(utt)
     build = build_records(
-        units, MeasurementSpec.default(), 2, case_utterances=by_case, seed=0
+        units, MeasurementSpec.default(), 2, case_utterances=utterances, seed=0
     )
     rec = {r.unit_id.split(":")[0]: r for r in build.records}
     levy, adams = rec["2008-07-636"], rec["2013-12-820"]

@@ -874,6 +874,16 @@ def test_fit_with_a_negative_fold_seed_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["fit", "estimate"])
+def test_fit_and_estimate_reject_a_repeated_mediator(tmp_path, capsys, command):
+    records = _simulated_records(tmp_path, n=20)
+    out = tmp_path / command
+    assert main([command, "--records", str(records), "--mediators", "hedging,disfluency,hedging",
+                 "--out", str(out)]) == 2
+    assert "mediators must not repeat a name; repeated: ['hedging']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_x_marginal_estimates_equal_bootstrap_effects_with_marginal_weighting(tmp_path):
     run_dir = _simulated_run(tmp_path, x_marginal=True)
     records = run_dir / "records.ndjson"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import near_lines
+from conftest import near_lines, transcript_of
 from medlang.corpus import (
     SPEAKER_ROLES,
     AnalysisUnit,
@@ -50,8 +50,8 @@ def test_parse_single_justice_turn():
 
 
 def test_parse_empty_stream():
-    assert parse_transcript("") == []
-    assert parse_transcript(io.BytesIO(b"")) == []
+    assert list(parse_transcript("")) == []
+    assert list(parse_transcript(io.BytesIO(b""))) == []
 
 
 def test_parse_interleaved_cases_matches_reference_reader():
@@ -128,7 +128,7 @@ def test_round_trip_is_field_exact(paired_utterances):
     buf = io.StringIO()
     write_transcript(paired_utterances, buf)
     again = parse_transcript(buf.getvalue())
-    assert again == paired_utterances
+    assert list(again) == list(paired_utterances)
     # and a second serialization is byte-identical
     assert [utterance_to_json(u) for u in again] == [
         utterance_to_json(u) for u in paired_utterances
@@ -324,10 +324,10 @@ def test_metadata_duplicate_case_errors():
     )
 )
 def test_unit_count_equals_advocate_count(roles):
-    utts = [
+    utts = transcript_of(
         Utterance(case_id="c", index=i, speaker_id=f"s{i}", speaker_role=role, text=f"turn {i}.")
         for i, role in enumerate(roles)
-    ]
+    )
     units = extract_units(utts)
     assert len(units) == sum(1 for r in roles if r == "advocate")
     assert [u.p1_utterance.index for u in units] == [
@@ -397,7 +397,7 @@ def test_prior_interruption_bucket_matches_the_rescan_reference(turns):
         utts.append(Utterance(case_id, index, f"{role} {case_id}", role, text))
     expected = {uid: ("2+" if n >= 2 else str(n))
                 for uid, n in _prior_counts_reference(utts).items()}
-    units = extract_units(utts)
+    units = extract_units(transcript_of(utts))
     assert {u.unit_id: u.context_features["prior_interruption_bucket"] for u in units} == expected
 
 
@@ -413,7 +413,8 @@ def test_extract_checks_each_turn_for_the_marker_at_most_once(monkeypatch):
     monkeypatch.setattr(corpus, "ends_with_interruption_marker", counting)
     roles = ("advocate", "justice")
     texts = ("Counsel - -", "Stop.", "Counsel.", "Go on.")
-    utts = [Utterance("long", i, roles[i % 2], roles[i % 2], texts[i % 4]) for i in range(2000)]
+    utts = transcript_of(Utterance("long", i, roles[i % 2], roles[i % 2], texts[i % 4])
+                         for i in range(2000))
     units = extract_units(utts)
     assert len(units) == 1000
     assert units[-1].context_features["prior_interruption_bucket"] == "2+"
@@ -628,7 +629,8 @@ def near_turns(draw):
 @given(turns=st.lists(near_turns(), max_size=6))
 def test_transcript_reader_matches_the_per_turn_reference(turns):
     text = "\n".join(json.dumps(turn) for turn in turns)
-    assert _outcome(parse_transcript, text) == _outcome(_reference_transcript, text)
+    assert _outcome(lambda text: list(parse_transcript(text)), text) == _outcome(
+        _reference_transcript, text)
 
 
 # str.splitlines also breaks at each of these; a binary stream, which is what

@@ -327,3 +327,14 @@ def test_each_malformed_line_is_named(tmp_path, capsys, base, formats, fmt):
         capsys.readouterr()
         assert main(argv(base, tmp_path, path)) == 3
         assert "line 2" in capsys.readouterr().err, kind
+
+
+@pytest.mark.parametrize("command", ["fit", "estimate"])
+def test_records_with_no_mediators_exit_3(tmp_path, capsys, base, command):
+    lines = [json.dumps(dict(json.loads(line), m={})) for line in _lines(base / "records.ndjson")]
+    path = tmp_path / "no-mediators.ndjson"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command, "--records", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"medlang: error: no mediators in {path}\n"
+    assert not (tmp_path / "out").exists()

@@ -3,17 +3,15 @@ import io
 import json
 import re
 import string
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import near_lines
+from conftest import near_lines, transcript_of
 from medlang import cli, corpus, measure, scm
-from medlang.corpus import (AnalysisUnit, Utterance, ends_with_interruption_marker,
-                           extract_units, parse_transcript)
+from medlang.corpus import Utterance, ends_with_interruption_marker, extract_units, parse_transcript
 from medlang.errors import ConfigError, DataError, MedlangError, ParseError
 from medlang.measure import (
     HONORIFICS,
@@ -221,10 +219,10 @@ def test_interruption_marker_only_text():
 
 def test_interruption_requires_responder():
     # Without a responding turn the outcome is undefined: the unit is excluded, not labelled.
-    units, cases = _synthetic_corpus(3)
-    orphan = replace(units[0], p2_utterance=None)
-    build = build_records([orphan, *list(units)[1:]], MeasurementSpec.default(), 2,
-                          case_utterances=cases)
+    units, cases = _synthetic_corpus(3, skip_responder={0})
+    orphan = units[0]
+    assert orphan.p2_utterance is None
+    build = build_records(units, MeasurementSpec.default(), 2, case_utterances=cases)
     assert [(e.unit_id, e.reason) for e in build.exclusions] == [(orphan.unit_id, "no_responder")]
     assert orphan.unit_id not in build.records.unit_ids
 
@@ -244,11 +242,12 @@ def chief_texts(turns):
             if utt.speaker_role == "chief_justice"]
 
 
-def test_treatment_from_fixture_cases(paired_case_utterances):
-    assert label_treatment(chief_texts(paired_case_utterances["2013-12-820"]),
-                           "Ann O'Connell Adams") == 1
-    assert label_treatment(chief_texts(paired_case_utterances["2008-07-636"]),
-                           "Mark Irving Levy") == 0
+def test_treatment_from_fixture_cases(paired_utterances):
+    def case(case_id):
+        return [utt for utt in paired_utterances if utt.case_id == case_id]
+
+    assert label_treatment(chief_texts(case("2013-12-820")), "Ann O'Connell Adams") == 1
+    assert label_treatment(chief_texts(case("2008-07-636")), "Mark Irving Levy") == 0
 
 
 def test_treatment_hand_built_introductions():
@@ -409,8 +408,9 @@ def test_build_records_folds_in_every_topic_text_in_one_batch(monkeypatch):
     for module, name in ((measure, "measure_topics"), (measure, "measure_topic"),
                          (topics, "fold_in"), (topics, "measure_topic")):
         counting(module, name)
+    utts = transcript_of(utts)
     build = build_records(extract_units(utts), MeasurementSpec.default(topic_model=model), 2,
-                          case_utterances={"c": utts})
+                          case_utterances=utts)
     assert len(build.records) == 60
     assert calls == {"measure_topics": 1, "fold_in": 1}
     assert set(build.records.m["topic"]) >= {model.no_content_level}
@@ -441,15 +441,15 @@ def test_load_lexicon_empty_errors():
 # -- build_records ---------------------------------------------------------------
 
 
-def build_paired(paired_units, paired_case_utterances, **kwargs):
+def build_paired(paired_units, paired_utterances, **kwargs):
     spec = kwargs.pop("spec", MeasurementSpec.default())
     return build_records(
-        paired_units, spec, n_folds=2, case_utterances=paired_case_utterances, **kwargs
+        paired_units, spec, n_folds=2, case_utterances=paired_utterances, **kwargs
     )
 
 
-def test_build_records_fixture_labels(paired_units, paired_case_utterances):
-    result = build_paired(paired_units, paired_case_utterances)
+def test_build_records_fixture_labels(paired_units, paired_utterances):
+    result = build_paired(paired_units, paired_utterances)
     by_case = {r.unit_id.split(":")[0]: r for r in result.records}
     levy = by_case["2008-07-636"]
     adams = by_case["2013-12-820"]
@@ -480,34 +480,26 @@ def test_build_records_fold_balance_and_determinism():
     from medlang.corpus import extract_units
 
     units = extract_units(utts)
-    by_case = {}
-    for u in utts:
-        by_case.setdefault(u.case_id, []).append(u)
     spec = MeasurementSpec.default()
-    first = build_records(units, spec, 2, case_utterances=by_case, seed=11)
-    again = build_records(units, spec, 2, case_utterances=by_case, seed=11)
+    first = build_records(units, spec, 2, case_utterances=utts, seed=11)
+    again = build_records(units, spec, 2, case_utterances=utts, seed=11)
     folds = sorted(r.fold for r in first.records)
     assert folds.count(0) == 5 and folds.count(1) == 5
     assert list(first.records) == list(again.records)
-    other = build_records(units, spec, 2, case_utterances=by_case, seed=12)
+    other = build_records(units, spec, 2, case_utterances=utts, seed=12)
     assert {r.unit_id: r.fold for r in other.records} != {
         r.unit_id: r.fold for r in first.records
     }
 
 
-def test_build_records_all_units_excluded(paired_units, paired_case_utterances):
+def test_build_records_all_units_excluded(paired_utterances, paired_meta):
     # drop the responder from the Levy unit and the introduction from Adams's case
-    units = list(paired_units)
-    levy = units[0]
-    units[0] = type(levy)(
-        unit_id=levy.unit_id,
-        p1_utterance=levy.p1_utterance,
-        p2_utterance=None,
-        context_features=levy.context_features,
-    )
-    cases = dict(paired_case_utterances)
-    cases["2013-12-820"] = [u._replace(speaker_role="justice") if u.speaker_role == "chief_justice"
-                            else u for u in cases["2013-12-820"]]
+    turns = [u._replace(speaker_role="justice")
+             if u.case_id == "2013-12-820" and u.speaker_role == "chief_justice" else u
+             for u in paired_utterances
+             if not (u.case_id == "2008-07-636" and u.speaker_role == "justice")]
+    cases = transcript_of(turns)
+    units = extract_units(cases, paired_meta)
     result = build_records(units, MeasurementSpec.default(), 2, case_utterances=cases)
     assert len(result.records) == 0
     assert result.exclusion_counts() == {
@@ -516,7 +508,7 @@ def test_build_records_all_units_excluded(paired_units, paired_case_utterances):
     }
 
 
-def _synthetic_corpus(n_cases, skip_intro=(), skip_responder=()):
+def _synthetic_corpus(n_cases, skip_intro=(), skip_responder=(), meta=None):
     lines = []
     for i in range(n_cases):
         case = f"c{i}"
@@ -538,12 +530,7 @@ def _synthetic_corpus(n_cases, skip_intro=(), skip_responder=()):
                 f'"speaker_role": "justice", "text": "Noted."}}'
             )
     utts = parse_transcript("\n".join(lines))
-    from medlang.corpus import extract_units
-
-    by_case = {}
-    for u in utts:
-        by_case.setdefault(u.case_id, []).append(u)
-    return extract_units(utts), by_case
+    return extract_units(utts, meta), utts
 
 
 def test_build_records_exclusion_reasons():
@@ -563,9 +550,8 @@ def test_build_records_exclusion_reasons():
 @pytest.mark.parametrize("confounders", [("issue_area",), None])
 @pytest.mark.parametrize("level", [1, None, True, 1.5, {"k": [1]}, ["a"]])
 def test_build_records_rejects_a_confounder_level_that_is_not_a_string(level, confounders):
-    units, cases = _synthetic_corpus(3)
-    units = [replace(u, context_features={**u.context_features, "issue_area": level if i else "a"})
-             for i, u in enumerate(units)]
+    units, cases = _synthetic_corpus(
+        3, meta={f"c{i}": {"issue_area": level if i else "a"} for i in range(3)})
     message = f"unit {units[1].unit_id}: context feature 'issue_area' must be a string, got {level!r}"
     with pytest.raises(DataError, match=re.escape(message)):
         build_records(units, MeasurementSpec.default(), 2, case_utterances=cases,
@@ -589,14 +575,20 @@ def test_build_records_with_topic_mediator():
         encode_records([rec], result.records.domains)
 
 
-def _cases_for(texts):
+def _case_turns(texts):
     """One case per text: an introduction, the text as the advocate turn, a reply."""
-    lines = []
+    turns = []
     for i, text in enumerate(texts):
-        lines += [Utterance(f"c{i}", 0, "Chief", "chief_justice", "Ms. Smith, proceed."),
+        turns += [Utterance(f"c{i}", 0, "Chief", "chief_justice", "Ms. Smith, proceed."),
                   Utterance(f"c{i}", 1, "Alex Smith", "advocate", text),
                   Utterance(f"c{i}", 2, "Justice J", "justice", "Noted.")]
-    return extract_units(lines), {f"c{i}": lines[3 * i:3 * i + 3] for i in range(len(texts))}
+    return turns
+
+
+def _cases_for(texts):
+    """The units and transcript of _case_turns(texts)."""
+    transcript = transcript_of(_case_turns(texts))
+    return extract_units(transcript), transcript
 
 
 TOPIC_MODEL = fit_topic_model(["statute waiver provision think", "custody children treaty"] * 4,
@@ -622,10 +614,11 @@ def test_build_records_tokenizes_each_included_text_once(monkeypatch):
     import medlang.topics as topics
 
     texts = ["I think - - think", "custody treaty", "statute waiver", "kind of"]
-    units, cases = _cases_for(texts)
-    cases["c3"][0] = cases["c3"][0]._replace(speaker_role="justice")  # no introduction: excluded
-    units = [*units, AnalysisUnit("c9:0", Utterance("c9", 0, "Alex Smith", "advocate", "No reply"),
-                                  None)]  # no responder: excluded
+    turns = _case_turns(texts)
+    turns[9] = turns[9]._replace(speaker_role="justice")  # c3: no introduction, excluded
+    turns.append(Utterance("c9", 0, "Alex Smith", "advocate", "No reply"))  # no responder
+    cases = transcript_of(turns)
+    units = extract_units(cases)
     calls = []
 
     def counting(text):
@@ -640,8 +633,8 @@ def test_build_records_tokenizes_each_included_text_once(monkeypatch):
     assert sorted(calls) == sorted(texts[:3])  # hedging, disfluency and topics made 9
 
 
-def test_validator_accepts_exactly_what_build_emits(paired_units, paired_case_utterances):
-    result = build_paired(paired_units, paired_case_utterances)
+def test_validator_accepts_exactly_what_build_emits(paired_units, paired_utterances):
+    result = build_paired(paired_units, paired_utterances)
     domains = result.records.domains
     for record in result.records:
         encode_records([record], domains)

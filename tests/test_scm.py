@@ -379,14 +379,11 @@ def test_render_round_trip_reproduces_records():
         buf.write(utterance_to_json(utt) + "\n")
     utterances = parse_transcript(buf.getvalue())
     units = extract_units(utterances, result.case_metadata)
-    by_case = {}
-    for utt in utterances:
-        by_case.setdefault(utt.case_id, []).append(utt)
     build = build_records(
         units,
         MeasurementSpec.default(),
         n_folds=2,
-        case_utterances=by_case,
+        case_utterances=utterances,
         seed=4242,
         confounders=tuple(spec.confounder_names),
     )

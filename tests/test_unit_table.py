@@ -2,8 +2,8 @@
 
 From transcripts with lines in the writer's form and lines only the per-line
 reader takes, extract_units, write_units and build_records give the same
-units-file bytes, records, exclusions and errors as the reference; so do
-the table read back by units_from_json and a list of its AnalysisUnit rows.
+units-file bytes, records, exclusions and errors as the reference; so does
+the table read back by units_from_json.
 """
 
 import io
@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import unit_reference as reference
+from conftest import transcript_of
 from medlang.corpus import (
     Units,
     Utterance,
@@ -100,10 +101,12 @@ def test_the_table_path_equals_the_per_unit_reference(corpus, seed, drop, topics
              for case_id, rows in transcript.case_rows.items() if case_id != drop}
     spec = TOPIC_SPEC if topics else SPEC
     want = outcome(lambda: reference.build_records(ref_units, spec, 2, cases, seed, confounders))
-    for given_units in (units, units_from_json(text), list(units)):
-        for case_utterances in (cases, transcript) if drop is None else (cases,):
-            assert outcome(lambda: build_records(given_units, spec, 2, case_utterances, seed,
-                                                 confounders)) == want
+    # A unit of a case that the honorific scan's transcript lacks raises DataError.
+    scanned = transcript if drop is None else transcript_of(
+        utt for utt in transcript if utt.case_id != drop)
+    for given_units in (units, units_from_json(text)):
+        assert outcome(lambda: build_records(given_units, spec, 2, scanned, seed,
+                                             confounders)) == want
 
 
 def test_the_pipeline_builds_no_utterance():

@@ -22,6 +22,8 @@ from medlang.corpus import (
     Utterance,
     extract_units,
     parse_case_metadata,
+    parse_transcript,
+    unit_table,
     unit_to_json,
     utterance_to_json,
     write_case_metadata,
@@ -172,7 +174,8 @@ def test_transcript_writer_matches_json_dumps(utterances):
     context_features=st.dictionaries(TEXT, JSON_VALUES, max_size=4),
 ), max_size=4))
 def test_units_writer_matches_json_dumps(units):
-    assert written(write_units, units) == "".join(unit_reference(u) + "\n" for u in units)
+    assert written(write_units, unit_table(units)) == "".join(
+        unit_reference(u) + "\n" for u in units)
     assert [unit_to_json(u) for u in units] == [unit_reference(u) for u in units]
 
 
@@ -186,12 +189,13 @@ def test_units_writer_keeps_equal_but_differently_encoded_contexts_apart(tmp_pat
                   Utterance(f"c{i}", 1, "Alex Smith", "advocate", "I think so - -"),
                   Utterance(f"c{i}", 2, "Justice J", "justice", "Go on.")]
         meta.append(f'{{"case_id": "c{i}", "flag": {flag}}}\n')
-    (tmp_path / "t.ndjson").write_text(written(write_transcript, turns), encoding="utf-8")
+    transcript = written(write_transcript, turns)
+    (tmp_path / "t.ndjson").write_text(transcript, encoding="utf-8")
     (tmp_path / "m.ndjson").write_text("".join(meta), encoding="utf-8")
     units_path = tmp_path / "units.ndjson"
     assert main(["ingest", "--transcripts", str(tmp_path / "t.ndjson"),
                  "--meta", str(tmp_path / "m.ndjson"), "--out", str(units_path)]) == 0
-    units = extract_units(turns, parse_case_metadata("".join(meta)))
+    units = extract_units(parse_transcript(transcript), parse_case_metadata("".join(meta)))
     assert [repr(u.context_features["flag"]) for u in units] == [repr(json.loads(f))
                                                                  for f in flags]
     assert units_path.read_bytes() == "".join(
