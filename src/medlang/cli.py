@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -554,6 +555,7 @@ def cmd_report(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="medlang",
@@ -641,12 +643,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    level = os.environ.get("MEDLANG_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        level = os.environ.get("MEDLANG_LOG", "warning").lower()
+        if level not in ("debug", "info", "warning", "error", "critical"):
+            raise ConfigError("MEDLANG_LOG must be debug, info, warning, error or critical, "
+                              f"got {os.environ['MEDLANG_LOG']!r}")
+        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
         return args.func(args) or 0
     except MedlangError as exc:
         print(f"medlang: error: {exc}", file=sys.stderr)

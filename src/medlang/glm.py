@@ -17,7 +17,9 @@ a stack of training cell counts (folds, or bootstrap replicates x folds)
 is solved in one Newton/IRLS loop over a shared design, empty cells get
 the default, and valid_mediator_tables/valid_outcome_tables decide which
 members are probability tables. The point fit and every bootstrap
-replicate take the same path.
+replicate take the same path. Sums and maxima over levels run level by
+level (reduce_in_order): np.sum's bits up to 7 levels, maybe not in the
+last bits from 8 on, where np.sum adds pairwise.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from typing import IO, NamedTuple, Sequence
 
 import numpy as np
 
+from .arrays import reduce_in_order
 from .errors import ConfigError, DataError, NumericalError
 # bench/tracer.py patches medlang.glm.encode_records and medlang.glm.infer_domains.
 from .measure import CodedRecords, Domains, encode_records, infer_domains  # noqa: F401
@@ -67,7 +70,7 @@ def valid_mediator_tables(table: np.ndarray) -> np.ndarray:
     Returns (...) booleans.
     """
     in_range = ((table >= 0) & (table <= 1)).all(axis=(-3, -2, -1))
-    return in_range & np.isclose(table.sum(axis=-1), 1.0, atol=1e-9).all(axis=(-2, -1))
+    return in_range & np.isclose(reduce_in_order(np.add, table), 1.0, atol=1e-9).all(axis=(-2, -1))
 
 
 def valid_outcome_tables(table: np.ndarray) -> np.ndarray:
@@ -166,23 +169,25 @@ def fit_categorical_glm_batch(
             for i in range(0, n_members, size)
         ]
         return BatchFit(*(np.concatenate(arrays) for arrays in zip(*parts)))
-    totals = counts.sum(axis=2)
+    # The working set of the members still stepping: ids, coefficients, counts, totals.
+    # A member's results are written, and the set rebuilt, in the iteration it stops.
+    active, c, y = np.arange(n_members), coef, counts[:, :, 1:]
+    totals = reduce_in_order(np.add, counts)
     # Row-wise outer products: one matmul turns per-row weights into blocks.
     outer = (design[:, :, None] * design[:, None, :]).reshape(n_rows, d * d)
     ridge_eye = RIDGE * np.eye(n_params)
+    identity = np.eye(k)
     restart = coef.copy()
     iterations = np.zeros(n_members, dtype=np.int64)
     status = np.full(n_members, NOT_CONVERGED)
-    active = np.arange(n_members)
-    for _ in range(MAX_ITERATIONS):
-        if active.size == 0:
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        if not active.size:
             break
-        c = coef[active]
         probs = _glm_probs(design, c)[:, :, 1:]
-        weighted = totals[active][:, :, None] * probs  # (A, R, k)
-        grad = np.swapaxes(counts[active, :, 1:] - weighted, 1, 2) @ design - RIDGE * c
+        weighted = totals[:, :, None] * probs  # (A, R, k)
+        grad = np.swapaxes(y - weighted, 1, 2) @ design - RIDGE * c
         # w[a, r, i, j] = n_r p_ri (1[i = j] - p_rj), the multinomial information.
-        w = weighted[:, :, :, None] * (np.eye(k) - probs[:, :, None, :])
+        w = weighted[:, :, :, None] * (identity - probs[:, :, None, :])
         blocks = np.swapaxes(w.reshape(active.size, n_rows, k * k), 1, 2) @ outer
         hessian = (
             blocks.reshape(active.size, k, k, d, d)
@@ -191,15 +196,21 @@ def fit_categorical_glm_batch(
             + ridge_eye
         )
         step = _stacked_solve(hessian, grad.reshape(active.size, n_params))
-        iterations[active] += 1
-        failed = ~np.isfinite(step).all(axis=1)
+        # The largest |step| per member; NaN or inf exactly where a step is not finite.
+        largest = reduce_in_order(np.maximum, np.abs(step))
+        failed = ~np.isfinite(largest)
+        done = largest < CONVERGENCE_TOL
         step[failed] = 0.0
-        restart[active] = c
-        coef[active] = c + step.reshape(c.shape)
-        done = ~failed & (np.abs(step).max(axis=1) < CONVERGENCE_TOL)
+        stepped = c + step.reshape(c.shape)
+        stop = failed | done | (iteration == MAX_ITERATIONS)
+        if not stop.any():
+            c = stepped
+            continue
+        members = active[stop]
+        restart[members], coef[members], iterations[members] = c[stop], stepped[stop], iteration
         status[active[failed]] = FAILED_STEP
         status[active[done]] = CONVERGED
-        active = active[~(failed | done)]
+        active, c, y, totals = active[~stop], stepped[~stop], y[~stop], totals[~stop]
     probs = _glm_probs(design, coef)
     # counts * log(probs), with 0 where a cell's count is 0 (so 0 * log(0) adds 0).
     log_probs = np.log(probs, out=np.zeros_like(probs), where=counts > 0)
@@ -210,9 +221,13 @@ def fit_categorical_glm_batch(
 def _glm_probs(design: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """Softmax probabilities (B, R, K) for coefficients (B, K-1, d), level 0 scoring 0."""
     scores = design @ np.swapaxes(coef, 1, 2)
-    scores = np.concatenate([np.zeros(scores.shape[:2] + (1,)), scores], axis=2)
-    e = np.exp(scores - scores.max(axis=2, keepdims=True))
-    return e / e.sum(axis=2, keepdims=True)
+    top = np.maximum(reduce_in_order(np.maximum, scores), 0.0)
+    e = np.empty(scores.shape[:2] + (scores.shape[2] + 1,))
+    np.subtract(0.0, top, out=e[:, :, 0])
+    np.subtract(scores, top[:, :, None], out=e[:, :, 1:])
+    np.exp(e, out=e)
+    e /= reduce_in_order(np.add, e)[:, :, None]
+    return e
 
 
 def _stacked_solve(hessian: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -348,7 +363,7 @@ def _fit_stack(
         start = np.broadcast_to(start, lead + start.shape[-2:]).reshape(
             (-1,) + start.shape[-2:])
     fit = fit_categorical_glm_batch(design, counts, start=start)
-    empty = counts.sum(axis=-1) == 0
+    empty = reduce_in_order(np.add, counts) == 0
     return BatchFit(*(a.reshape(lead + a.shape[1:]) for a in fit)), empty.reshape(lead + cells)
 
 
@@ -365,7 +380,7 @@ def fit_mediator_tables(
     counts, which get the uniform default.
     """
     lead, n_levels, n_x = train.shape[:-4], train.shape[-4], train.shape[-2]
-    counts = np.moveaxis(train.sum(axis=-1), -3, -1).reshape((-1, 2 * n_x, n_levels))
+    counts = np.moveaxis(reduce_in_order(np.add, train), -3, -1).reshape((-1, 2 * n_x, n_levels))
     fit, empty = _fit_stack(_mediator_design(domains), counts, (2, n_x), lead, start)
     table = fit.probs.reshape(lead + (2, n_x, n_levels))
     return np.where(empty[..., None], 1.0 / n_levels, table), fit, empty

@@ -19,12 +19,14 @@ X, independent of i, is available via x_marginal=True.
 from __future__ import annotations
 
 import json
+import logging
 import numbers
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .arrays import reduce_in_order
 from .errors import ConfigError, DataError, NumericalError
 from . import glm
 from .glm import (
@@ -36,6 +38,8 @@ from .glm import (
 )
 from .measure import Domains
 from .seeding import derive_seed
+
+logger = logging.getLogger("medlang")
 
 #: Attached to every estimate: the direct effect is only interpretable as
 #: the full direct causal effect if every relevant mediator is included.
@@ -301,11 +305,11 @@ def _levels_present(cells: np.ndarray, domains: Domains) -> np.ndarray:
     Returns (..., 2 + K + sum of confounder widths) booleans.
     """
     widths = tuple(len(levels) for _, levels in domains.confounders)
-    per_x = cells.sum(axis=(-3, -2)).reshape(cells.shape[:-3] + widths)
-    parts = [cells.sum(axis=(-3, -1)), cells.sum(axis=(-2, -1))]
+    per_x = reduce_in_order(np.add, cells, (-3, -2)).reshape(cells.shape[:-3] + widths)
+    parts = [reduce_in_order(np.add, cells, (-3, -1)), reduce_in_order(np.add, cells, (-2, -1))]
     for j in range(len(widths)):
         others = tuple(i - len(widths) for i in range(len(widths)) if i != j)
-        parts.append(per_x.sum(axis=others))
+        parts.append(reduce_in_order(np.add, per_x, others))
     return np.concatenate(parts, axis=-1) > 0
 
 
@@ -328,30 +332,32 @@ def _bootstrap_draws(
     so a replicate with the point fit's counts repeats it bit for bit. A
     replicate is dropped if its resample loses a t, m or confounder level
     present in the data, if any of its fits fails, or if any of its tables
-    fails the validity rule that the point fit's validate() applies.
+    fails the validity rule that the point fit's validate() applies. One info
+    event counts the drops per reason and the kept replicates with defaulted cells.
     """
     mediator_name = g.mediator_name
     counts = _replicate_counts(coded, mediator_name, n_bootstrap, seed)
     domains = coded.domains
-    cells = counts.sum(axis=(1, 5))
+    cells = reduce_in_order(np.add, counts, (1, 5))
     lost = _levels_present(cells.sum(axis=0), domains) & ~_levels_present(cells, domains)
     kept = np.nonzero(~lost.any(axis=1))[0]
     draws = np.full((n_bootstrap, 2), np.nan)
-    if not kept.size:
-        return draws
-
     grid = counts[kept]
     train = (grid.sum(axis=1, keepdims=True) - grid).astype(float)
-    g_table, g_fit, _ = glm.fit_mediator_tables(domains, train, _restart(g, coded.n_folds))
-    f_table, f_fit, _ = glm.fit_outcome_tables(domains, train, _restart(f, coded.n_folds))
-    ok = (
-        (g_fit.status == glm.CONVERGED) & (f_fit.status == glm.CONVERGED)
-        & glm.valid_mediator_tables(g_table) & glm.valid_outcome_tables(f_table)
-    ).all(axis=1)
-
-    fold_x = grid[ok].sum(axis=(2, 3, 5)).astype(float)
+    g_table, g_fit, g_empty = glm.fit_mediator_tables(domains, train, _restart(g, coded.n_folds))
+    f_table, f_fit, f_empty = glm.fit_outcome_tables(domains, train, _restart(f, coded.n_folds))
+    refit = ((g_fit.status == glm.CONVERGED) & (f_fit.status == glm.CONVERGED)).all(axis=1)
+    valid = glm.valid_mediator_tables(g_table) & glm.valid_outcome_tables(f_table)
+    ok = refit & valid.all(axis=1)
+    fold_x = reduce_in_order(np.add, grid[ok], (2, 3, 5)).astype(float)
     nde, nie, _, _ = _effects(g_table[ok], f_table[ok], fold_x, x_marginal)
     draws[kept[ok]] = np.stack([nde, nie], axis=1)
+    defaulted = g_empty.any(axis=(1, 2, 3)) | f_empty.any(axis=(1, 2, 3, 4))
+    logger.info("bootstrap for %r: %d replicates, %d dropped (%d lost a level, %d failed or "
+                "unconverged refits, %d invalid tables); %d kept replicates had defaulted cells",
+                mediator_name, n_bootstrap, n_bootstrap - np.count_nonzero(ok),
+                n_bootstrap - kept.size, kept.size - np.count_nonzero(refit),
+                np.count_nonzero(refit & ~ok), np.count_nonzero(defaulted[ok]))
     return draws
 
 

@@ -37,6 +37,7 @@ from typing import IO, Mapping, Sequence
 
 import numpy as np
 
+from .arrays import reduce_in_order
 from .corpus import Utterance, _read_whole, case_metadata_template, load_json, utterance_to_json
 from .errors import ConfigError, DataError
 from .measure import CodedRecords, Domains
@@ -719,11 +720,6 @@ def _resolve_mediator(spec: ScmSpec, mediator_name: str | None) -> int:
         raise ConfigError(f"unknown mediator {mediator_name!r}; spec has {names}")
 
 
-def _ordered_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the last axis in index order (np.sum adds pairwise, which rounds differently)."""
-    return np.cumsum(a, axis=-1)[..., -1]
-
-
 def exact_effects(spec: ScmSpec, mediator_name: str | None = None) -> OracleResult:
     """Exact NDE/NIE/TE for one mediator: the mediation formula over the law tables.
 
@@ -750,7 +746,7 @@ def exact_effects(spec: ScmSpec, mediator_name: str | None = None) -> OracleResu
         for k, pmf in enumerate(pmfs):
             weight = weight * pmf[a if k == j else b]
         cells = (weight * laws.outcome[t]).reshape(w.size, -1)
-        return float(_ordered_sum(w * _ordered_sum(cells)))
+        return float(reduce_in_order(np.add, w * reduce_in_order(np.add, cells)))
 
     y00, y11 = mean_outcome(0, 0, 0), mean_outcome(1, 1, 1)
     y_nde_treated, y_nie = mean_outcome(1, 0, 1), mean_outcome(0, 1, 0)

@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .arrays import reduce_in_order
 from .errors import ConfigError, DataError
 from .textutil import tokenize
 
@@ -170,14 +171,6 @@ def fit_topic_model(
     return model
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """Sum over the first axis, rows in order; np.sum's order would change with the shape."""
-    total = a[0].copy()
-    for row in a[1:]:
-        total += row
-    return total
-
-
 def fold_in(model: TopicModel, docs: Sequence[list[str]]) -> np.ndarray:
     """Deterministic EM fold-in: topic proportions of each text, one row each.
 
@@ -186,9 +179,9 @@ def fold_in(model: TopicModel, docs: Sequence[list[str]]) -> np.ndarray:
     (topics, tokens, texts) array with texts innermost, one per power-of-two
     class of in-vocabulary length so that padding stays under half of it. A
     padded token has topic-word weight 0 and a topic sum of 1, so it adds
-    exactly 0.0 to the sum over tokens. Sums over tokens run in token order
-    and sums over topics in topic order (_row_sum), so no row depends on the
-    batch it came in. A text leaves its batch once an iteration returns its
+    exactly 0.0 to the sum over tokens. Sums over tokens and over topics run
+    in index order (reduce_in_order), so no row depends on the batch it came
+    in. A text leaves its batch once an iteration returns its
     proportions bit for bit: each iteration is the same map of the previous
     proportions, so every later one would return them too. The others stop
     after _FOLD_IN_ITERATIONS.
@@ -218,12 +211,12 @@ def fold_in(model: TopicModel, docs: Sequence[list[str]]) -> np.ndarray:
         for _ in range(_FOLD_IN_ITERATIONS):
             q = spare[:cols.size].reshape(cols.shape)
             np.multiply(theta[:, None], cols, out=q)
-            norm = _row_sum(q)
+            norm = reduce_in_order(np.add, q, 0)
             norm += padding
             q /= norm
-            previous, theta = theta, _row_sum(q.swapaxes(0, 1))
+            previous, theta = theta, reduce_in_order(np.add, q, 1)
             theta += model.alpha
-            theta /= _row_sum(theta)
+            theta /= reduce_in_order(np.add, theta, 0)
             # Bits, not values: 0.0 == -0.0 though a later iteration may tell them apart.
             moving = (theta.view(np.int64) != previous.view(np.int64)).any(axis=0)
             if not moving.all():

@@ -913,3 +913,32 @@ def test_burn_in_not_below_sweeps_exits_2_before_any_output(tmp_path, capsys,
                  str(paired_transcript_path), "--topics", "2", "--topic-sweeps", "10",
                  "--topic-burn-in", "20", "--out", str(tmp_path / "records.ndjson")]) == 2
     assert "burn_in must lie in [0, n_sweeps), got 20/10" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_main_call_in_a_process(tmp_path, capsys):
+    records = _simulated_records(tmp_path)
+    with pytest.raises(SystemExit) as usage:
+        main(["estimate", "--records", str(records)])  # --out is required
+    assert usage.value.code == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
+    for out in ("est1", "est2"):
+        assert main(["estimate", "--records", str(records), "--bootstrap", "100", "--seed", "3",
+                     "--out", str(tmp_path / out)]) == 0
+    assert read_artifacts(tmp_path / "est1") == read_artifacts(tmp_path / "est2")
+    assert (tmp_path / "est1" / "effects.ndjson").exists()
+
+
+@pytest.mark.parametrize("value", ["basic_format", "verbose"])
+def test_an_unknown_log_level_exits_2(tmp_path, capsys, monkeypatch, value):
+    records = _simulated_records(tmp_path, n=20)
+    monkeypatch.setenv("MEDLANG_LOG", value)
+    out = tmp_path / "est"
+    assert main(["estimate", "--records", str(records), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "medlang: error: MEDLANG_LOG must be debug, info, warning, error or critical, "
+        f"got {value!r}\n"
+    )
+    assert not out.exists()
+    monkeypatch.setenv("MEDLANG_LOG", "Info")  # levels are case-insensitive
+    assert main(["estimate", "--records", str(records), "--bootstrap", "0",
+                 "--out", str(out)]) == 0

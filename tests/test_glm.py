@@ -11,9 +11,11 @@ from scipy.special import expit, softmax, xlogy
 
 from conftest import records_from_arrays
 from medlang import glm
+from medlang.arrays import reduce_in_order
 from medlang.errors import ConfigError, DataError, NumericalError
 from medlang.glm import (
     CONVERGED,
+    BatchFit,
     FAILED_STEP,
     NOT_CONVERGED,
     encode_records,
@@ -386,11 +388,13 @@ def test_smoothed_cells_log_one_info_event_per_point_fit_fold(caplog):
             f"{n_cells} empty cells filled with the default"
         )
 
-    # only the point fits log; the bootstrap's refits never log per replicate
+    # the point fits log per fold; the bootstrap logs one event, never one per replicate
     caplog.clear()
     with caplog.at_level(logging.INFO, logger="medlang"):
         bootstrap_effects(records, *fit_models(records, "hedging"), 100, seed=0)
-    assert len([r for r in caplog.records if r.name == "medlang"]) == 4
+    events = [r.getMessage() for r in caplog.records if r.name == "medlang"]
+    assert len(events) == 5
+    assert events[4].startswith("bootstrap for 'hedging': 100 replicates, ")
 
 
 def test_batch_fit_members_match_solo_fits_and_fail_alone(monkeypatch):
@@ -442,16 +446,88 @@ def test_batch_fit_slices_do_not_change_results(monkeypatch):
     assert not np.array_equal(whole.iterations, warm.iterations)
 
 
-def test_glm_probs_equal_scipy_softmax_bit_for_bit():
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.integers(2, 8),
+    columns=st.integers(1, 4),
+    n_levels=st.integers(2, 9),
+    members=st.integers(1, 12),
+    warm=st.booleans(),
+    ridge=st.sampled_from([0.0, glm.RIDGE]),
+    max_iterations=st.sampled_from([1, 2, 3, 4, 5, 6, glm.MAX_ITERATIONS]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_members_equal_their_solo_fits_bit_for_bit(
+    rows, columns, n_levels, members, warm, ridge, max_iterations, seed
+):
+    rng = np.random.default_rng(seed)
+    design = rng.integers(0, 2, size=(rows, columns)).astype(float)
+    design[:, 0] = 1.0
+    counts = rng.integers(0, 30, size=(members, rows, n_levels)).astype(float)
+    zero = rng.random(members) < 0.25
+    counts[zero] = 0.0
+    start = rng.normal(0.0, 0.5, size=(members, n_levels - 1, columns)) if warm else None
+    # without a ridge a separated member's coefficients may diverge and its probabilities
+    # reach 0 where it has counts
+    with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+        patch.setattr(glm, "RIDGE", ridge)
+        patch.setattr(glm, "MAX_ITERATIONS", max_iterations)
+        stacked = fit_categorical_glm_batch(design, counts, start)
+        for member in range(members):
+            one = slice(member, member + 1)
+            solo = fit_categorical_glm_batch(design, counts[one], start[one] if warm else None)
+            for name, a, b in zip(BatchFit._fields, stacked, solo):
+                assert a[member].tobytes() == b[0].tobytes(), (member, name)
+    if ridge == 0.0:
+        # with no ridge, a member without counts has a zero Hessian
+        assert (stacked.status[zero] == FAILED_STEP).all()
+        assert (stacked.iterations[zero] == 1).all()
+    assert (stacked.iterations <= max_iterations).all()
+    assert (stacked.iterations[stacked.status == NOT_CONVERGED] == max_iterations).all()
+
+
+def _level_order_softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis with the max and the sum taken level by level."""
+    top = scores[..., 0]
+    for j in range(1, scores.shape[-1]):
+        top = np.maximum(top, scores[..., j])
+    e = np.exp(scores - top[..., None])
+    total = e[..., 0]
+    for j in range(1, scores.shape[-1]):
+        total = total + e[..., j]
+    return e / total[..., None]
+
+
+def test_glm_probs_equal_the_level_order_softmax_bit_for_bit():
     rng = np.random.default_rng(9)
-    for members, rows, k, d, scale in ((1, 4, 2, 3, 1.0), (6, 12, 3, 4, 5.0),
-                                       (3, 8, 5, 2, 400.0)):
-        design = rng.integers(0, 2, size=(rows, d)).astype(float)
-        design[:, 0] = 1.0
-        coef = rng.normal(0.0, scale, size=(members, k - 1, d))
-        scores = design @ np.swapaxes(coef, 1, 2)
-        reference = softmax(np.concatenate([np.zeros((members, rows, 1)), scores], axis=2), axis=2)
-        assert np.array_equal(glm._glm_probs(design, coef), reference)
+    for k in range(2, 11):
+        for members, rows, d, scale in ((1, 4, 3, 1.0), (6, 12, 4, 5.0), (3, 8, 2, 400.0)):
+            design = rng.integers(0, 2, size=(rows, d)).astype(float)
+            design[:, 0] = 1.0
+            coef = rng.normal(0.0, scale, size=(members, k - 1, d))
+            scores = design @ np.swapaxes(coef, 1, 2)
+            scores = np.concatenate([np.zeros((members, rows, 1)), scores], axis=2)
+            probs = glm._glm_probs(design, coef)
+            assert probs.tobytes() == _level_order_softmax(scores).tobytes(), k
+            # np.sum adds fewer than 8 levels in level order too
+            if k <= 7:
+                assert probs.tobytes() == softmax(scores, axis=2).tobytes(), k
+
+
+def test_reduce_in_order_adds_slices_in_order():
+    rng = np.random.default_rng(0)
+    for n in range(1, 301):
+        # magnitudes spread over 16 decades, so another order gives another sum
+        rows = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-8, 8, size=(n, 4))
+        want = np.cumsum(rows, axis=0)[-1].tobytes()
+        assert reduce_in_order(np.add, rows, 0).tobytes() == want, n
+        assert reduce_in_order(np.add, rows.T).tobytes() == want, n
+    cells = rng.integers(0, 9, size=(3, 2, 4, 2, 5, 2))
+    assert np.array_equal(reduce_in_order(np.add, cells, (1, 5)), cells.sum(axis=(1, 5)))
+    assert np.array_equal(reduce_in_order(np.add, cells, ()), cells)
+    with_nan = np.array([[1.0, np.nan, 2.0], [np.inf, 0.0, 1.0], [0.5, 3.0, 2.0]])
+    assert np.array_equal(reduce_in_order(np.maximum, with_nan), [np.nan, np.inf, 3.0],
+                          equal_nan=True)
 
 
 def test_loglik_is_finite_where_a_zero_count_meets_a_zero_probability(monkeypatch):

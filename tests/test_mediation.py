@@ -1,4 +1,6 @@
 import json
+import logging
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -548,14 +550,49 @@ def test_warm_started_refits_match_cold_ones_in_fewer_iterations(monkeypatch):
     assert warm_iterations < sum(iterations)
 
 
-def test_collapsed_replicates_are_dropped_and_counted(monkeypatch):
+_BOOTSTRAP_EVENT = re.compile(
+    r"bootstrap for 'hedging': (\d+) replicates, (\d+) dropped \((\d+) lost a level, "
+    r"(\d+) failed or unconverged refits, (\d+) invalid tables\); "
+    r"(\d+) kept replicates had defaulted cells"
+)
+
+
+def _logged_drops(caplog, coded, g, f, seed):
+    """bootstrap_effects' estimate and its one event's (lost, failed, invalid) drop counts."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="medlang"):
+        est = bootstrap_effects(coded, g, f, 100, seed=seed)
+    (event,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("bootstrap")]
+    attempted, dropped, *reasons, defaulted = map(int, _BOOTSTRAP_EVENT.fullmatch(event).groups())
+    assert (attempted, dropped) == (100, est.n_dropped_replicates)
+    assert sum(reasons) == dropped and defaulted <= attempted - dropped
+    return est, reasons
+
+
+def test_collapsed_replicates_are_dropped_and_counted(monkeypatch, caplog):
     coded = _sparse_level_records()
     draws = _bootstrap_draws(coded, *fit_models(coded, "hedging"), 100, 1, False)
     n_nan = int(np.isnan(draws[:, 0]).sum())
     assert 0 < n_nan < 100
     monkeypatch.setattr(mediation, "MAX_DROPPED_FRACTION", 1.0)
-    est = bootstrap_effects(coded, *fit_models(coded, "hedging"), 100, seed=1)
+    est, reasons = _logged_drops(caplog, coded, *fit_models(coded, "hedging"), seed=1)
     assert est.n_dropped_replicates == n_nan
+    assert reasons == [n_nan, 0, 0]
+
+
+def test_a_bootstrap_that_drops_every_replicate_logs_it_and_fails(monkeypatch, caplog):
+    coded = _binary_scm_records()
+    g, f = fit_models(coded, "hedging")
+    # every resample loses a level that the data has
+    monkeypatch.setattr(mediation, "_levels_present",
+                        lambda cells, domains: np.full(cells.shape[:-3] + (1,), cells.ndim == 3))
+    assert np.isnan(_bootstrap_draws(coded, g, f, 100, 29, False)).all()
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="medlang"):
+        with pytest.raises(NumericalError, match="100/100 bootstrap replicates dropped"):
+            bootstrap_effects(coded, g, f, 100, seed=29)
+    (event,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("bootstrap")]
+    assert _BOOTSTRAP_EVENT.fullmatch(event).groups() == ("100", "100", "100", "0", "0", "0")
 
 
 def test_replicate_draws_depend_only_on_their_own_seed():
@@ -566,7 +603,7 @@ def test_replicate_draws_depend_only_on_their_own_seed():
     assert np.array_equal(long_run[:100], short_run)
 
 
-def test_one_failed_member_drops_exactly_its_replicate(monkeypatch):
+def test_one_failed_member_drops_exactly_its_replicate(monkeypatch, caplog):
     coded = _binary_scm_records()
     g, f = fit_models(coded, "hedging")
     clean = _bootstrap_draws(coded, g, f, 100, 29, False)
@@ -584,10 +621,11 @@ def test_one_failed_member_drops_exactly_its_replicate(monkeypatch):
     assert np.isnan(draws[1]).all()
     others = np.arange(100) != 1
     assert np.array_equal(draws[others], clean[others])
-    assert bootstrap_effects(coded, g, f, 100, seed=29).n_dropped_replicates == 1
+    est, reasons = _logged_drops(caplog, coded, g, f, seed=29)
+    assert est.n_dropped_replicates == 1 and reasons == [0, 1, 0]
 
 
-def test_invalid_table_drops_exactly_its_replicate(monkeypatch):
+def test_invalid_table_drops_exactly_its_replicate(monkeypatch, caplog):
     coded = _binary_scm_records()
     g, f = fit_models(coded, "hedging")
     clean = _bootstrap_draws(coded, g, f, 100, 29, False)
@@ -603,6 +641,8 @@ def test_invalid_table_drops_exactly_its_replicate(monkeypatch):
     assert np.isnan(draws[1]).all()
     others = np.arange(100) != 1
     assert np.array_equal(draws[others], clean[others])
+    est, reasons = _logged_drops(caplog, coded, g, f, seed=29)
+    assert est.n_dropped_replicates == 1 and reasons == [0, 0, 1]
 
 
 def test_clamped_intervals_are_counted(monkeypatch):

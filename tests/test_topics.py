@@ -7,7 +7,6 @@ from medlang.errors import ConfigError, DataError
 from medlang.textutil import tokenize
 from medlang.topics import (
     TopicModel,
-    _row_sum,
     fit_topic_model,
     fold_in,
     match_topics,
@@ -212,14 +211,6 @@ def test_topic_major_sweep_equals_the_token_major_one_bit_for_bit(corpus, burn_i
     assert model.vocab == vocab
     assert model.topic_word.tobytes() == topic_word.tobytes()
     assert model.assignments.tobytes() == assignments.tobytes()
-
-
-def test_row_sum_adds_rows_in_order():
-    rng = np.random.default_rng(0)
-    for n in range(1, 301):
-        # magnitudes spread over 16 decades, so another order gives another sum
-        rows = rng.standard_normal((n, 4)) * 10.0 ** rng.integers(-8, 8, size=(n, 4))
-        assert _row_sum(rows).tobytes() == np.cumsum(rows, axis=0)[-1].tobytes(), n
 
 
 # -- batched fold-in against the per-text EM loop it replaced --------------------
